@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed-override", type=int, default=None)
         p.add_argument("--threads", type=int, default=1,
-                       help="recorded in the manifest; computation is serial")
+                       help="ignored; computation is serial")
 
     p_sim = sub.add_parser("simulate", help="integrate forced critical SQG with probes")
     common(p_sim)

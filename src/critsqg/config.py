@@ -45,7 +45,7 @@ _SCHEMA = {
     },
     "initial": {"kind", "kx", "ky", "amplitude", "band", "seed", "path"},
     "force": {"kind", "kx", "ky", "amplitude", "band", "seed", "path"},
-    "probes": {"holder_alpha", "decay_envelope_ps", "absorption", "report_alphas"},
+    "probes": {"holder_alpha", "decay_envelope_ps", "absorption"},
     "tangent": {"n_tangent", "reorth_every", "t_relax", "seed", "tangent_band"},
 }
 
@@ -120,6 +120,34 @@ class RunSetup:
     sections: Dict[str, Dict[str, str]] = dc_field(default_factory=dict)
 
 
+def _holder_alpha(raw: Optional[str]) -> Optional[str]:
+    """``auto`` or a float literal in (0, 1]; an empty value disables the probe."""
+    if not raw:
+        return None
+    if raw == "auto":
+        return raw
+    try:
+        alpha = float(raw)
+    except ValueError:
+        alpha = np.nan
+    if not 0.0 < alpha <= 1.0:
+        raise ConfigError(0, f"holder_alpha must be auto or a number in (0, 1], got {raw!r}")
+    return raw
+
+
+def _envelope_p(tok: str):
+    """One Lebesgue exponent: ``inf`` or an even integer >= 2."""
+    if tok == "inf":
+        return np.inf
+    try:
+        p = int(tok)
+    except ValueError:
+        p = 0
+    if p < 2 or p % 2:
+        raise ConfigError(0, f"decay_envelope_ps entries must be inf or even integers >= 2, got {tok!r}")
+    return p
+
+
 def build_setup(sections: Dict[str, Dict[str, str]], seed_override: Optional[int] = None) -> RunSetup:
     sol = sections.get("solver", {})
     try:
@@ -138,10 +166,9 @@ def build_setup(sections: Dict[str, Dict[str, str]], seed_override: Optional[int
     except ValueError as exc:
         raise ConfigError(0, str(exc)) from exc
     probes = sections.get("probes", {})
+    holder_alpha = _holder_alpha(probes.get("holder_alpha"))
     ps_raw = probes.get("decay_envelope_ps", "")
-    ps = []
-    for tok in filter(None, (t.strip() for t in ps_raw.split(","))):
-        ps.append(np.inf if tok == "inf" else int(tok))
+    ps = tuple(_envelope_p(tok) for tok in filter(None, (t.strip() for t in ps_raw.split(","))))
     tangent = sections.get("tangent", {})
     initial = _field_spec(sections.get("initial", {}))
     force = _field_spec(sections.get("force", {}))
@@ -154,8 +181,8 @@ def build_setup(sections: Dict[str, Dict[str, str]], seed_override: Optional[int
         solver=solver,
         initial=initial,
         force=force,
-        holder_alpha=probes.get("holder_alpha"),
-        decay_envelope_ps=tuple(ps),
+        holder_alpha=holder_alpha,
+        decay_envelope_ps=ps,
         absorption=probes.get("absorption", "0") in ("1", "true", "yes"),
         tangent_n=_get(tangent, "n_tangent", int, 6),
         tangent_reorth=_get(tangent, "reorth_every", int, 10),

@@ -24,10 +24,11 @@ operation in this module is pure and returns a new field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, lru_cache
+from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "TorusGrid",
@@ -271,7 +272,6 @@ class NormReport:
     linf: float
     lp: dict
     hs: dict
-    holder: dict
 
 
 def _multiplier(field: SpectralField, symbol: np.ndarray) -> SpectralField:
@@ -396,10 +396,12 @@ def inner_h1(f: SpectralField, g: SpectralField) -> float:
     return float(np.real(np.sum(k2 * np.conj(f.coeffs) * g.coeffs)) * TWO_PI**f.grid.dim)
 
 
-def _all_shift_indices(grid: TorusGrid) -> Iterable[tuple]:
-    if grid.dim == 1:
-        return [(j,) for j in range(1, grid.n)]
-    return [(i, j) for i in range(grid.n) for j in range(grid.n) if (i, j) != (0, 0)]
+@lru_cache(maxsize=8)
+def _all_shift_indices(grid: TorusGrid) -> np.ndarray:
+    """Every nonzero grid shift, one row each, in row-major (serial scan) order."""
+    idx = np.indices(grid.shape).reshape(grid.dim, -1).T[1:]
+    idx.setflags(write=False)
+    return idx
 
 
 def _canonical(delta: np.ndarray) -> np.ndarray:
@@ -407,55 +409,110 @@ def _canonical(delta: np.ndarray) -> np.ndarray:
     return (delta + np.pi) % TWO_PI - np.pi
 
 
+def _shift_powers(grid: TorusGrid, shifts: np.ndarray, alpha: float) -> np.ndarray:
+    """``|h|^alpha`` per shift, ``h`` the canonical displacement of its grid offset.
+
+    Evaluated one scalar at a time, so each entry is bitwise the ``hnorm**alpha``
+    of the per-shift definition.
+    """
+    spacing = grid.spacing
+    return np.array([
+        float(np.linalg.norm(_canonical(np.asarray(s, dtype=np.float64) * spacing))) ** alpha
+        for s in shifts.tolist()
+    ])
+
+
+@lru_cache(maxsize=32, typed=True)
+def _all_shift_powers(grid: TorusGrid, alpha: float) -> np.ndarray:
+    powers = _shift_powers(grid, _all_shift_indices(grid), alpha)
+    powers.setflags(write=False)
+    return powers
+
+
+def _increment_maxima(v: np.ndarray) -> np.ndarray:
+    """Table ``dmax[s] = max_x |v(x + s) - v(x)|`` over every grid shift ``s``.
+
+    In 1D a single ``(n, n)`` block covers every shift.  In 2D one
+    ``(n, n, n)`` block covers all column shifts of one row shift.
+    Only row shifts ``0..n/2`` are scanned; the others are mirrors, because
+    the increments of ``-s`` at ``x + s`` are those of ``s`` at ``x`` with the
+    sign flipped, and ``fl(a - b) = -fl(b - a)`` makes that exact.
+    """
+    n = v.shape[0]
+    # windows[s] is v translated by s (periodically), for every 0 <= s_i <= n
+    windows = sliding_window_view(np.tile(v, (2,) * v.ndim), v.shape)
+    if v.ndim == 1:
+        return np.abs(windows[:n] - v).max(axis=1)
+    dmax = np.empty((n, n))
+    block = np.empty((n, n, n))
+    for i in range(n // 2 + 1):
+        np.subtract(windows[i, :n], v, out=block)
+        np.abs(block, out=block)
+        dmax[i] = block.reshape(n, -1).max(axis=1)
+    rows = np.arange(1, n // 2)
+    dmax[n - rows] = dmax[rows][:, -np.arange(n) % n]
+    return dmax
+
+
 def holder_seminorm(field: SpectralField, alpha: float, shifts=None) -> HolderMax:
     """Discrete Hoelder quotient ``max_{x,h} |theta(x+h) - theta(x)| / |h|^alpha``.
 
-    ``shifts`` is an iterable of grid index offsets; by default every nonzero
-    grid shift is scanned, whose canonical torus representatives satisfy
-    ``|h| <= pi*sqrt(dim)``.  Returns the maximum together with the maximizing
-    collocation point and shift (canonical coordinates).
+    ``shifts`` is an iterable of grid index offsets (any integers; an offset
+    acts modulo ``n`` but its ``|h|`` is that of its own canonical
+    displacement); by default every nonzero grid shift is scanned, whose
+    canonical torus representatives satisfy ``|h| <= pi*sqrt(dim)``.  Returns
+    the maximum together with the maximizing collocation point and shift
+    (canonical coordinates).  Non-finite field values raise ``ValueError``.
 
-    The reduction is performed in a fixed serial order, so results are
-    reproducible bit-for-bit.
+    The scan is exact and vectorized.  A table of ``max_x |delta_h theta|``
+    over all grid shifts is built one row shift at a time from an
+    ``(n, n, n)`` block of increments (n^3 floats: 0.84 MiB at n = 48, 16 MiB
+    at n = 128); only half of the row shifts are scanned, the rest are exact
+    mirrors (``h`` and ``-h`` share the same maximal increment).  Each quotient
+    divides that maximum by the same scalar ``|h|**alpha`` as a one-shift-at-a-
+    time loop, and ties go to the first shift in the order given (row-major
+    for the default set), so value and argmax are bit-for-bit those of the
+    serial scan with a strict ``>``.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     grid = field.grid
     if shifts is None:
-        shifts = _all_shift_indices(grid)
+        idx = _all_shift_indices(grid)
+        hpow = _all_shift_powers(grid, alpha)
     else:
         shifts = [tuple(int(c) for c in s) for s in shifts]
+        if not shifts:
+            raise ValueError("shift set is empty")
+        if any(len(s) != grid.dim for s in shifts):
+            raise ValueError(f"every shift needs {grid.dim} component(s)")
         if any(all(c % grid.n == 0 for c in s) for s in shifts):
             raise ValueError("shift set must not contain the zero shift")
-    if not shifts:
-        raise ValueError("shift set is empty")
+        idx = np.array(shifts, dtype=np.int64)
+        hpow = _shift_powers(grid, idx, alpha)
 
     v = field.values()
+    if not np.isfinite(v).all():
+        raise ValueError("Hoelder quotient of a field with non-finite values")
+    ratio = _increment_maxima(v)[tuple((idx % grid.n).T)] / hpow
+    k = int(np.argmax(ratio))
+
+    best = tuple(int(c) for c in idx[k])
     spacing = grid.spacing
-    best = (-1.0, None, None)
-    for idx in shifts:
-        h = _canonical(np.asarray(idx, dtype=np.float64) * spacing)
-        hnorm = float(np.linalg.norm(h))
-        rolled = np.roll(v, tuple(-c for c in idx), axis=tuple(range(grid.dim)))
-        diff = np.abs(rolled - v)
-        ratio = float(diff.max()) / hnorm**alpha
-        if ratio > best[0]:
-            flat = int(np.argmax(diff))
-            xi = np.unravel_index(flat, v.shape)
-            x = tuple(float(c) for c in (-np.pi + spacing * np.asarray(xi)))
-            best = (ratio, x, tuple(float(c) for c in h))
-    return HolderMax(value=max(best[0], 0.0), argmax_x=best[1], argmax_h=best[2])
+    h = _canonical(np.asarray(best, dtype=np.float64) * spacing)
+    diff = np.abs(np.roll(v, tuple(-c for c in best), axis=tuple(range(grid.dim))) - v)
+    xi = np.unravel_index(int(np.argmax(diff)), v.shape)
+    x = tuple(float(c) for c in (-np.pi + spacing * np.asarray(xi)))
+    return HolderMax(value=float(ratio[k]), argmax_x=x, argmax_h=tuple(float(c) for c in h))
 
 
-def norm_report(field: SpectralField, ps=(2, 4), ss=(0.0, 0.5, 1.0, 1.5, 2.0), alphas=()) -> NormReport:
+def norm_report(field: SpectralField, ps=(2, 4), ss=(0.0, 0.5, 1.0, 1.5, 2.0)) -> NormReport:
     """Compute the standard norm bundle for one field."""
     lp = {int(p): lp_norm(field, p) for p in ps}
     hs = {float(s): sobolev_norm(field, s) for s in ss}
-    holder = {float(a): holder_seminorm(field, a).value for a in alphas}
     return NormReport(
         l2=lp_norm(field, 2),
         linf=lp_norm(field, np.inf),
         lp=lp,
         hs=hs,
-        holder=holder,
     )

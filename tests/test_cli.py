@@ -113,6 +113,18 @@ class TestSimulate:
         assert rc == EXIT_USAGE
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("holder_alpha", "0"), ("holder_alpha", "abc"),
+                                            ("decay_envelope_ps", "2,three")])
+    def test_bad_probe_value_exit_2_before_manifest(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMALL_RUN + f"{key} = {value}\n")  # [probes] is last; last value wins
+        assert parse_config_text(cfg.read_text())["probes"][key] == value
+        out = tmp_path / "o"
+        rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert key in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
+
     def test_both_config_and_preset_is_usage_error(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(SMALL_RUN)

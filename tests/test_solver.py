@@ -121,6 +121,21 @@ class TestRun:
         traj = run(random_band_field(grid32, 4, 0.5, 1), cfg, zero_force(grid32))
         assert np.allclose(traj.times, np.arange(6) * 0.1)
 
+    @pytest.mark.parametrize("t_end, times", [(0.34, [0.0, 0.1, 0.2, 0.3, 0.34]),
+                                              (0.04, [0.0, 0.04])])
+    def test_last_snapshot_lands_on_t_end(self, grid32, t_end, times):
+        cfg = SolverConfig(kappa=1.0, dt=1e-3, t_end=t_end, snapshot_dt=0.1)
+        traj = run(cos_x1(grid32), cfg, zero_force(grid32))
+        assert traj.times[-1] == t_end
+        assert np.allclose(traj.times, times, rtol=0.0, atol=1e-12)
+        # exact decay exp(-t) cos x1: the last state is the one at t_end
+        expected = np.exp(-t_end) * cos_x1(grid32).values()
+        assert np.abs(traj.fields[-1].values() - expected).max() < 1e-6
+
+    def test_nonpositive_snapshot_dt_rejected(self):
+        with pytest.raises(ValueError):
+            SolverConfig(kappa=1.0, dt=1e-3, t_end=1.0, snapshot_dt=0.0)
+
     def test_unforced_maximum_principle(self, grid32):
         cfg = SolverConfig(kappa=1.0, dt=2e-3, t_end=2.0, snapshot_dt=0.05)
         traj = run(random_band_field(grid32, 6, 1.0, 17), cfg, zero_force(grid32))

@@ -216,6 +216,114 @@ class TestHolderSeminorm:
         assert holder_seminorm(f, alpha).value == pytest.approx(best, rel=1e-12)
 
 
+def serial_holder_scan(field, alpha, shifts=None):
+    """Brute-force oracle: one np.roll per shift, strict ``>`` in serial order."""
+    grid = field.grid
+    if shifts is None:
+        shifts = [s for s in np.ndindex(*grid.shape) if any(s)]
+    v = field.values()
+    spacing = grid.spacing
+    best = (-1.0, None, None)
+    for idx in shifts:
+        h = (np.asarray(idx, dtype=np.float64) * spacing + np.pi) % (2.0 * np.pi) - np.pi
+        hnorm = float(np.linalg.norm(h))
+        rolled = np.roll(v, tuple(-c for c in idx), axis=tuple(range(grid.dim)))
+        diff = np.abs(rolled - v)
+        ratio = float(diff.max()) / hnorm**alpha
+        if ratio > best[0]:
+            xi = np.unravel_index(int(np.argmax(diff)), v.shape)
+            x = tuple(float(c) for c in (-np.pi + spacing * np.asarray(xi)))
+            best = (ratio, x, tuple(float(c) for c in h))
+    return best
+
+
+def holder_corpus_alpha0():
+    from critsqg.config import build_setup, preset_sections
+    from critsqg.diagnostics import holder_budget, load_constants
+    from critsqg.solver import build_field, build_force
+
+    setup = build_setup(preset_sections("holder-corpus"))
+    grid = TorusGrid(setup.dim, setup.n)
+    theta0 = build_field(setup.initial, grid)
+    force = build_force(setup.force, grid)
+    alpha0, _ = holder_budget(theta0, force.field, setup.solver.kappa, load_constants())
+    return theta0, alpha0
+
+
+class TestHolderScanExactness:
+    """The vectorized scan equals the serial per-shift scan bit for bit."""
+
+    @staticmethod
+    def assert_identical(field, alpha, shifts=None):
+        hm = holder_seminorm(field, alpha, shifts=shifts)
+        assert (hm.value, hm.argmax_x, hm.argmax_h) == serial_holder_scan(field, alpha, shifts)
+
+    @pytest.fixture(scope="class")
+    def alphas(self):
+        _, alpha0 = holder_corpus_alpha0()
+        assert 0.15 < alpha0 < 0.2
+        return (alpha0, 0.25, 0.37, 0.5, 1.0)
+
+    @pytest.mark.parametrize("n", [16, 32, 48])
+    def test_2d_grids(self, n, alphas):
+        f = random_field(TorusGrid(2, n), n // 4, n)
+        for alpha in alphas:
+            self.assert_identical(f, alpha)
+
+    def test_1d_grid(self, alphas):
+        g = TorusGrid(1, 256)
+        for f in (cos_x1(g), random_field(g, 40, 3)):
+            for alpha in alphas:
+                self.assert_identical(f, alpha)
+
+    def test_holder_corpus_initial_field(self, alphas):
+        theta0, _ = holder_corpus_alpha0()
+        for alpha in alphas:
+            self.assert_identical(theta0, alpha)
+
+    def test_kernel_corpus_fields(self, alphas):
+        import os
+
+        import critsqg
+
+        path = os.path.join(os.path.dirname(critsqg.__file__), "data", "kernel_corpus.csv")
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:2]
+        for seed, band, norm, n in rows:
+            f = random_field(TorusGrid(2, int(n)), int(band), int(seed), amplitude=norm)
+            assert f.grid.n == 64
+            for alpha in alphas:
+                self.assert_identical(f, alpha)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_ties_take_the_first_shift(self, n):
+        # cos x1 + cos x2 is symmetric under swapping the axes and under h -> -h;
+        # at n = 16, alpha = 0.25 the maximum sits on the middle row shift n/2
+        g = TorusGrid(2, n)
+        X, Y = meshes(g)
+        f = SpectralField.from_values(g, np.cos(X) + np.cos(Y))
+        for alpha in (0.25, 0.5, 1.0):
+            self.assert_identical(f, alpha)
+        self.assert_identical(SpectralField.zeros(g), 0.5)
+
+    def test_explicit_shifts_any_integers(self):
+        f = random_field(TorusGrid(2, 32), 6, 11)
+        shifts = [(1, 0), (-1, 0), (33, 0), (0, -31), (-40, 70), (31, 31), (64, 5), (-3, -5)]
+        for alpha in (0.25, 0.5, 1.0):
+            self.assert_identical(f, alpha, shifts)
+        g1 = TorusGrid(1, 64)
+        self.assert_identical(cos_x1(g1), 0.5, [(-1,), (65,), (200,), (-63,)])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # building the inf field warns
+    def test_non_finite_values_raise(self, grid32):
+        vals = random_field(grid32, 4, 1).values()
+        vals[3, 5] = np.nan
+        with pytest.raises(ValueError):
+            holder_seminorm(SpectralField.from_values(grid32, vals), 0.5)
+        inf = SpectralField.from_coeffs(grid32, np.full(grid32.shape, np.inf, dtype=complex))
+        with pytest.raises(ValueError):
+            holder_seminorm(inf, 0.5)
+
+
 class TestOperations:
     def test_shift_exactness(self, grid64):
         f = cos_x1(grid64)
