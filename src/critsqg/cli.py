@@ -9,10 +9,10 @@ Commands::
 
 Exit-code taxonomy: 0 pass, 1 scientific falsification (a verified inequality
 of the diagnostics failed at the calibrated constants), 2 usage/config error,
-3 numerical blowup.  Every command writes its manifest before any long
-computation begins; re-running a manifest in serial mode reproduces all CSV
-outputs byte-exactly.  The ``SQG_CONSTANTS`` environment variable overrides
-the calibrated-constants file.
+3 numerical blowup or tangent-frame collapse.  Every command writes its
+manifest before any long computation begins; re-running a manifest in serial
+mode reproduces all CSV outputs byte-exactly.  The ``SQG_CONSTANTS``
+environment variable overrides the calibrated-constants file.
 """
 
 from __future__ import annotations
@@ -38,7 +38,13 @@ from .kernels import lp_poincare_check, nonlinear_lower_bound_check, pointwise_i
 from .snapshots import write_csv, write_manifest, write_snapshot
 from .solver import BlowupError, Trajectory, build_field, build_force, run
 from .spectral import MeanZeroError, SpectralField, TorusGrid, lp_norm
-from .tangent import bound_curve_negative_at, dimension_bound, trace_bound_curve, volume_and_trace_run
+from .tangent import (
+    EnsembleCollapseError,
+    bound_curve_negative_at,
+    dimension_bound,
+    trace_bound_curve,
+    volume_and_trace_run,
+)
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -296,6 +302,9 @@ def _cmd_dimension(args) -> int:
     except BlowupError as exc:
         write_snapshot(os.path.join(args.out, "blowup_last_state.sqgf"), exc.last_state, exc.t)
         print(f"critsqg: blowup: {exc}", file=sys.stderr)
+        return EXIT_BLOWUP
+    except EnsembleCollapseError as exc:
+        print(f"critsqg: tangent frame collapse: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
 
     rows = []

@@ -113,6 +113,20 @@ class TorusGrid:
         return self._frozen(np.sqrt(sum(c * c for c in self.kvecs)))
 
     @cached_property
+    def riesz_symbols(self) -> np.ndarray:
+        """``(2, n, n)`` symbols of ``(-R_2, R_1)``, zero at ``k = 0`` (2D only)."""
+        kx, ky = self.kvecs
+        inv = np.zeros_like(self.kmag)
+        nz = self.kmag > 0
+        inv[nz] = 1.0 / self.kmag[nz]
+        return self._frozen(np.stack((-1j * ky * inv, 1j * kx * inv)))
+
+    @cached_property
+    def gradient_symbols(self) -> np.ndarray:
+        """``(dim, *shape)`` symbols ``i k_j`` of the spectral gradient."""
+        return self._frozen(np.stack([1j * k for k in self.kvecs]))
+
+    @cached_property
     def nyquist_mask(self) -> np.ndarray:
         """Boolean mask of modes with any component equal to n/2."""
         k = self.wavenumbers
@@ -137,6 +151,31 @@ class TorusGrid:
             return self._frozen(keep)
         mx, my = np.meshgrid(keep, keep, indexing="ij")
         return self._frozen(mx & my)
+
+
+def _collocation(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Real collocation values of a coefficient array or of a stack of them.
+
+    The transform runs over the trailing grid axes; leading axes index
+    independent fields and go through one batched call.  (Passing ``s`` as
+    well as ``axes`` keeps numpy's per-call overhead at that of the default
+    call; per field the result is the same.)
+    """
+    axes = tuple(range(-grid.dim, 0))
+    return np.real(np.fft.ifftn(coeffs * grid.n**grid.dim, s=grid.shape, axes=axes))
+
+
+def _product_coeffs(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """Coefficients of real collocation values (stackable like :func:`_collocation`).
+
+    Real input guarantees Hermitian symmetry to roundoff, so only the mean and
+    Nyquist projections are applied.
+    """
+    axes = tuple(range(-grid.dim, 0))
+    c = np.fft.fftn(values, s=grid.shape, axes=axes) / grid.n**grid.dim
+    c[(...,) + (0,) * grid.dim] = 0.0
+    np.copyto(c, 0.0, where=grid.nyquist_mask)
+    return c
 
 
 def _sanitize(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
@@ -185,13 +224,10 @@ class SpectralField:
     def _from_product(grid: TorusGrid, values: np.ndarray) -> "SpectralField":
         """Transform real collocation values, projecting out mean and Nyquist.
 
-        Internal fast path for pointwise products inside time steppers: real
-        input guarantees Hermitian symmetry to roundoff, so only the cheap
-        mean/Nyquist projections are applied.
+        Internal fast path for pointwise products inside time steppers; see
+        :func:`_product_coeffs`.
         """
-        c = np.fft.fftn(values) / grid.n**grid.dim
-        c[(0,) * grid.dim] = 0.0
-        c[grid.nyquist_mask] = 0.0
+        c = _product_coeffs(grid, values)
         c.setflags(write=False)
         return SpectralField(grid, c)
 
@@ -218,7 +254,7 @@ class SpectralField:
 
     def values(self) -> np.ndarray:
         """Collocation values on the grid (real array)."""
-        return np.real(np.fft.ifftn(self.coeffs * self.grid.n**self.grid.dim))
+        return _collocation(self.grid, self.coeffs)
 
     def band(self) -> int:
         """Largest ``|k_i|`` carrying a (numerically) nonzero coefficient."""
@@ -305,20 +341,12 @@ def riesz_perp(field: SpectralField) -> tuple:
     """
     if field.grid.dim != 2:
         raise ValueError("riesz_perp requires dim=2")
-    kx, ky = field.grid.kvecs
-    kmag = field.grid.kmag
-    inv = np.zeros_like(kmag)
-    nz = kmag > 0
-    inv[nz] = 1.0 / kmag[nz]
-    u1 = _multiplier(field, -1j * ky * inv)
-    u2 = _multiplier(field, 1j * kx * inv)
-    return u1, u2
+    return tuple(_multiplier(field, sym) for sym in field.grid.riesz_symbols)
 
 
 def gradient(field: SpectralField) -> tuple:
     """Spectral gradient, one field per dimension."""
-    kv = field.grid.kvecs
-    return tuple(_multiplier(field, 1j * k) for k in kv)
+    return tuple(_multiplier(field, sym) for sym in field.grid.gradient_symbols)
 
 
 def shift(field: SpectralField, h: Sequence[float]) -> SpectralField:

@@ -39,16 +39,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .spectral import (
-    SpectralField,
-    TorusGrid,
-    dealias,
-    fractional_laplacian,
-    gradient,
-    inner_h1,
-    riesz_perp,
-    sobolev_norm,
-)
+from .spectral import SpectralField, TorusGrid, _collocation, _product_coeffs, inner_h1
 from .solver import BlowupError, Force, SolverConfig, _Stepper, nonlinear_term
 
 __all__ = [
@@ -74,16 +65,50 @@ class EnsembleCollapseError(RuntimeError):
     """Tangent frame became numerically degenerate between re-orthonormalizations."""
 
 
-def _transport_derivative(theta: SpectralField, xi: SpectralField, rule: str) -> SpectralField:
-    """Derivative of the SQG nonlinearity at theta in direction xi (dealiased)."""
-    u1, u2 = riesz_perp(theta)
-    w1, w2 = riesz_perp(xi)
-    gx, gy = gradient(xi)
-    tx, ty = gradient(theta)
-    adv = u1.values() * gx.values() + u2.values() * gy.values()
-    adv += w1.values() * tx.values() + w2.values() * ty.values()
-    out = SpectralField._from_product(theta.grid, -adv)
-    return dealias(out) if rule == "two-thirds" else out
+def _stack(grid: TorusGrid, fields: Sequence[SpectralField]) -> np.ndarray:
+    """``(m, n, n)`` coefficient stack of ``m`` fields (``m`` may be 0)."""
+    coeffs = np.array([f.coeffs for f in fields], dtype=np.complex128)
+    return coeffs.reshape((len(fields),) + grid.shape)
+
+
+def _transport_values(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Collocation values ``(u_1, u_2, d_x, d_y)`` of each field of an ``(m, n, n)`` stack.
+
+    ``u`` is the perpendicular-Riesz velocity and ``d`` the gradient; the
+    ``(4, m, n, n)`` result comes from one batched inverse transform.
+    """
+    symbols = np.concatenate((grid.riesz_symbols, grid.gradient_symbols))
+    return _collocation(grid, coeffs * symbols[:, None])
+
+
+def _advection_coeffs(grid: TorusGrid, adv: np.ndarray, rule: str) -> np.ndarray:
+    """Coefficients of ``-adv`` for a stack of collocation products, dealiased under ``rule``."""
+    c = _product_coeffs(grid, -adv)
+    return c * grid.dealias_mask if rule == "two-thirds" else c
+
+
+def _transport_derivative(grid: TorusGrid, base: np.ndarray, coeffs: np.ndarray,
+                          rule: str) -> np.ndarray:
+    """Derivative of the SQG nonlinearity at theta along each field of a stack.
+
+    ``base`` is ``_transport_values`` of theta, shape ``(4, 1, n, n)``, and
+    ``coeffs`` the ``(m, n, n)`` tangent stack.  Returns the ``(m, n, n)`` stack
+    of ``-(u_theta . grad xi + u_xi . grad theta)``, dealiased under ``rule``,
+    from one batched inverse and one batched forward transform.
+    """
+    u1, u2, tx, ty = base
+    w1, w2, gx, gy = _transport_values(grid, coeffs)
+    adv = u1 * gx + u2 * gy
+    adv += w1 * tx + w2 * ty
+    return _advection_coeffs(grid, adv, rule)
+
+
+def _linearized_stack(theta: SpectralField, coeffs: np.ndarray, kappa: float,
+                      rule: str) -> np.ndarray:
+    """``A_theta`` (transport derivative minus ``kappa*|k|``) on each field of a stack."""
+    grid = theta.grid
+    base = _transport_values(grid, theta.coeffs[None])
+    return _transport_derivative(grid, base, coeffs, rule) - coeffs * grid.kmag * float(kappa)
 
 
 def linearized_rhs(theta: SpectralField, xi: SpectralField, kappa: float,
@@ -91,7 +116,8 @@ def linearized_rhs(theta: SpectralField, xi: SpectralField, kappa: float,
     """``A_theta[xi] = -kappa*Lambda xi - u_theta.grad xi - u_xi.grad theta``."""
     if theta.grid != xi.grid:
         raise ValueError("theta and xi live on different grids")
-    return _transport_derivative(theta, xi, rule) - kappa * fractional_laplacian(xi, 1.0)
+    out = _linearized_stack(theta, xi.coeffs[None], kappa, rule)
+    return SpectralField._trusted(theta.grid, out[0])
 
 
 class CoupledStepper:
@@ -100,6 +126,10 @@ class CoupledStepper:
     The tangent update is the exact derivative of the base IMEX-CN/Heun step:
     stage one linearizes about ``theta^n``, stage two about the predictor
     state, with identical implicit treatment of the dissipative symbol.
+
+    The ``m`` tangents advance together as one ``(m, n, n)`` coefficient
+    stack.  Each stage transforms the base velocity and gradient once, forms
+    the base nonlinear term from them, and reuses them for every tangent.
     """
 
     def __init__(self, grid: TorusGrid, config: SolverConfig, force: Force):
@@ -111,26 +141,32 @@ class CoupledStepper:
         self.grid = grid
         self.config = config
 
-    def step(self, theta: SpectralField, xis: Sequence[SpectralField], dt: float):
-        a, b = self._base._coefficients(dt)
+    def _rhs(self, coeffs: np.ndarray, xs: np.ndarray):
+        """Explicit stage terms: ``N(theta) + f`` and the derivative stack along ``xs``."""
         rule = self.config.dealias
-        g1 = self._base.rhs_explicit(theta)
-        mid = SpectralField._trusted(self.grid, (a * theta.coeffs + dt * g1.coeffs) * b)
-        g2 = self._base.rhs_explicit(mid)
-        theta_new = SpectralField._trusted(
-            self.grid, (a * theta.coeffs + 0.5 * dt * (g1.coeffs + g2.coeffs)) * b
-        )
-        xis_new = []
-        for xi in xis:
-            d1 = _transport_derivative(theta, xi, rule)
-            xi_mid = SpectralField._trusted(self.grid, (a * xi.coeffs + dt * d1.coeffs) * b)
-            d2 = _transport_derivative(mid, xi_mid, rule)
-            xis_new.append(
-                SpectralField._trusted(self.grid, (a * xi.coeffs + 0.5 * dt * (d1.coeffs + d2.coeffs)) * b)
-            )
-        if not np.all(np.isfinite(theta_new.coeffs)):
-            raise BlowupError(dt, theta)
-        return theta_new, xis_new
+        base = _transport_values(self.grid, coeffs[None])
+        u1, u2, tx, ty = base
+        g = _advection_coeffs(self.grid, u1 * tx + u2 * ty, rule)[0] + self._base.force.coeffs
+        # base-only steps (relax phases, the Frechet and continuity pairs) skip the empty stack
+        return g, _transport_derivative(self.grid, base, xs, rule) if len(xs) else xs
+
+    def step(self, theta: SpectralField, xis: Sequence[SpectralField], dt: float, *,
+             t: float = 0.0):
+        """Advance ``theta`` and the tangents ``xis`` by ``dt`` from time ``t``.
+
+        A non-finite base or tangent coefficient raises :class:`BlowupError`
+        stamped ``t + dt``, carrying ``theta``.
+        """
+        a, b = self._base._coefficients(dt)
+        xs = _stack(self.grid, xis)
+        g1, d1 = self._rhs(theta.coeffs, xs)
+        g2, d2 = self._rhs((a * theta.coeffs + dt * g1) * b, (a * xs + dt * d1) * b)
+        theta_new = (a * theta.coeffs + 0.5 * dt * (g1 + g2)) * b
+        xs_new = (a * xs + 0.5 * dt * (d1 + d2)) * b
+        if not (np.all(np.isfinite(theta_new)) and np.all(np.isfinite(xs_new))):
+            raise BlowupError(t + dt, theta)
+        return (SpectralField._trusted(self.grid, theta_new),
+                [SpectralField._trusted(self.grid, x) for x in xs_new])
 
     def cfl_dt(self, theta: SpectralField, dt: float) -> float:
         return self._base.cfl_dt(theta, dt)
@@ -141,8 +177,8 @@ def h1_gram_schmidt(xis: Sequence[SpectralField]):
 
     Returns ``(frame, increments)`` where ``increments[j] = log r_jj`` is the
     log of the diagonal factor of direction j; their prefix sums advance the
-    per-dimension log-volumes.  Raises on rank deficiency, reporting the
-    offending index.
+    per-dimension log-volumes.  Raises on a non-finite norm and on rank
+    deficiency, reporting the offending index.
     """
     frame = []
     increments = np.empty(len(xis))
@@ -152,6 +188,8 @@ def h1_gram_schmidt(xis: Sequence[SpectralField]):
             v = v - inner_h1(phi, v) * phi
         norm_sq = inner_h1(v, v)
         ref = inner_h1(xi, xi)
+        if not math.isfinite(norm_sq):
+            raise EnsembleCollapseError(f"non-finite H^1 norm at tangent index {j}")
         if norm_sq <= 0.0 or (ref > 0 and norm_sq < 1e-24 * ref):
             raise EnsembleCollapseError(f"rank deficiency at tangent index {j}")
         r = math.sqrt(norm_sq)
@@ -166,14 +204,15 @@ def trace_Pn_A(theta: SpectralField, frame: Sequence[SpectralField], kappa: floa
     Uses ``int (-Lap f) g = <f, g>_{H^1}``; the value does not depend on the
     orthonormalization chosen.  An empty frame contributes zero.
     """
-    total = 0.0
-    for phi in frame:
-        total += inner_h1(phi, linearized_rhs(theta, phi, kappa))
-    return float(total)
+    traces = _trace_per_m(theta, frame, kappa)
+    return float(traces[-1]) if len(traces) else 0.0
 
 
 def _trace_per_m(theta: SpectralField, frame: Sequence[SpectralField], kappa: float) -> np.ndarray:
-    terms = np.array([inner_h1(phi, linearized_rhs(theta, phi, kappa)) for phi in frame])
+    """Traces of ``P_m A_theta`` for ``m = 1..len(frame)``, from one stacked evaluation."""
+    grid = theta.grid
+    rhs = _linearized_stack(theta, _stack(grid, frame), kappa, "two-thirds")
+    terms = np.array([inner_h1(phi, SpectralField._trusted(grid, r)) for phi, r in zip(frame, rhs)])
     return np.cumsum(terms)
 
 
@@ -289,7 +328,8 @@ def volume_and_trace_run(
     empirically absorbing region).  The ensemble is re-orthonormalized every
     ``reorth_every`` steps, accumulating per-dimension log-volumes and trace
     samples; collapse in between raises :class:`EnsembleCollapseError` with
-    advice to reduce the interval.
+    advice to reduce the interval.  A blowup raises :class:`BlowupError`
+    stamped with the time elapsed since ``theta0``, relax phase included.
     """
     if n_tangent < 1:
         raise ValueError("n_tangent must be >= 1")
@@ -300,7 +340,7 @@ def volume_and_trace_run(
     t = 0.0
     while t < t_relax - 1e-12:
         dt = min(stepper.cfl_dt(theta, config.dt), t_relax - t)
-        theta, _ = stepper.step(theta, (), dt)
+        theta, _ = stepper.step(theta, (), dt, t=t)
         t += dt
 
     from .solver import random_band_field
@@ -319,7 +359,7 @@ def volume_and_trace_run(
             if t_run >= t_end - 1e-12:
                 break
             dt = min(stepper.cfl_dt(theta, config.dt), t_end - t_run)
-            theta, xis = stepper.step(theta, xis, dt)
+            theta, xis = stepper.step(theta, xis, dt, t=t + t_run)
             t_run += dt
         norms = [math.sqrt(max(inner_h1(xi, xi), 0.0)) for xi in xis]
         top, bot = max(norms), min(norms)
@@ -413,8 +453,8 @@ def frechet_residual(
         for t_target in ts:
             while t < t_target - 1e-12:
                 dt = min(stepper.cfl_dt(theta, config.dt), t_target - t)
-                theta, (xi,) = stepper.step(theta, (xi,), dt)
-                phi, _ = stepper.step(phi, (), dt)
+                theta, (xi,) = stepper.step(theta, (xi,), dt, t=t)
+                phi, _ = stepper.step(phi, (), dt, t=t)
                 t += dt
             eta = phi - theta - r * xi
             out.append(math.sqrt(max(inner_h1(eta, eta), 0.0)) / r)
@@ -469,8 +509,8 @@ def continuity_test(
     for t_target in t_grid:
         while t < t_target - 1e-12:
             dt = min(stepper.cfl_dt(theta, config.dt), t_target - t)
-            theta, _ = stepper.step(theta, (), dt)
-            other, _ = stepper.step(other, (), dt)
+            theta, _ = stepper.step(theta, (), dt, t=t)
+            other, _ = stepper.step(other, (), dt, t=t)
             t += dt
         diff = other - theta
         out.append(math.sqrt(max(inner_h1(diff, diff), 0.0)) / base_norm)

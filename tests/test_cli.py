@@ -225,6 +225,41 @@ class TestDimensionCommand:
         assert "empirical_N (first m with negative trace average) = 1" in report
         assert (out / "trace_log.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blowup_dump_stamped_with_elapsed_time(self, tmp_path):
+        # no CFL guard and a huge step: the base overflows after the 1.5 relax
+        # phase, at the same time as `simulate` of the same solver and data
+        body = ("[solver]\ndim = 2\nn = 16\nkappa = 0.1\ndt = 0.5\nt_end = 50\n"
+                "snapshot_dt = 0.5\ncfl_budget = 1e9\n\n"
+                "[initial]\nkind = random_band\nband = 3\namplitude = 5\nseed = 5\n\n"
+                "[force]\nkind = zero\n")
+        cfg = tmp_path / "explode.cfg"
+        cfg.write_text(body + "\n[tangent]\nn_tangent = 2\nreorth_every = 2\nt_relax = 1.5\n"
+                              "tangent_band = 3\n")
+        for command, out in (("simulate", "s"), ("dimension", "d")):
+            rc = main([command, "--config", str(cfg), "--out", str(tmp_path / out)])
+            assert rc == EXIT_BLOWUP
+        _, t_simulate = read_snapshot(str(tmp_path / "s" / "blowup_last_state.sqgf"))
+        _, t_dimension = read_snapshot(str(tmp_path / "d" / "blowup_last_state.sqgf"))
+        assert t_simulate > 2.0
+        assert t_dimension == pytest.approx(t_simulate, rel=1e-12)
+
+    def test_collapse_exit_3(self, tmp_path, capsys, monkeypatch):
+        import critsqg.cli as cli
+        from critsqg.tangent import EnsembleCollapseError
+
+        def collapse(*args, **kwargs):
+            raise EnsembleCollapseError("tangent frame condition 1.2e+07 exceeded trigger; "
+                                        "reduce reorth_every (currently 10)")
+
+        monkeypatch.setattr(cli, "volume_and_trace_run", collapse)
+        out = tmp_path / "o"
+        rc = main(["dimension", "--preset", "dimension-sweep", "--n-max", "2", "--out", str(out)])
+        assert rc == EXIT_BLOWUP
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "reduce reorth_every" in err[0]
+        assert (out / "manifest.txt").exists()
+
 
 class TestDeterminism:
     def test_rerun_from_manifest_byte_identical(self, tmp_path):

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from critsqg.solver import Force, SolverConfig, nonlinear_term, random_band_field, run
-from critsqg.spectral import SpectralField, TorusGrid, inner_h1, inner_l2
+from critsqg.solver import BlowupError, Force, SolverConfig, nonlinear_term, random_band_field, run
+from critsqg.spectral import SpectralField, TorusGrid, fractional_laplacian, inner_h1, inner_l2
 from critsqg.tangent import (
     CoupledStepper,
     EnsembleCollapseError,
+    _trace_per_m,
     continuity_test,
     dimension_bound,
     eigenvalue_count_constant,
@@ -110,6 +111,147 @@ class TestCoupledStepper:
             th, (x1, x2) = cs.step(th, (x1, x2), 1e-3)
         rel = np.abs(x2.coeffs - 2.0 * x1.coeffs).max() / np.abs(x1.coeffs).max()
         assert rel < 1e-10
+
+
+# Per-field reference for the stacked tangent path: one numpy.fft call per
+# field and per operator, symbols rebuilt from the wavenumbers, as the tangent
+# step was written before it was batched.  The stacked path must agree bit for bit.
+def _ref_values(grid, coeffs):
+    kx, ky = grid.kvecs
+    inv = np.zeros_like(grid.kmag)
+    nz = grid.kmag > 0
+    inv[nz] = 1.0 / grid.kmag[nz]
+    symbols = (-1j * ky * inv, 1j * kx * inv, 1j * kx, 1j * ky)
+    return [np.real(np.fft.ifftn(coeffs * sym * grid.n**2)) for sym in symbols]
+
+
+def _ref_advection(grid, adv, rule):
+    c = np.fft.fftn(-adv) / grid.n**2
+    c[0, 0] = 0.0
+    c[grid.nyquist_mask] = 0.0
+    return c * grid.dealias_mask if rule == "two-thirds" else c
+
+
+def ref_transport_derivative(theta, xi, rule):
+    grid = theta.grid
+    u1, u2, tx, ty = _ref_values(grid, theta.coeffs)
+    w1, w2, gx, gy = _ref_values(grid, xi.coeffs)
+    adv = u1 * gx + u2 * gy
+    adv += w1 * tx + w2 * ty
+    return _ref_advection(grid, adv, rule)
+
+
+def ref_linearized_rhs(theta, xi, kappa, rule="two-thirds"):
+    dissipation = kappa * fractional_laplacian(xi, 1.0)
+    return ref_transport_derivative(theta, xi, rule) - dissipation.coeffs
+
+
+def ref_step(stepper, theta, xis, dt):
+    grid, rule = stepper.grid, stepper.config.dealias
+    a, b = stepper._base._coefficients(dt)
+    force = stepper._base.force.coeffs
+
+    def rhs(c):
+        u1, u2, tx, ty = _ref_values(grid, c)
+        return _ref_advection(grid, u1 * tx + u2 * ty, rule) + force
+
+    g1 = rhs(theta.coeffs)
+    mid = SpectralField._trusted(grid, (a * theta.coeffs + dt * g1) * b)
+    g2 = rhs(mid.coeffs)
+    theta_new = (a * theta.coeffs + 0.5 * dt * (g1 + g2)) * b
+    xis_new = []
+    for xi in xis:
+        d1 = ref_transport_derivative(theta, xi, rule)
+        xi_mid = SpectralField._trusted(grid, (a * xi.coeffs + dt * d1) * b)
+        d2 = ref_transport_derivative(mid, xi_mid, rule)
+        xis_new.append((a * xi.coeffs + 0.5 * dt * (d1 + d2)) * b)
+    return theta_new, xis_new
+
+
+class TestStackedOracle:
+    @pytest.mark.parametrize("n", [32, 48])
+    @pytest.mark.parametrize("m", [0, 1, 6])
+    @pytest.mark.parametrize("rule", ["two-thirds", "none"])
+    @pytest.mark.parametrize("forced", [True, False])
+    @pytest.mark.parametrize("cfl_halved", [False, True])
+    def test_step_matches_per_field_loop(self, n, m, rule, forced, cfl_halved):
+        grid = TorusGrid(2, n)
+        cfg = SolverConfig(kappa=0.8, dt=1.0 if cfl_halved else 1e-3, t_end=1.0, dealias=rule)
+        force = random_band_field(grid, 2, 0.3, 6) if forced else SpectralField.zeros(grid)
+        cs = CoupledStepper(grid, cfg, Force.wrap(force))
+        theta = random_band_field(grid, 4, 0.5, 5)
+        xis = [random_band_field(grid, 4, 1.0, 20 + j) for j in range(m)]
+        dt = cs.cfl_dt(theta, cfg.dt)
+        assert (dt < cfg.dt) == cfl_halved
+        for _ in range(3):
+            want_theta, want_xis = ref_step(cs, theta, xis, dt)
+            theta, xis = cs.step(theta, xis, dt)
+            assert np.array_equal(theta.coeffs, want_theta)
+            assert len(xis) == m
+            for xi, want in zip(xis, want_xis):
+                assert np.array_equal(xi.coeffs, want)
+
+    @pytest.mark.parametrize("n", [32, 48])
+    @pytest.mark.parametrize("rule", ["two-thirds", "none"])
+    def test_linearized_rhs_matches_per_field(self, n, rule):
+        grid = TorusGrid(2, n)
+        theta = random_band_field(grid, 5, 0.7, 3)
+        xi = random_band_field(grid, 5, 1.0, 4)
+        out = linearized_rhs(theta, xi, 0.9, rule)
+        assert np.array_equal(out.coeffs, ref_linearized_rhs(theta, xi, 0.9, rule))
+
+    @pytest.mark.parametrize("n", [32, 48])
+    def test_traces_match_per_field(self, n):
+        grid = TorusGrid(2, n)
+        theta = random_band_field(grid, 4, 0.5, 3)
+        frame, _ = h1_gram_schmidt([random_band_field(grid, 4, 1.0, s) for s in range(30, 36)])
+        terms = [inner_h1(phi, SpectralField._trusted(grid, ref_linearized_rhs(theta, phi, 1.1)))
+                 for phi in frame]
+        per_m = _trace_per_m(theta, frame, 1.1)
+        assert np.array_equal(per_m, np.cumsum(terms))
+        total = 0.0
+        for term in terms:
+            total += term
+        assert trace_Pn_A(theta, frame, 1.1) == total
+        assert trace_Pn_A(theta, frame[:1], 1.1) == per_m[0]
+
+
+class TestTangentBlowup:
+    def test_non_finite_tangent_raises_with_time(self, grid48):
+        cfg = SolverConfig(kappa=1.0, dt=1e-3, t_end=1.0)
+        cs = CoupledStepper(grid48, cfg, Force.wrap(SpectralField.zeros(grid48)))
+        theta = random_band_field(grid48, 4, 0.5, 2)
+        c = random_band_field(grid48, 4, 1.0, 3).coeffs.copy()
+        c[1, 2] = np.nan
+        bad = SpectralField._trusted(grid48, c)
+        with pytest.raises(BlowupError) as exc:
+            cs.step(theta, [cos_x1(grid48), bad], 1e-3, t=0.25)
+        assert exc.value.t == 0.25 + 1e-3
+        assert exc.value.last_state is theta
+
+    def test_gram_schmidt_rejects_non_finite_norm(self, grid48):
+        c = random_band_field(grid48, 4, 1.0, 3).coeffs.copy()
+        c[1, 2] = np.nan
+        with pytest.raises(EnsembleCollapseError, match="non-finite.*index 1"):
+            h1_gram_schmidt([cos_x1(grid48), SpectralField._trusted(grid48, c)])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blowup_stamped_with_elapsed_time(self):
+        # no CFL guard and a huge step: the base overflows after several steps,
+        # in the coupled phase after the relax phase; the stamp must be the
+        # elapsed time at the end of the failing step, as solver.run reports it
+        g = TorusGrid(2, 16)
+        cfg = SolverConfig(kappa=0.1, dt=0.5, t_end=50.0, cfl_budget=1e9, snapshot_dt=0.5)
+        theta0 = random_band_field(g, 3, 5.0, 5)
+        force = Force.wrap(SpectralField.zeros(g))
+        with pytest.raises(BlowupError) as plain:
+            run(theta0, cfg, force)
+        with pytest.raises(BlowupError) as coupled:
+            volume_and_trace_run(theta0, 2, cfg, force, t_end=50.0, reorth_every=2,
+                                 t_relax=1.5, tangent_band=3)
+        assert plain.value.t > 1.5 + cfg.dt
+        assert coupled.value.t == pytest.approx(plain.value.t, rel=1e-12)
+        assert np.array_equal(coupled.value.last_state.coeffs, plain.value.last_state.coeffs)
 
 
 class TestGramSchmidt:
