@@ -10,8 +10,8 @@ Commands::
 Exit-code taxonomy: 0 pass, 1 scientific falsification (a verified inequality
 of the diagnostics failed at the calibrated constants), 2 usage/config error,
 3 numerical blowup or tangent-frame collapse.  Every command writes its
-manifest before any long computation begins; re-running a manifest in serial
-mode reproduces all CSV outputs byte-exactly.  The ``SQG_CONSTANTS``
+manifest before any long computation begins; re-running a manifest
+reproduces all CSV outputs byte-exactly.  A non-empty ``SQG_CONSTANTS``
 environment variable overrides the calibrated-constants file.
 """
 
@@ -25,10 +25,12 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
+from .calibration import KERNEL_SHIFTS
 from .config import ConfigError, build_setup, parse_config_file, preset_sections
 from .diagnostics import (
     absorbing_constants,
     absorption_report,
+    constants_path,
     decay_envelope_report,
     holder_budget,
     load_constants,
@@ -51,12 +53,6 @@ EXIT_FALSIFIED = 1
 EXIT_USAGE = 2
 EXIT_BLOWUP = 3
 
-_KERNEL_SHIFTS = [
-    (np.pi / 8, 0.0), (0.0, np.pi / 8), (np.pi / 4, np.pi / 4), (np.pi / 2, 0.0),
-    (0.0, np.pi / 2), (np.pi, np.pi), (3 * np.pi / 8, np.pi / 8), (np.pi / 16, 0.0),
-]
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="critsqg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -66,8 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", help="name of a shipped preset")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed-override", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1,
-                       help="ignored; computation is serial")
 
     p_sim = sub.add_parser("simulate", help="integrate forced critical SQG with probes")
     common(p_sim)
@@ -76,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ker = sub.add_parser("verify-kernels", help="kernel inequality suites on a corpus")
     p_ker.add_argument("corpus", nargs="?", default=None, help="corpus manifest CSV")
     p_ker.add_argument("--out", required=True)
-    p_ker.add_argument("--threads", type=int, default=1)
     p_dim = sub.add_parser("dimension", help="tangent ensemble, traces, dimension bound")
     common(p_dim)
     p_dim.add_argument("--n-max", type=int, default=None, help="tangent ensemble size")
@@ -91,22 +84,13 @@ def _load_sections(args):
     return parse_config_file(args.config)
 
 
-def _constants_with_path():
-    path = os.environ.get("SQG_CONSTANTS")
-    if path is None:
-        from .diagnostics import default_constants_path
-
-        path = default_constants_path()
-    return load_constants(path), path
-
-
-def _start_manifest(args, sections, command: str, outputs, consts_path: str) -> None:
+def _start_manifest(args, sections, command: str, outputs) -> None:
     os.makedirs(args.out, exist_ok=True)
     seed = args.seed_override if getattr(args, "seed_override", None) is not None else 0
     write_manifest(
         os.path.join(args.out, "manifest.txt"),
         sections, command=command, out_dir=args.out, seed=seed,
-        constants_path=consts_path, code_version=__version__, outputs=outputs,
+        constants_path=constants_path(), code_version=__version__, outputs=outputs,
     )
 
 
@@ -125,7 +109,7 @@ def _run_with_probes(args, sections, command: str) -> int:
     if setup.dim != want_dim:
         raise ConfigError(0, f"{command} requires dim = {want_dim}, config has dim = {setup.dim}")
     grid = TorusGrid(setup.dim, setup.n)
-    consts, consts_path = _constants_with_path()
+    consts = load_constants()
     outputs = ["norms.csv", "theta_initial.sqgf", "theta_final.sqgf"]
     for p in setup.decay_envelope_ps:
         outputs.append(f"envelope_p{'inf' if p == np.inf else int(p)}.csv")
@@ -133,17 +117,12 @@ def _run_with_probes(args, sections, command: str) -> int:
         outputs.append("holder.csv")
     if setup.absorption:
         outputs.append("absorption.csv")
-    _start_manifest(args, sections, command, outputs, consts_path)
+    _start_manifest(args, sections, command, outputs)
 
     theta0 = build_field(setup.initial, grid)
     force = build_force(setup.force, grid)
     report_ps = (2, 4) + tuple(p for p in setup.decay_envelope_ps if p not in (2, 4, np.inf))
-    try:
-        traj = run(theta0, setup.solver, force, report_ps=report_ps)
-    except BlowupError as exc:
-        write_snapshot(os.path.join(args.out, "blowup_last_state.sqgf"), exc.last_state, exc.t)
-        print(f"critsqg: blowup: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
+    traj = run(theta0, setup.solver, force, report_ps=report_ps)
 
     header, rows = _norm_rows(traj)
     write_csv(os.path.join(args.out, "norms.csv"), header, rows)
@@ -224,9 +203,9 @@ def _cmd_verify_kernels(args) -> int:
     if corpus_path is None:
         here = os.path.dirname(os.path.abspath(__file__))
         corpus_path = os.path.join(here, "data", "kernel_corpus.csv")
-    consts, consts_path = _constants_with_path()
+    consts = load_constants()
     sections = {"solver": {"dim": "2"}}
-    _start_manifest(args, sections, "verify-kernels", ["kernel_report.csv"], consts_path)
+    _start_manifest(args, sections, "verify-kernels", ["kernel_report.csv"])
     try:
         rows = _read_corpus(corpus_path)
     except (OSError, ValueError) as exc:
@@ -261,7 +240,7 @@ def _cmd_verify_kernels(args) -> int:
             ok = lhs >= r1 + r2
             failures += int(not ok)
             report.append((f"poincare_p{p}", f"seed{row['seed']}", lhs - (r1 + r2), 0.0, ok))
-        for h in _KERNEL_SHIFTS:
+        for h in KERNEL_SHIFTS:
             lb = nonlinear_lower_bound_check(phi, h, consts.c2)
             if lb.empty:
                 continue
@@ -288,24 +267,16 @@ def _cmd_dimension(args) -> int:
     n_max = args.n_max if args.n_max is not None else setup.tangent_n
     if n_max <= 0:
         raise ConfigError(0, "n-max must be a positive integer")
-    consts, consts_path = _constants_with_path()
-    _start_manifest(args, sections, "dimension", ["trace_log.csv", "dimension_report.txt"], consts_path)
+    consts = load_constants()
+    _start_manifest(args, sections, "dimension", ["trace_log.csv", "dimension_report.txt"])
     grid = TorusGrid(2, setup.n)
     theta0 = build_field(setup.initial, grid)
     force = build_force(setup.force, grid)
-    try:
-        res = volume_and_trace_run(
-            theta0, n_max, setup.solver, force, t_end=setup.solver.t_end,
-            reorth_every=setup.tangent_reorth, t_relax=setup.tangent_relax,
-            seed=setup.tangent_seed, tangent_band=setup.tangent_band,
-        )
-    except BlowupError as exc:
-        write_snapshot(os.path.join(args.out, "blowup_last_state.sqgf"), exc.last_state, exc.t)
-        print(f"critsqg: blowup: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
-    except EnsembleCollapseError as exc:
-        print(f"critsqg: tangent frame collapse: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
+    res = volume_and_trace_run(
+        theta0, n_max, setup.solver, force, t_end=setup.solver.t_end,
+        reorth_every=setup.tangent_reorth, t_relax=setup.tangent_relax,
+        seed=setup.tangent_seed, tangent_band=setup.tangent_band,
+    )
 
     rows = []
     for m in range(1, n_max + 1):
@@ -364,9 +335,16 @@ def main(argv: Optional[list] = None) -> int:
     except ConfigError as exc:
         print(f"critsqg: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (KeyError, MeanZeroError, FileNotFoundError) as exc:
+    except (MeanZeroError, FileNotFoundError) as exc:
         print(f"critsqg: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BlowupError as exc:
+        write_snapshot(os.path.join(args.out, "blowup_last_state.sqgf"), exc.last_state, exc.t)
+        print(f"critsqg: blowup: {exc}", file=sys.stderr)
+        return EXIT_BLOWUP
+    except EnsembleCollapseError as exc:
+        print(f"critsqg: tangent frame collapse: {exc}", file=sys.stderr)
+        return EXIT_BLOWUP
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .solver import FieldSpec, SolverConfig
 
 __all__ = ["ConfigError", "RunSetup", "parse_config_text", "parse_config_file",
-           "build_setup", "render_sections", "PRESETS", "preset_sections"]
+           "build_setup", "PRESETS", "preset_sections"]
 
 
 class ConfigError(ValueError):
@@ -193,15 +193,6 @@ def build_setup(sections: Dict[str, Dict[str, str]], seed_override: Optional[int
     )
 
 
-def render_sections(sections: Dict[str, Dict[str, str]]) -> str:
-    chunks = []
-    for name, kv in sections.items():
-        chunks.append(f"[{name}]")
-        chunks.extend(f"{k} = {v}" for k, v in kv.items())
-        chunks.append("")
-    return "\n".join(chunks)
-
-
 PRESETS: Dict[str, Dict[str, Dict[str, str]]] = {
     # theta0 = cos x1, f = 0: the nonlinearity vanishes identically and the
     # solution is exp(-kappa t) cos x1
@@ -251,6 +242,6 @@ PRESETS: Dict[str, Dict[str, Dict[str, str]]] = {
 
 def preset_sections(name: str) -> Dict[str, Dict[str, str]]:
     if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
+        raise ConfigError(0, f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
     # deep-copy so callers may mutate
     return {sec: dict(kv) for sec, kv in PRESETS[name].items()}

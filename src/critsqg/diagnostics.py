@@ -38,8 +38,8 @@ from dataclasses import dataclass, fields as dc_fields
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from .config import ConfigError
 from .spectral import SpectralField, holder_seminorm, lp_norm, sobolev_norm
 from .solver import Trajectory
 
@@ -48,6 +48,7 @@ __all__ = [
     "load_constants",
     "save_constants",
     "default_constants_path",
+    "constants_path",
     "AbsorbingConstants",
     "decay_envelope",
     "holder_budget",
@@ -86,29 +87,38 @@ def default_constants_path() -> str:
     return os.path.join(here, "data", "default_constants.txt")
 
 
+def constants_path(path: Optional[str] = None) -> str:
+    """The constants file: ``path``, else a non-empty ``SQG_CONSTANTS``, else the packaged defaults."""
+    return path or os.environ.get("SQG_CONSTANTS") or default_constants_path()
+
+
 def load_constants(path: Optional[str] = None) -> UniversalConstants:
     """Load the calibrated constants file (key=value, '#' comments).
 
-    Resolution order: explicit ``path`` argument, then the ``SQG_CONSTANTS``
-    environment variable, then the packaged defaults.
+    The file is resolved by :func:`constants_path`.  A malformed line, a
+    non-numeric value or a missing key raises :class:`ConfigError` (a
+    ``ValueError``) naming the file and, where there is one, the line.
     """
-    if path is None:
-        path = os.environ.get("SQG_CONSTANTS") or default_constants_path()
+    path = constants_path(path)
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"malformed constants line: {line!r}")
+                raise ConfigError(lineno, f"constants file {path}: malformed line {line!r}")
             key, val = (s.strip() for s in line.split("=", 1))
-            values[key] = val
+            values[key] = (val, lineno)
     kwargs = {}
     for f in dc_fields(UniversalConstants):
         if f.name not in values:
-            raise ValueError(f"constants file {path} missing key {f.name!r}")
-        kwargs[f.name] = values[f.name] if f.name == "version" else float(values[f.name])
+            raise ConfigError(0, f"constants file {path} missing key {f.name!r}")
+        val, lineno = values[f.name]
+        try:
+            kwargs[f.name] = val if f.name == "version" else float(val)
+        except ValueError:
+            raise ConfigError(lineno, f"constants file {path}: bad {f.name} = {val!r}") from None
     return UniversalConstants(**kwargs)
 
 
@@ -168,6 +178,8 @@ def m_alpha_envelope(M0: float, M_inf: float, kappa: float, c5: float, t_grid) -
 
     ``M_inf = 0`` degenerates to the constant solution (zero data and force).
     """
+    from scipy.integrate import solve_ivp  # ~0.2 s to import, needed by this envelope only
+
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if M0 < 0 or M_inf < 0:
         raise ValueError("M0 and M_inf must be nonnegative")

@@ -388,10 +388,6 @@ class LowerBoundReport:
     def min_ratio(self) -> float:
         return float(self.ratios[self.valid_mask].min()) if not self.empty else math.inf
 
-    @property
-    def max_ratio(self) -> float:
-        return float(self.ratios[self.valid_mask].max()) if not self.empty else -math.inf
-
 
 def nonlinear_lower_bound_check(
     field: SpectralField,

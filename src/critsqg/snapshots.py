@@ -106,8 +106,8 @@ def write_manifest(
 ) -> None:
     """Write the experiment manifest (written before any long computation).
 
-    The manifest doubles as a config file: parsing it back and re-running in
-    serial mode reproduces every CSV output byte-exactly.
+    The manifest doubles as a config file: parsing it back and re-running
+    reproduces every CSV output byte-exactly.
     """
     lines = ["[manifest]"]
     lines.append("schema_version = 1")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -56,6 +56,7 @@ __all__ = [
     "velocity_max",
     "step",
     "burgers_step",
+    "integrate",
     "run",
     "energy_balance_residual",
 ]
@@ -243,6 +244,7 @@ class _Stepper:
         kmag = grid.kmag
         self.L = config.kappa * kmag + config.epsilon * kmag**2
         self._coef: dict = {}
+        self.cfl_reductions = 0
 
     def _coefficients(self, dt: float):
         got = self._coef.get(dt)
@@ -279,39 +281,59 @@ class _Stepper:
         out = mid.coeffs + dt * phi2 * (g2.coeffs - g1.coeffs)
         return SpectralField._trusted(self.grid, out)
 
+    def checked_advance(self, theta: SpectralField, dt: float, t: float) -> SpectralField:
+        """``advance`` from time ``t``; NaN/Inf in the result is a blowup stamped ``t + dt``."""
+        out = self.advance(theta, dt)
+        if not np.all(np.isfinite(out.coeffs)):
+            raise BlowupError(t + dt, theta)
+        return out
+
     def cfl_dt(self, theta: SpectralField, dt: float) -> float:
         umax = velocity_max(theta)
         if umax <= 0:
             return dt
         budget = self.config.cfl_budget * 2.0 * np.pi / (umax * self.grid.n)
+        if dt > budget:
+            self.cfl_reductions += 1
         while dt > budget:
             dt *= 0.5
         return dt
 
 
-def _check_finite(theta: SpectralField, t: float, last: SpectralField) -> None:
-    if not np.all(np.isfinite(theta.coeffs)):
-        raise BlowupError(t, last)
+def integrate(step: Callable, cfl_dt: Callable, state, t: float, target: float, dt: float,
+              max_steps: Optional[int] = None):
+    """Step ``state`` from ``t`` towards ``target`` and return ``(state, t)``.
+
+    Each step is ``state = step(state, h, t)`` with ``h = min(cfl_dt(state,
+    dt), target - t)``; a blowup raises :class:`BlowupError` stamped ``t + h``.
+    Stops after ``max_steps`` steps, or within 1e-12 of ``target`` and then
+    returns ``t`` as exactly ``target``.
+    """
+    steps = 0
+    while t < target - 1e-12 and (max_steps is None or steps < max_steps):
+        h = min(cfl_dt(state, dt), target - t)
+        state = step(state, h, t)
+        t += h
+        steps += 1
+    return state, (target if t >= target - 1e-12 else t)
+
+
+def _single_step(theta: SpectralField, config: SolverConfig, force: SpectralField,
+                 nonlinear) -> SpectralField:
+    stepper = _Stepper(theta.grid, config, force, nonlinear)
+    return stepper.checked_advance(theta, stepper.cfl_dt(theta, config.dt), 0.0)
 
 
 def step(theta: SpectralField, config: SolverConfig, force: SpectralField) -> SpectralField:
     """Advance one dt of forced SQG (2D); see :class:`_Stepper` for the scheme."""
-    stepper = _Stepper(theta.grid, config, force, nonlinear_term)
-    dt = stepper.cfl_dt(theta, config.dt)
-    out = stepper.advance(theta, dt)
-    _check_finite(out, dt, theta)
-    return out
+    return _single_step(theta, config, force, nonlinear_term)
 
 
 def burgers_step(theta: SpectralField, config: SolverConfig, force: SpectralField) -> SpectralField:
     """Advance one dt of critical Burgers (1D), same IMEX treatment."""
     if theta.grid.dim != 1:
         raise ValueError("burgers_step requires a 1D grid")
-    stepper = _Stepper(theta.grid, config, force, burgers_nonlinear_term)
-    dt = stepper.cfl_dt(theta, config.dt)
-    out = stepper.advance(theta, dt)
-    _check_finite(out, dt, theta)
-    return out
+    return _single_step(theta, config, force, burgers_nonlinear_term)
 
 
 @dataclass
@@ -366,17 +388,10 @@ def run(
     t = 0.0
     for i in range(1, n_snaps + 1):
         t_target = config.t_end if i == n_snaps else i * config.snapshot_dt
-        while t < t_target - 1e-12:
-            dt = stepper.cfl_dt(theta, config.dt)
-            if dt < config.dt:
-                traj.cfl_reductions += 1
-            dt = min(dt, t_target - t)
-            new = stepper.advance(theta, dt)
-            _check_finite(new, t + dt, theta)
-            theta = new
-            t += dt
-        t = t_target
+        theta, t = integrate(stepper.checked_advance, stepper.cfl_dt, theta, t, t_target,
+                             config.dt)
         snap(t, theta, traj)
+    traj.cfl_reductions = stepper.cfl_reductions
     return traj
 
 

@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .spectral import SpectralField, TorusGrid, _collocation, _product_coeffs, inner_h1
-from .solver import BlowupError, Force, SolverConfig, _Stepper, nonlinear_term
+from .solver import BlowupError, Force, SolverConfig, _Stepper, integrate, nonlinear_term
 
 __all__ = [
     "linearized_rhs",
@@ -171,6 +171,10 @@ class CoupledStepper:
     def cfl_dt(self, theta: SpectralField, dt: float) -> float:
         return self._base.cfl_dt(theta, dt)
 
+    def lead_cfl_dt(self, state: tuple, dt: float) -> float:
+        """``cfl_dt`` of a tuple state led by the base: every member takes the base's step."""
+        return self._base.cfl_dt(state[0], dt)
+
 
 def h1_gram_schmidt(xis: Sequence[SpectralField]):
     """Modified Gram-Schmidt in the H^1 inner product.
@@ -208,10 +212,14 @@ def trace_Pn_A(theta: SpectralField, frame: Sequence[SpectralField], kappa: floa
     return float(traces[-1]) if len(traces) else 0.0
 
 
-def _trace_per_m(theta: SpectralField, frame: Sequence[SpectralField], kappa: float) -> np.ndarray:
-    """Traces of ``P_m A_theta`` for ``m = 1..len(frame)``, from one stacked evaluation."""
+def _trace_per_m(theta: SpectralField, frame: Sequence[SpectralField], kappa: float,
+                 rule: str = "two-thirds") -> np.ndarray:
+    """Traces of ``P_m A_theta`` for ``m = 1..len(frame)``, from one stacked evaluation.
+
+    ``rule`` must be the dealias rule the frame was stepped under.
+    """
     grid = theta.grid
-    rhs = _linearized_stack(theta, _stack(grid, frame), kappa, "two-thirds")
+    rhs = _linearized_stack(theta, _stack(grid, frame), kappa, rule)
     terms = np.array([inner_h1(phi, SpectralField._trusted(grid, r)) for phi, r in zip(frame, rhs)])
     return np.cumsum(terms)
 
@@ -326,22 +334,21 @@ def volume_and_trace_run(
 
     The base is first relaxed for ``t_relax`` (pre-conditioning onto the
     empirically absorbing region).  The ensemble is re-orthonormalized every
-    ``reorth_every`` steps, accumulating per-dimension log-volumes and trace
-    samples; collapse in between raises :class:`EnsembleCollapseError` with
-    advice to reduce the interval.  A blowup raises :class:`BlowupError`
-    stamped with the time elapsed since ``theta0``, relax phase included.
+    ``reorth_every`` steps and at exactly ``t_end``, accumulating per-dimension
+    log-volumes and trace samples; collapse in between raises
+    :class:`EnsembleCollapseError` with advice to reduce the interval.  A
+    blowup raises :class:`BlowupError` stamped with the time elapsed since
+    ``theta0``, relax phase included.
     """
     if n_tangent < 1:
         raise ValueError("n_tangent must be >= 1")
     grid = theta0.grid
     stepper = CoupledStepper(grid, config, force)
 
-    theta = theta0
-    t = 0.0
-    while t < t_relax - 1e-12:
-        dt = min(stepper.cfl_dt(theta, config.dt), t_relax - t)
-        theta, _ = stepper.step(theta, (), dt, t=t)
-        t += dt
+    def base_step(theta, dt, t):
+        return stepper.step(theta, (), dt, t=t)[0]
+
+    theta, t_relaxed = integrate(base_step, stepper.cfl_dt, theta0, 0.0, t_relax, config.dt)
 
     from .solver import random_band_field
 
@@ -349,18 +356,17 @@ def volume_and_trace_run(
     frame, _ = h1_gram_schmidt(raw)
     xis = list(frame)
 
+    def coupled_step(state, dt, t_run):
+        return stepper.step(state[0], state[1], dt, t=t_relaxed + t_run)
+
     times = [0.0]
-    traces = [_trace_per_m(theta, xis, config.kappa)]
+    traces = [_trace_per_m(theta, xis, config.kappa, config.dealias)]
     logv = [np.zeros(n_tangent)]
     acc = np.zeros(n_tangent)
     t_run = 0.0
-    while t_run < t_end - 1e-12:
-        for _ in range(reorth_every):
-            if t_run >= t_end - 1e-12:
-                break
-            dt = min(stepper.cfl_dt(theta, config.dt), t_end - t_run)
-            theta, xis = stepper.step(theta, xis, dt, t=t + t_run)
-            t_run += dt
+    while t_run < t_end:
+        (theta, xis), t_run = integrate(coupled_step, stepper.lead_cfl_dt, (theta, xis),
+                                        t_run, t_end, config.dt, max_steps=reorth_every)
         norms = [math.sqrt(max(inner_h1(xi, xi), 0.0)) for xi in xis]
         top, bot = max(norms), min(norms)
         if bot <= 0.0 or top / max(bot, 1e-300) > condition_trigger:
@@ -372,7 +378,7 @@ def volume_and_trace_run(
         xis = list(frame)
         acc = acc + np.cumsum(increments)
         times.append(t_run)
-        traces.append(_trace_per_m(theta, xis, config.kappa))
+        traces.append(_trace_per_m(theta, xis, config.kappa, config.dealias))
         logv.append(acc.copy())
 
     times = np.asarray(times)
@@ -443,19 +449,19 @@ def frechet_residual(
     grid = theta0.grid
     stepper = CoupledStepper(grid, config, force)
 
+    def pair_step(state, dt, t):
+        theta, xi, phi = state
+        theta, (xi,) = stepper.step(theta, (xi,), dt, t=t)
+        return theta, xi, stepper.step(phi, (), dt, t=t)[0]
+
     def advance_pairs(r: float):
         """Return eta ratios at the requested times for one scale."""
-        theta = theta0
-        phi = theta0 + r * xihat
-        xi = xihat
+        state = (theta0, xihat, theta0 + r * xihat)
         out = []
         t = 0.0
         for t_target in ts:
-            while t < t_target - 1e-12:
-                dt = min(stepper.cfl_dt(theta, config.dt), t_target - t)
-                theta, (xi,) = stepper.step(theta, (xi,), dt, t=t)
-                phi, _ = stepper.step(phi, (), dt, t=t)
-                t += dt
+            state, t = integrate(pair_step, stepper.lead_cfl_dt, state, t, t_target, config.dt)
+            theta, xi, phi = state
             eta = phi - theta - r * xi
             out.append(math.sqrt(max(inner_h1(eta, eta), 0.0)) / r)
         return out
@@ -502,16 +508,16 @@ def continuity_test(
     if base_norm == 0.0:
         return ContinuityResult(t=t_grid, ratio=np.array([]), status="degenerate")
     stepper = CoupledStepper(theta0.grid, config, force)
-    theta = theta0
-    other = theta0 + perturbation
+
+    def pair_step(state, dt, t):
+        return tuple(stepper.step(fld, (), dt, t=t)[0] for fld in state)
+
+    state = (theta0, theta0 + perturbation)
     out = []
     t = 0.0
     for t_target in t_grid:
-        while t < t_target - 1e-12:
-            dt = min(stepper.cfl_dt(theta, config.dt), t_target - t)
-            theta, _ = stepper.step(theta, (), dt, t=t)
-            other, _ = stepper.step(other, (), dt, t=t)
-            t += dt
+        state, t = integrate(pair_step, stepper.lead_cfl_dt, state, t, t_target, config.dt)
+        theta, other = state
         diff = other - theta
         out.append(math.sqrt(max(inner_h1(diff, diff), 0.0)) / base_norm)
     return ContinuityResult(t=t_grid, ratio=np.asarray(out), status="ok")

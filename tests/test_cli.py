@@ -1,5 +1,9 @@
 """Command-line surface: presets, exit taxonomy, manifests, determinism."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -68,6 +72,62 @@ class TestConfigParsing:
         for name in ("exact-decay", "steady-state", "holder-corpus", "dimension-sweep",
                      "burgers-basic"):
             assert preset_sections(name)
+
+    def test_unknown_preset_is_config_error(self):
+        with pytest.raises(ConfigError, match="unknown preset"):
+            preset_sections("no-such-preset")
+
+
+class TestUsageErrors:
+    def test_unknown_preset_exit_2(self, tmp_path, capsys):
+        rc = main(["simulate", "--preset", "no-such-preset", "--out", str(tmp_path / "o")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "unknown preset" in err and len(err.splitlines()) == 1
+
+    def test_stray_key_error_is_not_a_usage_error(self, tmp_path, monkeypatch):
+        # only bad input maps to exit 2; a KeyError from a bug is not swallowed
+        def broken(*_args, **_kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr("critsqg.cli.build_setup", broken)
+        with pytest.raises(KeyError):
+            main(["simulate", "--preset", "exact-decay", "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("text, where", [("c0 1.0\n", "line 1"),
+                                             ("# hdr\nc0 = one\n", "line 2")])
+    def test_malformed_constants_exit_2(self, tmp_path, capsys, monkeypatch, text, where):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        monkeypatch.setenv("SQG_CONSTANTS", str(bad))
+        out = tmp_path / "o"
+        rc = main(["verify-kernels", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert where in err and "bad.txt" in err and len(err.splitlines()) == 1
+        assert not (out / "manifest.txt").exists()
+
+    def test_empty_constants_variable_means_shipped_file(self, tmp_path, monkeypatch):
+        from critsqg.diagnostics import constants_path, default_constants_path
+
+        monkeypatch.setenv("SQG_CONSTANTS", "")
+        assert constants_path() == default_constants_path()
+
+    def test_threads_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--preset", "exact-decay", "--threads", "2",
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == EXIT_USAGE
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # solve_ivp is imported where the Hoelder envelope needs it, not at CLI start-up
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys, critsqg.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestSimulate:

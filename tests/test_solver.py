@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from critsqg.solver import (
     BlowupError,
@@ -13,6 +14,7 @@ from critsqg.solver import (
     burgers_nonlinear_term,
     burgers_step,
     energy_balance_residual,
+    integrate,
     mollify_force,
     nonlinear_term,
     random_band_field,
@@ -217,6 +219,44 @@ class TestRun:
             finals.append(run(th0, cfg, f).fields[-1])
         d = finals[0] - finals[1]
         assert np.sqrt(inner_l2(d, d)) < 1e-5
+
+
+class TestIntegrate:
+    @settings(max_examples=200, deadline=None)
+    @given(dt=st.floats(1e-2, 0.5),
+           halvings=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+           gaps=st.lists(st.one_of(st.just(0.0), st.just(5e-13), st.floats(0.0, 0.2)),
+                         min_size=1, max_size=5),
+           max_steps=st.one_of(st.none(), st.integers(1, 5)))
+    def test_reaches_each_target_exactly(self, dt, halvings, gaps, max_steps):
+        # the state counts steps; the CFL rule halves dt a drawn number of times
+        calls = []
+
+        def cfl_dt(_state, h):
+            return h * 0.5 ** halvings[len(calls) % len(halvings)]
+
+        def step(state, h, t):
+            calls.append((t, h))
+            return state + 1
+
+        state, t = 0, 0.0
+        for target in np.cumsum(gaps):
+            while True:
+                before = len(calls)
+                state, t_out = integrate(step, cfl_dt, state, t, target, dt, max_steps)
+                taken = calls[before:]
+                assert state == len(calls)
+                assert max_steps is None or len(taken) <= max_steps
+                start = t
+                for t_step, h in taken:
+                    assert t_step == start  # each step starts where the last one ended
+                    assert 0.0 < h <= target - t_step  # never past the target
+                    start = t_step + h
+                t = t_out
+                if t == target:
+                    break
+                # only a max_steps cut may stop short, and then well before the target
+                assert len(taken) == max_steps and t < target - 1e-12
 
 
 class TestMollifier:

@@ -402,6 +402,28 @@ class TestVolumeTrace:
         assert final_err < 0.05 * np.abs(expected).max()
         assert res.empirical_N == 1
 
+    def test_traces_use_the_stepped_dealias_rule(self):
+        # without dealiasing the traces must use the undealiased generator too;
+        # the two-thirds traces leave a residual ten times larger
+        g = TorusGrid(2, 32)
+        cfg = SolverConfig(kappa=1.0, dt=2e-3, t_end=1.0, dealias="none")
+        res = volume_and_trace_run(random_band_field(g, 8, 1.0, 5), 4, cfg,
+                                   Force.wrap(SpectralField.zeros(g)), t_end=1.0,
+                                   reorth_every=10, seed=3, tangent_band=8)
+        assert res.identity_residual < 2e-4
+
+    # 0.0519 is not a multiple of dt, so the last step is clipped; ten steps of
+    # 1e-2 sum to 0.09999999999999999, within 1e-12 of 0.1
+    @pytest.mark.parametrize("dt, t_end", [(2e-3, 0.0519), (1e-2, 0.1)])
+    def test_ends_exactly_at_t_end(self, dt, t_end):
+        g = TorusGrid(2, 16)
+        cfg = SolverConfig(kappa=1.0, dt=dt, t_end=t_end)
+        res = volume_and_trace_run(random_band_field(g, 3, 0.5, 5), 2, cfg,
+                                   Force.wrap(random_band_field(g, 2, 0.05, 6)), t_end=t_end,
+                                   reorth_every=3, t_relax=0.0137, tangent_band=3)
+        assert res.times[-1] == t_end
+        assert np.all(np.diff(res.times) > 0)
+
     def test_collapse_detection(self):
         g = TorusGrid(2, 32)
         theta0 = random_band_field(g, 3, 0.5, 5)
@@ -412,7 +434,45 @@ class TestVolumeTrace:
                                  seed=3, tangent_band=3, condition_trigger=10.0)
 
 
+def _record_steps(monkeypatch):
+    """``(t, dt)`` of every ``CoupledStepper.step`` call from here on."""
+    seen = []
+    original = CoupledStepper.step
+
+    def spy(self, theta, xis, dt, *, t=0.0):
+        seen.append((t, dt))
+        return original(self, theta, xis, dt, t=t)
+
+    monkeypatch.setattr(CoupledStepper, "step", spy)
+    return seen
+
+
+def _assert_reaches(seen, targets):
+    """Every target is a step boundary: no step straddles one, and stepping resumes at it.
+
+    Steps of 1e-2 reach 0.1 only as 0.09999999999999999, so resuming at exactly
+    0.1 needs the driver's snap to the target.
+    """
+    starts = {t for t, _dt in seen}
+    for tau in targets:
+        assert not any(t < tau - 1e-12 and t + dt > tau + 1e-12 for t, dt in seen)
+    assert all(tau in starts for tau in targets[:-1])
+    last_t, last_dt = seen[-1]
+    assert abs(last_t + last_dt - targets[-1]) <= 1e-12
+
+
 class TestFrechet:
+    def test_reaches_each_requested_time(self, monkeypatch):
+        g = TorusGrid(2, 16)
+        cfg = SolverConfig(kappa=1.0, dt=1e-2, t_end=0.123)
+        seen = _record_steps(monkeypatch)
+        ts = [0.05, 0.1, 0.123]
+        res = frechet_residual(random_band_field(g, 3, 0.5, 1), random_band_field(g, 3, 1.0, 2),
+                               ts=ts, scales=[1e-2], config=cfg,
+                               force=Force.wrap(SpectralField.zeros(g)))
+        assert res.ratios.shape == (3, 1)
+        _assert_reaches(seen, ts)
+
     def test_zero_direction(self, grid48):
         cfg = SolverConfig(kappa=1.0, dt=2e-3, t_end=1.0)
         res = frechet_residual(random_band_field(grid48, 4, 0.5, 1),
@@ -440,6 +500,16 @@ class TestContinuity:
                               cfg, Force.wrap(SpectralField.zeros(grid48)))
         assert res.status == "degenerate"
         assert res.ratio.size == 0
+
+    def test_reaches_each_requested_time(self, monkeypatch):
+        g = TorusGrid(2, 16)
+        cfg = SolverConfig(kappa=1.0, dt=1e-2, t_end=0.123)
+        seen = _record_steps(monkeypatch)
+        ts = [0.05, 0.1, 0.123]
+        res = continuity_test(random_band_field(g, 3, 0.5, 1), random_band_field(g, 3, 0.01, 2),
+                              ts, cfg, Force.wrap(SpectralField.zeros(g)))
+        assert res.status == "ok" and res.ratio.shape == (3,)
+        _assert_reaches(seen, ts)
 
     def test_exact_single_mode_family(self, grid48):
         # cos x1 vs (1+delta) cos x1 under f = 0: ratio = exp(-kappa t)
