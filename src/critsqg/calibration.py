@@ -6,7 +6,9 @@ this module fixes a published corpus (seeds, bandwidths, resolutions below)
 and chooses each constant as the tightest value for which its governing
 inequality holds corpus-wide, padded with a x2 safety margin; the results are
 pinned in a versioned key=value file shipped with the package (and checked by
-the regression suite).  Directions:
+the regression suite).  Each calibration bisects over, or inverts, the very
+check that the diagnostics run against its constant, so a constant cannot
+drift from its check.  Directions:
 
 ==========  ===============================================================
 constant    governing inequality (safe direction)
@@ -36,18 +38,22 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dc_fields, replace
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from .diagnostics import (
     UniversalConstants,
-    decay_envelope,
-    m_alpha_envelope,
+    decay_envelope_report,
+    holder_budget,
+    holder_envelope_check,
+    late_holder_violations,
+    log_convexity_series,
+    post_transient_holder,
     save_constants,
 )
-from .kernels import dissipation_field
+from .kernels import dissipation_field, nonlinear_lower_bound_check
 from .solver import FieldSpec, SolverConfig, Trajectory, build_field, build_force, run
 from .spectral import (
     SpectralField,
@@ -99,6 +105,11 @@ BURGERS_RUNS = [
 PAIR_PERTURBATION = 1e-3
 PAIR_HORIZON = 5.0
 
+# base of the candidate constants handed to the checks (dataclasses.replace);
+# a check that reads a constant not calibrated yet meets None and fails loudly
+_UNSET = UniversalConstants(**{f.name: None for f in dc_fields(UniversalConstants)
+                               if f.name != "version"})
+
 
 def solver_corpus_runs() -> List[Trajectory]:
     """The 9 forced SQG runs (3 forces x 3 data) used throughout calibration."""
@@ -136,34 +147,19 @@ def kernel_corpus_fields() -> List[SpectralField]:
 
 
 def calibrate_c2(fields: Sequence[SpectralField]) -> float:
-    """Tightest c2 with min ratio 1 over corpus x shifts, then x2."""
+    """Tightest c2 over corpus x shifts, then x2.
+
+    Inverts :func:`~critsqg.kernels.nonlinear_lower_bound_check`: its ratios
+    are linear in c2, so the tight value is ``1 / min ratio`` at ``c2 = 1``
+    (no c2 works where D is not positive).
+    """
     worst = 0.0
     for phi in fields:
-        linf = lp_norm(phi, np.inf)
         for h in KERNEL_SHIFTS:
-            from .spectral import shift as _shift
-
-            delta = _shift(phi, h) - phi
-            dvals = np.abs(delta.values())
-            mask = dvals > 1e-8 * linf
-            if not mask.any():
-                continue
-            D = dissipation_field(delta, 1.0)
-            hnorm = float(np.hypot(*h))
-            need = dvals[mask] ** 3 / (np.maximum(D[mask], 1e-300) * linf * hnorm)
-            worst = max(worst, float(need.max()))
+            rep = nonlinear_lower_bound_check(phi, h, 1.0)
+            if not rep.empty:
+                worst = max(worst, 1.0 / rep.min_ratio if rep.min_ratio > 0.0 else math.inf)
     return 2.0 * worst
-
-
-def _envelope_holds(traj: Trajectory, p, c0: float) -> bool:
-    kappa = traj.config.kappa
-    n0 = lp_norm(traj.fields[0], p)
-    nf = lp_norm(traj.force.field, p)
-    for t, rep in zip(traj.times, traj.reports):
-        norm = rep.linf if p == np.inf else (rep.l2 if p == 2 else rep.lp[int(p)])
-        if norm > float(decay_envelope(p, t, n0, nf, kappa, c0)) * (1.0 + 1e-9):
-            return False
-    return True
 
 
 def calibrate_c0(runs: Sequence[Trajectory]) -> float:
@@ -171,47 +167,37 @@ def calibrate_c0(runs: Sequence[Trajectory]) -> float:
     lo, hi = 1e-3, 4.0
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        ok = all(_envelope_holds(tr, p, mid) for tr in runs for p in (2, 4, np.inf))
-        if ok:
+        consts = replace(_UNSET, c0=mid)
+        if all(decay_envelope_report(tr, p, consts).violations == 0
+               for tr in runs for p in (2, 4, np.inf)):
             lo = mid
         else:
             hi = mid
     return 0.5 * lo
 
 
-def _holder_series(traj: Trajectory, alpha: float) -> np.ndarray:
-    return np.array([holder_seminorm(f, alpha).value for f in traj.fields])
-
-
-def _envelope_dominates(traj: Trajectory, alpha: float, series: np.ndarray,
-                        c0: float, c5: float) -> bool:
-    kappa = traj.config.kappa
-    m0 = float(series[0])
-    m_inf = lp_norm(traj.fields[0], np.inf) + traj.force.linf / (c0 * kappa)
-    env = m_alpha_envelope(m0, m_inf, kappa, c5, np.asarray(traj.times))
-    return bool(np.all(series**2 <= env.m_alpha**2 * (1.0 + 1e-9) + 1e-300))
-
-
 def calibrate_c5(runs: Sequence[Trajectory], eps0: float, c0: float) -> float:
     """Smallest c5 whose envelope ODE dominates g(t) corpus-wide, then x2.
 
     Checked at the largest admissible exponent alpha_0 and at alpha_0/2 for
-    every run (two exponents per trajectory).
+    every run (two exponents per trajectory); each Hoelder scan runs once and
+    the bisection repeats only :func:`~critsqg.diagnostics.holder_envelope_check`.
     """
+    consts = replace(_UNSET, eps0=eps0, c0=c0)
     cases = []
     for tr in runs:
         kappa = tr.config.kappa
-        m_inf = lp_norm(tr.fields[0], np.inf) + tr.force.linf / (c0 * kappa)
+        alpha0, m_inf = holder_budget(tr.fields[0], tr.force.field, kappa, consts)
         if m_inf == 0.0:
             continue
-        alpha0 = min(eps0 * kappa / m_inf, 0.25)
+        t = np.asarray(tr.times)
         for alpha in (alpha0, alpha0 / 2.0):
-            cases.append((tr, alpha, _holder_series(tr, alpha)))
+            cases.append((t, [holder_seminorm(f, alpha).value for f in tr.fields], m_inf, kappa))
     lo, hi = 0.05, 64.0
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        ok = all(_envelope_dominates(tr, a, s, c0, mid) for tr, a, s in cases)
-        if ok:
+        consts = replace(consts, c5=mid)
+        if all(not holder_envelope_check(*case, consts)[2].any() for case in cases):
             hi = mid
         else:
             lo = mid
@@ -220,27 +206,11 @@ def calibrate_c5(runs: Sequence[Trajectory], eps0: float, c0: float) -> float:
 
 def calibrate_eps1(runs: Sequence[Trajectory]) -> float:
     """Largest eps1 with ||theta||_{C^{alpha_*}} <= 2||f||_inf/(eps1 k) on late halves, halved."""
-
-    def holds(eps1: float) -> bool:
-        for tr in runs:
-            if tr.force.linf == 0.0:
-                continue  # claim trivial for zero force
-            kappa = tr.config.kappa
-            alpha_star = min(eps1 * kappa**2 / tr.force.linf, 0.25)
-            bound = 2.0 * tr.force.linf / (eps1 * kappa)
-            t_half = tr.times[-1] / 2.0
-            for t, fld in zip(tr.times, tr.fields):
-                if t < t_half:
-                    continue
-                norm = lp_norm(fld, np.inf) + holder_seminorm(fld, alpha_star).value
-                if norm > bound * (1.0 + 1e-9):
-                    return False
-        return True
-
     lo, hi = 1e-4, 8.0
     for _ in range(30):
         mid = 0.5 * (lo + hi)
-        if holds(mid):
+        consts = replace(_UNSET, eps1=mid)
+        if all(late_holder_violations(tr, consts) == 0 for tr in runs):
             lo = mid
         else:
             hi = mid
@@ -261,9 +231,9 @@ def calibrate_c7(runs: Sequence[Trajectory], eps1: float) -> float:
     with ``a = alpha_*`` of each run, measured on late-time snapshots.
     """
     worst = 0.0
+    consts = replace(_UNSET, eps1=eps1)
     for tr in runs:
-        kappa = tr.config.kappa
-        a = 0.25 if tr.force.linf == 0.0 else min(eps1 * kappa**2 / tr.force.linf, 0.25)
+        a, _m_inf_f = post_transient_holder(tr.force.linf, tr.config.kappa, consts)
         expo = (3.0 - a) / (1.0 - a)
         for _t, snap in _late_snapshots(tr, every=25):
             # evolved fields fill the dealias band; upsample for alias-free squares
@@ -413,21 +383,18 @@ def pair_corpus_runs() -> List[Tuple[Trajectory, Trajectory]]:
 
 
 def calibrate_c_backward(pairs) -> float:
-    """Tightest budget constant over the pair corpus and [0, 5] horizon, x2."""
+    """Tightest budget constant over the pair corpus and [0, 5] horizon, x2.
+
+    Inverts the budget of :func:`~critsqg.diagnostics.log_convexity_monitor`:
+    ``C >= (w(t) - w(0)) / int_0^t ||avg||_{H^{3/2}}^2`` wherever the integral
+    is positive.
+    """
     worst = 0.0
     for t1, t2 in pairs:
-        t = np.asarray(t1.times)
-        d = np.array([lp_norm(a - b, 2) for a, b in zip(t1.fields, t2.fields)])
-        h32 = np.array([sobolev_norm((a + b) * 0.5, 1.5) ** 2 for a, b in zip(t1.fields, t2.fields)])
-        if (d <= 1e-14).any():
-            continue
-        m = float(d.max())
-        w = np.log(2.0 * m / d)
-        integral = np.concatenate([[0.0], np.cumsum(0.5 * (h32[1:] + h32[:-1]) * np.diff(t))])
-        growth = w - w[0]
+        _t, w, integral, _status = log_convexity_series(t1, t2)
         ok = integral > 1e-12
         if ok.any():
-            worst = max(worst, float((growth[ok] / integral[ok]).max()))
+            worst = max(worst, float(((w - w[0])[ok] / integral[ok]).max()))
     return 2.0 * worst
 
 

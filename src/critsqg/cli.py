@@ -117,7 +117,7 @@ def _run_with_probes(args, sections, command: str) -> int:
         outputs.append("holder.csv")
     if setup.absorption:
         outputs.append("absorption.csv")
-    _start_manifest(args, sections, command, outputs)
+    _start_manifest(args, setup.sections, command, outputs)
 
     theta0 = build_field(setup.initial, grid)
     force = build_force(setup.force, grid)
@@ -168,22 +168,26 @@ def _run_with_probes(args, sections, command: str) -> int:
 
 
 def _read_corpus(path: str):
+    """Rows ``seed,band,norm[,n[,path]]`` (n defaults to 64); a bad line is a ConfigError."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [l.strip() for l in fh if l.strip()]
-    if not lines:
-        return rows
-    start = 1 if lines[0].lower().startswith("seed") else 0
-    for line in lines[start:]:
+        lines = [(lineno, l.strip()) for lineno, l in enumerate(fh, start=1) if l.strip()]
+    if lines and lines[0][1].lower().startswith("seed"):
+        lines = lines[1:]
+    for lineno, line in lines:
         parts = [p.strip() for p in line.split(",")]
-        row = {"seed": int(parts[0]), "band": int(parts[1]), "norm": float(parts[2])}
-        row["n"] = int(parts[3]) if len(parts) > 3 and parts[3] else 64
-        row["path"] = parts[4] if len(parts) > 4 else ""
+        try:
+            row = {"seed": int(parts[0]), "band": int(parts[1]), "norm": float(parts[2]),
+                   "grid": TorusGrid(2, int(parts[3]) if len(parts) > 3 and parts[3] else 64),
+                   "path": parts[4] if len(parts) > 4 else ""}
+        except (IndexError, ValueError) as exc:
+            raise ConfigError(lineno, f"{path}: bad row {line!r}, expected "
+                                      f"seed,band,norm[,n[,path]] ({exc})") from None
         rows.append(row)
     return rows
 
 
-def _corpus_field(row, grid: TorusGrid) -> SpectralField:
+def _corpus_field(row) -> SpectralField:
     if row["path"]:
         from .snapshots import read_snapshot
 
@@ -195,7 +199,7 @@ def _corpus_field(row, grid: TorusGrid) -> SpectralField:
         return field
     from .solver import random_band_field
 
-    return random_band_field(grid, row["band"], row["norm"], row["seed"])
+    return random_band_field(row["grid"], row["band"], row["norm"], row["seed"])
 
 
 def _cmd_verify_kernels(args) -> int:
@@ -204,13 +208,12 @@ def _cmd_verify_kernels(args) -> int:
         here = os.path.dirname(os.path.abspath(__file__))
         corpus_path = os.path.join(here, "data", "kernel_corpus.csv")
     consts = load_constants()
-    sections = {"solver": {"dim": "2"}}
-    _start_manifest(args, sections, "verify-kernels", ["kernel_report.csv"])
     try:
         rows = _read_corpus(corpus_path)
     except (OSError, ValueError) as exc:
         print(f"critsqg: cannot read corpus: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    _start_manifest(args, {"solver": {"dim": "2"}}, "verify-kernels", ["kernel_report.csv"])
     report = []
     failures = 0
     if not rows:
@@ -219,10 +222,7 @@ def _cmd_verify_kernels(args) -> int:
                   ["suite", "field", "value", "threshold", "passed"], [])
         return EXIT_OK
     try:
-        fields = []
-        for row in rows:
-            grid = TorusGrid(2, row["n"])
-            fields.append((row, _corpus_field(row, grid)))
+        fields = [(row, _corpus_field(row)) for row in rows]
     except MeanZeroError as exc:
         print(f"critsqg: precondition: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -268,7 +268,7 @@ def _cmd_dimension(args) -> int:
     if n_max <= 0:
         raise ConfigError(0, "n-max must be a positive integer")
     consts = load_constants()
-    _start_manifest(args, sections, "dimension", ["trace_log.csv", "dimension_report.txt"])
+    _start_manifest(args, setup.sections, "dimension", ["trace_log.csv", "dimension_report.txt"])
     grid = TorusGrid(2, setup.n)
     theta0 = build_field(setup.initial, grid)
     force = build_force(setup.force, grid)

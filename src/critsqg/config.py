@@ -19,12 +19,14 @@ rerun ignores) are rejected; duplicate keys take the last value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .solver import FieldSpec, SolverConfig
+from .solver import FieldSpec, SolverConfig, check_field_spec
+from .spectral import TorusGrid
 
 __all__ = ["ConfigError", "RunSetup", "parse_config_text", "parse_config_file",
            "build_setup", "PRESETS", "preset_sections"]
@@ -41,7 +43,7 @@ class ConfigError(ValueError):
 _SCHEMA = {
     "solver": {
         "dim", "n", "kappa", "dt", "t_end", "integrator", "dealias", "epsilon",
-        "mollifier_width", "seed", "cfl_budget", "snapshot_dt",
+        "mollifier_width", "cfl_budget", "snapshot_dt",
     },
     "initial": {"kind", "kx", "ky", "amplitude", "band", "seed", "path"},
     "force": {"kind", "kx", "ky", "amplitude", "band", "seed", "path"},
@@ -81,16 +83,20 @@ def parse_config_file(path: str) -> Dict[str, Dict[str, str]]:
 
 
 def _get(kv: Dict[str, str], key: str, cast, default):
+    """``cast(kv[key])``, or ``default`` when absent; a float must be finite."""
     if key not in kv:
         return default
     try:
-        return cast(kv[key])
+        value = cast(kv[key])
     except ValueError as exc:
         raise ConfigError(0, f"bad value for {key!r}: {kv[key]!r} ({exc})") from exc
+    if cast is float and not math.isfinite(value):
+        raise ConfigError(0, f"bad value for {key!r}: {kv[key]!r} (not finite)")
+    return value
 
 
-def _field_spec(kv: Dict[str, str]) -> FieldSpec:
-    return FieldSpec(
+def _field_spec(kv: Dict[str, str], dim: int, section: str) -> FieldSpec:
+    spec = FieldSpec(
         kind=kv.get("kind", "zero"),
         k=(_get(kv, "kx", int, 1), _get(kv, "ky", int, 0)),
         amplitude=_get(kv, "amplitude", float, 1.0),
@@ -98,6 +104,11 @@ def _field_spec(kv: Dict[str, str]) -> FieldSpec:
         seed=_get(kv, "seed", int, 0),
         path=kv.get("path", ""),
     )
+    try:
+        check_field_spec(spec, dim)
+    except ValueError as exc:
+        raise ConfigError(0, f"[{section}] {exc}") from exc
+    return spec
 
 
 @dataclass
@@ -149,20 +160,34 @@ def _envelope_p(tok: str):
 
 
 def build_setup(sections: Dict[str, Dict[str, str]], seed_override: Optional[int] = None) -> RunSetup:
+    """Decode and validate a config; every bad value raises :class:`ConfigError`.
+
+    ``seed_override`` offsets the ``[initial]`` and ``[force]`` seeds, and
+    ``RunSetup.sections`` records the offset seeds, so a manifest written from
+    them replays the run without the override.
+    """
+    if seed_override is not None:
+        sections = {sec: dict(kv) for sec, kv in sections.items()}
+        for name in ("initial", "force"):
+            kv = sections.setdefault(name, {})
+            kv["seed"] = str(_get(kv, "seed", int, 0) + seed_override)
     sol = sections.get("solver", {})
+    dim = _get(sol, "dim", int, 2)
+    n = _get(sol, "n", int, 64)
+    solver_values = dict(
+        kappa=_get(sol, "kappa", float, 1.0),
+        dt=_get(sol, "dt", float, 1e-3),
+        t_end=_get(sol, "t_end", float, 1.0),
+        integrator=sol.get("integrator", "imex-cn"),
+        dealias=sol.get("dealias", "two-thirds"),
+        epsilon=_get(sol, "epsilon", float, 0.0),
+        mollifier_width=_get(sol, "mollifier_width", float, 0.0),
+        cfl_budget=_get(sol, "cfl_budget", float, 0.5),
+        snapshot_dt=_get(sol, "snapshot_dt", float, 0.1),
+    )
     try:
-        solver = SolverConfig(
-            kappa=_get(sol, "kappa", float, 1.0),
-            dt=_get(sol, "dt", float, 1e-3),
-            t_end=_get(sol, "t_end", float, 1.0),
-            integrator=sol.get("integrator", "imex-cn"),
-            dealias=sol.get("dealias", "two-thirds"),
-            epsilon=_get(sol, "epsilon", float, 0.0),
-            mollifier_width=_get(sol, "mollifier_width", float, 0.0),
-            seed=seed_override if seed_override is not None else _get(sol, "seed", int, 0),
-            cfl_budget=_get(sol, "cfl_budget", float, 0.5),
-            snapshot_dt=_get(sol, "snapshot_dt", float, 0.1),
-        )
+        TorusGrid(dim, n)
+        solver = SolverConfig(**solver_values)
     except ValueError as exc:
         raise ConfigError(0, str(exc)) from exc
     probes = sections.get("probes", {})
@@ -170,22 +195,20 @@ def build_setup(sections: Dict[str, Dict[str, str]], seed_override: Optional[int
     ps_raw = probes.get("decay_envelope_ps", "")
     ps = tuple(_envelope_p(tok) for tok in filter(None, (t.strip() for t in ps_raw.split(","))))
     tangent = sections.get("tangent", {})
-    initial = _field_spec(sections.get("initial", {}))
-    force = _field_spec(sections.get("force", {}))
-    if seed_override is not None:
-        initial = FieldSpec(**{**initial.__dict__, "seed": initial.seed + seed_override})
-        force = FieldSpec(**{**force.__dict__, "seed": force.seed + seed_override})
+    reorth = _get(tangent, "reorth_every", int, 10)
+    if reorth < 1:
+        raise ConfigError(0, f"reorth_every must be a positive integer, got {reorth}")
     return RunSetup(
-        dim=_get(sol, "dim", int, 2),
-        n=_get(sol, "n", int, 64),
+        dim=dim,
+        n=n,
         solver=solver,
-        initial=initial,
-        force=force,
+        initial=_field_spec(sections.get("initial", {}), dim, "initial"),
+        force=_field_spec(sections.get("force", {}), dim, "force"),
         holder_alpha=holder_alpha,
         decay_envelope_ps=ps,
         absorption=probes.get("absorption", "0") in ("1", "true", "yes"),
         tangent_n=_get(tangent, "n_tangent", int, 6),
-        tangent_reorth=_get(tangent, "reorth_every", int, 10),
+        tangent_reorth=reorth,
         tangent_relax=_get(tangent, "t_relax", float, 4.0),
         tangent_seed=_get(tangent, "seed", int, 7),
         tangent_band=_get(tangent, "tangent_band", int, 3),

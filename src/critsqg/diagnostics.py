@@ -12,11 +12,11 @@ Closed forms implemented here (kappa the dissipation coefficient, f the force):
   ``2 c5 M_inf`` valid for ``t >= t_alpha``, and
   ``t_alpha = 0`` if ``M(0) <= 2 c5 M_inf`` else
   ``(M(0)^2/(4 c5^2 M_inf^2) - 1)/(7 k)``
-* absorbing constants:
-  ``alpha_* = min{eps1 k^2/||f||_inf, 1/4}``, ``M_{inf,f} = 2||f||_inf/(eps1 k)``,
+* post-transient Hoelder bound ``||theta||_inf + [theta]_{C^{alpha_*}} <= M_{inf,f}`` with
+  ``alpha_* = min{eps1 k^2/||f||_inf, 1/4}``, ``M_{inf,f} = 2||f||_inf/(eps1 k)``
+* absorbing constants (``a = alpha_*``):
   ``M_{1,f}^2  = 72/k^2 ||f||_{H^1}^2
-                 + c8 (8 c7)^{(3-3a)/(2a)} / (3 k^{(9-3a)/(4a)}) M_{inf,f}^{(9-a)/(4a)}``
-  with ``a = alpha_*``,
+                 + c8 (8 c7)^{(3-3a)/(2a)} / (3 k^{(9-3a)/(4a)}) M_{inf,f}^{(9-a)/(4a)}``,
   ``M_{3/2,f}^2 = ((6+k)/k M_{1,f}^2 + ||f||_{H^1}^2/k) exp(c9 (6+k) M_{1,f}^2 / k^2)``,
   ``M_{2,f}^2  = 2/k^2 ||f||_{H^1}^2 + 2 c9 / k^2 M_{3/2,f}^4``
 * uniform Groenwall bound: ``x(t) <= (X/r + B) e^A`` for ``t >= t0 + r``
@@ -26,8 +26,12 @@ Closed forms implemented here (kappa the dissipation coefficient, f the force):
 The universal constants (c0, eps0, eps1, c2, c5, c7..c11, the budget constant)
 are calibration parameters: each is pinned in a versioned key=value file
 produced by the documented protocol in :mod:`critsqg.calibration` and loadable
-via the ``SQG_CONSTANTS`` environment variable.  Every envelope function here
-is pure: replayable from recorded norms alone.
+via the ``SQG_CONSTANTS`` environment variable.  Each formula and each
+pass/fail comparison (:func:`_exceeds`) has one copy here; a trajectory check
+reads the constants it tests from a :class:`UniversalConstants`, and the
+calibration bisects over (or inverts) these same functions, handing them
+candidate values through :func:`dataclasses.replace`.  The comparisons are
+pure: replayable from recorded norms alone.
 """
 
 from __future__ import annotations
@@ -52,14 +56,18 @@ __all__ = [
     "AbsorbingConstants",
     "decay_envelope",
     "holder_budget",
+    "post_transient_holder",
     "t_alpha_formula",
     "EnvelopeSolution",
     "m_alpha_envelope",
     "HolderTrackResult",
+    "holder_envelope_check",
     "track_holder",
+    "late_holder_violations",
     "absorbing_constants",
     "uniform_gronwall",
     "LogConvexityResult",
+    "log_convexity_series",
     "log_convexity_monitor",
 ]
 
@@ -131,6 +139,11 @@ def save_constants(consts: UniversalConstants, path: str, header: str = "") -> N
         lines.append(f"{f.name} = {v!r}" if f.name != "version" else f"version = {v}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _exceeds(value, bound, rel_slack: float, floor: float = 1e-300):
+    """The one pass/fail comparison of every check: ``value`` above ``bound`` beyond the slack."""
+    return value > bound * (1.0 + rel_slack) + floor
 
 
 def decay_envelope(p, t, theta0_norm: float, f_norm: float, kappa: float, c0: float):
@@ -234,36 +247,65 @@ class HolderTrackResult:
         return len(self.events)
 
 
+def holder_envelope_check(t, seminorms, m_inf: float, kappa: float, consts: UniversalConstants,
+                          rel_slack: float = 1e-9):
+    """Compare Hoelder seminorms recorded at times ``t`` with the envelope ODE.
+
+    ``seminorms[0]`` (at ``t[0]``) seeds the envelope.  Returns ``(g,
+    envelope_sq, violated)``: ``g`` holds the squared seminorms, and
+    ``violated`` marks the snapshots where ``g > M_alpha^2`` beyond the slack.
+    """
+    env = m_alpha_envelope(seminorms[0], m_inf, kappa, consts.c5, t)
+    g = np.array([s**2 for s in seminorms], dtype=np.float64)
+    envelope_sq = env.m_alpha**2
+    return g, envelope_sq, _exceeds(g, envelope_sq, rel_slack)
+
+
 def track_holder(traj: Trajectory, alpha: float, consts: UniversalConstants,
                  rel_slack: float = 1e-9) -> HolderTrackResult:
     """Track ``g(t) = (sup_{x,h} |delta_h theta|/|h|^alpha)^2`` along a trajectory.
 
     Verifies ``g(t) <= M_alpha(t)^2`` against the envelope ODE seeded from the
-    initial data; a violation is recorded as a falsification event carrying
-    the offending state, never raised.  Callers owe snapshots dense enough to
-    pin the running sup (cadence at most ten time steps; the shipped presets
-    comply).
+    initial data (one Hoelder scan per snapshot, the first one seeds it); a
+    violation is recorded as a falsification event carrying the offending
+    state, never raised.  Callers owe snapshots dense enough to pin the
+    running sup (cadence at most ten time steps; the shipped presets comply).
     """
     kappa = traj.config.kappa
-    theta0 = traj.fields[0]
-    m0 = holder_seminorm(theta0, alpha).value
-    m_inf = lp_norm(theta0, np.inf) + traj.force.linf / (consts.c0 * kappa)
+    _alpha0, m_inf = holder_budget(traj.fields[0], traj.force.field, kappa, consts)
+    scans = [holder_seminorm(fld, alpha) for fld in traj.fields]
     t = np.asarray(traj.times)
-    env = m_alpha_envelope(m0, m_inf, kappa, consts.c5, t)
-    g = np.empty(len(traj.fields))
-    ax, ah = [], []
-    events = []
-    for i, fld in enumerate(traj.fields):
-        hm = holder_seminorm(fld, alpha)
-        g[i] = hm.value**2
-        ax.append(hm.argmax_x)
-        ah.append(hm.argmax_h)
-        bound = env.m_alpha[i] ** 2
-        if g[i] > bound * (1.0 + rel_slack) + 1e-300:
-            events.append(FalsificationEvent(t=float(t[i]), g=float(g[i]), envelope_sq=float(bound), field=fld))
+    g, envelope_sq, violated = holder_envelope_check(
+        t, [hm.value for hm in scans], m_inf, kappa, consts, rel_slack)
+    events = [FalsificationEvent(t=float(t[i]), g=float(g[i]), envelope_sq=float(envelope_sq[i]),
+                                 field=traj.fields[i]) for i in np.nonzero(violated)[0]]
     return HolderTrackResult(
-        alpha=alpha, t=t, g=g, argmax_x=ax, argmax_h=ah,
-        envelope_sq=env.m_alpha**2, events=events,
+        alpha=alpha, t=t, g=g, argmax_x=[hm.argmax_x for hm in scans],
+        argmax_h=[hm.argmax_h for hm in scans], envelope_sq=envelope_sq, events=events,
+    )
+
+
+def post_transient_holder(f_linf: float, kappa: float, consts: UniversalConstants):
+    """``(alpha_*, M_{inf,f})``: the post-transient exponent and C^{alpha_*} radius."""
+    if f_linf == 0.0:
+        return 0.25, 0.0
+    return min(consts.eps1 * kappa**2 / f_linf, 0.25), 2.0 * f_linf / (consts.eps1 * kappa)
+
+
+def late_holder_violations(traj: Trajectory, consts: UniversalConstants,
+                           rel_slack: float = 1e-9) -> int:
+    """Snapshots of the late half with ``||theta||_inf + [theta]_{C^{alpha_*}} > M_{inf,f}``.
+
+    The radius vanishes with the force, so an unforced run has no claim to
+    check and reports 0.
+    """
+    if traj.force.linf == 0.0:
+        return 0
+    alpha_star, m_inf_f = post_transient_holder(traj.force.linf, traj.config.kappa, consts)
+    t_half = traj.times[-1] / 2.0
+    return sum(
+        int(_exceeds(rep.linf + holder_seminorm(fld, alpha_star).value, m_inf_f, rel_slack))
+        for t, rep, fld in zip(traj.times, traj.reports, traj.fields) if t >= t_half
     )
 
 
@@ -276,41 +318,6 @@ class AbsorbingConstants:
     m_2f: float
 
 
-@dataclass(frozen=True)
-class EnvelopeSet:
-    """Every envelope quantity of one problem (theta0, f, kappa) in one bundle."""
-
-    constants: "UniversalConstants"
-    kappa: float
-    m_p: dict            # p -> ||theta0||_p + ||f||_p/(c0 kappa)
-    m_inf: float
-    alpha0: float
-    alpha_star: float
-    m_inf_f: float
-    m_1f: float
-    m_32f: float
-    m_2f: float
-    t_alpha: float
-
-
-def envelope_set(theta0: SpectralField, f: SpectralField, kappa: float,
-                 consts: UniversalConstants, alpha: Optional[float] = None,
-                 ps=(2, 4)) -> EnvelopeSet:
-    """Evaluate the full envelope bundle for one initial condition and force."""
-    alpha0, m_inf = holder_budget(theta0, f, kappa, consts)
-    a = alpha if alpha is not None else alpha0
-    m0 = holder_seminorm(theta0, a).value if m_inf > 0 else 0.0
-    ac = absorbing_constants(lp_norm(f, np.inf), sobolev_norm(f, 1.0), kappa, consts)
-    m_p = {p: lp_norm(theta0, p) + lp_norm(f, p) / (consts.c0 * kappa) for p in ps}
-    m_p["inf"] = m_inf
-    return EnvelopeSet(
-        constants=consts, kappa=kappa, m_p=m_p, m_inf=m_inf, alpha0=alpha0,
-        alpha_star=ac.alpha_star, m_inf_f=ac.m_inf_f, m_1f=ac.m_1f,
-        m_32f=ac.m_32f, m_2f=ac.m_2f,
-        t_alpha=t_alpha_formula(m0, m_inf, kappa, consts.c5),
-    )
-
-
 def absorbing_constants(f_linf: float, f_h1: float, kappa: float, consts: UniversalConstants) -> AbsorbingConstants:
     """Closed-form absorbing-ball radii, evaluated exactly as printed.
 
@@ -321,12 +328,7 @@ def absorbing_constants(f_linf: float, f_h1: float, kappa: float, consts: Univer
         raise ValueError("force norms must be finite (alpha_* = 0 is out of domain)")
     if f_linf < 0 or f_h1 < 0:
         raise ValueError("norms must be nonnegative")
-    if f_linf == 0.0:
-        alpha_star = 0.25
-        m_inf_f = 0.0
-    else:
-        alpha_star = min(consts.eps1 * kappa**2 / f_linf, 0.25)
-        m_inf_f = 2.0 * f_linf / (consts.eps1 * kappa)
+    alpha_star, m_inf_f = post_transient_holder(f_linf, kappa, consts)
     a = alpha_star
     m1_sq = 72.0 / kappa**2 * f_h1**2
     m1_sq += (
@@ -390,7 +392,7 @@ def decay_envelope_report(traj: Trajectory, p, consts: UniversalConstants,
             if norm is None:
                 norm = lp_norm(traj.field_at(t), p)
         env = float(decay_envelope(p, t, theta0_norm, f_norm, kappa, consts.c0))
-        violated = norm > env * (1.0 + rel_slack) + 1e-300
+        violated = _exceeds(norm, env, rel_slack)
         violations += int(violated)
         rows.append((t, norm, env, env - norm, violated))
     return DecayEnvelopeReport(p=p, rows=rows, violations=violations)
@@ -436,7 +438,7 @@ def absorption_report(traj: Trajectory, consts: UniversalConstants) -> Absorptio
         if j >= len(t) or t[j] < t[i] + 1.0 - 1e-9:
             break
         avg = float(np.trapezoid(h32_sq[i : j + 1], t[i : j + 1]))
-        violated = avg > budget * (1.0 + 1e-9)
+        violated = _exceeds(avg, budget, 1e-9)
         violations += int(violated)
         window_rows.append((float(t[i]), avg, budget, violated))
     return AbsorptionReport(m_1f=ac.m_1f, entry_time=float(t[entry]), permanent=permanent,
@@ -454,14 +456,15 @@ class LogConvexityResult:
     status: str  # "ok" | "indistinguishable"
 
 
-def log_convexity_monitor(traj1: Trajectory, traj2: Trajectory, C: float,
-                          rel_slack: float = 1e-9) -> LogConvexityResult:
-    """Monitor the log-convexity budget on a pair of trajectories under one force.
+def log_convexity_series(traj1: Trajectory, traj2: Trajectory):
+    """``(t, w, integral, status)`` of a trajectory pair under one force.
 
-    ``m`` is the running max of the difference L^2 norm over the window; the
-    budget integrates the H^{3/2} norm of the average solution.  Pairs whose
-    difference collapses to numerical zero terminate with status
-    ``indistinguishable`` (degenerate-input contract, no crash).
+    ``w(t) = log(2m/||diff||_{L^2})`` with ``m`` the max of the difference L^2
+    norm over the window, and ``integral`` the running trapezoid integral of
+    ``||avg||_{H^{3/2}}^2`` of the average solution.  Pairs whose difference
+    collapses to numerical zero are cut at the collapse with status
+    ``indistinguishable`` (``w`` is empty, and ``t`` all snapshot times, when
+    nothing is left); otherwise the status is ``ok``.
     """
     if list(traj1.times) != list(traj2.times):
         raise ValueError("trajectory pair must share snapshot times")
@@ -478,8 +481,7 @@ def log_convexity_monitor(traj1: Trajectory, traj2: Trajectory, C: float,
     floor = 1e4 * np.finfo(float).eps * max(scale, 1.0)
     alive = d > floor
     if not alive.any():
-        return LogConvexityResult(t=t, w=np.array([]), budget=np.array([]), violations=0,
-                                  status="indistinguishable")
+        return t, np.array([]), np.array([]), "indistinguishable"
     last = int(np.nonzero(alive)[0][-1])
     keep = slice(0, last + 1)
     t_k = t[keep]
@@ -494,11 +496,22 @@ def log_convexity_monitor(traj1: Trajectory, traj2: Trajectory, C: float,
         h32 = h32_avg_sq[keep]
         status = "ok"
     if len(t_k) == 0:
-        return LogConvexityResult(t=t, w=np.array([]), budget=np.array([]), violations=0,
-                                  status="indistinguishable")
+        return t, np.array([]), np.array([]), "indistinguishable"
     m = float(d_k.max())
     w = np.log(2.0 * m / d_k)
     integral = np.concatenate([[0.0], np.cumsum(0.5 * (h32[1:] + h32[:-1]) * np.diff(t_k))])
-    budget = w[0] + C * integral
-    violations = int(np.sum(w > budget * (1.0 + rel_slack) + 1e-12))
-    return LogConvexityResult(t=t_k, w=w, budget=budget, violations=violations, status=status)
+    return t_k, w, integral, status
+
+
+def log_convexity_monitor(traj1: Trajectory, traj2: Trajectory, C: float,
+                          rel_slack: float = 1e-9) -> LogConvexityResult:
+    """Monitor the budget ``w(t) <= w(0) + C int ||avg||_{H^{3/2}}^2`` on a pair.
+
+    The series come from :func:`log_convexity_series`; a pair whose
+    difference collapses to numerical zero is monitored up to the collapse
+    and reported ``indistinguishable`` (degenerate-input contract, no crash).
+    """
+    t, w, integral, status = log_convexity_series(traj1, traj2)
+    budget = w[:1] + C * integral
+    violations = int(np.sum(_exceeds(w, budget, rel_slack, floor=1e-12)))
+    return LogConvexityResult(t=t, w=w, budget=budget, violations=violations, status=status)

@@ -39,7 +39,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gamma as _gamma
 
-from .spectral import MeanZeroError, SpectralField, fractional_laplacian, gradient, shift
+from .spectral import MeanZeroError, SpectralField, fractional_laplacian, gradient, resample, shift
 
 __all__ = [
     "c_alpha",
@@ -319,22 +319,6 @@ def lp_poincare_constant(alpha: float, dim: int = 2) -> float:
     return float(1.0 / inv)
 
 
-def _padded_values(field: SpectralField, m: int) -> np.ndarray:
-    """Spectrally interpolated collocation values on an m x ... grid (m >= n)."""
-    n = field.grid.n
-    if m == n:
-        return field.values()
-    c = np.zeros((m,) * field.grid.dim, dtype=np.complex128)
-    k = field.grid.wavenumbers
-    if field.grid.dim == 1:
-        c[k] = field.coeffs
-    else:
-        kx = k[:, None].repeat(n, axis=1)
-        ky = k[None, :].repeat(n, axis=0)
-        c[kx, ky] = field.coeffs
-    return np.real(np.fft.ifftn(c * m**field.grid.dim))
-
-
 def lp_poincare_check(field: SpectralField, p: int, alpha: float):
     """Evaluate both sides of the L^p lower bound for the fractional Laplacian.
 
@@ -355,19 +339,15 @@ def lp_poincare_check(field: SpectralField, p: int, alpha: float):
     m = grid.n
     while m < p * band + 2:
         m *= 2
-    v = _padded_values(field, m)
-    lam = _padded_values(fractional_laplacian(field, alpha), m)
+    padded = resample(field, m)
+    v = padded.values()
+    lam = resample(fractional_laplacian(field, alpha), m).values()
     cell = (2.0 * np.pi / m) ** grid.dim
     lhs = float(np.sum(v ** (p - 1) * lam) * cell)
 
     half = v ** (p // 2)
     ch = np.fft.fftn(half) / m**grid.dim
-    kf = np.fft.fftfreq(m) * m
-    if grid.dim == 1:
-        kmag = np.abs(kf)
-    else:
-        kx, ky = np.meshgrid(kf, kf, indexing="ij")
-        kmag = np.sqrt(kx**2 + ky**2)
+    kmag = padded.grid.kmag
     nzm = kmag > 0
     smooth = float((2.0 * np.pi) ** grid.dim * np.sum(kmag[nzm] ** alpha * np.abs(ch[nzm]) ** 2)) / p
 

@@ -6,9 +6,10 @@ followed by row-major little-endian f64 collocation values.
 CSV files are written with shortest-roundtrip float formatting (``repr``),
 so re-running the same experiment in serial mode reproduces them byte for
 byte.  A manifest is itself a valid flat key=value config file: it embeds the
-full config snapshot next to a ``[manifest]`` section with the constants-file
-hash, code version, seed, output paths, and wall-clock metadata (the latter is
-the only non-reproducible content, and no CSV depends on it).
+full config snapshot (seeds already offset by any ``--seed-override``) next to
+a ``[manifest]`` section with the constants-file hash, code version, the seed
+override, output paths, and wall-clock metadata (the latter is the only
+non-reproducible content, and no CSV depends on it).
 """
 
 from __future__ import annotations

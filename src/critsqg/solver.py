@@ -48,6 +48,7 @@ __all__ = [
     "Trajectory",
     "BlowupError",
     "random_band_field",
+    "check_field_spec",
     "build_field",
     "build_force",
     "mollify_force",
@@ -82,7 +83,6 @@ class SolverConfig:
     dealias: str = "two-thirds"  # or "none"
     epsilon: float = 0.0
     mollifier_width: float = 0.0
-    seed: int = 0
     cfl_budget: float = 0.5
     snapshot_dt: float = 0.1
 
@@ -97,6 +97,8 @@ class SolverConfig:
             raise ValueError(f"unknown dealias rule {self.dealias!r}")
         if self.epsilon < 0 or self.mollifier_width < 0:
             raise ValueError("epsilon and mollifier_width must be >= 0")
+        if self.cfl_budget <= 0:
+            raise ValueError("cfl_budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -140,13 +142,20 @@ def random_band_field(grid: TorusGrid, band: int, amplitude: float, seed: int) -
     return f * (amplitude / top)
 
 
+def check_field_spec(spec: FieldSpec, dim: int) -> None:
+    """Raise ``ValueError`` unless :func:`build_field` accepts ``spec`` on a ``dim``-torus."""
+    if spec.kind not in ("zero", "single_mode", "random_band", "file"):
+        raise ValueError(f"unknown field kind {spec.kind!r}")
+    if spec.kind == "single_mode" and not any(spec.k[:dim]):
+        raise ValueError("single_mode wavevector must be nonzero")
+
+
 def build_field(spec: FieldSpec, grid: TorusGrid) -> SpectralField:
+    check_field_spec(spec, grid.dim)
     if spec.kind == "zero":
         return SpectralField.zeros(grid)
     if spec.kind == "single_mode":
         kvec = np.asarray(spec.k[: grid.dim], dtype=np.float64)
-        if np.all(kvec == 0):
-            raise ValueError("single_mode wavevector must be nonzero")
         coords = grid.coords
         if grid.dim == 1:
             phase = kvec[0] * coords
@@ -156,14 +165,12 @@ def build_field(spec: FieldSpec, grid: TorusGrid) -> SpectralField:
         return SpectralField.from_values(grid, spec.amplitude * np.cos(phase))
     if spec.kind == "random_band":
         return random_band_field(grid, spec.band, spec.amplitude, spec.seed)
-    if spec.kind == "file":
-        from .snapshots import read_snapshot
+    from .snapshots import read_snapshot  # kind == "file"
 
-        fld, _t = read_snapshot(spec.path)
-        if fld.grid != grid:
-            raise ValueError(f"snapshot grid {fld.grid} does not match run grid {grid}")
-        return fld
-    raise ValueError(f"unknown field kind {spec.kind!r}")
+    fld, _t = read_snapshot(spec.path)
+    if fld.grid != grid:
+        raise ValueError(f"snapshot grid {fld.grid} does not match run grid {grid}")
+    return fld
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,25 @@
 """Calibration protocol: shipped constants stay consistent with the corpus."""
 
 import os
+from dataclasses import replace
+
+import numpy as np
+import pytest
 
 from critsqg import calibration as cal
-from critsqg.diagnostics import load_constants
+from critsqg.diagnostics import (
+    decay_envelope,
+    decay_envelope_report,
+    holder_budget,
+    late_holder_violations,
+    load_constants,
+    log_convexity_monitor,
+    m_alpha_envelope,
+    track_holder,
+)
+from critsqg.kernels import dissipation_field, nonlinear_lower_bound_check
+from critsqg.solver import FieldSpec, SolverConfig, build_field, build_force, random_band_field, run
+from critsqg.spectral import TorusGrid, holder_seminorm, lp_norm, shift, sobolev_norm
 from critsqg.tangent import eigenvalue_count_constant
 
 
@@ -45,3 +61,203 @@ def test_c2_margin_on_sample_fields():
                 mins.append(rep.min_ratio)
     assert min(mins) >= 1.0
     assert min(mins) <= 10.0
+
+
+# ---------------------------------------------------------------------------
+# Each calibration against the code it replaced (kept below as the oracle) on
+# a small corpus, and the check it calibrates run at the tight value, before
+# the x2 or x1/2 margin.
+
+
+def oracle_c2(fields):
+    worst = 0.0
+    for phi in fields:
+        linf = lp_norm(phi, np.inf)
+        for h in cal.KERNEL_SHIFTS:
+            delta = shift(phi, h) - phi
+            dvals = np.abs(delta.values())
+            mask = dvals > 1e-8 * linf
+            if not mask.any():
+                continue
+            D = dissipation_field(delta, 1.0)
+            hnorm = float(np.hypot(*h))
+            need = dvals[mask] ** 3 / (np.maximum(D[mask], 1e-300) * linf * hnorm)
+            worst = max(worst, float(need.max()))
+    return 2.0 * worst
+
+
+def _oracle_envelope_holds(traj, p, c0):
+    kappa = traj.config.kappa
+    n0 = lp_norm(traj.fields[0], p)
+    nf = lp_norm(traj.force.field, p)
+    for t, rep in zip(traj.times, traj.reports):
+        norm = rep.linf if p == np.inf else (rep.l2 if p == 2 else rep.lp[int(p)])
+        if norm > float(decay_envelope(p, t, n0, nf, kappa, c0)) * (1.0 + 1e-9):
+            return False
+    return True
+
+
+def oracle_c0(runs):
+    lo, hi = 1e-3, 4.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        ok = all(_oracle_envelope_holds(tr, p, mid) for tr in runs for p in (2, 4, np.inf))
+        if ok:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * lo
+
+
+def _oracle_envelope_dominates(traj, alpha, series, c0, c5):
+    kappa = traj.config.kappa
+    m0 = float(series[0])
+    m_inf = lp_norm(traj.fields[0], np.inf) + traj.force.linf / (c0 * kappa)
+    env = m_alpha_envelope(m0, m_inf, kappa, c5, np.asarray(traj.times))
+    return bool(np.all(series**2 <= env.m_alpha**2 * (1.0 + 1e-9) + 1e-300))
+
+
+def oracle_c5(runs, eps0, c0):
+    cases = []
+    for tr in runs:
+        kappa = tr.config.kappa
+        m_inf = lp_norm(tr.fields[0], np.inf) + tr.force.linf / (c0 * kappa)
+        if m_inf == 0.0:
+            continue
+        alpha0 = min(eps0 * kappa / m_inf, 0.25)
+        for alpha in (alpha0, alpha0 / 2.0):
+            series = np.array([holder_seminorm(f, alpha).value for f in tr.fields])
+            cases.append((tr, alpha, series))
+    lo, hi = 0.05, 64.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        ok = all(_oracle_envelope_dominates(tr, a, s, c0, mid) for tr, a, s in cases)
+        if ok:
+            hi = mid
+        else:
+            lo = mid
+    return 2.0 * hi
+
+
+def oracle_eps1(runs):
+    def holds(eps1):
+        for tr in runs:
+            if tr.force.linf == 0.0:
+                continue
+            kappa = tr.config.kappa
+            alpha_star = min(eps1 * kappa**2 / tr.force.linf, 0.25)
+            bound = 2.0 * tr.force.linf / (eps1 * kappa)
+            t_half = tr.times[-1] / 2.0
+            for t, fld in zip(tr.times, tr.fields):
+                if t < t_half:
+                    continue
+                norm = lp_norm(fld, np.inf) + holder_seminorm(fld, alpha_star).value
+                if norm > bound * (1.0 + 1e-9):
+                    return False
+        return True
+
+    lo, hi = 1e-4, 8.0
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * lo
+
+
+def oracle_c_backward(pairs):
+    worst = 0.0
+    for t1, t2 in pairs:
+        t = np.asarray(t1.times)
+        d = np.array([lp_norm(a - b, 2) for a, b in zip(t1.fields, t2.fields)])
+        h32 = np.array([sobolev_norm((a + b) * 0.5, 1.5) ** 2 for a, b in zip(t1.fields, t2.fields)])
+        if (d <= 1e-14).any():
+            continue
+        m = float(d.max())
+        w = np.log(2.0 * m / d)
+        integral = np.concatenate([[0.0], np.cumsum(0.5 * (h32[1:] + h32[:-1]) * np.diff(t))])
+        growth = w - w[0]
+        ok = integral > 1e-12
+        if ok.any():
+            worst = max(worst, float((growth[ok] / integral[ok]).max()))
+    return 2.0 * worst
+
+
+_DATA = [FieldSpec(kind="single_mode", k=(1, 0), amplitude=1.0),
+         FieldSpec(kind="random_band", band=3, amplitude=0.8, seed=21)]
+_FORCES = [FieldSpec(kind="zero"), FieldSpec(kind="random_band", band=2, amplitude=0.15, seed=11)]
+
+
+@pytest.fixture(scope="module")
+def small_runs():
+    """Four n=16 SQG runs (2 forces x 2 data) and one n=32 Burgers run, t in [0, 1]."""
+    cfg = SolverConfig(kappa=1.0, dt=1e-2, t_end=1.0, snapshot_dt=0.1)
+    grid = TorusGrid(2, 16)
+    runs = [run(build_field(d, grid), cfg, build_force(f, grid), report_ps=(2, 4))
+            for f in _FORCES for d in _DATA]
+    g1 = TorusGrid(1, 32)
+    runs.append(run(build_field(FieldSpec(kind="single_mode", k=(1,), amplitude=1.0), g1), cfg,
+                    build_force(FieldSpec(kind="single_mode", k=(2,), amplitude=0.1), g1),
+                    report_ps=(2, 4)))
+    return runs
+
+
+@pytest.fixture(scope="module")
+def consts():
+    return load_constants()
+
+
+def test_calibrate_c0_matches_oracle_and_check(small_runs, consts):
+    c0 = cal.calibrate_c0(small_runs)
+    assert c0 == oracle_c0(small_runs)
+    assert 1e-3 < 2.0 * c0 < 4.0
+    tight = replace(consts, c0=2.0 * c0)
+    assert all(decay_envelope_report(tr, p, tight).violations == 0
+               for tr in small_runs for p in (2, 4, np.inf))
+
+
+def test_calibrate_c5_matches_oracle_and_check(small_runs, consts):
+    c0 = cal.calibrate_c0(small_runs)
+    c5 = cal.calibrate_c5(small_runs, 0.2, c0)
+    assert c5 == oracle_c5(small_runs, 0.2, c0)
+    assert 0.05 < c5 / 2.0 < 64.0
+    tight = replace(consts, eps0=0.2, c0=c0, c5=c5 / 2.0)
+    for tr in small_runs:
+        alpha0, m_inf = holder_budget(tr.fields[0], tr.force.field, tr.config.kappa, tight)
+        if m_inf > 0.0:
+            for alpha in (alpha0, alpha0 / 2.0):
+                assert track_holder(tr, alpha, tight).falsification_count == 0
+
+
+def test_calibrate_eps1_matches_oracle_and_check(small_runs, consts):
+    sqg = small_runs[:4]
+    eps1 = cal.calibrate_eps1(sqg)
+    assert eps1 == oracle_eps1(sqg)
+    assert 1e-4 < 2.0 * eps1 < 8.0
+    tight = replace(consts, eps1=2.0 * eps1)
+    assert all(late_holder_violations(tr, tight) == 0 for tr in sqg)
+
+
+def test_calibrate_c2_matches_oracle_and_check():
+    fields = [random_band_field(TorusGrid(2, 32), 6, 1.0, seed) for seed in (0, 1)]
+    c2 = cal.calibrate_c2(fields)
+    assert c2 == oracle_c2(fields)
+    for phi in fields:
+        for h in cal.KERNEL_SHIFTS:
+            rep = nonlinear_lower_bound_check(phi, h, c2 / 2.0)
+            assert rep.empty or rep.min_ratio >= 1.0
+
+
+def test_calibrate_c_backward_matches_oracle_and_check():
+    cfg = SolverConfig(kappa=1.0, dt=1e-2, t_end=1.0, snapshot_dt=0.1)
+    grid = TorusGrid(2, 16)
+    pairs = []
+    for d, f in zip(_DATA, reversed(_FORCES)):
+        theta0, force = build_field(d, grid), build_force(f, grid)
+        pairs.append((run(theta0, cfg, force),
+                      run(theta0 + theta0 * cal.PAIR_PERTURBATION, cfg, force)))
+    cb = cal.calibrate_c_backward(pairs)
+    assert cb == oracle_c_backward(pairs)
+    assert cb > 0.0
+    assert all(log_convexity_monitor(t1, t2, cb / 2.0).violations == 0 for t1, t2 in pairs)

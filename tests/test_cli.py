@@ -7,8 +7,11 @@ import sys
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from critsqg.cli import EXIT_BLOWUP, EXIT_OK, EXIT_USAGE, main
-from critsqg.config import ConfigError, parse_config_text, preset_sections
+from critsqg.config import ConfigError, build_setup, parse_config_text, preset_sections
+from critsqg.solver import build_field, build_force
 from critsqg.snapshots import read_snapshot, write_snapshot
 from critsqg.spectral import SpectralField, TorusGrid
 
@@ -76,6 +79,61 @@ class TestConfigParsing:
     def test_unknown_preset_is_config_error(self):
         with pytest.raises(ConfigError, match="unknown preset"):
             preset_sections("no-such-preset")
+
+    @pytest.mark.parametrize("extra, message", [
+        ("[solver]\nn = 31\n", "n must be even"),
+        ("[initial]\nkind = bogus\n", "[initial] unknown field kind"),
+        ("[force]\nkind = single_mode\nkx = 0\n", "[force] single_mode wavevector"),
+        ("[tangent]\nreorth_every = 0\n", "reorth_every must be a positive integer"),
+        ("[solver]\ndt = abc\n", "bad value for 'dt'"),
+        ("[solver]\nt_end = inf\n", "not finite"),
+        ("[solver]\ncfl_budget = 0\n", "cfl_budget must be positive"),
+    ], ids=["odd_n", "unknown_kind", "zero_wavevector", "zero_reorth", "bad_dt", "inf_t_end",
+            "zero_cfl_budget"])
+    def test_bad_run_config_exit_2_before_manifest(self, tmp_path, capsys, extra, message):
+        # later sections override the same keys of SMALL_RUN; no case steps a field
+        text = SMALL_RUN + extra
+        with pytest.raises(ConfigError) as exc:
+            build_setup(parse_config_text(text))
+        assert message in str(exc.value) and str(exc.value).count("line ") == 1
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
+        assert not (out / "manifest.txt").exists()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        solver=st.dictionaries(
+            st.sampled_from(["dim", "n", "kappa", "dt", "t_end", "integrator", "dealias",
+                             "epsilon", "cfl_budget", "snapshot_dt"]),
+            st.sampled_from(["-1", "0", "1", "2", "3", "8", "16", "31", "32", "1e-3", "0.5",
+                             "nan", "inf", "x", "", "imex-cn", "etdrk2", "none"])),
+        initial=st.dictionaries(
+            st.sampled_from(["kind", "kx", "ky", "amplitude", "band", "seed"]),
+            st.sampled_from(["zero", "single_mode", "random_band", "bogus", "-2", "0", "1",
+                             "3", "0.8", "nan", "x", ""])),
+        force=st.dictionaries(
+            st.sampled_from(["kind", "kx", "ky", "amplitude", "band", "seed"]),
+            st.sampled_from(["zero", "single_mode", "random_band", "-1", "0", "2", "0.1", "y"])),
+        tangent=st.dictionaries(
+            st.sampled_from(["n_tangent", "reorth_every", "t_relax", "seed", "tangent_band"]),
+            st.sampled_from(["-1", "0", "1", "10", "0.5", "inf", "z"])),
+        seed_override=st.one_of(st.none(), st.integers(-5, 5)),
+    )
+    def test_build_setup_rejects_or_builds(self, solver, initial, force, tangent, seed_override):
+        # grids stay at n <= 32 and bands at <= 3, so building every field is cheap
+        sections = {"solver": {"n": "16", **solver}, "initial": initial, "force": force,
+                    "tangent": tangent}
+        try:
+            setup = build_setup(sections, seed_override)
+        except ConfigError:
+            return
+        grid = TorusGrid(setup.dim, setup.n)
+        build_field(setup.initial, grid)
+        build_force(setup.force, grid)
 
 
 class TestUsageErrors:
@@ -247,6 +305,17 @@ class TestVerifyKernels:
         assert rc == EXIT_OK
         assert (tmp_path / "o" / "kernel_report.csv").exists()
 
+    @pytest.mark.parametrize("row", ["0,6", "0,6,1.0,31", "0,six,1.0,32"])
+    def test_bad_corpus_row_exit_2_with_line(self, tmp_path, capsys, row):
+        corpus = tmp_path / "c.csv"
+        corpus.write_text(f"seed,band,norm,n\n0,6,1.0,32\n{row}\n")
+        out = tmp_path / "o"
+        rc = main(["verify-kernels", str(corpus), "--out", str(out)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "line 3" in err[0] and repr(row) in err[0]
+        assert not (out / "manifest.txt").exists()
+
     def test_non_mean_zero_file_field_exit_2(self, tmp_path, capsys):
         g = TorusGrid(2, 32)
         vals = np.ones(g.shape) + 0.1 * np.cos(np.arange(32))[:, None]
@@ -336,6 +405,20 @@ class TestDeterminism:
             a = (out1 / name).read_bytes()
             b = (out2 / name).read_bytes()
             assert a == b, name
+
+    def test_rerun_after_seed_override_byte_identical(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_RUN)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["simulate", "--config", str(cfg), "--seed-override", "3",
+                     "--out", str(out1)]) == EXIT_OK
+        # the manifest records the offset seeds, so the replay needs no override
+        sections = parse_config_text((out1 / "manifest.txt").read_text())
+        assert sections["initial"]["seed"] == "24" and sections["force"]["seed"] == "14"
+        assert main(["simulate", "--config", str(out1 / "manifest.txt"),
+                     "--out", str(out2)]) == EXIT_OK
+        for name in ("norms.csv", "holder.csv", "theta_initial.sqgf"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 class TestSnapshotFormat:

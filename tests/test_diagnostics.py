@@ -279,24 +279,6 @@ class TestReports:
         assert rep.window_violations == 0
 
 
-class TestEnvelopeSet:
-    def test_bundle_consistency(self, grid32, consts):
-        from critsqg.diagnostics import envelope_set
-        from critsqg.solver import random_band_field
-        from critsqg.spectral import lp_norm as _lp, sobolev_norm as _sn
-
-        theta0 = random_band_field(grid32, 4, 0.8, 21)
-        f = random_band_field(grid32, 3, 0.15, 11)
-        es = envelope_set(theta0, f, 1.0, consts)
-        a0, m_inf = holder_budget(theta0, f, 1.0, consts)
-        assert es.alpha0 == a0 and es.m_inf == m_inf
-        assert es.alpha0 <= 0.25 and es.alpha_star <= 0.25
-        assert es.t_alpha >= 0.0
-        assert set(es.m_p) == {2, 4, "inf"}
-        ac = absorbing_constants(_lp(f, np.inf), _sn(f, 1.0), 1.0, consts)
-        assert es.m_1f == ac.m_1f and es.m_32f == ac.m_32f and es.m_2f == ac.m_2f
-
-
 class TestConstantsIO:
     def test_roundtrip(self, tmp_path, consts):
         path = tmp_path / "c.txt"
