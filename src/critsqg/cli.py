@@ -104,10 +104,7 @@ def _norm_rows(traj: Trajectory):
 
 
 def _run_with_probes(args, sections, command: str) -> int:
-    setup = build_setup(sections, args.seed_override)
-    want_dim = 1 if command == "burgers" else 2
-    if setup.dim != want_dim:
-        raise ConfigError(0, f"{command} requires dim = {want_dim}, config has dim = {setup.dim}")
+    setup = build_setup(sections, args.seed_override, command)
     grid = TorusGrid(setup.dim, setup.n)
     consts = load_constants()
     outputs = ["norms.csv", "theta_initial.sqgf", "theta_final.sqgf"]
@@ -261,9 +258,7 @@ def _cmd_verify_kernels(args) -> int:
 
 def _cmd_dimension(args) -> int:
     sections = _load_sections(args)
-    setup = build_setup(sections, args.seed_override)
-    if setup.dim != 2:
-        raise ConfigError(0, "dimension requires dim = 2")
+    setup = build_setup(sections, args.seed_override, "dimension")
     n_max = args.n_max if args.n_max is not None else setup.tangent_n
     if n_max <= 0:
         raise ConfigError(0, "n-max must be a positive integer")

@@ -52,7 +52,18 @@ _SCHEMA = {
 }
 
 
+class _Value(str):
+    """A config value that remembers its 1-based line (0 for presets and derived values)."""
+
+    lineno = 0
+
+
+def _line(kv: Dict[str, str], key: str) -> int:
+    return getattr(kv.get(key), "lineno", 0)
+
+
 def parse_config_text(text: str) -> Dict[str, Dict[str, str]]:
+    """``{section: {key: value}}``; each value is a ``str`` that also carries its line."""
     sections: Dict[str, Dict[str, str]] = {}
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -72,7 +83,9 @@ def parse_config_text(text: str) -> Dict[str, Dict[str, str]]:
         key, val = (s.strip() for s in line.split("=", 1))
         if current != "manifest" and key not in _SCHEMA[current]:
             raise ConfigError(lineno, f"unknown key {key!r} in section [{current}]")
-        sections[current][key] = val
+        value = _Value(val)
+        value.lineno = lineno
+        sections[current][key] = value
     sections.pop("manifest", None)
     return sections
 
@@ -82,32 +95,47 @@ def parse_config_file(path: str) -> Dict[str, Dict[str, str]]:
         return parse_config_text(fh.read())
 
 
-def _get(kv: Dict[str, str], key: str, cast, default):
-    """``cast(kv[key])``, or ``default`` when absent; a float must be finite."""
+def _get(kv: Dict[str, str], key: str, cast, default, limit=None):
+    """``cast(kv[key])``, or ``default`` when absent; finite if a float, at most ``limit`` if given."""
     if key not in kv:
         return default
     try:
         value = cast(kv[key])
     except ValueError as exc:
-        raise ConfigError(0, f"bad value for {key!r}: {kv[key]!r} ({exc})") from exc
+        raise ConfigError(_line(kv, key), f"bad value for {key!r}: {kv[key]!r} ({exc})") from exc
     if cast is float and not math.isfinite(value):
-        raise ConfigError(0, f"bad value for {key!r}: {kv[key]!r} (not finite)")
+        raise ConfigError(_line(kv, key), f"bad value for {key!r}: {kv[key]!r} (not finite)")
+    if limit is not None and value > limit:
+        raise ConfigError(_line(kv, key), f"{key} must be <= {limit}, got {value}")
     return value
 
 
-def _field_spec(kv: Dict[str, str], dim: int, section: str) -> FieldSpec:
+def _field_spec(kv: Dict[str, str], grid: TorusGrid, section: str) -> FieldSpec:
+    """The ``[initial]``/``[force]`` recipe, checked against the run grid without building it."""
     spec = FieldSpec(
         kind=kv.get("kind", "zero"),
         k=(_get(kv, "kx", int, 1), _get(kv, "ky", int, 0)),
         amplitude=_get(kv, "amplitude", float, 1.0),
-        band=_get(kv, "band", int, 4),
+        # a random field's normalization grid grows with its band, whatever n is
+        band=_get(kv, "band", int, 4, limit=grid.n // 2),
         seed=_get(kv, "seed", int, 0),
         path=kv.get("path", ""),
     )
     try:
-        check_field_spec(spec, dim)
+        check_field_spec(spec, grid.dim)
     except ValueError as exc:
-        raise ConfigError(0, f"[{section}] {exc}") from exc
+        # an unknown kind, or a single_mode wavevector that is zero
+        keys = ("kind",) if "kind" in str(exc) else ("kx", "ky")
+        raise ConfigError(max(_line(kv, k) for k in keys), f"[{section}] {exc}") from exc
+    if spec.kind == "file":
+        from .snapshots import snapshot_header
+
+        try:
+            got, _t = snapshot_header(spec.path)
+            if got != grid:
+                raise ValueError(f"snapshot grid {got} does not match run grid {grid}")
+        except (OSError, ValueError) as exc:
+            raise ConfigError(_line(kv, "path"), f"[{section}] {exc}") from exc
     return spec
 
 
@@ -142,11 +170,12 @@ def _holder_alpha(raw: Optional[str]) -> Optional[str]:
     except ValueError:
         alpha = np.nan
     if not 0.0 < alpha <= 1.0:
-        raise ConfigError(0, f"holder_alpha must be auto or a number in (0, 1], got {raw!r}")
+        raise ConfigError(getattr(raw, "lineno", 0),
+                          f"holder_alpha must be auto or a number in (0, 1], got {raw!r}")
     return raw
 
 
-def _envelope_p(tok: str):
+def _envelope_p(tok: str, lineno: int):
     """One Lebesgue exponent: ``inf`` or an even integer >= 2."""
     if tok == "inf":
         return np.inf
@@ -155,16 +184,23 @@ def _envelope_p(tok: str):
     except ValueError:
         p = 0
     if p < 2 or p % 2:
-        raise ConfigError(0, f"decay_envelope_ps entries must be inf or even integers >= 2, got {tok!r}")
+        raise ConfigError(lineno, f"decay_envelope_ps entries must be inf or even integers >= 2, "
+                                  f"got {tok!r}")
     return p
 
 
-def build_setup(sections: Dict[str, Dict[str, str]], seed_override: Optional[int] = None) -> RunSetup:
+# the grid dimension each run command integrates on
+_COMMAND_DIM = {"simulate": 2, "burgers": 1, "dimension": 2}
+
+
+def build_setup(sections: Dict[str, Dict[str, str]], seed_override: Optional[int] = None,
+                command: Optional[str] = None) -> RunSetup:
     """Decode and validate a config; every bad value raises :class:`ConfigError`.
 
     ``seed_override`` offsets the ``[initial]`` and ``[force]`` seeds, and
     ``RunSetup.sections`` records the offset seeds, so a manifest written from
-    them replays the run without the override.
+    them replays the run without the override.  A ``command`` (a key of
+    ``_COMMAND_DIM``) also requires the ``dim`` it integrates on.
     """
     if seed_override is not None:
         sections = {sec: dict(kv) for sec, kv in sections.items()}
@@ -186,24 +222,30 @@ def build_setup(sections: Dict[str, Dict[str, str]], seed_override: Optional[int
         snapshot_dt=_get(sol, "snapshot_dt", float, 0.1),
     )
     try:
-        TorusGrid(dim, n)
+        grid = TorusGrid(dim, n)
         solver = SolverConfig(**solver_values)
     except ValueError as exc:
-        raise ConfigError(0, str(exc)) from exc
+        # the message starts with the name of the offending key
+        raise ConfigError(_line(sol, str(exc).split()[0]), str(exc)) from exc
+    if command is not None and dim != _COMMAND_DIM[command]:
+        raise ConfigError(_line(sol, "dim"), f"{command} requires dim = {_COMMAND_DIM[command]}, "
+                                             f"config has dim = {dim}")
     probes = sections.get("probes", {})
     holder_alpha = _holder_alpha(probes.get("holder_alpha"))
     ps_raw = probes.get("decay_envelope_ps", "")
-    ps = tuple(_envelope_p(tok) for tok in filter(None, (t.strip() for t in ps_raw.split(","))))
+    ps = tuple(_envelope_p(tok, _line(probes, "decay_envelope_ps"))
+               for tok in filter(None, (t.strip() for t in ps_raw.split(","))))
     tangent = sections.get("tangent", {})
     reorth = _get(tangent, "reorth_every", int, 10)
     if reorth < 1:
-        raise ConfigError(0, f"reorth_every must be a positive integer, got {reorth}")
+        raise ConfigError(_line(tangent, "reorth_every"),
+                          f"reorth_every must be a positive integer, got {reorth}")
     return RunSetup(
         dim=dim,
         n=n,
         solver=solver,
-        initial=_field_spec(sections.get("initial", {}), dim, "initial"),
-        force=_field_spec(sections.get("force", {}), dim, "force"),
+        initial=_field_spec(sections.get("initial", {}), grid, "initial"),
+        force=_field_spec(sections.get("force", {}), grid, "force"),
         holder_alpha=holder_alpha,
         decay_envelope_ps=ps,
         absorption=probes.get("absorption", "0") in ("1", "true", "yes"),
@@ -211,7 +253,7 @@ def build_setup(sections: Dict[str, Dict[str, str]], seed_override: Optional[int
         tangent_reorth=reorth,
         tangent_relax=_get(tangent, "t_relax", float, 4.0),
         tangent_seed=_get(tangent, "seed", int, 7),
-        tangent_band=_get(tangent, "tangent_band", int, 3),
+        tangent_band=_get(tangent, "tangent_band", int, 3, limit=n // 2),
         sections=sections,
     )
 

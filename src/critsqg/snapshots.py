@@ -28,6 +28,7 @@ __all__ = [
     "SNAPSHOT_VERSION",
     "write_snapshot",
     "read_snapshot",
+    "snapshot_header",
     "write_csv",
     "format_cell",
     "sha256_of_file",
@@ -46,26 +47,29 @@ def write_snapshot(path: str, field: SpectralField, t: float) -> None:
         fh.write(field.values().astype("<f8").tobytes(order="C"))
 
 
+def snapshot_header(path: str):
+    """``(grid, time)`` from the header of a snapshot file."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+    if len(head) != _HEADER.size:
+        raise ValueError(f"{path}: truncated snapshot header")
+    magic, version, dim, n, t = _HEADER.unpack(head)
+    if magic != SNAPSHOT_MAGIC:
+        raise ValueError(f"{path}: bad magic {magic!r}")
+    if version != SNAPSHOT_VERSION:
+        raise ValueError(f"{path}: unsupported snapshot version {version}")
+    return TorusGrid(int(dim), int(n)), float(t)
+
+
 def read_snapshot(path: str, demean: bool = False):
     """Read a snapshot; returns ``(field, time)``.
 
     Raises :class:`~critsqg.spectral.MeanZeroError` when the stored values are
     not mean-free, unless ``demean`` is set.
     """
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise ValueError(f"{path}: truncated snapshot header")
-        magic, version, dim, n, t = _HEADER.unpack(head)
-        if magic != SNAPSHOT_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        if version != SNAPSHOT_VERSION:
-            raise ValueError(f"{path}: unsupported snapshot version {version}")
-        grid = TorusGrid(int(dim), int(n))
-        count = n**dim
-        data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
-    values = data.reshape(grid.shape)
-    return SpectralField.from_values(grid, values, demean=demean), float(t)
+    grid, t = snapshot_header(path)
+    data = np.fromfile(path, dtype="<f8", count=grid.n**grid.dim, offset=_HEADER.size)
+    return SpectralField.from_values(grid, data.reshape(grid.shape), demean=demean), t
 
 
 def format_cell(x) -> str:

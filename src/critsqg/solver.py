@@ -32,8 +32,8 @@ import numpy as np
 from .spectral import (
     SpectralField,
     TorusGrid,
-    dealias,
-    gradient,
+    _collocation,
+    _product_coeffs,
     inner_l2,
     lp_norm,
     norm_report,
@@ -64,10 +64,10 @@ __all__ = [
 
 
 class BlowupError(RuntimeError):
-    """Integration produced NaN/Inf; carries the last valid state and time."""
+    """Integration produced NaN/Inf or a runaway velocity; carries the last valid state and time."""
 
-    def __init__(self, t: float, last_state: SpectralField):
-        super().__init__(f"integration blew up at t={t:.6g} (NaN/Inf in field)")
+    def __init__(self, t: float, last_state: SpectralField, cause: str = "NaN/Inf in field"):
+        super().__init__(f"integration blew up at t={t:.6g} ({cause})")
         self.t = t
         self.last_state = last_state
 
@@ -87,18 +87,17 @@ class SolverConfig:
     snapshot_dt: float = 0.1
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-        if self.dt <= 0 or self.t_end < 0 or self.snapshot_dt <= 0:
-            raise ValueError("dt and snapshot_dt must be positive and t_end nonnegative")
+        # each message starts with the name of the offending field
+        for name in ("kappa", "dt", "snapshot_dt", "cfl_budget"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("t_end", "epsilon", "mollifier_width"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.integrator not in ("imex-cn", "etdrk2"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
+            raise ValueError(f"integrator must be imex-cn or etdrk2, got {self.integrator!r}")
         if self.dealias not in ("two-thirds", "none"):
-            raise ValueError(f"unknown dealias rule {self.dealias!r}")
-        if self.epsilon < 0 or self.mollifier_width < 0:
-            raise ValueError("epsilon and mollifier_width must be >= 0")
-        if self.cfl_budget <= 0:
-            raise ValueError("cfl_budget must be positive")
+            raise ValueError(f"dealias must be two-thirds or none, got {self.dealias!r}")
 
 
 @dataclass(frozen=True)
@@ -204,25 +203,44 @@ def mollify_force(f: SpectralField, width: float) -> SpectralField:
     return SpectralField.from_coeffs(f.grid, f.coeffs * sym)
 
 
-def _maybe_dealias(field: SpectralField, rule: str) -> SpectralField:
-    return dealias(field) if rule == "two-thirds" else field
+def _transport_values(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Collocation values ``(u_1, u_2, d_x, d_y)`` of each field of an ``(m, n, n)`` stack.
+
+    ``u`` is the perpendicular-Riesz velocity and ``d`` the gradient; the
+    ``(4, m, n, n)`` result comes from one batched inverse transform.
+    """
+    c = coeffs * grid.transport_symbols[:, None]
+    return _collocation(grid, c, out=c)
+
+
+def _advection_coeffs(grid: TorusGrid, adv: np.ndarray, rule: str) -> np.ndarray:
+    """Coefficients of ``-adv`` for a stack of collocation products, dealiased under ``rule``."""
+    c = _product_coeffs(grid, -adv)
+    if rule == "two-thirds":
+        c *= grid.dealias_mask
+    return c
+
+
+def _sqg_advection(grid: TorusGrid, values: np.ndarray, rule: str) -> np.ndarray:
+    """Coefficients of ``-u . grad theta`` from the ``_transport_values`` of a stack."""
+    u1, u2, gx, gy = values
+    return _advection_coeffs(grid, u1 * gx + u2 * gy, rule)
 
 
 def nonlinear_term(theta: SpectralField, rule: str = "two-thirds") -> SpectralField:
     """``-u . grad theta`` for SQG, pseudo-spectral, dealiased, mean-free."""
-    u1, u2 = riesz_perp(theta)
-    gx, gy = gradient(theta)
-    adv = u1.values() * gx.values() + u2.values() * gy.values()
-    out = SpectralField._from_product(theta.grid, -adv)
-    return _maybe_dealias(out, rule)
+    grid = theta.grid
+    c = _sqg_advection(grid, _transport_values(grid, theta.coeffs[None]), rule)[0]
+    return SpectralField._trusted(grid, c)
 
 
 def burgers_nonlinear_term(theta: SpectralField, rule: str = "two-thirds") -> SpectralField:
     """``-(theta^2 / 2)_x`` in conservative form, dealiased, mean-free."""
-    sq = SpectralField._from_product(theta.grid, theta.values() ** 2)
-    sq = _maybe_dealias(sq, rule)
-    (ddx,) = gradient(sq)
-    return ddx * (-0.5)
+    grid = theta.grid
+    sq = _product_coeffs(grid, theta.values() ** 2)
+    if rule == "two-thirds":
+        sq *= grid.dealias_mask
+    return SpectralField._trusted(grid, sq * grid.gradient_symbols[0] * -0.5)
 
 
 def velocity_max(theta: SpectralField) -> float:
@@ -240,17 +258,19 @@ class _Stepper:
     The explicit part uses Heun stages around the implicit/exponential
     treatment of the diagonal symbol ``L = kappa*|k| + epsilon*|k|^2``.  The
     Crank-Nicolson variant makes single-mode steady states exact fixed points.
+    The stages carry an ``(m, n, n)`` stack of tangent coefficients beside the
+    base state with the same coefficients; this class carries none, and
+    ``tangent.CoupledStepper`` adds the derivative stack in ``_rhs``.
     """
 
-    def __init__(self, grid: TorusGrid, config: SolverConfig, force: SpectralField,
-                 nonlinear: Callable[[SpectralField, str], SpectralField]):
+    def __init__(self, grid: TorusGrid, config: SolverConfig, force: SpectralField):
         self.grid = grid
         self.config = config
-        self.nonlinear = nonlinear
         self.force = mollify_force(force, config.mollifier_width)
         kmag = grid.kmag
         self.L = config.kappa * kmag + config.epsilon * kmag**2
         self._coef: dict = {}
+        self._no_tangents = np.zeros((0,) + grid.shape, dtype=np.complex128)
         self.cfl_reductions = 0
 
     def _coefficients(self, dt: float):
@@ -270,23 +290,26 @@ class _Stepper:
         self._coef[dt] = coef
         return coef
 
-    def rhs_explicit(self, theta: SpectralField) -> SpectralField:
-        return self.nonlinear(theta, self.config.dealias) + self.force
+    def _rhs(self, coeffs: np.ndarray, xs: np.ndarray):
+        """Explicit stage terms: ``N(theta) + f``, and the tangent stack ``xs`` (empty) as is."""
+        nonlinear = nonlinear_term if self.grid.dim == 2 else burgers_nonlinear_term
+        theta = SpectralField._trusted(self.grid, coeffs)
+        return nonlinear(theta, self.config.dealias).coeffs + self.force.coeffs, xs
 
-    def advance(self, theta: SpectralField, dt: float) -> SpectralField:
+    def _heun(self, coeffs: np.ndarray, xs: np.ndarray, dt: float):
+        """One step of the base coefficients and the tangent stack ``xs``; returns both."""
+        g1, d1 = self._rhs(coeffs, xs)
         if self.config.integrator == "imex-cn":
             a, b = self._coefficients(dt)
-            g1 = self.rhs_explicit(theta)
-            mid = SpectralField._trusted(self.grid, (a * theta.coeffs + dt * g1.coeffs) * b)
-            g2 = self.rhs_explicit(mid)
-            out = (a * theta.coeffs + 0.5 * dt * (g1.coeffs + g2.coeffs)) * b
-            return SpectralField._trusted(self.grid, out)
+            g2, d2 = self._rhs((a * coeffs + dt * g1) * b, (a * xs + dt * d1) * b)
+            return (a * coeffs + 0.5 * dt * (g1 + g2)) * b, (a * xs + 0.5 * dt * (d1 + d2)) * b
         E, phi1, phi2 = self._coefficients(dt)
-        g1 = self.rhs_explicit(theta)
-        mid = SpectralField._trusted(self.grid, E * theta.coeffs + dt * phi1 * g1.coeffs)
-        g2 = self.rhs_explicit(mid)
-        out = mid.coeffs + dt * phi2 * (g2.coeffs - g1.coeffs)
-        return SpectralField._trusted(self.grid, out)
+        mid, x_mid = E * coeffs + dt * phi1 * g1, E * xs + dt * phi1 * d1
+        g2, d2 = self._rhs(mid, x_mid)
+        return mid + dt * phi2 * (g2 - g1), x_mid + dt * phi2 * (d2 - d1)
+
+    def advance(self, theta: SpectralField, dt: float) -> SpectralField:
+        return SpectralField._trusted(self.grid, self._heun(theta.coeffs, self._no_tangents, dt)[0])
 
     def checked_advance(self, theta: SpectralField, dt: float, t: float) -> SpectralField:
         """``advance`` from time ``t``; NaN/Inf in the result is a blowup stamped ``t + dt``."""
@@ -295,15 +318,25 @@ class _Stepper:
             raise BlowupError(t + dt, theta)
         return out
 
-    def cfl_dt(self, theta: SpectralField, dt: float) -> float:
+    def cfl_dt(self, theta: SpectralField, dt: float, t: float = 0.0) -> float:
+        """``dt`` halved until it meets the advective CFL budget of ``theta`` at time ``t``.
+
+        A non-finite velocity, or a step that would fall below ``config.dt *
+        2**-40``, is a blowup stamped ``t``.
+        """
         umax = velocity_max(theta)
+        if not math.isfinite(umax):
+            raise BlowupError(t, theta, "non-finite velocity")
         if umax <= 0:
             return dt
         budget = self.config.cfl_budget * 2.0 * np.pi / (umax * self.grid.n)
         if dt > budget:
             self.cfl_reductions += 1
+        floor = self.config.dt * 2.0**-40
         while dt > budget:
             dt *= 0.5
+            if dt < floor:
+                raise BlowupError(t, theta, f"CFL step below {floor:.3g}, velocity {umax:.3g}")
         return dt
 
 
@@ -312,35 +345,31 @@ def integrate(step: Callable, cfl_dt: Callable, state, t: float, target: float, 
     """Step ``state`` from ``t`` towards ``target`` and return ``(state, t)``.
 
     Each step is ``state = step(state, h, t)`` with ``h = min(cfl_dt(state,
-    dt), target - t)``; a blowup raises :class:`BlowupError` stamped ``t + h``.
-    Stops after ``max_steps`` steps, or within 1e-12 of ``target`` and then
-    returns ``t`` as exactly ``target``.
+    dt, t), target - t)``; a blowup raises :class:`BlowupError` stamped
+    ``t + h`` (``t`` when the CFL rule finds no usable step).  Stops after
+    ``max_steps`` steps, or within 1e-12 of ``target`` and then returns ``t``
+    as exactly ``target``.
     """
     steps = 0
     while t < target - 1e-12 and (max_steps is None or steps < max_steps):
-        h = min(cfl_dt(state, dt), target - t)
+        h = min(cfl_dt(state, dt, t), target - t)
         state = step(state, h, t)
         t += h
         steps += 1
     return state, (target if t >= target - 1e-12 else t)
 
 
-def _single_step(theta: SpectralField, config: SolverConfig, force: SpectralField,
-                 nonlinear) -> SpectralField:
-    stepper = _Stepper(theta.grid, config, force, nonlinear)
-    return stepper.checked_advance(theta, stepper.cfl_dt(theta, config.dt), 0.0)
-
-
 def step(theta: SpectralField, config: SolverConfig, force: SpectralField) -> SpectralField:
-    """Advance one dt of forced SQG (2D); see :class:`_Stepper` for the scheme."""
-    return _single_step(theta, config, force, nonlinear_term)
+    """Advance one dt of forced SQG (critical Burgers on a 1D grid); see :class:`_Stepper`."""
+    stepper = _Stepper(theta.grid, config, force)
+    return stepper.checked_advance(theta, stepper.cfl_dt(theta, config.dt), 0.0)
 
 
 def burgers_step(theta: SpectralField, config: SolverConfig, force: SpectralField) -> SpectralField:
     """Advance one dt of critical Burgers (1D), same IMEX treatment."""
     if theta.grid.dim != 1:
         raise ValueError("burgers_step requires a 1D grid")
-    return _single_step(theta, config, force, burgers_nonlinear_term)
+    return step(theta, config, force)
 
 
 @dataclass
@@ -376,9 +405,7 @@ def run(
     are called at every snapshot with ``(t, field)``; norm reports are
     recorded per snapshot.  Blowup propagates as :class:`BlowupError`.
     """
-    grid = theta0.grid
-    nonlinear = nonlinear_term if grid.dim == 2 else burgers_nonlinear_term
-    stepper = _Stepper(grid, config, force.field, nonlinear)
+    stepper = _Stepper(theta0.grid, config, force.field)
 
     def snap(t, fld, traj):
         traj.times.append(t)

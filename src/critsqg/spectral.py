@@ -127,6 +127,11 @@ class TorusGrid:
         return self._frozen(np.stack([1j * k for k in self.kvecs]))
 
     @cached_property
+    def transport_symbols(self) -> np.ndarray:
+        """``(4, n, n)``: the Riesz symbols, then the gradient symbols (2D only)."""
+        return self._frozen(np.concatenate((self.riesz_symbols, self.gradient_symbols)))
+
+    @cached_property
     def nyquist_mask(self) -> np.ndarray:
         """Boolean mask of modes with any component equal to n/2."""
         k = self.wavenumbers
@@ -153,16 +158,22 @@ class TorusGrid:
         return self._frozen(mx & my)
 
 
-def _collocation(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+def _collocation(grid: TorusGrid, coeffs: np.ndarray, out=None) -> np.ndarray:
     """Real collocation values of a coefficient array or of a stack of them.
 
     The transform runs over the trailing grid axes; leading axes index
     independent fields and go through one batched call.  (Passing ``s`` as
     well as ``axes`` keeps numpy's per-call overhead at that of the default
-    call; per field the result is the same.)
+    call; per field the result is the same.)  The coefficients are scaled
+    into ``out`` (a new array by default; a caller's own temporary may pass
+    itself) and transformed there in place, because each large temporary
+    (128 KiB and up, glibc's default mmap threshold) is fresh memory that
+    page-faults when first written.
     """
     axes = tuple(range(-grid.dim, 0))
-    return np.real(np.fft.ifftn(coeffs * grid.n**grid.dim, s=grid.shape, axes=axes))
+    c = np.multiply(coeffs, grid.n**grid.dim, out=out)
+    np.fft.ifftn(c, s=grid.shape, axes=axes, out=c)
+    return c.real
 
 
 def _product_coeffs(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
@@ -172,7 +183,8 @@ def _product_coeffs(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     Nyquist projections are applied.
     """
     axes = tuple(range(-grid.dim, 0))
-    c = np.fft.fftn(values, s=grid.shape, axes=axes) / grid.n**grid.dim
+    c = np.fft.fftn(values, s=grid.shape, axes=axes)
+    c /= grid.n**grid.dim
     c[(...,) + (0,) * grid.dim] = 0.0
     np.copyto(c, 0.0, where=grid.nyquist_mask)
     return c
@@ -219,17 +231,6 @@ class SpectralField:
         """
         coeffs.setflags(write=False)
         return SpectralField(grid, coeffs)
-
-    @staticmethod
-    def _from_product(grid: TorusGrid, values: np.ndarray) -> "SpectralField":
-        """Transform real collocation values, projecting out mean and Nyquist.
-
-        Internal fast path for pointwise products inside time steppers; see
-        :func:`_product_coeffs`.
-        """
-        c = _product_coeffs(grid, values)
-        c.setflags(write=False)
-        return SpectralField(grid, c)
 
     @staticmethod
     def from_values(grid: TorusGrid, values: np.ndarray, demean: bool = False) -> "SpectralField":

@@ -39,8 +39,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .spectral import SpectralField, TorusGrid, _collocation, _product_coeffs, inner_h1
-from .solver import BlowupError, Force, SolverConfig, _Stepper, integrate, nonlinear_term
+from .spectral import SpectralField, TorusGrid, inner_h1
+from .solver import (
+    BlowupError,
+    Force,
+    SolverConfig,
+    _advection_coeffs,
+    _sqg_advection,
+    _Stepper,
+    _transport_values,
+    integrate,
+)
 
 __all__ = [
     "linearized_rhs",
@@ -69,22 +78,6 @@ def _stack(grid: TorusGrid, fields: Sequence[SpectralField]) -> np.ndarray:
     """``(m, n, n)`` coefficient stack of ``m`` fields (``m`` may be 0)."""
     coeffs = np.array([f.coeffs for f in fields], dtype=np.complex128)
     return coeffs.reshape((len(fields),) + grid.shape)
-
-
-def _transport_values(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Collocation values ``(u_1, u_2, d_x, d_y)`` of each field of an ``(m, n, n)`` stack.
-
-    ``u`` is the perpendicular-Riesz velocity and ``d`` the gradient; the
-    ``(4, m, n, n)`` result comes from one batched inverse transform.
-    """
-    symbols = np.concatenate((grid.riesz_symbols, grid.gradient_symbols))
-    return _collocation(grid, coeffs * symbols[:, None])
-
-
-def _advection_coeffs(grid: TorusGrid, adv: np.ndarray, rule: str) -> np.ndarray:
-    """Coefficients of ``-adv`` for a stack of collocation products, dealiased under ``rule``."""
-    c = _product_coeffs(grid, -adv)
-    return c * grid.dealias_mask if rule == "two-thirds" else c
 
 
 def _transport_derivative(grid: TorusGrid, base: np.ndarray, coeffs: np.ndarray,
@@ -120,35 +113,32 @@ def linearized_rhs(theta: SpectralField, xi: SpectralField, kappa: float,
     return SpectralField._trusted(theta.grid, out[0])
 
 
-class CoupledStepper:
+class CoupledStepper(_Stepper):
     """Advance a base SQG state and tangent fields in lockstep.
 
-    The tangent update is the exact derivative of the base IMEX-CN/Heun step:
-    stage one linearizes about ``theta^n``, stage two about the predictor
-    state, with identical implicit treatment of the dissipative symbol.
-
-    The ``m`` tangents advance together as one ``(m, n, n)`` coefficient
-    stack.  Each stage transforms the base velocity and gradient once, forms
-    the base nonlinear term from them, and reuses them for every tangent.
+    The tangent update is the exact derivative of the base Heun step (IMEX-CN
+    or ETDRK2): both go through the one stage body of :class:`_Stepper`, which
+    carries the tangents as an ``(m, n, n)`` coefficient stack.  Stage one
+    linearizes about ``theta^n``, stage two about the predictor state, with
+    identical treatment of the dissipative symbol.  Each stage transforms the
+    base velocity and gradient once, forms the base nonlinear term from them,
+    and reuses them for every tangent.  Base-only steps are the inherited
+    :meth:`checked_advance`.
     """
 
     def __init__(self, grid: TorusGrid, config: SolverConfig, force: Force):
         if grid.dim != 2:
             raise ValueError("tangent dynamics implemented on the 2-torus")
-        if config.integrator != "imex-cn":
-            raise ValueError("tangent stepping mirrors the imex-cn integrator")
-        self._base = _Stepper(grid, config, force.field, nonlinear_term)
-        self.grid = grid
-        self.config = config
+        super().__init__(grid, config, force.field)
 
     def _rhs(self, coeffs: np.ndarray, xs: np.ndarray):
-        """Explicit stage terms: ``N(theta) + f`` and the derivative stack along ``xs``."""
+        """Base stage term and derivative stack from one set of base transforms."""
+        if not len(xs):
+            return super()._rhs(coeffs, xs)
         rule = self.config.dealias
         base = _transport_values(self.grid, coeffs[None])
-        u1, u2, tx, ty = base
-        g = _advection_coeffs(self.grid, u1 * tx + u2 * ty, rule)[0] + self._base.force.coeffs
-        # base-only steps (relax phases, the Frechet and continuity pairs) skip the empty stack
-        return g, _transport_derivative(self.grid, base, xs, rule) if len(xs) else xs
+        return (_sqg_advection(self.grid, base, rule)[0] + self.force.coeffs,
+                _transport_derivative(self.grid, base, xs, rule))
 
     def step(self, theta: SpectralField, xis: Sequence[SpectralField], dt: float, *,
              t: float = 0.0):
@@ -157,23 +147,15 @@ class CoupledStepper:
         A non-finite base or tangent coefficient raises :class:`BlowupError`
         stamped ``t + dt``, carrying ``theta``.
         """
-        a, b = self._base._coefficients(dt)
-        xs = _stack(self.grid, xis)
-        g1, d1 = self._rhs(theta.coeffs, xs)
-        g2, d2 = self._rhs((a * theta.coeffs + dt * g1) * b, (a * xs + dt * d1) * b)
-        theta_new = (a * theta.coeffs + 0.5 * dt * (g1 + g2)) * b
-        xs_new = (a * xs + 0.5 * dt * (d1 + d2)) * b
+        theta_new, xs_new = self._heun(theta.coeffs, _stack(self.grid, xis), dt)
         if not (np.all(np.isfinite(theta_new)) and np.all(np.isfinite(xs_new))):
             raise BlowupError(t + dt, theta)
         return (SpectralField._trusted(self.grid, theta_new),
                 [SpectralField._trusted(self.grid, x) for x in xs_new])
 
-    def cfl_dt(self, theta: SpectralField, dt: float) -> float:
-        return self._base.cfl_dt(theta, dt)
-
-    def lead_cfl_dt(self, state: tuple, dt: float) -> float:
+    def lead_cfl_dt(self, state: tuple, dt: float, t: float) -> float:
         """``cfl_dt`` of a tuple state led by the base: every member takes the base's step."""
-        return self._base.cfl_dt(state[0], dt)
+        return self.cfl_dt(state[0], dt, t)
 
 
 def h1_gram_schmidt(xis: Sequence[SpectralField]):
@@ -345,10 +327,8 @@ def volume_and_trace_run(
     grid = theta0.grid
     stepper = CoupledStepper(grid, config, force)
 
-    def base_step(theta, dt, t):
-        return stepper.step(theta, (), dt, t=t)[0]
-
-    theta, t_relaxed = integrate(base_step, stepper.cfl_dt, theta0, 0.0, t_relax, config.dt)
+    theta, t_relaxed = integrate(stepper.checked_advance, stepper.cfl_dt, theta0, 0.0, t_relax,
+                                 config.dt)
 
     from .solver import random_band_field
 
@@ -359,13 +339,16 @@ def volume_and_trace_run(
     def coupled_step(state, dt, t_run):
         return stepper.step(state[0], state[1], dt, t=t_relaxed + t_run)
 
+    def coupled_cfl_dt(state, dt, t_run):
+        return stepper.lead_cfl_dt(state, dt, t_relaxed + t_run)
+
     times = [0.0]
     traces = [_trace_per_m(theta, xis, config.kappa, config.dealias)]
     logv = [np.zeros(n_tangent)]
     acc = np.zeros(n_tangent)
     t_run = 0.0
     while t_run < t_end:
-        (theta, xis), t_run = integrate(coupled_step, stepper.lead_cfl_dt, (theta, xis),
+        (theta, xis), t_run = integrate(coupled_step, coupled_cfl_dt, (theta, xis),
                                         t_run, t_end, config.dt, max_steps=reorth_every)
         norms = [math.sqrt(max(inner_h1(xi, xi), 0.0)) for xi in xis]
         top, bot = max(norms), min(norms)
@@ -452,7 +435,7 @@ def frechet_residual(
     def pair_step(state, dt, t):
         theta, xi, phi = state
         theta, (xi,) = stepper.step(theta, (xi,), dt, t=t)
-        return theta, xi, stepper.step(phi, (), dt, t=t)[0]
+        return theta, xi, stepper.checked_advance(phi, dt, t)
 
     def advance_pairs(r: float):
         """Return eta ratios at the requested times for one scale."""
@@ -510,7 +493,7 @@ def continuity_test(
     stepper = CoupledStepper(theta0.grid, config, force)
 
     def pair_step(state, dt, t):
-        return tuple(stepper.step(fld, (), dt, t=t)[0] for fld in state)
+        return tuple(stepper.checked_advance(fld, dt, t) for fld in state)
 
     state = (theta0, theta0 + perturbation)
     out = []

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from critsqg.cli import EXIT_BLOWUP, EXIT_OK, EXIT_USAGE, main
 from critsqg.config import ConfigError, build_setup, parse_config_text, preset_sections
 from critsqg.solver import build_field, build_force
-from critsqg.snapshots import read_snapshot, write_snapshot
+from critsqg.snapshots import read_snapshot, write_manifest, write_snapshot
 from critsqg.spectral import SpectralField, TorusGrid
 
 
@@ -134,6 +134,112 @@ class TestConfigParsing:
         grid = TorusGrid(setup.dim, setup.n)
         build_field(setup.initial, grid)
         build_force(setup.force, grid)
+
+
+    @pytest.mark.parametrize("extra", [
+        "[solver]\ndt = abc\n",
+        "[solver]\nt_end = inf\n",
+        "[solver]\nn = 31\n",
+        "[solver]\ndim = 3\n",
+        "[solver]\nkappa = 0\n",
+        "[solver]\nsnapshot_dt = -1\n",
+        "[solver]\nintegrator = rk4\n",
+        "[solver]\ndealias = half\n",
+        "[solver]\nepsilon = -1\n",
+        "[initial]\nkind = bogus\n",
+        "[force]\nkind = single_mode\nkx = 0\n",
+        "[initial]\nband = 17\n",
+        "[tangent]\nreorth_every = 0\n",
+        "[tangent]\ntangent_band = 17\n",
+        "[probes]\nholder_alpha = 2\n",
+        "[probes]\ndecay_envelope_ps = 2,three\n",
+    ])
+    def test_value_error_reports_its_line(self, tmp_path, capsys, extra):
+        # the bad value is on the last line of the file
+        text = SMALL_RUN + extra
+        want = len(text.splitlines())
+        with pytest.raises(ConfigError) as exc:
+            build_setup(parse_config_text(text))
+        assert exc.value.lineno == want
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert f"line {want}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, dim", [("burgers", 2), ("dimension", 1), ("simulate", 1)])
+    def test_wrong_dim_for_command_reports_its_line(self, tmp_path, capsys, command, dim):
+        text = SMALL_RUN.replace("dim = 2", f"dim = {dim}")
+        want = text.splitlines().index(f"dim = {dim}") + 1
+        with pytest.raises(ConfigError, match=f"{command} requires dim") as exc:
+            build_setup(parse_config_text(text), command=command)
+        assert exc.value.lineno == want
+        build_setup(parse_config_text(text))  # the config itself is valid
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert f"line {want}: {command} requires dim" in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
+
+    def test_seed_override_keeps_lines_and_manifest_bytes(self, tmp_path):
+        parsed = build_setup(parse_config_text(SMALL_RUN), seed_override=3).sections
+        plain = build_setup({sec: {k: str(v) for k, v in kv.items()}
+                             for sec, kv in parse_config_text(SMALL_RUN).items()},
+                            seed_override=3).sections
+        for name, sections in (("a", parsed), ("b", plain)):
+            write_manifest(str(tmp_path / name), sections, "simulate", "o", 3, None, "v")
+        a = (tmp_path / "a").read_text().splitlines()
+        b = (tmp_path / "b").read_text().splitlines()
+        assert [l for l in a if "created_unix" not in l] == [l for l in b if "created_unix" not in l]
+        assert "seed = 24" in a
+        text = SMALL_RUN.replace("seed = 11", "seed = x")
+        with pytest.raises(ConfigError) as exc:
+            build_setup(parse_config_text(text), seed_override=3)
+        assert exc.value.lineno == text.splitlines().index("seed = x") + 1
+
+    def test_band_above_half_n_rejected_without_building(self, tmp_path, monkeypatch):
+        # band 40 on n = 16 used to build a 640-point normalization grid (123 MiB)
+        def no_build(*_args, **_kwargs):
+            raise AssertionError("a field was built")
+
+        monkeypatch.setattr("critsqg.cli.build_field", no_build)
+        monkeypatch.setattr("critsqg.cli.build_force", no_build)
+        # SMALL_RUN's [initial] and [force] are random_band fields
+        for section, key in (("initial", "band"), ("force", "band"), ("tangent", "tangent_band")):
+            text = SMALL_RUN.replace("n = 32", "n = 16") + f"[{section}]\n{key} = 40\n"
+            with pytest.raises(ConfigError, match=f"{key} must be <= 8, got 40"):
+                build_setup(parse_config_text(text))
+            cfg = tmp_path / f"{section}.cfg"
+            cfg.write_text(text)
+            out = tmp_path / section
+            command = "dimension" if section == "tangent" else "simulate"
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+            assert not (out / "manifest.txt").exists()
+        # n/2 itself is accepted
+        edge = SMALL_RUN.replace("n = 32", "n = 16") + "[initial]\nband = 8\n"
+        assert build_setup(parse_config_text(edge)).initial.band == 8
+
+    def test_snapshot_on_another_grid_exit_2_before_manifest(self, tmp_path, capsys):
+        snap = tmp_path / "theta.sqgf"
+        write_snapshot(str(snap), SpectralField.zeros(TorusGrid(2, 32)), 0.0)
+        text = SMALL_RUN.replace("n = 32", "n = 16") + f"[initial]\nkind = file\npath = {snap}\n"
+        want = len(text.splitlines())
+        with pytest.raises(ConfigError, match="does not match run grid") as exc:
+            build_setup(parse_config_text(text))
+        assert exc.value.lineno == want
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"line {want}: " in err[0]
+        assert not (out / "manifest.txt").exists()
+        # a missing file is a config error too; the matching grid still builds
+        with pytest.raises(ConfigError, match="No such file"):
+            build_setup(parse_config_text(text.replace(str(snap), str(tmp_path / "none"))))
+        setup = build_setup(parse_config_text(text.replace("n = 16", "n = 32")))
+        assert build_field(setup.initial, TorusGrid(2, 32)).is_zero()
 
 
 class TestUsageErrors:

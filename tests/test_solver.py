@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from critsqg import solver
 from critsqg.solver import (
     BlowupError,
     FieldSpec,
     Force,
     SolverConfig,
+    _Stepper,
     build_field,
     build_force,
     burgers_nonlinear_term,
@@ -232,7 +234,7 @@ class TestIntegrate:
         # the state counts steps; the CFL rule halves dt a drawn number of times
         calls = []
 
-        def cfl_dt(_state, h):
+        def cfl_dt(_state, h, _t):
             return h * 0.5 ** halvings[len(calls) % len(halvings)]
 
         def step(state, h, t):
@@ -257,6 +259,125 @@ class TestIntegrate:
                     break
                 # only a max_steps cut may stop short, and then well before the target
                 assert len(taken) == max_steps and t < target - 1e-12
+
+
+# The step as it was written before base and tangent steps shared one stage
+# body: one numpy.fft call per field and per operator, the SQG term from
+# riesz_perp and gradient, and the Heun stages spelled out per integrator.
+# The shared body must agree with it bit for bit.
+def _ref_values(grid, coeffs):
+    return np.real(np.fft.ifftn(coeffs * grid.n**grid.dim))
+
+
+def _ref_product(grid, values, rule):
+    c = np.fft.fftn(values) / grid.n**grid.dim
+    c[(0,) * grid.dim] = 0.0
+    c[grid.nyquist_mask] = 0.0
+    return c * grid.dealias_mask if rule == "two-thirds" else c
+
+
+def ref_nonlinear(grid, coeffs, rule):
+    if grid.dim == 1:
+        sq = _ref_product(grid, _ref_values(grid, coeffs) ** 2, rule)
+        return sq * grid.gradient_symbols[0] * -0.5
+    kx, ky = grid.kvecs
+    inv = np.zeros_like(grid.kmag)
+    inv[grid.kmag > 0] = 1.0 / grid.kmag[grid.kmag > 0]
+    u1, u2, gx, gy = (_ref_values(grid, coeffs * sym)
+                      for sym in (-1j * ky * inv, 1j * kx * inv, 1j * kx, 1j * ky))
+    return _ref_product(grid, -(u1 * gx + u2 * gy), rule)
+
+
+def ref_advance(stepper, f, coeffs, dt):
+    grid, cfg = stepper.grid, stepper.config
+    force = mollify_force(f, cfg.mollifier_width).coeffs
+
+    def rhs(c):
+        return ref_nonlinear(grid, c, cfg.dealias) + force
+
+    g1 = rhs(coeffs)
+    if cfg.integrator == "imex-cn":
+        a, b = stepper._coefficients(dt)
+        g2 = rhs((a * coeffs + dt * g1) * b)
+        return (a * coeffs + 0.5 * dt * (g1 + g2)) * b
+    E, phi1, phi2 = stepper._coefficients(dt)
+    mid = E * coeffs + dt * phi1 * g1
+    return mid + dt * phi2 * (rhs(mid) - g1)
+
+
+class TestStepOracle:
+    @pytest.mark.parametrize("dim, n", [(2, 32), (2, 48), (1, 64)])
+    @pytest.mark.parametrize("integrator", ["imex-cn", "etdrk2"])
+    @pytest.mark.parametrize("rule", ["two-thirds", "none"])
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-2])
+    def test_advance_matches_per_field_step(self, dim, n, integrator, rule, epsilon):
+        grid = TorusGrid(dim, n)
+        cfg = SolverConfig(kappa=0.7, dt=5e-3, t_end=1.0, integrator=integrator, dealias=rule,
+                           epsilon=epsilon, mollifier_width=epsilon * 20)
+        f = random_band_field(grid, 3, 0.3, 4)
+        stepper = _Stepper(grid, cfg, f)
+        theta = random_band_field(grid, 5, 1.0, 8)
+        for dt in (5e-3, 5e-3, 1.25e-3, 5e-3):
+            want = ref_advance(stepper, f, theta.coeffs, dt)
+            theta = stepper.advance(theta, dt)
+            assert np.array_equal(theta.coeffs, want)
+        assert not theta.is_zero()
+        if epsilon:
+            assert not np.array_equal(stepper.force.coeffs, f.coeffs)
+
+
+class TestCflFloor:
+    @pytest.mark.parametrize("umax", [np.inf, np.nan, 1e300])
+    def test_runaway_velocity_is_a_blowup_at_t(self, grid32, monkeypatch, umax):
+        monkeypatch.setattr(solver, "velocity_max", lambda _theta: umax)
+        cfg = SolverConfig(kappa=1.0, dt=1e-2, t_end=1.0)
+        stepper = _Stepper(grid32, cfg, SpectralField.zeros(grid32))
+        theta = cos_x1(grid32)
+        with pytest.raises(BlowupError, match="velocity") as exc:
+            stepper.cfl_dt(theta, cfg.dt, 0.375)
+        assert exc.value.t == 0.375
+        assert exc.value.last_state is theta
+
+    def test_floor_is_dt_times_two_to_minus_40(self, grid32, monkeypatch):
+        # budget = cfl_budget * 2 pi / (umax n); put it just above and just below the floor
+        cfg = SolverConfig(kappa=1.0, dt=1e-2, t_end=1.0)
+        floor = cfg.dt * 2.0**-40
+        stepper = _Stepper(grid32, cfg, SpectralField.zeros(grid32))
+        for scale, ok in ((1.0, True), (0.999, False)):
+            umax = cfg.cfl_budget * 2.0 * np.pi / (scale * floor * grid32.n)
+            monkeypatch.setattr(solver, "velocity_max", lambda _theta, u=umax: u)
+            if ok:
+                assert stepper.cfl_dt(cos_x1(grid32), cfg.dt) == floor
+            else:
+                with pytest.raises(BlowupError):
+                    stepper.cfl_dt(cos_x1(grid32), cfg.dt)
+
+    def test_run_stamps_the_time_reached(self, grid32, monkeypatch):
+        # the velocity runs away at the 26th step: t = 0.25, after snapshots 0.1 and 0.2
+        calls = []
+
+        def fake_velocity(_theta):
+            calls.append(None)
+            return 1.0 if len(calls) <= 25 else np.inf
+
+        monkeypatch.setattr(solver, "velocity_max", fake_velocity)
+        cfg = SolverConfig(kappa=1.0, dt=1e-2, t_end=1.0, snapshot_dt=0.1)
+        with pytest.raises(BlowupError) as exc:
+            run(cos_x1(grid32), cfg, zero_force(grid32))
+        assert exc.value.t == pytest.approx(0.25, abs=1e-12)
+        want = np.exp(-exc.value.t) * cos_x1(grid32).values()
+        assert np.abs(exc.value.last_state.values() - want).max() < 1e-5
+
+    def test_cli_exits_3_with_dump(self, tmp_path, monkeypatch, capsys):
+        from critsqg.cli import EXIT_BLOWUP, main
+        from critsqg.snapshots import read_snapshot
+
+        monkeypatch.setattr(solver, "velocity_max", lambda _theta: np.inf)
+        out = tmp_path / "o"
+        assert main(["simulate", "--preset", "exact-decay", "--out", str(out)]) == EXIT_BLOWUP
+        assert "non-finite velocity" in capsys.readouterr().err
+        _field, t = read_snapshot(str(out / "blowup_last_state.sqgf"))
+        assert t == 0.0
 
 
 class TestMollifier:

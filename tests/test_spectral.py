@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from critsqg.spectral import (
     MeanZeroError,
@@ -372,3 +373,62 @@ class TestOperations:
         b = SpectralField.from_values(grid64, np.sin(Y))
         assert abs(inner_h1(a, b)) < 1e-14
         assert inner_h1(a, a) == pytest.approx(sobolev_norm(a, 1.0) ** 2, rel=1e-13)
+
+
+def _mirror(grid, c):
+    """``c[-k]`` for every ``k``."""
+    rev = c[(slice(None, None, -1),) * grid.dim]
+    return np.roll(rev, 1, axis=tuple(range(grid.dim)))
+
+
+def _operators(grid):
+    from critsqg.solver import (SolverConfig, burgers_nonlinear_term, mollify_force,
+                                nonlinear_term, step)
+    from critsqg.spectral import _product_coeffs
+
+    ops = {
+        "fractional_laplacian": lambda f, r: fractional_laplacian(f, -2.0 + 5.0 * r),
+        "gradient": lambda f, r: gradient(f)[0],
+        "shift": lambda f, r: shift(f, (7.0 * r - 3.0,) * grid.dim),
+        "dealias": lambda f, r: dealias(f),
+        "resample": lambda f, r: resample(f, 2 * grid.n),
+        "combination": lambda f, r: (r * f - 2.0 * f) + f,
+        "mollify": lambda f, r: mollify_force(f, r),
+        "product": lambda f, r: SpectralField._trusted(grid, _product_coeffs(grid, f.values() ** 3)),
+        "step": lambda f, r: step(f, SolverConfig(kappa=1.0, dt=1e-3 + r * 1e-2, t_end=1.0,
+                                                  integrator="etdrk2" if r > 0.5 else "imex-cn"),
+                                  2.0 * f),
+    }
+    if grid.dim == 2:
+        ops["riesz_perp"] = lambda f, r: riesz_perp(f)[1]
+        ops["nonlinear_term"] = lambda f, r: nonlinear_term(f, "none" if r > 0.5 else "two-thirds")
+    else:
+        ops["burgers_nonlinear_term"] = lambda f, r: burgers_nonlinear_term(f)
+    return ops
+
+
+class TestInvariantProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), n=st.sampled_from([8, 16, 32]),
+           seed=st.integers(0, 2**32 - 1), r=st.floats(0.0, 1.0),
+           op=st.sampled_from(["fractional_laplacian", "gradient", "shift", "dealias",
+                               "resample", "combination", "mollify", "product", "step",
+                               "riesz_perp", "nonlinear_term", "burgers_nonlinear_term"]),
+           via_values=st.booleans())
+    def test_operators_keep_fields_representable(self, dim, n, seed, r, op, via_values):
+        # mean-free, Nyquist-free (both exactly) and Hermitian (real values) to roundoff
+        grid = TorusGrid(dim, n)
+        ops = _operators(grid)
+        assume(op in ops)
+        rng = np.random.default_rng(seed)
+        raw = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+        if via_values:
+            f = SpectralField.from_values(grid, raw.real, demean=True)
+        else:
+            f = SpectralField.from_coeffs(grid, raw)
+        out = ops[op](f, r)
+        c = out.coeffs
+        assert c[(0,) * out.grid.dim] == 0.0
+        assert np.all(c[out.grid.nyquist_mask] == 0.0)
+        scale = max(np.abs(c).max(), 1e-300)
+        assert np.abs(c - np.conj(_mirror(out.grid, c))).max() <= 1e-13 * scale

@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from critsqg.solver import BlowupError, Force, SolverConfig, nonlinear_term, random_band_field, run
+from critsqg.solver import (
+    BlowupError,
+    Force,
+    SolverConfig,
+    _Stepper,
+    nonlinear_term,
+    random_band_field,
+    run,
+)
 from critsqg.spectral import SpectralField, TorusGrid, fractional_laplacian, inner_h1, inner_l2
 from critsqg.tangent import (
     CoupledStepper,
@@ -113,6 +121,42 @@ class TestCoupledStepper:
         assert rel < 1e-10
 
 
+class TestOneStepBody:
+    @pytest.mark.parametrize("integrator", ["imex-cn", "etdrk2"])
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_base_matches_plain_stepper(self, grid48, integrator, m):
+        # tangents ride along without touching the base: the base is a plain step
+        cfg = SolverConfig(kappa=1.0, dt=2e-3, t_end=1.0, integrator=integrator)
+        force = random_band_field(grid48, 3, 0.2, 1)
+        cs = CoupledStepper(grid48, cfg, Force.wrap(force))
+        plain = _Stepper(grid48, cfg, force)
+        theta = other = random_band_field(grid48, 4, 0.5, 2)
+        xis = [random_band_field(grid48, 4, 1.0, 3 + j) for j in range(m)]
+        for _ in range(3):
+            theta, xis = cs.step(theta, xis, 2e-3)
+            other = plain.advance(other, 2e-3)
+            assert np.array_equal(theta.coeffs, other.coeffs)
+            assert np.array_equal(cs.checked_advance(other, 1e-3, 0.0).coeffs,
+                                  plain.advance(other, 1e-3).coeffs)
+
+    @pytest.mark.parametrize("integrator", ["imex-cn", "etdrk2"])
+    def test_tangent_is_derivative_of_the_step(self, grid48, integrator):
+        # central differences of the base step along xi: error O(eps^2)
+        cfg = SolverConfig(kappa=1.0, dt=5e-3, t_end=1.0, integrator=integrator)
+        cs = CoupledStepper(grid48, cfg, Force.wrap(random_band_field(grid48, 3, 0.2, 1)))
+        theta = random_band_field(grid48, 4, 0.8, 2)
+        xi = random_band_field(grid48, 4, 1.0, 3)
+        _, (got,) = cs.step(theta, [xi], 5e-3)
+        errs = []
+        for eps in (1e-2, 5e-3):
+            plus = cs.advance(theta + eps * xi, 5e-3)
+            minus = cs.advance(theta - eps * xi, 5e-3)
+            fd = (plus - minus) * (0.5 / eps)
+            errs.append(np.abs(fd.coeffs - got.coeffs).max() / np.abs(got.coeffs).max())
+        assert errs[0] < 1e-8  # dropping a transport term gives ~1e-2
+        assert errs[1] < errs[0] / 3.0
+
+
 # Per-field reference for the stacked tangent path: one numpy.fft call per
 # field and per operator, symbols rebuilt from the wavenumbers, as the tangent
 # step was written before it was batched.  The stacked path must agree bit for bit.
@@ -148,8 +192,8 @@ def ref_linearized_rhs(theta, xi, kappa, rule="two-thirds"):
 
 def ref_step(stepper, theta, xis, dt):
     grid, rule = stepper.grid, stepper.config.dealias
-    a, b = stepper._base._coefficients(dt)
-    force = stepper._base.force.coeffs
+    a, b = stepper._coefficients(dt)
+    force = stepper.force.coeffs
 
     def rhs(c):
         u1, u2, tx, ty = _ref_values(grid, c)
@@ -435,15 +479,20 @@ class TestVolumeTrace:
 
 
 def _record_steps(monkeypatch):
-    """``(t, dt)`` of every ``CoupledStepper.step`` call from here on."""
+    """``(t, dt)`` of every coupled and base-only ``CoupledStepper`` step from here on."""
     seen = []
-    original = CoupledStepper.step
+    step, checked_advance = CoupledStepper.step, CoupledStepper.checked_advance
 
-    def spy(self, theta, xis, dt, *, t=0.0):
+    def step_spy(self, theta, xis, dt, *, t=0.0):
         seen.append((t, dt))
-        return original(self, theta, xis, dt, t=t)
+        return step(self, theta, xis, dt, t=t)
 
-    monkeypatch.setattr(CoupledStepper, "step", spy)
+    def advance_spy(self, theta, dt, t):
+        seen.append((t, dt))
+        return checked_advance(self, theta, dt, t)
+
+    monkeypatch.setattr(CoupledStepper, "step", step_spy)
+    monkeypatch.setattr(CoupledStepper, "checked_advance", advance_spy)
     return seen
 
 

@@ -1,0 +1,150 @@
+"""Check that a change leaves the outputs of the shipped commands byte-identical.
+
+    python3 tools/same_bytes.py [--parent REV]
+
+Run from anywhere inside a git checkout.  The parent tree is the commit REV
+(default ``HEAD``), unpacked with ``git archive`` into a temporary directory;
+the other tree is the checkout as it stands, uncommitted edits included.
+Both run the same 12 commands, each in a fresh process with ``PYTHONPATH``
+set to the tree's ``src/``, two at a time (one per tree):
+
+* ``simulate`` of the presets ``exact-decay``, ``steady-state`` and
+  ``holder-corpus`` (default seed and ``--seed-override`` 0, 1 and 5);
+* ``burgers --preset burgers-basic``;
+* ``dimension --preset dimension-sweep``, in full and with ``--n-max 6``;
+* the benchmark's ``tangent_sweep`` config with ``--seed-override`` 3 and 11;
+* ``verify-kernels`` on the benchmark's kernel corpus of seed 4.
+
+The inputs of the last three come from this checkout's ``bench/run.py``, so
+both trees see the same files.  Every CSV, ``.sqgf`` and
+``dimension_report.txt`` is compared (manifests hold a creation time, so they
+are not).  The script prints each command's exit codes, one line per file
+that differs or exists on one side only, the number of identical files, and
+for each tree the sha256 of the sorted ``sha256  command/file`` list.  It
+exits 0 when every exit code and every file is the same, and 1 otherwise.
+Nothing is written outside the temporary directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+def _commands(inputs: str) -> dict:
+    """{name: CLI arguments without --out} of the 12 commands."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_run", os.path.join(os.path.dirname(HERE), "bench", "run.py"))
+    bench = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = bench  # dataclasses look their module up by name
+    spec.loader.exec_module(bench)
+    tangent_cfg = os.path.join(inputs, "tangent_sweep.cfg")
+    corpus = os.path.join(inputs, "corpus_4.csv")
+    with open(tangent_cfg, "w", encoding="utf-8") as fh:
+        fh.write(bench._TANGENT_CONFIG)
+    with open(corpus, "w", encoding="utf-8") as fh:
+        fh.write(bench.kernel_corpus(4))
+    cmds = {
+        "exact-decay": ["simulate", "--preset", "exact-decay"],
+        "steady-state": ["simulate", "--preset", "steady-state"],
+        "holder-corpus": ["simulate", "--preset", "holder-corpus"],
+        "burgers-basic": ["burgers", "--preset", "burgers-basic"],
+        "dimension-sweep": ["dimension", "--preset", "dimension-sweep"],
+        "dimension-sweep-n6": ["dimension", "--preset", "dimension-sweep", "--n-max", "6"],
+        "kernels-corpus4": ["verify-kernels", corpus],
+    }
+    for seed in (0, 1, 5):
+        cmds[f"holder-corpus-s{seed}"] = ["simulate", "--preset", "holder-corpus",
+                                          "--seed-override", str(seed)]
+    for seed in (3, 11):
+        cmds[f"tangent-sweep-s{seed}"] = ["dimension", "--config", tangent_cfg,
+                                          "--seed-override", str(seed)]
+    return cmds
+
+
+def _run_tree(src: str, out_root: str, cmds: dict) -> dict:
+    """Run every command on the package in ``src``; returns {name: exit code}."""
+    env = {k: v for k, v in os.environ.items() if k != "SQG_CONSTANTS"}
+    env["PYTHONPATH"] = src
+    codes = {}
+    for name, argv in cmds.items():
+        out = os.path.join(out_root, name)
+        done = subprocess.run([sys.executable, "-m", "critsqg.cli", *argv, "--out", out],
+                              env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        codes[name] = done.returncode
+    return codes
+
+
+def _digests(out_root: str) -> dict:
+    """{"command/file": sha256} of the compared outputs under ``out_root``."""
+    got = {}
+    for name in sorted(os.listdir(out_root)):
+        for fname in sorted(os.listdir(os.path.join(out_root, name))):
+            if fname.endswith((".csv", ".sqgf")) or fname == "dimension_report.txt":
+                with open(os.path.join(out_root, name, fname), "rb") as fh:
+                    got[f"{name}/{fname}"] = hashlib.sha256(fh.read()).hexdigest()
+    return got
+
+
+def _list_hash(digests: dict) -> str:
+    lines = "".join(f"{digests[k]}  {k}\n" for k in sorted(digests))
+    return hashlib.sha256(lines.encode()).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
+    args = parser.parse_args(argv)
+    root = subprocess.run(["git", "rev-parse", "--show-toplevel"], cwd=HERE, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    with tempfile.TemporaryDirectory(prefix="same_bytes_") as tmp:
+        archive = subprocess.run(["git", "archive", "--format=tar", args.parent], cwd=root,
+                                 check=True, capture_output=True).stdout
+        parent = os.path.join(tmp, "parent")
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(parent, filter="data")
+        inputs = os.path.join(tmp, "inputs")
+        os.makedirs(inputs)
+        cmds = _commands(inputs)
+        trees = {"parent": os.path.join(parent, "src"), "change": os.path.join(root, "src")}
+        outs = {side: os.path.join(tmp, "out", side) for side in trees}
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = {side: pool.submit(_run_tree, trees[side], outs[side], cmds)
+                       for side in trees}
+            codes = {side: fut.result() for side, fut in futures.items()}
+        digests = {side: _digests(outs[side]) for side in trees}
+
+    differ = 0
+    for name in cmds:
+        a, b = codes["parent"][name], codes["change"][name]
+        differ += a != b
+        print(f"exit {a} -> {b}  {name}{'' if a == b else '  DIFFERS'}")
+    same = 0
+    for key in sorted(set(digests["parent"]) | set(digests["change"])):
+        a, b = digests["parent"].get(key), digests["change"].get(key)
+        if a == b:
+            same += 1
+        elif a is None or b is None:
+            differ += 1
+            print(f"only in {'change' if a is None else 'parent'}: {key}")
+        else:
+            differ += 1
+            print(f"differs: {key}")
+    print(f"{same} identical files, {differ} differences (parent {args.parent})")
+    for side in trees:
+        print(f"{side} list sha256 {_list_hash(digests[side])} ({len(digests[side])} files)")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
