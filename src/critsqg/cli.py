@@ -36,7 +36,12 @@ from .diagnostics import (
     load_constants,
     track_holder,
 )
-from .kernels import lp_poincare_check, nonlinear_lower_bound_check, pointwise_identity_residual
+from .kernels import (
+    _check_product_resolution,
+    lp_poincare_check,
+    nonlinear_lower_bound_check,
+    pointwise_identity_residual,
+)
 from .snapshots import write_csv, write_manifest, write_snapshot
 from .solver import BlowupError, Trajectory, build_field, build_force, run
 from .spectral import MeanZeroError, SpectralField, TorusGrid, lp_norm
@@ -176,7 +181,7 @@ def _read_corpus(path: str):
         try:
             row = {"seed": int(parts[0]), "band": int(parts[1]), "norm": float(parts[2]),
                    "grid": TorusGrid(2, int(parts[3]) if len(parts) > 3 and parts[3] else 64),
-                   "path": parts[4] if len(parts) > 4 else ""}
+                   "path": parts[4] if len(parts) > 4 else "", "lineno": lineno}
         except (IndexError, ValueError) as exc:
             raise ConfigError(lineno, f"{path}: bad row {line!r}, expected "
                                       f"seed,band,norm[,n[,path]] ({exc})") from None
@@ -184,7 +189,8 @@ def _read_corpus(path: str):
     return rows
 
 
-def _corpus_field(row) -> SpectralField:
+def _corpus_field(row, corpus_path: str) -> SpectralField:
+    """The field of a corpus row; a field the quadrature cannot resolve is a ConfigError."""
     if row["path"]:
         from .snapshots import read_snapshot
 
@@ -193,10 +199,17 @@ def _corpus_field(row) -> SpectralField:
             field, _t = read_snapshot(row["path"])
         except MeanZeroError as exc:
             raise MeanZeroError(f"corpus field {row['path']}: {exc}") from exc
-        return field
-    from .solver import random_band_field
+    else:
+        from .solver import random_band_field
 
-    return random_band_field(row["grid"], row["band"], row["norm"], row["seed"])
+        field = random_band_field(row["grid"], row["band"], row["norm"], row["seed"])
+    try:
+        if field.grid.dim != 2:
+            raise ValueError(f"field is {field.grid.dim}-dimensional, expected 2")
+        _check_product_resolution(field)
+    except ValueError as exc:
+        raise ConfigError(row["lineno"], f"{corpus_path}: {exc}") from None
+    return field
 
 
 def _cmd_verify_kernels(args) -> int:
@@ -206,23 +219,21 @@ def _cmd_verify_kernels(args) -> int:
         corpus_path = os.path.join(here, "data", "kernel_corpus.csv")
     consts = load_constants()
     try:
-        rows = _read_corpus(corpus_path)
+        fields = [(row, _corpus_field(row, corpus_path)) for row in _read_corpus(corpus_path)]
+    except MeanZeroError as exc:
+        print(f"critsqg: precondition: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (OSError, ValueError) as exc:
         print(f"critsqg: cannot read corpus: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _start_manifest(args, {"solver": {"dim": "2"}}, "verify-kernels", ["kernel_report.csv"])
     report = []
     failures = 0
-    if not rows:
+    if not fields:
         print("critsqg: warning: empty corpus, vacuous pass", file=sys.stderr)
         write_csv(os.path.join(args.out, "kernel_report.csv"),
                   ["suite", "field", "value", "threshold", "passed"], [])
         return EXIT_OK
-    try:
-        fields = [(row, _corpus_field(row)) for row in rows]
-    except MeanZeroError as exc:
-        print(f"critsqg: precondition: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
     global_min_ratio = np.inf
     for row, phi in fields:

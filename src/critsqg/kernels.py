@@ -37,7 +37,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gamma as _gamma
 
 from .spectral import MeanZeroError, SpectralField, fractional_laplacian, gradient, resample, shift
 
@@ -65,6 +64,8 @@ def c_alpha(alpha: float, dim: int = 2) -> float:
     in two dimensions with ``alpha = 1`` this evaluates to ``1/(2*pi)``.
     Vanishes in both limits ``alpha -> 0+`` and ``alpha -> 2-``.
     """
+    from scipy.special import gamma as _gamma  # ~0.2 s to import, needed by the kernel checks only
+
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
     return float(
@@ -141,7 +142,10 @@ class QuadratureSpec:
     ``pv_inner_radius`` is the Taylor-model disc radius (must stay below the
     collocation spacing of the field it is applied to), ``outer_radius`` the
     switch-over to the analytic tail, ``refinement`` a density multiplier for
-    both radial and angular node counts.
+    both radial and angular node counts.  :meth:`for_grid` picks the radius
+    ``min(h/2, pi/(4 kmax))``: the relative Taylor-model error scales like
+    ``(kmax delta)^(4 - alpha)``, so the disc shrinks with the integrand
+    bandwidth ``kmax`` once that exceeds ``n/4``.
     """
 
     pv_inner_radius: float
@@ -157,8 +161,8 @@ class QuadratureSpec:
             raise ValueError("refinement must be >= 1")
 
     @staticmethod
-    def for_grid(grid, outer_radius: float = 8.0 * np.pi, refinement: int = 1) -> "QuadratureSpec":
-        return QuadratureSpec(0.5 * grid.spacing, outer_radius, refinement)
+    def for_grid(grid, kmax: int, outer_radius: float = 8.0 * np.pi, refinement: int = 1) -> "QuadratureSpec":
+        return QuadratureSpec(min(0.5 * grid.spacing, np.pi / (4 * kmax)), outer_radius, refinement)
 
 
 def _annulus_nodes(alpha: float, kmax: int, spec: QuadratureSpec):
@@ -187,20 +191,30 @@ _symbol_cache: dict = {}
 
 
 def _translation_symbol(alpha: float, kmax: int, n: int, spec: QuadratureSpec) -> np.ndarray:
-    """``S(k) = sum_q w_q exp(i k . y_q)`` on the n x n wavenumber grid (cached)."""
+    """``S(k) = sum_q w_q exp(i k . y_q)`` for ``|k_i| <= kmax``, zero elsewhere (cached).
+
+    The weights are real, so only the rows ``k1 >= 0`` are summed, and
+    ``S(-k) = conj S(k)`` fills the rest of the band.
+    """
     key = (round(alpha, 12), kmax, n, round(spec.pv_inner_radius, 14), round(spec.outer_radius, 10), spec.refinement)
     got = _symbol_cache.get(key)
     if got is not None:
         return got
     y1, y2, w = _annulus_nodes(alpha, kmax, spec)
-    k = np.fft.fftfreq(n) * n
-    S = np.zeros((n, n), dtype=np.complex128)
-    chunk = max(1, 40_000_000 // (16 * n))  # cap the (Q, n) work arrays at ~80 MB
+    k = np.arange(kmax + 1)
+    half = np.zeros((kmax + 1, 2 * kmax + 1), dtype=np.complex128)  # S[k1 >= 0, k2 + kmax]
+    chunk = max(1, 2**17 // (2 * kmax + 1))  # keeps each (q, 2 kmax + 1) work array at ~2 MiB
     for lo in range(0, len(w), chunk):
         hi = lo + chunk
-        E1 = np.exp(1j * np.outer(y1[lo:hi], k))  # (q, n)
+        E1 = np.exp(1j * np.outer(y1[lo:hi], k))  # (q, kmax + 1)
         E2 = np.exp(1j * np.outer(y2[lo:hi], k))
-        S += (E1 * w[lo:hi, None]).T @ E2  # S[k1, k2]
+        E2 = np.concatenate([np.conj(E2[:, :0:-1]), E2], axis=1)  # k2 = -kmax .. kmax
+        half += (E1 * w[lo:hi, None]).T @ E2
+    half[0, :kmax] = np.conj(half[0, :kmax:-1])  # row k1 = 0 mirrors itself, exactly whatever the gemm order
+    S = np.zeros((n, n), dtype=np.complex128)
+    k2 = np.arange(-kmax, kmax + 1)
+    S[np.ix_(k, k2)] = half
+    S[np.ix_(-k[1:], -k2)] = np.conj(half[1:])
     _symbol_cache[key] = S
     return S
 
@@ -211,9 +225,11 @@ def _field_kmax(field: SpectralField) -> int:
 
 
 def _check_product_resolution(field: SpectralField) -> None:
-    if 2 * field.band() > field.grid.n // 2:
+    """Raise unless the square of ``field`` stays strictly below the Nyquist mode."""
+    if 2 * field.band() >= field.grid.n // 2:
         raise ValueError(
             f"field bandwidth {field.band()} too large for alias-free squares on n={field.grid.n}"
+            f" (needs 2*band < {field.grid.n // 2})"
         )
 
 
@@ -229,13 +245,14 @@ def dissipation_field(field: SpectralField, alpha: float, spec: Optional[Quadrat
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
     _check_product_resolution(field)
     grid = field.grid
+    kmax = _field_kmax(field)
     if spec is None:
-        spec = QuadratureSpec.for_grid(grid)
+        spec = QuadratureSpec.for_grid(grid, kmax)
     if spec.pv_inner_radius >= grid.spacing:
         raise ValueError("pv_inner_radius must be below the grid spacing")
     n = grid.n
     ca = c_alpha(alpha)
-    S = _translation_symbol(alpha, _field_kmax(field), n, spec)
+    S = _translation_symbol(alpha, kmax, n, spec)
     v = field.values()
     v2 = v * v
     ch = field.coeffs
@@ -267,7 +284,7 @@ def dissipation_convergence(field: SpectralField, alpha: float, spec: Optional[Q
     for this field.
     """
     if spec is None:
-        spec = QuadratureSpec.for_grid(field.grid)
+        spec = QuadratureSpec.for_grid(field.grid, _field_kmax(field))
     fine = QuadratureSpec(spec.pv_inner_radius / 2.0, spec.outer_radius, 2 * spec.refinement)
     d0 = dissipation_field(field, alpha, spec)
     d1 = dissipation_field(field, alpha, fine)

@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from critsqg.cli import EXIT_BLOWUP, EXIT_OK, EXIT_USAGE, main
 from critsqg.config import ConfigError, build_setup, parse_config_text, preset_sections
-from critsqg.solver import build_field, build_force
+from critsqg.solver import build_field, build_force, random_band_field
 from critsqg.snapshots import read_snapshot, write_manifest, write_snapshot
 from critsqg.spectral import SpectralField, TorusGrid
+
+from conftest import cos_x1
 
 
 SMALL_RUN = """
@@ -284,14 +286,23 @@ class TestUsageErrors:
         assert exc.value.code == EXIT_USAGE
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # solve_ivp is imported where the Hoelder envelope needs it, not at CLI start-up
+def _loaded_by_cli_import(module: str) -> bool:
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    code = "import sys, critsqg.cli; print('scipy.integrate' in sys.modules)"
+    code = f"import sys, critsqg.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # solve_ivp is imported where the Hoelder envelope needs it, not at CLI start-up
+    assert not _loaded_by_cli_import("scipy.integrate")
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # gamma is imported where the kernel constant needs it, not at CLI start-up
+    assert not _loaded_by_cli_import("scipy.special")
 
 
 class TestSimulate:
@@ -421,6 +432,39 @@ class TestVerifyKernels:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "line 3" in err[0] and repr(row) in err[0]
         assert not (out / "manifest.txt").exists()
+
+    def test_unresolved_generated_row_exit_2_with_line(self, tmp_path, capsys):
+        # band 16 on n=64 squares onto the Nyquist mode: a usage error, not a FAIL
+        corpus = tmp_path / "c.csv"
+        corpus.write_text("seed,band,norm,n\n0,6,1.0,32\n\n0,16,1.0,64\n")
+        out = tmp_path / "o"
+        rc = main(["verify-kernels", str(corpus), "--out", str(out)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "line 4" in err[0] and "bandwidth 16" in err[0]
+        assert not (out / "manifest.txt").exists()
+
+    def test_unresolved_file_row_exit_2_with_line(self, tmp_path, capsys):
+        snap = tmp_path / "band8.sqgf"
+        write_snapshot(str(snap), random_band_field(TorusGrid(2, 32), 8, 1.0, 3), 0.0)
+        corpus = tmp_path / "c.csv"
+        corpus.write_text(f"seed,band,norm,n,path\n0,4,1.0,32,{snap}\n")
+        out = tmp_path / "o"
+        rc = main(["verify-kernels", str(corpus), "--out", str(out)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "line 2" in err[0] and "bandwidth 8" in err[0]
+        assert not (out / "manifest.txt").exists()
+
+    def test_one_dimensional_file_row_exit_2_with_line(self, tmp_path, capsys):
+        snap = tmp_path / "line.sqgf"
+        write_snapshot(str(snap), cos_x1(TorusGrid(1, 32)), 0.0)
+        corpus = tmp_path / "c.csv"
+        corpus.write_text(f"seed,band,norm,n,path\n0,4,1.0,32,{snap}\n")
+        rc = main(["verify-kernels", str(corpus), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "line 2" in err[0] and "1-dimensional" in err[0]
 
     def test_non_mean_zero_file_field_exit_2(self, tmp_path, capsys):
         g = TorusGrid(2, 32)

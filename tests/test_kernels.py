@@ -1,9 +1,12 @@
 """Kernel constants, dissipation quadrature, and the pointwise/Poincare checks."""
 
+import functools
+
 import numpy as np
 import pytest
 from scipy.special import gamma
 
+from critsqg import kernels
 from critsqg.kernels import (
     KernelSpec,
     QuadratureSpec,
@@ -125,6 +128,15 @@ class TestDissipation:
         with pytest.raises(ValueError):
             dissipation_field(phi, 1.0)
 
+    @pytest.mark.parametrize("band, n", [(16, 64), (8, 32)])
+    def test_resolution_guard_is_strict(self, band, n):
+        # 2*band = n/2 puts the square on the Nyquist mode
+        phi = random_band_field(TorusGrid(2, n), band, 1.0, 1)
+        with pytest.raises(ValueError, match=r"2\*band < "):
+            dissipation_field(phi, 1.0)
+        with pytest.raises(ValueError):
+            spectral_identity_rhs(phi, 1.0)
+
     def test_quadrature_spec_validation(self, grid64):
         with pytest.raises(ValueError):
             QuadratureSpec(pv_inner_radius=0.0)
@@ -134,6 +146,46 @@ class TestDissipation:
         bad = QuadratureSpec(pv_inner_radius=1.0)
         with pytest.raises(ValueError):
             dissipation_field(cos_x1(grid64), 1.0, bad)
+
+
+@functools.lru_cache(maxsize=None)
+def _full_grid_symbol(alpha, kmax, n, spec):
+    """Brute-force oracle: ``sum_q w_q exp(i k . y_q)`` on all n x n wavenumbers."""
+    y1, y2, w = kernels._annulus_nodes(alpha, kmax, spec)
+    k = np.fft.fftfreq(n) * n
+    S = np.zeros((n, n), dtype=np.complex128)
+    chunk = max(1, 40_000_000 // (16 * n))
+    for lo in range(0, len(w), chunk):
+        hi = lo + chunk
+        E1 = np.exp(1j * np.outer(y1[lo:hi], k))
+        E2 = np.exp(1j * np.outer(y2[lo:hi], k))
+        S += (E1 * w[lo:hi, None]).T @ E2
+    return S
+
+
+class TestBandLimitedSymbol:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("band", [6, 8])
+    def test_matches_full_grid_oracle(self, grid64, alpha, band):
+        kmax = 2 * band
+        spec = QuadratureSpec.for_grid(grid64, kmax)
+        S = kernels._translation_symbol(alpha, kmax, 64, spec)
+        oracle = _full_grid_symbol(alpha, kmax, 64, spec)
+        k = np.abs(np.fft.fftfreq(64) * 64)
+        inband = (k[:, None] <= kmax) & (k[None, :] <= kmax)
+        assert np.abs(S - oracle)[inband].max() <= 1e-13 * np.abs(oracle).max()
+        assert not S[~inband].any()
+        mirror = (-np.arange(64)) % 64
+        assert np.array_equal(S[np.ix_(mirror, mirror)], np.conj(S))
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("band", [6, 8])
+    def test_dissipation_matches_oracle_route(self, grid64, monkeypatch, alpha, band):
+        phi = random_band_field(grid64, band, 1.0, 11)
+        D = dissipation_field(phi, alpha)
+        monkeypatch.setattr(kernels, "_translation_symbol", _full_grid_symbol)
+        D_oracle = dissipation_field(phi, alpha)
+        assert np.abs(D - D_oracle).max() <= 1e-12 * np.abs(D_oracle).max()
 
 
 def _squeeze(phi, lam):
@@ -159,6 +211,13 @@ class TestPointwiseIdentity:
             for a in (0.5, 1.0, 1.5):
                 resid = pointwise_identity_residual(phi, a)
                 assert resid.mean() <= 1e-2 * linf_sq
+
+    def test_band_12_resolved_by_pv_radius(self, grid64):
+        # kmax = 24 > n/4: the default disc shrinks to pi/(4 kmax) = h/3
+        assert QuadratureSpec.for_grid(grid64, 24).pv_inner_radius == np.pi / 96
+        phi = random_band_field(grid64, 12, 1.0, 0)
+        resid = pointwise_identity_residual(phi, 1.5)
+        assert resid.mean() <= 1e-2 * np.abs(phi.values()).max() ** 2
 
     def test_single_point_variant(self, grid64):
         phi = random_band_field(grid64, 6, 1.0, 2)

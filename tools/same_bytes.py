@@ -1,6 +1,6 @@
 """Check that a change leaves the outputs of the shipped commands byte-identical.
 
-    python3 tools/same_bytes.py [--parent REV]
+    python3 tools/same_bytes.py [--parent REV] [--expect-change FILE ...]
 
 Run from anywhere inside a git checkout.  The parent tree is the commit REV
 (default ``HEAD``), unpacked with ``git archive`` into a temporary directory;
@@ -23,14 +23,23 @@ that differs or exists on one side only, the number of identical files, and
 for each tree the sha256 of the sorted ``sha256  command/file`` list.  It
 exits 0 when every exit code and every file is the same, and 1 otherwise.
 Nothing is written outside the temporary directory.
+
+``--expect-change`` names CSV files (by file name, for every command) that a
+numerical change may move.  Such a file passes when it has the same header and
+number of rows and its non-numeric columns are identical; a column is numeric
+when every cell parses as a float and at least one is not an integer, so
+names, counts and 0/1 verdicts must match exactly.  For each numeric column
+the script prints the largest relative change ``|a - b| / max(|a|, |b|)``.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import importlib.util
 import io
+import math
 import os
 import subprocess
 import sys
@@ -96,6 +105,42 @@ def _digests(out_root: str) -> dict:
     return got
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _compare_csv(parent: str, change: str) -> tuple:
+    """``(problem or None, {numeric column: largest relative change})`` of two CSVs."""
+    with open(parent, encoding="utf-8") as fh:
+        a = list(csv.reader(fh))
+    with open(change, encoding="utf-8") as fh:
+        b = list(csv.reader(fh))
+    if not a or a[0] != b[0] or len(a) != len(b):
+        return "header or row count differs", {}
+    worst = {}
+    for j, name in enumerate(a[0]):
+        col_a = [row[j] for row in a[1:]]
+        col_b = [row[j] for row in b[1:]]
+        numeric = all(map(_is_number, col_a + col_b)) and not all(
+            c.lstrip("-").isdigit() for c in col_a + col_b)
+        if not numeric:
+            if col_a != col_b:
+                return f"column {name!r} differs", {}
+            continue
+        rel = 0.0
+        for cell_a, cell_b in zip(col_a, col_b):
+            x, y = float(cell_a), float(cell_b)
+            if cell_a != cell_b and x != y:  # equal cells include "nan"; -0.0 equals 0.0
+                finite = math.isfinite(x) and math.isfinite(y)
+                rel = max(rel, abs(x - y) / max(abs(x), abs(y)) if finite else math.inf)
+        worst[name] = rel
+    return None, worst
+
+
 def _list_hash(digests: dict) -> str:
     lines = "".join(f"{digests[k]}  {k}\n" for k in sorted(digests))
     return hashlib.sha256(lines.encode()).hexdigest()
@@ -104,6 +149,8 @@ def _list_hash(digests: dict) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
+    parser.add_argument("--expect-change", nargs="+", default=[], metavar="FILE",
+                        help="CSV file names whose numeric columns may differ")
     args = parser.parse_args(argv)
     root = subprocess.run(["git", "rev-parse", "--show-toplevel"], cwd=HERE, check=True,
                           capture_output=True, text=True).stdout.strip()
@@ -123,6 +170,11 @@ def main(argv=None) -> int:
                        for side in trees}
             codes = {side: fut.result() for side, fut in futures.items()}
         digests = {side: _digests(outs[side]) for side in trees}
+        expected = {}
+        for key in sorted(set(digests["parent"]) & set(digests["change"])):
+            if (os.path.basename(key) in args.expect_change
+                    and digests["parent"][key] != digests["change"][key]):
+                expected[key] = _compare_csv(*(os.path.join(outs[side], key) for side in trees))
 
     differ = 0
     for name in cmds:
@@ -134,13 +186,19 @@ def main(argv=None) -> int:
         a, b = digests["parent"].get(key), digests["change"].get(key)
         if a == b:
             same += 1
+        elif key in expected:
+            problem, worst = expected[key]
+            differ += problem is not None
+            changes = ", ".join(f"{col} {rel:.3g}" for col, rel in worst.items())
+            print(f"expected change: {key}: {problem or 'largest relative change ' + changes}")
         elif a is None or b is None:
             differ += 1
             print(f"only in {'change' if a is None else 'parent'}: {key}")
         else:
             differ += 1
             print(f"differs: {key}")
-    print(f"{same} identical files, {differ} differences (parent {args.parent})")
+    print(f"{same} identical files, {len(expected)} expected changes, {differ} differences"
+          f" (parent {args.parent})")
     for side in trees:
         print(f"{side} list sha256 {_list_hash(digests[side])} ({len(digests[side])} files)")
     return 1 if differ else 0
