@@ -54,7 +54,7 @@ from .diagnostics import (
     save_constants,
 )
 from .kernels import dissipation_field, nonlinear_lower_bound_check
-from .solver import FieldSpec, SolverConfig, Trajectory, build_field, build_force, run
+from .solver import FieldSpec, SolverConfig, Trajectory, build_field, build_force, random_band_field, run
 from .spectral import (
     SpectralField,
     TorusGrid,
@@ -69,6 +69,11 @@ from .spectral import (
 from .tangent import eigenvalue_count_constant, linearized_rhs
 
 CONSTANTS_VERSION = "2026.08-corpus1"
+EPS0 = 0.2                            # protocol choice, not calibrated (see the table above)
+PROBE_KAPPA = 1.0                     # dissipation coefficient of the c8 and c10 probes
+ROUGH_PROBE_N = 64                    # grid of the rough synthetic probe fields
+ROUGH_PROBE_BAND = 10                 # their band
+C10_TANGENT_SEEDS = (41, 42, 43, 44)  # seeds of the c10 tangent directions
 
 # ---------------------------------------------------------------------------
 # published corpus
@@ -136,8 +141,6 @@ def burgers_corpus_runs() -> List[Trajectory]:
 
 
 def kernel_corpus_fields() -> List[SpectralField]:
-    from .solver import random_band_field
-
     grid = TorusGrid(2, KERNEL_CORPUS_N)
     return [random_band_field(grid, band, norm, seed) for seed, band, norm in KERNEL_CORPUS]
 
@@ -250,14 +253,12 @@ def calibrate_c7(runs: Sequence[Trajectory], eps1: float) -> float:
     return 2.0 * worst
 
 
-def _rough_probe_fields(n: int = 64, band: int = 10, seeds=(51, 52, 53, 54)) -> List[SpectralField]:
-    from .solver import random_band_field
-
-    grid = TorusGrid(2, n)
-    return [random_band_field(grid, band, 1.0, s) for s in seeds]
+def _rough_probe_fields(seeds=(51, 52, 53, 54)) -> List[SpectralField]:
+    grid = TorusGrid(2, ROUGH_PROBE_N)
+    return [random_band_field(grid, ROUGH_PROBE_BAND, 1.0, s) for s in seeds]
 
 
-def calibrate_c8(runs: Sequence[Trajectory], kappa: float = 1.0) -> float:
+def calibrate_c8(runs: Sequence[Trajectory]) -> float:
     """Tightest constant of ``2|grad u||grad theta|^2 <= k/2 D[grad theta] + c8 ...``, x2.
 
     The two sides scale differently in the field amplitude s (s^3 versus s^2
@@ -266,8 +267,9 @@ def calibrate_c8(runs: Sequence[Trajectory], kappa: float = 1.0) -> float:
     ``(2/3) a^{3/2} / (c sqrt(3 b))`` with ``a = 2|grad u||grad theta|^2``,
     ``b = k D[grad theta]/2``, ``c = ||theta||_inf^{1/2} |grad theta|^3 /
     k^{1/2}`` measured at unit amplitude.  Probed on late-run snapshots plus
-    rough synthetic fields.
+    rough synthetic fields, at ``k = PROBE_KAPPA``.
     """
+    kappa = PROBE_KAPPA
     worst = 0.0
     shapes: List[SpectralField] = list(_rough_probe_fields())
     for tr in runs:
@@ -329,16 +331,16 @@ def calibrate_c9(runs: Sequence[Trajectory]) -> float:
     return max(2.0 * worst, 1.0)
 
 
-def calibrate_c10(runs: Sequence[Trajectory], seeds=(41, 42, 43, 44), kappa: float = 1.0) -> float:
+def calibrate_c10(runs: Sequence[Trajectory]) -> float:
     """Tightest constant of the H^1 quadratic-form bound on the generator, x2.
 
     The transport part ``T = <xi, A_theta[xi] + k Lambda xi>_{H^1}`` is linear
     in theta while the bound's right side is quadratic, so the worst base
     amplitude ``s* = k ||xi||_{3/2}^2 / T`` yields the amplitude-free tight
-    constant ``T^2 / (2 ||xi||_{3/2}^2 ||theta||_{H^2}^2 ||xi||_{H^1}^2)``.
+    constant ``T^2 / (2 ||xi||_{3/2}^2 ||theta||_{H^2}^2 ||xi||_{H^1}^2)``,
+    at ``k = PROBE_KAPPA`` with directions seeded from ``C10_TANGENT_SEEDS``.
     """
-    from .solver import random_band_field
-
+    kappa = PROBE_KAPPA
     worst = 0.0
     thetas: List[SpectralField] = list(_rough_probe_fields(seeds=(71, 72)))
     for tr in runs:
@@ -349,7 +351,7 @@ def calibrate_c10(runs: Sequence[Trajectory], seeds=(41, 42, 43, 44), kappa: flo
         h2_sq = sobolev_norm(theta, 2.0) ** 2
         if h2_sq <= 1e-14:
             continue
-        xis = [random_band_field(grid, b, 1.0, s) for s in seeds for b in (2, 6, 10)]
+        xis = [random_band_field(grid, b, 1.0, s) for s in C10_TANGENT_SEEDS for b in (2, 6, 10)]
         for xi in xis:
             q = inner_h1(xi, linearized_rhs(theta, xi, kappa))
             transport = q + kappa * sobolev_norm(xi, 1.5) ** 2
@@ -404,13 +406,13 @@ class CalibrationReport:
     notes: List[str]
 
 
-def run_calibration(eps0: float = 0.2, verbose: bool = True) -> CalibrationReport:
+def run_calibration() -> CalibrationReport:
+    """Run the whole protocol, printing each step and constant as it is found."""
     notes = []
 
     def log(msg):
         notes.append(msg)
-        if verbose:
-            print(msg, flush=True)
+        print(msg, flush=True)
 
     log("building kernel corpus (20 fields, n=64, band=8) ...")
     fields = kernel_corpus_fields()
@@ -424,8 +426,8 @@ def run_calibration(eps0: float = 0.2, verbose: bool = True) -> CalibrationRepor
 
     c0 = calibrate_c0(all_runs)
     log(f"c0 = {c0!r}")
-    c5 = calibrate_c5(all_runs, eps0, c0)
-    log(f"eps0 = {eps0!r} (protocol choice), c5 = {c5!r}")
+    c5 = calibrate_c5(all_runs, EPS0, c0)
+    log(f"eps0 = {EPS0!r} (protocol choice), c5 = {c5!r}")
     eps1 = calibrate_eps1(runs)
     log(f"eps1 = {eps1!r}")
     c7 = calibrate_c7(runs, eps1)
@@ -445,7 +447,7 @@ def run_calibration(eps0: float = 0.2, verbose: bool = True) -> CalibrationRepor
     log(f"c_backward = {c_backward!r}")
 
     consts = UniversalConstants(
-        c0=c0, eps0=eps0, eps1=eps1, c2=c2, c5=c5, c7=c7, c8=c8, c9=c9,
+        c0=c0, eps0=EPS0, eps1=eps1, c2=c2, c5=c5, c7=c7, c8=c8, c9=c9,
         c10=c10, c11=c11, c_backward=c_backward, version=CONSTANTS_VERSION,
     )
     return CalibrationReport(constants=consts, notes=notes)

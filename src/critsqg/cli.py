@@ -42,8 +42,8 @@ from .kernels import (
     nonlinear_lower_bound_check,
     pointwise_identity_residual,
 )
-from .snapshots import write_csv, write_manifest, write_snapshot
-from .solver import BlowupError, Trajectory, build_field, build_force, run
+from .snapshots import read_snapshot, write_csv, write_manifest, write_snapshot
+from .solver import BlowupError, Trajectory, build_field, build_force, random_band_field, run
 from .spectral import MeanZeroError, SpectralField, TorusGrid, lp_norm
 from .tangent import (
     EnsembleCollapseError,
@@ -118,7 +118,7 @@ def _run_with_probes(args, sections, command: str) -> int:
     if setup.holder_alpha:
         outputs.append("holder.csv")
     if setup.absorption:
-        outputs.append("absorption.csv")
+        outputs += ["absorption.csv", "absorption_windows.csv"]
     _start_manifest(args, setup.sections, command, outputs)
 
     theta0 = build_field(setup.initial, grid)
@@ -156,9 +156,9 @@ def _run_with_probes(args, sections, command: str) -> int:
         rep = absorption_report(traj, consts)
         write_csv(os.path.join(args.out, "absorption.csv"),
                   ["t", "h1", "m_1f", "inside"], rep.rows)
-        if rep.window_rows:
-            write_csv(os.path.join(args.out, "absorption_windows.csv"),
-                      ["t_start", "avg_h32_sq", "budget", "violated"], rep.window_rows)
+        # header-only when no unit window fits after the entry time
+        write_csv(os.path.join(args.out, "absorption_windows.csv"),
+                  ["t_start", "avg_h32_sq", "budget", "violated"], rep.window_rows)
         if not np.isfinite(rep.entry_time) or not rep.permanent:
             falsified += 1
         falsified += rep.window_violations
@@ -190,26 +190,26 @@ def _read_corpus(path: str):
 
 
 def _corpus_field(row, corpus_path: str) -> SpectralField:
-    """The field of a corpus row; a field the quadrature cannot resolve is a ConfigError."""
-    if row["path"]:
-        from .snapshots import read_snapshot
+    """The field of a corpus row; a field the quadrature cannot resolve is a ConfigError.
 
+    A generated row is checked from its own band before its field is built:
+    the normalization grid of a random field grows with its band.
+    """
+    field = None
+    if row["path"]:
         # file-based corpus entries must already be mean-free
         try:
             field, _t = read_snapshot(row["path"])
         except MeanZeroError as exc:
             raise MeanZeroError(f"corpus field {row['path']}: {exc}") from exc
-    else:
-        from .solver import random_band_field
-
-        field = random_band_field(row["grid"], row["band"], row["norm"], row["seed"])
+    grid, band = (row["grid"], row["band"]) if field is None else (field.grid, field.band())
     try:
-        if field.grid.dim != 2:
-            raise ValueError(f"field is {field.grid.dim}-dimensional, expected 2")
-        _check_product_resolution(field)
+        if grid.dim != 2:
+            raise ValueError(f"field is {grid.dim}-dimensional, expected 2")
+        _check_product_resolution(band, grid.n)
     except ValueError as exc:
         raise ConfigError(row["lineno"], f"{corpus_path}: {exc}") from None
-    return field
+    return random_band_field(grid, band, row["norm"], row["seed"]) if field is None else field
 
 
 def _cmd_verify_kernels(args) -> int:

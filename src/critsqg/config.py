@@ -25,6 +25,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from .snapshots import snapshot_header
 from .solver import FieldSpec, SolverConfig, check_field_spec
 from .spectral import TorusGrid
 
@@ -128,8 +129,6 @@ def _field_spec(kv: Dict[str, str], grid: TorusGrid, section: str) -> FieldSpec:
         keys = ("kind",) if "kind" in str(exc) else ("kx", "ky")
         raise ConfigError(max(_line(kv, k) for k in keys), f"[{section}] {exc}") from exc
     if spec.kind == "file":
-        from .snapshots import snapshot_header
-
         try:
             got, _t = snapshot_header(spec.path)
             if got != grid:
@@ -173,6 +172,17 @@ def _holder_alpha(raw: Optional[str]) -> Optional[str]:
         raise ConfigError(getattr(raw, "lineno", 0),
                           f"holder_alpha must be auto or a number in (0, 1], got {raw!r}")
     return raw
+
+
+_SWITCH = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _switch(kv: Dict[str, str], key: str) -> bool:
+    """An on/off value (``1``/``true``/``yes`` or ``0``/``false``/``no``); absent is off."""
+    raw = kv.get(key, "0")
+    if raw not in _SWITCH:
+        raise ConfigError(_line(kv, key), f"{key} must be one of {'/'.join(_SWITCH)}, got {raw!r}")
+    return _SWITCH[raw]
 
 
 def _envelope_p(tok: str, lineno: int):
@@ -248,7 +258,7 @@ def build_setup(sections: Dict[str, Dict[str, str]], seed_override: Optional[int
         force=_field_spec(sections.get("force", {}), grid, "force"),
         holder_alpha=holder_alpha,
         decay_envelope_ps=ps,
-        absorption=probes.get("absorption", "0") in ("1", "true", "yes"),
+        absorption=_switch(probes, "absorption"),
         tangent_n=_get(tangent, "n_tangent", int, 6),
         tangent_reorth=reorth,
         tangent_relax=_get(tangent, "t_relax", float, 4.0),

@@ -141,9 +141,9 @@ def save_constants(consts: UniversalConstants, path: str, header: str = "") -> N
         fh.write("\n".join(lines) + "\n")
 
 
-def _exceeds(value, bound, rel_slack: float, floor: float = 1e-300):
-    """The one pass/fail comparison of every check: ``value`` above ``bound`` beyond the slack."""
-    return value > bound * (1.0 + rel_slack) + floor
+def _exceeds(value, bound, floor: float = 1e-300):
+    """The one pass/fail comparison of every check: ``value`` above ``bound * (1 + 1e-9) + floor``."""
+    return value > bound * (1.0 + 1e-9) + floor
 
 
 def decay_envelope(p, t, theta0_norm: float, f_norm: float, kappa: float, c0: float):
@@ -247,8 +247,7 @@ class HolderTrackResult:
         return len(self.events)
 
 
-def holder_envelope_check(t, seminorms, m_inf: float, kappa: float, consts: UniversalConstants,
-                          rel_slack: float = 1e-9):
+def holder_envelope_check(t, seminorms, m_inf: float, kappa: float, consts: UniversalConstants):
     """Compare Hoelder seminorms recorded at times ``t`` with the envelope ODE.
 
     ``seminorms[0]`` (at ``t[0]``) seeds the envelope.  Returns ``(g,
@@ -258,11 +257,10 @@ def holder_envelope_check(t, seminorms, m_inf: float, kappa: float, consts: Univ
     env = m_alpha_envelope(seminorms[0], m_inf, kappa, consts.c5, t)
     g = np.array([s**2 for s in seminorms], dtype=np.float64)
     envelope_sq = env.m_alpha**2
-    return g, envelope_sq, _exceeds(g, envelope_sq, rel_slack)
+    return g, envelope_sq, _exceeds(g, envelope_sq)
 
 
-def track_holder(traj: Trajectory, alpha: float, consts: UniversalConstants,
-                 rel_slack: float = 1e-9) -> HolderTrackResult:
+def track_holder(traj: Trajectory, alpha: float, consts: UniversalConstants) -> HolderTrackResult:
     """Track ``g(t) = (sup_{x,h} |delta_h theta|/|h|^alpha)^2`` along a trajectory.
 
     Verifies ``g(t) <= M_alpha(t)^2`` against the envelope ODE seeded from the
@@ -276,7 +274,7 @@ def track_holder(traj: Trajectory, alpha: float, consts: UniversalConstants,
     scans = [holder_seminorm(fld, alpha) for fld in traj.fields]
     t = np.asarray(traj.times)
     g, envelope_sq, violated = holder_envelope_check(
-        t, [hm.value for hm in scans], m_inf, kappa, consts, rel_slack)
+        t, [hm.value for hm in scans], m_inf, kappa, consts)
     events = [FalsificationEvent(t=float(t[i]), g=float(g[i]), envelope_sq=float(envelope_sq[i]),
                                  field=traj.fields[i]) for i in np.nonzero(violated)[0]]
     return HolderTrackResult(
@@ -292,8 +290,7 @@ def post_transient_holder(f_linf: float, kappa: float, consts: UniversalConstant
     return min(consts.eps1 * kappa**2 / f_linf, 0.25), 2.0 * f_linf / (consts.eps1 * kappa)
 
 
-def late_holder_violations(traj: Trajectory, consts: UniversalConstants,
-                           rel_slack: float = 1e-9) -> int:
+def late_holder_violations(traj: Trajectory, consts: UniversalConstants) -> int:
     """Snapshots of the late half with ``||theta||_inf + [theta]_{C^{alpha_*}} > M_{inf,f}``.
 
     The radius vanishes with the force, so an unforced run has no claim to
@@ -304,7 +301,7 @@ def late_holder_violations(traj: Trajectory, consts: UniversalConstants,
     alpha_star, m_inf_f = post_transient_holder(traj.force.linf, traj.config.kappa, consts)
     t_half = traj.times[-1] / 2.0
     return sum(
-        int(_exceeds(rep.linf + holder_seminorm(fld, alpha_star).value, m_inf_f, rel_slack))
+        int(_exceeds(rep.linf + holder_seminorm(fld, alpha_star).value, m_inf_f))
         for t, rep, fld in zip(traj.times, traj.reports, traj.fields) if t >= t_half
     )
 
@@ -374,8 +371,7 @@ class DecayEnvelopeReport:
     violations: int
 
 
-def decay_envelope_report(traj: Trajectory, p, consts: UniversalConstants,
-                          rel_slack: float = 1e-9) -> DecayEnvelopeReport:
+def decay_envelope_report(traj: Trajectory, p, consts: UniversalConstants) -> DecayEnvelopeReport:
     """Compare recorded L^p norms of a trajectory against the decay envelope."""
     kappa = traj.config.kappa
     theta0_norm = lp_norm(traj.fields[0], p)
@@ -392,7 +388,7 @@ def decay_envelope_report(traj: Trajectory, p, consts: UniversalConstants,
             if norm is None:
                 norm = lp_norm(traj.field_at(t), p)
         env = float(decay_envelope(p, t, theta0_norm, f_norm, kappa, consts.c0))
-        violated = _exceeds(norm, env, rel_slack)
+        violated = _exceeds(norm, env)
         violations += int(violated)
         rows.append((t, norm, env, env - norm, violated))
     return DecayEnvelopeReport(p=p, rows=rows, violations=violations)
@@ -438,7 +434,7 @@ def absorption_report(traj: Trajectory, consts: UniversalConstants) -> Absorptio
         if j >= len(t) or t[j] < t[i] + 1.0 - 1e-9:
             break
         avg = float(np.trapezoid(h32_sq[i : j + 1], t[i : j + 1]))
-        violated = _exceeds(avg, budget, 1e-9)
+        violated = _exceeds(avg, budget)
         violations += int(violated)
         window_rows.append((float(t[i]), avg, budget, violated))
     return AbsorptionReport(m_1f=ac.m_1f, entry_time=float(t[entry]), permanent=permanent,
@@ -503,8 +499,7 @@ def log_convexity_series(traj1: Trajectory, traj2: Trajectory):
     return t_k, w, integral, status
 
 
-def log_convexity_monitor(traj1: Trajectory, traj2: Trajectory, C: float,
-                          rel_slack: float = 1e-9) -> LogConvexityResult:
+def log_convexity_monitor(traj1: Trajectory, traj2: Trajectory, C: float) -> LogConvexityResult:
     """Monitor the budget ``w(t) <= w(0) + C int ||avg||_{H^{3/2}}^2`` on a pair.
 
     The series come from :func:`log_convexity_series`; a pair whose
@@ -513,5 +508,5 @@ def log_convexity_monitor(traj1: Trajectory, traj2: Trajectory, C: float,
     """
     t, w, integral, status = log_convexity_series(traj1, traj2)
     budget = w[:1] + C * integral
-    violations = int(np.sum(_exceeds(w, budget, rel_slack, floor=1e-12)))
+    violations = int(np.sum(_exceeds(w, budget, floor=1e-12)))
     return LogConvexityResult(t=t, w=w, budget=budget, violations=violations, status=status)

@@ -46,7 +46,6 @@ __all__ = [
     "QuadratureSpec",
     "kernel_value",
     "dissipation_field",
-    "dissipation_density",
     "dissipation_convergence",
     "spectral_identity_rhs",
     "pointwise_identity_residual",
@@ -77,14 +76,13 @@ def c_alpha(alpha: float, dim: int = 2) -> float:
 class KernelSpec:
     """Lattice-sum representation of the periodic kernel K_alpha.
 
-    ``lattice_radius`` images with ``|k|_inf <= R`` are summed explicitly;
-    with ``tail_correction`` the remaining sum is approximated by an annular
-    ring sum plus the analytic integral of the decaying envelope.
+    Images out to ``|k|_inf <= 16 * lattice_radius`` are summed explicitly;
+    the remaining sum is approximated by the analytic integral of the
+    decaying envelope.
     """
 
     alpha: float
     lattice_radius: int = 6
-    tail_correction: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
@@ -104,9 +102,9 @@ def _square_exterior_moment(beta: float) -> float:
 def kernel_value(y, spec: KernelSpec) -> np.ndarray:
     """Periodic kernel ``K_alpha(y)`` for ``y`` in the fundamental cell, y != 0.
 
-    Accepts an array of shape (..., 2).  With ``tail_correction`` the lattice
-    images are summed explicitly out to ``16 * lattice_radius`` and the rest is
-    the midpoint-rule integral over the exterior of the matching square,
+    Accepts an array of shape (..., 2).  The lattice images are summed
+    explicitly out to ``16 * lattice_radius`` and the rest is the midpoint-rule
+    integral over the exterior of the matching square,
     including the second-order mean-value correction in ``|y|``; doubling
     ``lattice_radius`` then perturbs values for ``|y| <= pi`` by under 1e-6
     relative.
@@ -117,22 +115,20 @@ def kernel_value(y, spec: KernelSpec) -> np.ndarray:
     a = spec.alpha
     ca = c_alpha(a)
     beta = 2.0 + a
-    R2 = 16 * spec.lattice_radius if spec.tail_correction else spec.lattice_radius
+    R2 = 16 * spec.lattice_radius
     ks = np.arange(-R2, R2 + 1)
     kx, ky = np.meshgrid(ks, ks, indexing="ij")
     lat = 2.0 * np.pi * np.stack([kx.ravel(), ky.ravel()], axis=1)  # ((2R2+1)^2, 2)
     d = y[..., None, :] - lat  # (..., L, 2)
     total = np.sum(np.sum(d * d, axis=-1) ** (-beta / 2.0), axis=-1)
-    if spec.tail_correction:
-        s = 2.0 * np.pi * (R2 + 0.5)
-        i1 = _square_exterior_moment(beta)
-        i2 = _square_exterior_moment(beta + 2.0)
-        y_sq = np.sum(y * y, axis=-1)
-        tail = (8.0 / (2.0 * np.pi) ** 2) * (
-            i1 * s**-a / a + (beta**2 / 4.0) * y_sq * i2 * s ** (-2.0 - a) / (2.0 + a)
-        )
-        total = total + tail
-    return ca * total
+    s = 2.0 * np.pi * (R2 + 0.5)
+    i1 = _square_exterior_moment(beta)
+    i2 = _square_exterior_moment(beta + 2.0)
+    y_sq = np.sum(y * y, axis=-1)
+    tail = (8.0 / (2.0 * np.pi) ** 2) * (
+        i1 * s**-a / a + (beta**2 / 4.0) * y_sq * i2 * s ** (-2.0 - a) / (2.0 + a)
+    )
+    return ca * (total + tail)
 
 
 @dataclass(frozen=True)
@@ -161,8 +157,8 @@ class QuadratureSpec:
             raise ValueError("refinement must be >= 1")
 
     @staticmethod
-    def for_grid(grid, kmax: int, outer_radius: float = 8.0 * np.pi, refinement: int = 1) -> "QuadratureSpec":
-        return QuadratureSpec(min(0.5 * grid.spacing, np.pi / (4 * kmax)), outer_radius, refinement)
+    def for_grid(grid, kmax: int) -> "QuadratureSpec":
+        return QuadratureSpec(min(0.5 * grid.spacing, np.pi / (4 * kmax)))
 
 
 def _annulus_nodes(alpha: float, kmax: int, spec: QuadratureSpec):
@@ -224,12 +220,11 @@ def _field_kmax(field: SpectralField) -> int:
     return max(1, 2 * field.band())
 
 
-def _check_product_resolution(field: SpectralField) -> None:
-    """Raise unless the square of ``field`` stays strictly below the Nyquist mode."""
-    if 2 * field.band() >= field.grid.n // 2:
+def _check_product_resolution(band: int, n: int) -> None:
+    """Raise unless the square of a field of bandwidth ``band`` on ``n`` points stays below Nyquist."""
+    if 2 * band >= n // 2:
         raise ValueError(
-            f"field bandwidth {field.band()} too large for alias-free squares on n={field.grid.n}"
-            f" (needs 2*band < {field.grid.n // 2})"
+            f"field bandwidth {band} too large for alias-free squares on n={n} (needs 2*band < {n // 2})"
         )
 
 
@@ -243,7 +238,7 @@ def dissipation_field(field: SpectralField, alpha: float, spec: Optional[Quadrat
         raise ValueError("dissipation quadrature is implemented on the 2-torus only")
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    _check_product_resolution(field)
+    _check_product_resolution(field.band(), field.grid.n)
     grid = field.grid
     kmax = _field_kmax(field)
     if spec is None:
@@ -269,22 +264,13 @@ def dissipation_field(field: SpectralField, alpha: float, spec: Optional[Quadrat
     return w_total * v2 - 2.0 * v * conv_v + conv_v2 + inner + tail
 
 
-def dissipation_density(field: SpectralField, alpha: float, x, spec: Optional[QuadratureSpec] = None) -> float:
-    """``D_alpha[phi](x)`` at one grid point, given as an index tuple."""
-    idx = tuple(int(i) for i in np.atleast_1d(x))
-    if len(idx) != field.grid.dim:
-        raise ValueError("grid-point index dimension mismatch")
-    return float(dissipation_field(field, alpha, spec)[idx])
-
-
-def dissipation_convergence(field: SpectralField, alpha: float, spec: Optional[QuadratureSpec] = None) -> float:
+def dissipation_convergence(field: SpectralField, alpha: float) -> float:
     """Self-check: max relative change of D_alpha under refinement doubling.
 
     A return value above 1e-3 means the quadrature resolution is insufficient
     for this field.
     """
-    if spec is None:
-        spec = QuadratureSpec.for_grid(field.grid, _field_kmax(field))
+    spec = QuadratureSpec.for_grid(field.grid, _field_kmax(field))
     fine = QuadratureSpec(spec.pv_inner_radius / 2.0, spec.outer_radius, 2 * spec.refinement)
     d0 = dissipation_field(field, alpha, spec)
     d1 = dissipation_field(field, alpha, fine)
@@ -294,7 +280,7 @@ def dissipation_convergence(field: SpectralField, alpha: float, spec: Optional[Q
 
 def spectral_identity_rhs(field: SpectralField, alpha: float) -> np.ndarray:
     """``2 phi Lambda^alpha phi - Lambda^alpha(phi^2)`` on the grid (spectral route)."""
-    _check_product_resolution(field)
+    _check_product_resolution(field.band(), field.grid.n)
     v = field.values()
     lam = fractional_laplacian(field, alpha).values()
     sq = SpectralField.from_values(field.grid, v * v, demean=True)
@@ -302,20 +288,14 @@ def spectral_identity_rhs(field: SpectralField, alpha: float) -> np.ndarray:
     return 2.0 * v * lam - lam_sq
 
 
-def pointwise_identity_residual(
-    field: SpectralField, alpha: float, x=None, spec: Optional[QuadratureSpec] = None
-):
+def pointwise_identity_residual(field: SpectralField, alpha: float) -> np.ndarray:
     """|2 phi Lambda^a phi - Lambda^a(phi^2) - D_a[phi]| with both routes independent.
 
     The multiplier terms are computed spectrally, the dissipation density by
-    real-space quadrature.  Returns the residual field, or a float when a
-    grid-point index ``x`` is given.  Residuals are reported, never raised.
+    real-space quadrature.  Returns the residual field; residuals are
+    reported, never raised.
     """
-    resid = np.abs(spectral_identity_rhs(field, alpha) - dissipation_field(field, alpha, spec))
-    if x is None:
-        return resid
-    idx = tuple(int(i) for i in np.atleast_1d(x))
-    return float(resid[idx])
+    return np.abs(spectral_identity_rhs(field, alpha) - dissipation_field(field, alpha))
 
 
 def lp_poincare_constant(alpha: float, dim: int = 2) -> float:
@@ -386,17 +366,11 @@ class LowerBoundReport:
         return float(self.ratios[self.valid_mask].min()) if not self.empty else math.inf
 
 
-def nonlinear_lower_bound_check(
-    field: SpectralField,
-    h,
-    c2: float,
-    spec: Optional[QuadratureSpec] = None,
-    threshold: float = 1e-8,
-) -> LowerBoundReport:
+def nonlinear_lower_bound_check(field: SpectralField, h, c2: float) -> LowerBoundReport:
     """Check ``D[delta_h theta](x) >= |delta_h theta(x)|^3 / (c2 ||theta||_inf |h|)``.
 
     Returns the pointwise ratio ``r(x) = D * c2 * ||theta||_inf * |h| /
-    |delta_h theta|^3`` wherever ``|delta_h theta| > threshold * ||theta||_inf``;
+    |delta_h theta|^3`` wherever ``|delta_h theta| > 1e-8 * ||theta||_inf``;
     a calibrated ``c2`` makes ``min r >= 1``.  A field with ``delta_h theta``
     identically zero produces an empty report (degenerate-case contract).
     """
@@ -407,12 +381,12 @@ def nonlinear_lower_bound_check(
     delta = shift(field, h) - field
     linf = float(np.abs(field.values()).max())
     dvals = np.abs(delta.values())
-    valid = dvals > threshold * max(linf, 1e-300)
+    valid = dvals > 1e-8 * max(linf, 1e-300)
     if not valid.any():
         return LowerBoundReport(
             ratios=np.zeros_like(dvals), valid_mask=valid, empty=True
         )
-    D = dissipation_field(delta, 1.0, spec)
+    D = dissipation_field(delta, 1.0)
     ratios = np.zeros_like(dvals)
     ratios[valid] = D[valid] * c2 * linf * hnorm / dvals[valid] ** 3
     return LowerBoundReport(ratios=ratios, valid_mask=valid, empty=False)

@@ -61,15 +61,15 @@ def snapshot_header(path: str):
     return TorusGrid(int(dim), int(n)), float(t)
 
 
-def read_snapshot(path: str, demean: bool = False):
+def read_snapshot(path: str):
     """Read a snapshot; returns ``(field, time)``.
 
     Raises :class:`~critsqg.spectral.MeanZeroError` when the stored values are
-    not mean-free, unless ``demean`` is set.
+    not mean-free.
     """
     grid, t = snapshot_header(path)
     data = np.fromfile(path, dtype="<f8", count=grid.n**grid.dim, offset=_HEADER.size)
-    return SpectralField.from_values(grid, data.reshape(grid.shape), demean=demean), t
+    return SpectralField.from_values(grid, data.reshape(grid.shape)), t
 
 
 def format_cell(x) -> str:

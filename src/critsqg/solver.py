@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
+from .snapshots import read_snapshot
 from .spectral import (
     SpectralField,
     TorusGrid,
@@ -37,6 +38,7 @@ from .spectral import (
     inner_l2,
     lp_norm,
     norm_report,
+    resample,
     riesz_perp,
     sobolev_norm,
 )
@@ -56,7 +58,6 @@ __all__ = [
     "burgers_nonlinear_term",
     "velocity_max",
     "step",
-    "burgers_step",
     "integrate",
     "run",
     "energy_balance_residual",
@@ -133,8 +134,6 @@ def random_band_field(grid: TorusGrid, band: int, amplitude: float, seed: int) -
     n_ref = 8
     while n_ref < 16 * band:
         n_ref *= 2
-    from .spectral import resample
-
     top = float(np.abs(resample(f, n_ref).values()).max())
     if top == 0.0 or amplitude == 0.0:
         return SpectralField.zeros(grid)
@@ -164,9 +163,7 @@ def build_field(spec: FieldSpec, grid: TorusGrid) -> SpectralField:
         return SpectralField.from_values(grid, spec.amplitude * np.cos(phase))
     if spec.kind == "random_band":
         return random_band_field(grid, spec.band, spec.amplitude, spec.seed)
-    from .snapshots import read_snapshot  # kind == "file"
-
-    fld, _t = read_snapshot(spec.path)
+    fld, _t = read_snapshot(spec.path)  # kind == "file"
     if fld.grid != grid:
         raise ValueError(f"snapshot grid {fld.grid} does not match run grid {grid}")
     return fld
@@ -365,13 +362,6 @@ def step(theta: SpectralField, config: SolverConfig, force: SpectralField) -> Sp
     return stepper.checked_advance(theta, stepper.cfl_dt(theta, config.dt), 0.0)
 
 
-def burgers_step(theta: SpectralField, config: SolverConfig, force: SpectralField) -> SpectralField:
-    """Advance one dt of critical Burgers (1D), same IMEX treatment."""
-    if theta.grid.dim != 1:
-        raise ValueError("burgers_step requires a 1D grid")
-    return step(theta, config, force)
-
-
 @dataclass
 class Trajectory:
     """Snapshots of one run plus per-snapshot norm records."""
@@ -394,25 +384,20 @@ def run(
     theta0: SpectralField,
     config: SolverConfig,
     force: Force,
-    probes: Sequence[Callable[[float, SpectralField], None]] = (),
     report_ps=(2, 4),
-    report_ss=(0.0, 0.5, 1.0, 1.5, 2.0),
 ) -> Trajectory:
     """Integrate to ``t_end``, recording snapshots every ``snapshot_dt``.
 
     The last snapshot is taken at exactly ``t_end``, also when ``t_end`` is not
-    a multiple of ``snapshot_dt`` (the last interval is then shorter).  Probes
-    are called at every snapshot with ``(t, field)``; norm reports are
-    recorded per snapshot.  Blowup propagates as :class:`BlowupError`.
+    a multiple of ``snapshot_dt`` (the last interval is then shorter).  Norm
+    reports are recorded per snapshot.  Blowup propagates as :class:`BlowupError`.
     """
     stepper = _Stepper(theta0.grid, config, force.field)
 
     def snap(t, fld, traj):
         traj.times.append(t)
         traj.fields.append(fld)
-        traj.reports.append(norm_report(fld, report_ps, report_ss))
-        for probe in probes:
-            probe(t, fld)
+        traj.reports.append(norm_report(fld, report_ps))
 
     traj = Trajectory(times=[], fields=[], reports=[], config=config, force=force)
     theta = theta0

@@ -425,35 +425,24 @@ def inner_h1(f: SpectralField, g: SpectralField) -> float:
     return float(np.real(np.sum(k2 * np.conj(f.coeffs) * g.coeffs)) * TWO_PI**f.grid.dim)
 
 
-@lru_cache(maxsize=8)
-def _all_shift_indices(grid: TorusGrid) -> np.ndarray:
-    """Every nonzero grid shift, one row each, in row-major (serial scan) order."""
-    idx = np.indices(grid.shape).reshape(grid.dim, -1).T[1:]
-    idx.setflags(write=False)
-    return idx
-
-
 def _canonical(delta: np.ndarray) -> np.ndarray:
     """Canonical torus representative of a displacement, in [-pi, pi)."""
     return (delta + np.pi) % TWO_PI - np.pi
 
 
-def _shift_powers(grid: TorusGrid, shifts: np.ndarray, alpha: float) -> np.ndarray:
-    """``|h|^alpha`` per shift, ``h`` the canonical displacement of its grid offset.
-
-    Evaluated one scalar at a time, so each entry is bitwise the ``hnorm**alpha``
-    of the per-shift definition.
-    """
-    spacing = grid.spacing
-    return np.array([
-        float(np.linalg.norm(_canonical(np.asarray(s, dtype=np.float64) * spacing))) ** alpha
-        for s in shifts.tolist()
-    ])
-
-
 @lru_cache(maxsize=32, typed=True)
 def _all_shift_powers(grid: TorusGrid, alpha: float) -> np.ndarray:
-    powers = _shift_powers(grid, _all_shift_indices(grid), alpha)
+    """``|h|^alpha`` per nonzero grid shift in row-major (serial scan) order.
+
+    ``h`` is the canonical displacement of the shift.  Evaluated one scalar
+    at a time, so each entry is bitwise the ``hnorm**alpha`` of the per-shift
+    definition.
+    """
+    spacing = grid.spacing
+    powers = np.array([
+        float(np.linalg.norm(_canonical(np.asarray(s, dtype=np.float64) * spacing))) ** alpha
+        for s in np.ndindex(*grid.shape)
+    ][1:])
     powers.setflags(write=False)
     return powers
 
@@ -483,15 +472,13 @@ def _increment_maxima(v: np.ndarray) -> np.ndarray:
     return dmax
 
 
-def holder_seminorm(field: SpectralField, alpha: float, shifts=None) -> HolderMax:
+def holder_seminorm(field: SpectralField, alpha: float) -> HolderMax:
     """Discrete Hoelder quotient ``max_{x,h} |theta(x+h) - theta(x)| / |h|^alpha``.
 
-    ``shifts`` is an iterable of grid index offsets (any integers; an offset
-    acts modulo ``n`` but its ``|h|`` is that of its own canonical
-    displacement); by default every nonzero grid shift is scanned, whose
-    canonical torus representatives satisfy ``|h| <= pi*sqrt(dim)``.  Returns
-    the maximum together with the maximizing collocation point and shift
-    (canonical coordinates).  Non-finite field values raise ``ValueError``.
+    Every nonzero grid shift is scanned; its canonical torus representative
+    satisfies ``|h| <= pi*sqrt(dim)``.  Returns the maximum together with the
+    maximizing collocation point and shift (canonical coordinates).
+    Non-finite field values raise ``ValueError``.
 
     The scan is exact and vectorized.  A table of ``max_x |delta_h theta|``
     over all grid shifts is built one row shift at a time from an
@@ -499,34 +486,22 @@ def holder_seminorm(field: SpectralField, alpha: float, shifts=None) -> HolderMa
     at n = 128); only half of the row shifts are scanned, the rest are exact
     mirrors (``h`` and ``-h`` share the same maximal increment).  Each quotient
     divides that maximum by the same scalar ``|h|**alpha`` as a one-shift-at-a-
-    time loop, and ties go to the first shift in the order given (row-major
-    for the default set), so value and argmax are bit-for-bit those of the
-    serial scan with a strict ``>``.
+    time loop, and ties go to the first shift in row-major order, so value and
+    argmax are bit-for-bit those of the serial scan with a strict ``>``.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     grid = field.grid
-    if shifts is None:
-        idx = _all_shift_indices(grid)
-        hpow = _all_shift_powers(grid, alpha)
-    else:
-        shifts = [tuple(int(c) for c in s) for s in shifts]
-        if not shifts:
-            raise ValueError("shift set is empty")
-        if any(len(s) != grid.dim for s in shifts):
-            raise ValueError(f"every shift needs {grid.dim} component(s)")
-        if any(all(c % grid.n == 0 for c in s) for s in shifts):
-            raise ValueError("shift set must not contain the zero shift")
-        idx = np.array(shifts, dtype=np.int64)
-        hpow = _shift_powers(grid, idx, alpha)
+    hpow = _all_shift_powers(grid, alpha)
 
     v = field.values()
     if not np.isfinite(v).all():
         raise ValueError("Hoelder quotient of a field with non-finite values")
-    ratio = _increment_maxima(v)[tuple((idx % grid.n).T)] / hpow
+    # the table in row-major order, without the zero shift
+    ratio = _increment_maxima(v).ravel()[1:] / hpow
     k = int(np.argmax(ratio))
 
-    best = tuple(int(c) for c in idx[k])
+    best = tuple(int(c) for c in np.unravel_index(k + 1, grid.shape))
     spacing = grid.spacing
     h = _canonical(np.asarray(best, dtype=np.float64) * spacing)
     diff = np.abs(np.roll(v, tuple(-c for c in best), axis=tuple(range(grid.dim))) - v)
@@ -535,10 +510,10 @@ def holder_seminorm(field: SpectralField, alpha: float, shifts=None) -> HolderMa
     return HolderMax(value=float(ratio[k]), argmax_x=x, argmax_h=tuple(float(c) for c in h))
 
 
-def norm_report(field: SpectralField, ps=(2, 4), ss=(0.0, 0.5, 1.0, 1.5, 2.0)) -> NormReport:
-    """Compute the standard norm bundle for one field."""
+def norm_report(field: SpectralField, ps=(2, 4)) -> NormReport:
+    """The standard norm bundle of one field: L^p for ``ps`` and H^s for s in 0, 1/2, .., 2."""
     lp = {int(p): lp_norm(field, p) for p in ps}
-    hs = {float(s): sobolev_norm(field, s) for s in ss}
+    hs = {s: sobolev_norm(field, s) for s in (0.0, 0.5, 1.0, 1.5, 2.0)}
     return NormReport(
         l2=lp_norm(field, 2),
         linf=lp_norm(field, np.inf),

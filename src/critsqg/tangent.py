@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,6 +50,7 @@ from .solver import (
     _Stepper,
     _transport_values,
     integrate,
+    random_band_field,
 )
 
 __all__ = [
@@ -242,8 +244,6 @@ def dimension_bound(kappa: float, M_A: float, c10: float, c11: float) -> int:
     trace-bound curve is strictly negative at N (floats lose that strictness
     once N outgrows 2^52).
     """
-    from fractions import Fraction
-
     x = c10 * c11 * M_A**2 / kappa**2
     return int(math.ceil(Fraction(x) ** 2))
 
@@ -254,8 +254,6 @@ def bound_curve_negative_at(n: int, kappa: float, M_A: float, c10: float, c11: f
     ``curve(n) < 0  iff  n > (c10*c11*M_A^2/kappa^2)^2``, decided in rational
     arithmetic on the float inputs.
     """
-    from fractions import Fraction
-
     x = c10 * c11 * M_A**2 / kappa**2
     return Fraction(int(n)) > Fraction(x) ** 2
 
@@ -329,8 +327,6 @@ def volume_and_trace_run(
 
     theta, t_relaxed = integrate(stepper.checked_advance, stepper.cfl_dt, theta0, 0.0, t_relax,
                                  config.dt)
-
-    from .solver import random_band_field
 
     raw = [random_band_field(grid, tangent_band, 1.0, seed + 17 * j) for j in range(n_tangent)]
     frame, _ = h1_gram_schmidt(raw)
@@ -412,7 +408,6 @@ def frechet_residual(
     scales: Sequence[float],
     config: SolverConfig,
     force: Force,
-    noise_floor: float = 1e-11,
 ) -> FrechetResult:
     """Differentiability test of the solution map along direction ``xi0``.
 
@@ -420,7 +415,7 @@ def frechet_residual(
     the tangent solution are advanced together; the returned ratios
     ``||S(t)(theta0 + r xi) - S(t)theta0 - r xi(t)||_{H^1}/r`` must decay with
     r (superlinearity).  Scales whose ratio is dominated by integration noise
-    are excluded and reported.
+    (a ratio at or below 1e-11) are excluded and reported.
     """
     ts = np.asarray(sorted(ts), dtype=np.float64)
     scales = np.asarray(sorted(scales, reverse=True), dtype=np.float64)
@@ -453,7 +448,7 @@ def frechet_residual(
     excluded = []
     keep = np.ones(len(scales), dtype=bool)
     for j, r in enumerate(scales):
-        if np.any(ratios[:, j] <= noise_floor):
+        if np.any(ratios[:, j] <= 1e-11):
             keep[j] = False
             excluded.append(float(r))
     slopes = np.empty(len(ts))

@@ -307,14 +307,22 @@ def test_cli_import_leaves_scipy_special_unloaded():
 
 class TestSimulate:
     def test_small_forced_run(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(SMALL_RUN)
-        out = tmp_path / "out"
-        rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
-        assert rc == EXIT_OK
-        for name in ("manifest.txt", "norms.csv", "envelope_p2.csv", "envelope_pinf.csv",
-                     "holder.csv", "absorption.csv", "theta_initial.sqgf", "theta_final.sqgf"):
-            assert (out / name).exists(), name
+        # the manifest lists every file a passing run writes: at t_end = 0.4 no unit
+        # H^3/2 window fits and absorption_windows.csv is header-only, at 1.1 two do
+        for t_end, windows in (("0.4", 0), ("1.1", 2)):
+            cfg = tmp_path / f"run{t_end}.cfg"
+            cfg.write_text(SMALL_RUN.replace("t_end = 0.4", f"t_end = {t_end}"))
+            out = tmp_path / t_end
+            rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+            assert rc == EXIT_OK
+            for name in ("manifest.txt", "norms.csv", "envelope_p2.csv", "envelope_pinf.csv",
+                         "holder.csv", "absorption.csv", "theta_initial.sqgf", "theta_final.sqgf"):
+                assert (out / name).exists(), name
+            listed = [line.split(" = ", 1)[1] for line in (out / "manifest.txt").read_text().splitlines()
+                      if line.startswith("output = ")]
+            assert sorted(listed + ["manifest.txt"]) == sorted(os.listdir(out))
+            rows = (out / "absorption_windows.csv").read_text().splitlines()
+            assert rows[0] == "t_start,avg_h32_sq,budget,violated" and len(rows) == 1 + windows
 
     def test_exact_decay_preset_l2_series(self, tmp_path):
         out = tmp_path / "decay"
@@ -349,7 +357,7 @@ class TestSimulate:
         assert "line 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("holder_alpha", "0"), ("holder_alpha", "abc"),
-                                            ("decay_envelope_ps", "2,three")])
+                                            ("decay_envelope_ps", "2,three"), ("absorption", "on")])
     def test_bad_probe_value_exit_2_before_manifest(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(SMALL_RUN + f"{key} = {value}\n")  # [probes] is last; last value wins
@@ -442,6 +450,23 @@ class TestVerifyKernels:
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "line 4" in err[0] and "bandwidth 16" in err[0]
+        assert not (out / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("band", [40, 1000])
+    def test_generated_row_band_checked_before_building(self, tmp_path, capsys, monkeypatch, band):
+        # band 1000 on n=64 used to build 16384^2 normalization arrays before exiting 2
+        def no_build(*_args, **_kwargs):
+            raise AssertionError("a field was built")
+
+        monkeypatch.setattr("critsqg.solver.random_band_field", no_build)
+        monkeypatch.setattr("critsqg.cli.random_band_field", no_build, raising=False)
+        corpus = tmp_path / "c.csv"
+        corpus.write_text(f"seed,band,norm,n\n1,{band},1.0,64\n")
+        out = tmp_path / "o"
+        rc = main(["verify-kernels", str(corpus), "--out", str(out)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "line 2" in err[0] and f"bandwidth {band} " in err[0]
         assert not (out / "manifest.txt").exists()
 
     def test_unresolved_file_row_exit_2_with_line(self, tmp_path, capsys):

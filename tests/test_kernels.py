@@ -12,7 +12,6 @@ from critsqg.kernels import (
     QuadratureSpec,
     c_alpha,
     dissipation_convergence,
-    dissipation_density,
     dissipation_field,
     kernel_value,
     lp_poincare_check,
@@ -94,7 +93,7 @@ class TestDissipation:
         X, Y = meshes(grid64)
         phi = SpectralField.from_values(grid64, np.cos(X) + np.cos(Y))
         rhs = spectral_identity_rhs(phi, 1.0)
-        val = dissipation_density(phi, 1.0, (0, 0))
+        val = dissipation_field(phi, 1.0)[0, 0]
         assert val == pytest.approx(rhs[0, 0], abs=1e-3 * max(abs(rhs[0, 0]), 1.0))
 
     def test_refinement_self_check(self, grid64):
@@ -218,12 +217,6 @@ class TestPointwiseIdentity:
         phi = random_band_field(grid64, 12, 1.0, 0)
         resid = pointwise_identity_residual(phi, 1.5)
         assert resid.mean() <= 1e-2 * np.abs(phi.values()).max() ** 2
-
-    def test_single_point_variant(self, grid64):
-        phi = random_band_field(grid64, 6, 1.0, 2)
-        full = pointwise_identity_residual(phi, 1.0)
-        at = pointwise_identity_residual(phi, 1.0, x=(3, 5))
-        assert at == pytest.approx(full[3, 5], rel=1e-12)
 
 
 class TestLpPoincare:

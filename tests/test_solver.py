@@ -14,7 +14,6 @@ from critsqg.solver import (
     build_field,
     build_force,
     burgers_nonlinear_term,
-    burgers_step,
     energy_balance_residual,
     integrate,
     mollify_force,
@@ -402,7 +401,7 @@ class TestBurgers:
     def test_zero(self):
         g = TorusGrid(1, 128)
         cfg = SolverConfig(kappa=1.0, dt=1e-3, t_end=0.1)
-        th = burgers_step(SpectralField.zeros(g), cfg, SpectralField.zeros(g))
+        th = step(SpectralField.zeros(g), cfg, SpectralField.zeros(g))
         assert th.is_zero()
 
     def test_linf_non_increasing_from_cos(self):
@@ -423,11 +422,6 @@ class TestBurgers:
         vals = th.values()
         integrand = N.values() * vals ** (p - 1)
         assert abs(integrand.sum() * g.spacing) < 1e-10
-
-    def test_requires_1d(self, grid32):
-        cfg = SolverConfig(kappa=1.0, dt=1e-3, t_end=0.1)
-        with pytest.raises(ValueError):
-            burgers_step(cos_x1(grid32), cfg, SpectralField.zeros(grid32))
 
 
 class TestFieldSpecs:
