@@ -7,7 +7,8 @@ CSV files are written with shortest-roundtrip float formatting (``repr``),
 so re-running the same experiment in serial mode reproduces them byte for
 byte.  A manifest is itself a valid flat key=value config file: it embeds the
 full config snapshot (seeds already offset by any ``--seed-override``) next to
-a ``[manifest]`` section with the constants-file hash, code version, the seed
+a ``[manifest]`` section with the constants-file hash, code version, the
+python and numpy versions (CSV bytes depend on the numpy FFT build), the seed
 override, output paths, and wall-clock metadata (the latter is the only
 non-reproducible content, and no CSV depends on it).
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import sys
 import time
 from typing import Dict, Iterable, Optional, Sequence
 
@@ -112,11 +114,15 @@ def write_manifest(
     """Write the experiment manifest (written before any long computation).
 
     The manifest doubles as a config file: parsing it back and re-running
-    reproduces every CSV output byte-exactly.
+    under the recorded python and numpy versions reproduces every CSV output
+    byte-exactly.
     """
     lines = ["[manifest]"]
     lines.append("schema_version = 1")
     lines.append(f"code_version = {code_version}")
+    # output bytes depend on the numpy FFT build
+    lines.append("python_version = {}.{}.{}".format(*sys.version_info[:3]))
+    lines.append(f"numpy_version = {np.__version__}")
     lines.append(f"command = {command}")
     lines.append(f"out_dir = {out_dir}")
     lines.append(f"seed = {seed}")

@@ -33,13 +33,12 @@ from .snapshots import read_snapshot
 from .spectral import (
     SpectralField,
     TorusGrid,
-    _collocation,
+    _inverse_in_place,
     _product_coeffs,
     inner_l2,
     lp_norm,
     norm_report,
     resample,
-    riesz_perp,
     sobolev_norm,
 )
 
@@ -200,14 +199,26 @@ def mollify_force(f: SpectralField, width: float) -> SpectralField:
     return SpectralField.from_coeffs(f.grid, f.coeffs * sym)
 
 
-def _transport_values(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+def _packed_values(grid: TorusGrid, coeffs: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """Inverse transform of ``coeffs * symbols * n**2``, computed in place.
+
+    Each packed symbol of ``grid.transport_symbols`` gives two real fields
+    at once, in the real and imaginary parts of the result.
+    """
+    c = coeffs * symbols
+    c *= grid.n**grid.dim
+    return _inverse_in_place(grid, c)
+
+
+def _transport_values(grid: TorusGrid, coeffs: np.ndarray) -> tuple:
     """Collocation values ``(u_1, u_2, d_x, d_y)`` of each field of an ``(m, n, n)`` stack.
 
-    ``u`` is the perpendicular-Riesz velocity and ``d`` the gradient; the
-    ``(4, m, n, n)`` result comes from one batched inverse transform.
+    ``u`` is the perpendicular-Riesz velocity and ``d`` the gradient; the four
+    ``(m, n, n)`` real arrays are views of one batched inverse transform of the
+    packed symbols, ``u_1 + i*u_2`` and ``d_x + i*d_y``.
     """
-    c = coeffs * grid.transport_symbols[:, None]
-    return _collocation(grid, c, out=c)
+    c = _packed_values(grid, coeffs, grid.transport_symbols[:, None])
+    return c[0].real, c[0].imag, c[1].real, c[1].imag
 
 
 def _advection_coeffs(grid: TorusGrid, adv: np.ndarray, rule: str) -> np.ndarray:
@@ -244,9 +255,8 @@ def velocity_max(theta: SpectralField) -> float:
     """``||u||_inf`` of the advecting velocity (the scalar itself in 1D)."""
     if theta.grid.dim == 1:
         return float(np.abs(theta.values()).max())
-    u1, u2 = riesz_perp(theta)
-    speed = np.sqrt(u1.values() ** 2 + u2.values() ** 2)
-    return float(speed.max())
+    u = _packed_values(theta.grid, theta.coeffs, theta.grid.transport_symbols[0])
+    return float(np.sqrt(u.real**2 + u.imag**2).max())
 
 
 class _Stepper:

@@ -128,8 +128,15 @@ class TorusGrid:
 
     @cached_property
     def transport_symbols(self) -> np.ndarray:
-        """``(4, n, n)``: the Riesz symbols, then the gradient symbols (2D only)."""
-        return self._frozen(np.concatenate((self.riesz_symbols, self.gradient_symbols)))
+        """``(2, n, n)`` packed symbols ``riesz_0 + i*riesz_1`` and ``grad_0 + i*grad_1`` (2D only).
+
+        Each pairs two symbols that map a real field to a real field, so one
+        inverse transform of ``coeffs * transport_symbols[j]`` yields the first
+        field in its real part and the second in its imaginary part: ``u_1 +
+        i*u_2`` for the velocity and ``d_x + i*d_y`` for the gradient.
+        """
+        riesz, grad = self.riesz_symbols, self.gradient_symbols
+        return self._frozen(np.stack((riesz[0] + 1j * riesz[1], grad[0] + 1j * grad[1])))
 
     @cached_property
     def nyquist_mask(self) -> np.ndarray:
@@ -158,22 +165,22 @@ class TorusGrid:
         return self._frozen(mx & my)
 
 
-def _collocation(grid: TorusGrid, coeffs: np.ndarray, out=None) -> np.ndarray:
-    """Real collocation values of a coefficient array or of a stack of them.
+def _inverse_in_place(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
+    """Inverse transform of ``c`` over its trailing grid axes, written into ``c``.
 
-    The transform runs over the trailing grid axes; leading axes index
-    independent fields and go through one batched call.  (Passing ``s`` as
-    well as ``axes`` keeps numpy's per-call overhead at that of the default
-    call; per field the result is the same.)  The coefficients are scaled
-    into ``out`` (a new array by default; a caller's own temporary may pass
-    itself) and transformed there in place, because each large temporary
-    (128 KiB and up, glibc's default mmap threshold) is fresh memory that
-    page-faults when first written.
+    Leading axes index independent fields and go through one batched call.
+    (Passing ``s`` as well as ``axes`` keeps numpy's per-call overhead at
+    that of the default call; per field the result is the same.)  The
+    transform runs in place because each large temporary (128 KiB and up,
+    glibc's default mmap threshold) is fresh memory that page-faults when
+    first written.
     """
-    axes = tuple(range(-grid.dim, 0))
-    c = np.multiply(coeffs, grid.n**grid.dim, out=out)
-    np.fft.ifftn(c, s=grid.shape, axes=axes, out=c)
-    return c.real
+    return np.fft.ifftn(c, s=grid.shape, axes=tuple(range(-grid.dim, 0)), out=c)
+
+
+def _collocation(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Real collocation values of a coefficient array or of a stack of them."""
+    return _inverse_in_place(grid, coeffs * grid.n**grid.dim).real
 
 
 def _product_coeffs(grid: TorusGrid, values: np.ndarray) -> np.ndarray:

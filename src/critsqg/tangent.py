@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -82,11 +82,11 @@ def _stack(grid: TorusGrid, fields: Sequence[SpectralField]) -> np.ndarray:
     return coeffs.reshape((len(fields),) + grid.shape)
 
 
-def _transport_derivative(grid: TorusGrid, base: np.ndarray, coeffs: np.ndarray,
+def _transport_derivative(grid: TorusGrid, base: tuple, coeffs: np.ndarray,
                           rule: str) -> np.ndarray:
     """Derivative of the SQG nonlinearity at theta along each field of a stack.
 
-    ``base`` is ``_transport_values`` of theta, shape ``(4, 1, n, n)``, and
+    ``base`` is ``_transport_values`` of theta, four ``(1, n, n)`` arrays, and
     ``coeffs`` the ``(m, n, n)`` tangent stack.  Returns the ``(m, n, n)`` stack
     of ``-(u_theta . grad xi + u_xi . grad theta)``, dealiased under ``rule``,
     from one batched inverse and one batched forward transform.

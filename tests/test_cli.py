@@ -1,6 +1,7 @@
 """Command-line surface: presets, exit taxonomy, manifests, determinism."""
 
 import os
+import platform
 import subprocess
 import sys
 
@@ -72,6 +73,15 @@ class TestConfigParsing:
         text = "[manifest]\ncreated_unix = 1.5\n" + SMALL_RUN
         sections = parse_config_text(text)
         assert "manifest" not in sections
+
+    def test_manifest_records_versions_and_replays_as_config(self, tmp_path):
+        sections = parse_config_text(SMALL_RUN)
+        write_manifest(str(tmp_path / "m"), sections, "simulate", "o", 0, None, "v")
+        text = (tmp_path / "m").read_text()
+        lines = text.splitlines()
+        assert f"python_version = {platform.python_version()}" in lines
+        assert f"numpy_version = {np.__version__}" in lines
+        assert parse_config_text(text) == sections
 
     def test_presets_exist(self):
         for name in ("exact-decay", "steady-state", "holder-corpus", "dimension-sweep",

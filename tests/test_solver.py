@@ -23,7 +23,15 @@ from critsqg.solver import (
     step,
     velocity_max,
 )
-from critsqg.spectral import SpectralField, TorusGrid, inner_l2, lp_norm, sobolev_norm
+from critsqg.spectral import (
+    SpectralField,
+    TorusGrid,
+    gradient,
+    inner_l2,
+    lp_norm,
+    riesz_perp,
+    sobolev_norm,
+)
 
 from conftest import cos_x1, meshes
 
@@ -261,11 +269,18 @@ class TestIntegrate:
 
 
 # The step as it was written before base and tangent steps shared one stage
-# body: one numpy.fft call per field and per operator, the SQG term from
-# riesz_perp and gradient, and the Heun stages spelled out per integrator.
-# The shared body must agree with it bit for bit.
+# body: one numpy.fft call per field and per packed symbol pair (velocity
+# u_1 + i*u_2, gradient d_x + i*d_y), symbols rebuilt from the wavenumbers, and
+# the Heun stages spelled out per integrator.  The shared body must agree with
+# it bit for bit.
 def _ref_values(grid, coeffs):
     return np.real(np.fft.ifftn(coeffs * grid.n**grid.dim))
+
+
+def _ref_pair(grid, coeffs, sym_a, sym_b):
+    """The two real fields of symbols ``sym_a`` and ``sym_b`` from one packed transform."""
+    c = np.fft.ifftn(coeffs * (sym_a + 1j * sym_b) * grid.n**grid.dim)
+    return c.real, c.imag
 
 
 def _ref_product(grid, values, rule):
@@ -282,8 +297,8 @@ def ref_nonlinear(grid, coeffs, rule):
     kx, ky = grid.kvecs
     inv = np.zeros_like(grid.kmag)
     inv[grid.kmag > 0] = 1.0 / grid.kmag[grid.kmag > 0]
-    u1, u2, gx, gy = (_ref_values(grid, coeffs * sym)
-                      for sym in (-1j * ky * inv, 1j * kx * inv, 1j * kx, 1j * ky))
+    u1, u2 = _ref_pair(grid, coeffs, -1j * ky * inv, 1j * kx * inv)
+    gx, gy = _ref_pair(grid, coeffs, 1j * kx, 1j * ky)
     return _ref_product(grid, -(u1 * gx + u2 * gy), rule)
 
 
@@ -323,6 +338,42 @@ class TestStepOracle:
         assert not theta.is_zero()
         if epsilon:
             assert not np.array_equal(stepper.force.coeffs, f.coeffs)
+
+
+class TestPackedTransforms:
+    """Two real fields per complex inverse transform, against one transform per field."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.sampled_from([8, 16, 32]), m=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-6, 1.0, 1e6]))
+    def test_transport_values_match_separate_transforms(self, n, m, seed, scale):
+        grid = TorusGrid(2, n)
+        rng = np.random.default_rng(seed)
+        fields = [SpectralField.from_coeffs(grid, scale * (rng.normal(size=grid.shape)
+                                                          + 1j * rng.normal(size=grid.shape)))
+                  for _ in range(m)]
+        stack = np.array([f.coeffs for f in fields]).reshape((m,) + grid.shape)
+        u1, u2, gx, gy = solver._transport_values(grid, stack)
+        for j, f in enumerate(fields):
+            # each packed pair is compared relative to the larger field of the pair
+            for got, want in (((u1[j], u2[j]), riesz_perp(f)), ((gx[j], gy[j]), gradient(f))):
+                want = [w.values() for w in want]
+                top = max(np.abs(w).max() for w in want)
+                for g, w in zip(got, want):
+                    assert np.abs(g - w).max() <= 1e-14 * top
+        assert u1.shape == gy.shape == (m,) + grid.shape
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.sampled_from([8, 16, 32]), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-6, 1.0, 1e6]))
+    def test_velocity_max_matches_riesz_perp(self, n, seed, scale):
+        grid = TorusGrid(2, n)
+        rng = np.random.default_rng(seed)
+        f = SpectralField.from_coeffs(grid, scale * (rng.normal(size=grid.shape)
+                                                     + 1j * rng.normal(size=grid.shape)))
+        u1, u2 = (u.values() for u in riesz_perp(f))
+        want = np.sqrt(u1**2 + u2**2).max()
+        assert abs(velocity_max(f) - want) <= 1e-14 * want
 
 
 class TestCflFloor:

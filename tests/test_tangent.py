@@ -157,16 +157,23 @@ class TestOneStepBody:
         assert errs[1] < errs[0] / 3.0
 
 
-# Per-field reference for the stacked tangent path: one numpy.fft call per
-# field and per operator, symbols rebuilt from the wavenumbers, as the tangent
-# step was written before it was batched.  The stacked path must agree bit for bit.
-def _ref_values(grid, coeffs):
+# Per-field reference for the stacked tangent path: symbols rebuilt from the
+# wavenumbers, and one numpy.fft call per field and per packed symbol pair
+# (velocity u_1 + i*u_2, gradient d_x + i*d_y).  The stacked path must agree
+# with it bit for bit.  With ``packed=False`` it is the route before packing,
+# one transform per operator keeping its real part; the stacked path agrees
+# with that one to roundoff only.
+def _ref_values(grid, coeffs, packed=True):
     kx, ky = grid.kvecs
     inv = np.zeros_like(grid.kmag)
     nz = grid.kmag > 0
     inv[nz] = 1.0 / grid.kmag[nz]
     symbols = (-1j * ky * inv, 1j * kx * inv, 1j * kx, 1j * ky)
-    return [np.real(np.fft.ifftn(coeffs * sym * grid.n**2)) for sym in symbols]
+    if not packed:
+        return [np.real(np.fft.ifftn(coeffs * sym * grid.n**2)) for sym in symbols]
+    u = np.fft.ifftn(coeffs * (symbols[0] + 1j * symbols[1]) * grid.n**2)
+    d = np.fft.ifftn(coeffs * (symbols[2] + 1j * symbols[3]) * grid.n**2)
+    return [u.real, u.imag, d.real, d.imag]
 
 
 def _ref_advection(grid, adv, rule):
@@ -176,10 +183,10 @@ def _ref_advection(grid, adv, rule):
     return c * grid.dealias_mask if rule == "two-thirds" else c
 
 
-def ref_transport_derivative(theta, xi, rule):
+def ref_transport_derivative(theta, xi, rule, packed=True):
     grid = theta.grid
-    u1, u2, tx, ty = _ref_values(grid, theta.coeffs)
-    w1, w2, gx, gy = _ref_values(grid, xi.coeffs)
+    u1, u2, tx, ty = _ref_values(grid, theta.coeffs, packed)
+    w1, w2, gx, gy = _ref_values(grid, xi.coeffs, packed)
     adv = u1 * gx + u2 * gy
     adv += w1 * tx + w2 * ty
     return _ref_advection(grid, adv, rule)
@@ -190,13 +197,13 @@ def ref_linearized_rhs(theta, xi, kappa, rule="two-thirds"):
     return ref_transport_derivative(theta, xi, rule) - dissipation.coeffs
 
 
-def ref_step(stepper, theta, xis, dt):
+def ref_step(stepper, theta, xis, dt, packed=True):
     grid, rule = stepper.grid, stepper.config.dealias
     a, b = stepper._coefficients(dt)
     force = stepper.force.coeffs
 
     def rhs(c):
-        u1, u2, tx, ty = _ref_values(grid, c)
+        u1, u2, tx, ty = _ref_values(grid, c, packed)
         return _ref_advection(grid, u1 * tx + u2 * ty, rule) + force
 
     g1 = rhs(theta.coeffs)
@@ -205,9 +212,9 @@ def ref_step(stepper, theta, xis, dt):
     theta_new = (a * theta.coeffs + 0.5 * dt * (g1 + g2)) * b
     xis_new = []
     for xi in xis:
-        d1 = ref_transport_derivative(theta, xi, rule)
+        d1 = ref_transport_derivative(theta, xi, rule, packed)
         xi_mid = SpectralField._trusted(grid, (a * xi.coeffs + dt * d1) * b)
-        d2 = ref_transport_derivative(mid, xi_mid, rule)
+        d2 = ref_transport_derivative(mid, xi_mid, rule, packed)
         xis_new.append((a * xi.coeffs + 0.5 * dt * (d1 + d2)) * b)
     return theta_new, xis_new
 
@@ -234,6 +241,24 @@ class TestStackedOracle:
             assert len(xis) == m
             for xi, want in zip(xis, want_xis):
                 assert np.array_equal(xi.coeffs, want)
+
+    @pytest.mark.parametrize("n", [32, 48])
+    @pytest.mark.parametrize("rule", ["two-thirds", "none"])
+    def test_step_near_four_transform_route(self, n, rule):
+        # packing two real fields per transform moves only the last bits
+        grid = TorusGrid(2, n)
+        cfg = SolverConfig(kappa=0.8, dt=1e-3, t_end=1.0, dealias=rule)
+        cs = CoupledStepper(grid, cfg, Force.wrap(random_band_field(grid, 2, 0.3, 6)))
+        theta = ref_theta = random_band_field(grid, 4, 0.5, 5)
+        xis = ref_xis = [random_band_field(grid, 4, 1.0, 20 + j) for j in range(6)]
+        for _ in range(4):
+            theta, xis = cs.step(theta, xis, cfg.dt)
+            want_theta, want_xis = ref_step(cs, ref_theta, ref_xis, cfg.dt, packed=False)
+            ref_theta = SpectralField._trusted(grid, want_theta)
+            ref_xis = [SpectralField._trusted(grid, x) for x in want_xis]
+        for got, want in zip([theta] + xis, [ref_theta] + ref_xis):
+            scale = np.abs(want.coeffs).max()
+            assert np.abs(got.coeffs - want.coeffs).max() <= 1e-14 * scale
 
     @pytest.mark.parametrize("n", [32, 48])
     @pytest.mark.parametrize("rule", ["two-thirds", "none"])

@@ -24,12 +24,21 @@ for each tree the sha256 of the sorted ``sha256  command/file`` list.  It
 exits 0 when every exit code and every file is the same, and 1 otherwise.
 Nothing is written outside the temporary directory.
 
-``--expect-change`` names CSV files (by file name, for every command) that a
-numerical change may move.  Such a file passes when it has the same header and
-number of rows and its non-numeric columns are identical; a column is numeric
-when every cell parses as a float and at least one is not an integer, so
-names, counts and 0/1 verdicts must match exactly.  For each numeric column
-the script prints the largest relative change ``|a - b| / max(|a|, |b|)``.
+``--expect-change`` names files (by file name, for every command) that a
+numerical change may move; the script prints the largest relative change
+``|a - b| / max(|a|, |b|)`` of what may move, and everything else must be
+identical:
+
+* a CSV must have the same header and number of rows and identical
+  non-numeric columns; a column is numeric when every cell parses as a float
+  and at least one is not an integer, so names, counts and 0/1 verdicts must
+  match exactly.  The change is printed per numeric column.
+* a ``.sqgf`` snapshot must have a byte-equal header (grid and time) and the
+  same size; the change of its values is taken relative to the larger of the
+  two fields' largest magnitudes.
+* ``dimension_report.txt`` must have identical text, integers and
+  ``True``/``False``; the change is printed per line that holds floats
+  (numbers written with a ``.`` or an exponent).
 """
 
 from __future__ import annotations
@@ -41,11 +50,14 @@ import importlib.util
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tarfile
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -131,14 +143,78 @@ def _compare_csv(parent: str, change: str) -> tuple:
             if col_a != col_b:
                 return f"column {name!r} differs", {}
             continue
-        rel = 0.0
-        for cell_a, cell_b in zip(col_a, col_b):
-            x, y = float(cell_a), float(cell_b)
-            if cell_a != cell_b and x != y:  # equal cells include "nan"; -0.0 equals 0.0
-                finite = math.isfinite(x) and math.isfinite(y)
-                rel = max(rel, abs(x - y) / max(abs(x), abs(y)) if finite else math.inf)
-        worst[name] = rel
+        # equal cells include "nan"; -0.0 equals 0.0
+        worst[name] = max((_relative(float(x), float(y)) for x, y in zip(col_a, col_b)),
+                          default=0.0)
     return None, worst
+
+
+def _relative(x: float, y: float) -> float:
+    """``|x - y| / max(|x|, |y|)``: 0 when equal (also both NaN), inf for other non-finite pairs."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+_SQGF_HEADER = 24  # magic, version, dim, n (4 bytes each) and the time (f64)
+
+
+def _compare_sqgf(parent: str, change: str) -> tuple:
+    """``(problem or None, {"values": relative change})`` of two field snapshots."""
+    with open(parent, "rb") as fh:
+        a = fh.read()
+    with open(change, "rb") as fh:
+        b = fh.read()
+    if a[:_SQGF_HEADER] != b[:_SQGF_HEADER] or len(a) != len(b):
+        return "header or size differs", {}
+    x, y = (np.frombuffer(data, dtype="<f8", offset=_SQGF_HEADER) for data in (a, b))
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        same = np.array_equal(x, y, equal_nan=True)
+        return None, {"values": 0.0 if same else math.inf}
+    top = max(np.abs(x).max(initial=0.0), np.abs(y).max(initial=0.0))
+    diff = float(np.abs(x - y).max(initial=0.0))
+    return None, {"values": diff / float(top) if diff else 0.0}
+
+
+# a number: the split keeps it as an odd-indexed part, the text around it even-indexed
+_NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:e[-+]?\d+)?)")
+
+
+def _is_float_text(part: str) -> bool:
+    return "." in part or "e" in part
+
+
+def _compare_report(parent: str, change: str) -> tuple:
+    """``(problem or None, {"line N": largest relative change})`` of two dimension reports."""
+    with open(parent, encoding="utf-8") as fh:
+        a = fh.read().splitlines()
+    with open(change, encoding="utf-8") as fh:
+        b = fh.read().splitlines()
+    if len(a) != len(b):
+        return "line count differs", {}
+    worst = {}
+    for lineno, (line_a, line_b) in enumerate(zip(a, b), 1):
+        parts_a, parts_b = _NUMBER.split(line_a), _NUMBER.split(line_b)
+        if len(parts_a) != len(parts_b):
+            return f"line {lineno} differs", {}
+        for i, (part_a, part_b) in enumerate(zip(parts_a, parts_b)):
+            if i % 2 == 1 and _is_float_text(part_a) and _is_float_text(part_b):
+                rel = _relative(float(part_a), float(part_b))
+                worst[f"line {lineno}"] = max(worst.get(f"line {lineno}", 0.0), rel)
+            elif part_a != part_b:
+                return f"line {lineno} differs", {}
+    return None, worst
+
+
+def _compare(parent: str, change: str) -> tuple:
+    """``(problem or None, {what: largest relative change})`` of an expected change."""
+    if parent.endswith(".sqgf"):
+        return _compare_sqgf(parent, change)
+    if parent.endswith(".csv"):
+        return _compare_csv(parent, change)
+    return _compare_report(parent, change)
 
 
 def _list_hash(digests: dict) -> str:
@@ -150,7 +226,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
     parser.add_argument("--expect-change", nargs="+", default=[], metavar="FILE",
-                        help="CSV file names whose numeric columns may differ")
+                        help="CSV, .sqgf or dimension_report.txt file names whose "
+                             "numbers may differ")
     args = parser.parse_args(argv)
     root = subprocess.run(["git", "rev-parse", "--show-toplevel"], cwd=HERE, check=True,
                           capture_output=True, text=True).stdout.strip()
@@ -174,7 +251,7 @@ def main(argv=None) -> int:
         for key in sorted(set(digests["parent"]) & set(digests["change"])):
             if (os.path.basename(key) in args.expect_change
                     and digests["parent"][key] != digests["change"][key]):
-                expected[key] = _compare_csv(*(os.path.join(outs[side], key) for side in trees))
+                expected[key] = _compare(*(os.path.join(outs[side], key) for side in trees))
 
     differ = 0
     for name in cmds:
