@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields as dc_fields, replace
+from dataclasses import fields as dc_fields, replace
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -400,18 +400,10 @@ def calibrate_c_backward(pairs) -> float:
     return 2.0 * worst
 
 
-@dataclass
-class CalibrationReport:
-    constants: UniversalConstants
-    notes: List[str]
-
-
-def run_calibration() -> CalibrationReport:
+def run_calibration() -> UniversalConstants:
     """Run the whole protocol, printing each step and constant as it is found."""
-    notes = []
 
     def log(msg):
-        notes.append(msg)
         print(msg, flush=True)
 
     log("building kernel corpus (20 fields, n=64, band=8) ...")
@@ -446,15 +438,14 @@ def run_calibration() -> CalibrationReport:
     c_backward = calibrate_c_backward(pairs)
     log(f"c_backward = {c_backward!r}")
 
-    consts = UniversalConstants(
+    return UniversalConstants(
         c0=c0, eps0=EPS0, eps1=eps1, c2=c2, c5=c5, c7=c7, c8=c8, c9=c9,
         c10=c10, c11=c11, c_backward=c_backward, version=CONSTANTS_VERSION,
     )
-    return CalibrationReport(constants=consts, notes=notes)
 
 
 def main() -> int:
-    report = run_calibration()
+    consts = run_calibration()
     here = os.path.dirname(os.path.abspath(__file__))
     out = os.path.join(here, "data", "default_constants.txt")
     os.makedirs(os.path.dirname(out), exist_ok=True)
@@ -463,7 +454,7 @@ def main() -> int:
         f"protocol: critsqg.calibration, corpus version {CONSTANTS_VERSION}\n"
         "each value is the corpus-tight constant padded by the documented margin\n"
     )
-    save_constants(report.constants, out, header=header)
+    save_constants(consts, out, header=header)
     print(f"wrote {out}")
     return 0
 

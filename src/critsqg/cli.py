@@ -77,7 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ker.add_argument("--out", required=True)
     p_dim = sub.add_parser("dimension", help="tangent ensemble, traces, dimension bound")
     common(p_dim)
-    p_dim.add_argument("--n-max", type=int, default=None, help="tangent ensemble size")
+    p_dim.add_argument("--n-max", type=int, default=None,
+                       help="tangent ensemble size (replaces [tangent] n_tangent)")
     return parser
 
 
@@ -244,7 +245,7 @@ def _cmd_verify_kernels(args) -> int:
             failures += int(not ok)
             report.append(("identity", f"seed{row['seed']}_a{alpha}", resid, 1e-2 * linf_sq, ok))
         for p in (4, 8):
-            lhs, (r1, r2) = lp_poincare_check(phi, p, 1.0)
+            lhs, (r1, r2) = lp_poincare_check(phi, p)
             ok = lhs >= r1 + r2
             failures += int(not ok)
             report.append((f"poincare_p{p}", f"seed{row['seed']}", lhs - (r1 + r2), 0.0, ok))
@@ -269,10 +270,8 @@ def _cmd_verify_kernels(args) -> int:
 
 def _cmd_dimension(args) -> int:
     sections = _load_sections(args)
-    setup = build_setup(sections, args.seed_override, "dimension")
-    n_max = args.n_max if args.n_max is not None else setup.tangent_n
-    if n_max <= 0:
-        raise ConfigError(0, "n-max must be a positive integer")
+    setup = build_setup(sections, args.seed_override, "dimension", n_tangent=args.n_max)
+    n_max = setup.tangent_n  # --n-max, when given, is in the manifest's [tangent] section
     consts = load_constants()
     _start_manifest(args, setup.sections, "dimension", ["trace_log.csv", "dimension_report.txt"])
     grid = TorusGrid(2, setup.n)

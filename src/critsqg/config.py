@@ -203,20 +203,32 @@ def _envelope_p(tok: str, lineno: int):
 _COMMAND_DIM = {"simulate": 2, "burgers": 1, "dimension": 2}
 
 
+def _positive(kv: Dict[str, str], key: str, default: int, limit=None) -> int:
+    """A positive integer value, at most ``limit`` if given."""
+    value = _get(kv, key, int, default, limit)
+    if value < 1:
+        raise ConfigError(_line(kv, key), f"{key} must be a positive integer, got {value}")
+    return value
+
+
 def build_setup(sections: Dict[str, Dict[str, str]], seed_override: Optional[int] = None,
-                command: Optional[str] = None) -> RunSetup:
+                command: Optional[str] = None, n_tangent: Optional[int] = None) -> RunSetup:
     """Decode and validate a config; every bad value raises :class:`ConfigError`.
 
-    ``seed_override`` offsets the ``[initial]`` and ``[force]`` seeds, and
-    ``RunSetup.sections`` records the offset seeds, so a manifest written from
-    them replays the run without the override.  A ``command`` (a key of
-    ``_COMMAND_DIM``) also requires the ``dim`` it integrates on.
+    ``seed_override`` offsets the ``[initial]`` and ``[force]`` seeds and
+    ``n_tangent`` replaces ``[tangent] n_tangent``; ``RunSetup.sections``
+    records the resulting values, so a manifest written from them replays the
+    run without either override.  A ``command`` (a key of ``_COMMAND_DIM``)
+    also requires the ``dim`` it integrates on.
     """
-    if seed_override is not None:
+    if seed_override is not None or n_tangent is not None:
         sections = {sec: dict(kv) for sec, kv in sections.items()}
+    if seed_override is not None:
         for name in ("initial", "force"):
             kv = sections.setdefault(name, {})
             kv["seed"] = str(_get(kv, "seed", int, 0) + seed_override)
+    if n_tangent is not None:
+        sections.setdefault("tangent", {})["n_tangent"] = str(n_tangent)
     sol = sections.get("solver", {})
     dim = _get(sol, "dim", int, 2)
     n = _get(sol, "n", int, 64)
@@ -246,10 +258,19 @@ def build_setup(sections: Dict[str, Dict[str, str]], seed_override: Optional[int
     ps = tuple(_envelope_p(tok, _line(probes, "decay_envelope_ps"))
                for tok in filter(None, (t.strip() for t in ps_raw.split(","))))
     tangent = sections.get("tangent", {})
-    reorth = _get(tangent, "reorth_every", int, 10)
-    if reorth < 1:
-        raise ConfigError(_line(tangent, "reorth_every"),
-                          f"reorth_every must be a positive integer, got {reorth}")
+    tangent_reorth = _positive(tangent, "reorth_every", 10)
+    tangent_n = _positive(tangent, "n_tangent", 6)
+    tangent_band = _positive(tangent, "tangent_band", 3, limit=n // 2)
+    # independent real fields in the band: one per nonzero, non-Nyquist lattice point
+    modes = int(np.count_nonzero((grid.kmag > 0) & (grid.kmag <= tangent_band)
+                                 & ~grid.nyquist_mask))
+    if tangent_n > modes:
+        raise ConfigError(_line(tangent, "n_tangent") or _line(tangent, "tangent_band"),
+                          f"n_tangent = {tangent_n} exceeds the {modes} independent modes with "
+                          f"|k| <= tangent_band = {tangent_band} on n = {n}")
+    tangent_relax = _get(tangent, "t_relax", float, 4.0)
+    if tangent_relax < 0:
+        raise ConfigError(_line(tangent, "t_relax"), f"t_relax must be >= 0, got {tangent_relax}")
     return RunSetup(
         dim=dim,
         n=n,
@@ -259,11 +280,11 @@ def build_setup(sections: Dict[str, Dict[str, str]], seed_override: Optional[int
         holder_alpha=holder_alpha,
         decay_envelope_ps=ps,
         absorption=_switch(probes, "absorption"),
-        tangent_n=_get(tangent, "n_tangent", int, 6),
-        tangent_reorth=reorth,
-        tangent_relax=_get(tangent, "t_relax", float, 4.0),
+        tangent_n=tangent_n,
+        tangent_reorth=tangent_reorth,
+        tangent_relax=tangent_relax,
         tangent_seed=_get(tangent, "seed", int, 7),
-        tangent_band=_get(tangent, "tangent_band", int, 3, limit=n // 2),
+        tangent_band=tangent_band,
         sections=sections,
     )
 

@@ -372,7 +372,7 @@ class DecayEnvelopeReport:
 
 
 def decay_envelope_report(traj: Trajectory, p, consts: UniversalConstants) -> DecayEnvelopeReport:
-    """Compare recorded L^p norms of a trajectory against the decay envelope."""
+    """Compare recorded L^p norms (``p`` inf, 2 or in the run's ``report_ps``) with the envelope."""
     kappa = traj.config.kappa
     theta0_norm = lp_norm(traj.fields[0], p)
     f_norm = lp_norm(traj.force.field, p)
@@ -384,9 +384,7 @@ def decay_envelope_report(traj: Trajectory, p, consts: UniversalConstants) -> De
         elif int(p) == 2:
             norm = rep.l2
         else:
-            norm = rep.lp.get(int(p))
-            if norm is None:
-                norm = lp_norm(traj.field_at(t), p)
+            norm = rep.lp[int(p)]
         env = float(decay_envelope(p, t, theta0_norm, f_norm, kappa, consts.c0))
         violated = _exceeds(norm, env)
         violations += int(violated)

@@ -15,18 +15,18 @@ by quadrature of the whole-space form with the periodic extension of ``phi``:
 * inside a small principal-value disc the integrand is replaced by its
   second-order Taylor model, which removes the singularity analytically and
   integrates to ``c_alpha * pi * delta^{2-alpha}/(2-alpha) * |grad phi|^2``;
-* an annulus ``delta <= |y| <= outer_radius`` is covered with panelled
-  Gauss-Legendre (radial) x trapezoid (angular) nodes whose density scales
-  with the field bandwidth (Nyquist counting for ``exp(i k . y)``);
-* beyond ``outer_radius`` the oscillating part of the periodic extension
-  averages out and the tail is added analytically:
+* an annulus ``delta <= |y| <= R`` (``R = OUTER_RADIUS = 8*pi``) is covered
+  with panelled Gauss-Legendre (radial) x trapezoid (angular) nodes whose
+  density scales with the field bandwidth (Nyquist counting for
+  ``exp(i k . y)``);
+* beyond ``R`` the oscillating part of the periodic extension averages out
+  and the tail is added analytically:
   ``c_alpha * 2*pi/(alpha R^alpha) * (phi(x)^2 + mean(phi^2))``.
 
 Because the annulus part is a plain node/weight sum of translates, evaluating
 it at every collocation point simultaneously reduces to two FFTs against a
 precomputed translation symbol ``S(k) = sum_q w_q exp(i k . y_q)``; the symbol
-is cached per (alpha, bandwidth, resolution, quadrature).  The lattice-sum
-kernel ``K_alpha`` itself is kept for kernel-level unit tests.
+is cached per (alpha, bandwidth, resolution, quadrature).
 """
 
 from __future__ import annotations
@@ -38,97 +38,50 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .spectral import MeanZeroError, SpectralField, fractional_laplacian, gradient, resample, shift
+from .spectral import (
+    MeanZeroError,
+    SpectralField,
+    _collocation,
+    _forward,
+    fractional_laplacian,
+    gradient,
+    resample,
+    shift,
+)
 
 __all__ = [
     "c_alpha",
-    "KernelSpec",
+    "OUTER_RADIUS",
     "QuadratureSpec",
-    "kernel_value",
     "dissipation_field",
     "dissipation_convergence",
     "spectral_identity_rhs",
     "pointwise_identity_residual",
-    "lp_poincare_constant",
+    "LP_POINCARE_CONSTANT",
     "lp_poincare_check",
     "nonlinear_lower_bound_check",
     "LowerBoundReport",
 ]
 
 
-def c_alpha(alpha: float, dim: int = 2) -> float:
-    """Normalization constant of the fractional-Laplacian kernel.
+OUTER_RADIUS = 8.0 * np.pi  # switch-over from the annulus quadrature to the analytic tail
 
-    ``c_alpha = 2^alpha Gamma((d+alpha)/2) / (pi^{d/2} |Gamma(-alpha/2)|)``;
-    in two dimensions with ``alpha = 1`` this evaluates to ``1/(2*pi)``.
-    Vanishes in both limits ``alpha -> 0+`` and ``alpha -> 2-``.
+# the constant C_{1,2} of the L^p lower bound in the critical two-dimensional case
+LP_POINCARE_CONSTANT = float(2**9 * np.pi**2)
+
+
+def c_alpha(alpha: float) -> float:
+    """Normalization constant of the fractional-Laplacian kernel on the plane.
+
+    ``c_alpha = 2^alpha Gamma(1 + alpha/2) / (pi |Gamma(-alpha/2)|)``; with
+    ``alpha = 1`` this evaluates to ``1/(2*pi)``.  Vanishes in both limits
+    ``alpha -> 0+`` and ``alpha -> 2-``.
     """
     from scipy.special import gamma as _gamma  # ~0.2 s to import, needed by the kernel checks only
 
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    return float(
-        2.0**alpha * _gamma((dim + alpha) / 2.0) / (np.pi ** (dim / 2.0) * abs(_gamma(-alpha / 2.0)))
-    )
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Lattice-sum representation of the periodic kernel K_alpha.
-
-    Images out to ``|k|_inf <= 16 * lattice_radius`` are summed explicitly;
-    the remaining sum is approximated by the analytic integral of the
-    decaying envelope.
-    """
-
-    alpha: float
-    lattice_radius: int = 6
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 2.0:
-            raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
-        if self.lattice_radius < 2:
-            raise ValueError("lattice_radius must be >= 2")
-
-
-def _square_exterior_moment(beta: float) -> float:
-    """``int_0^1 (1 + u^2)^{-beta/2} du`` by Gauss-Legendre (wedge factor of the
-    integral of |z|^{-beta} over the exterior of a square)."""
-    xg, wg = leggauss(48)
-    u = 0.5 * (xg + 1.0)
-    return float(0.5 * np.sum(wg * (1.0 + u * u) ** (-beta / 2.0)))
-
-
-def kernel_value(y, spec: KernelSpec) -> np.ndarray:
-    """Periodic kernel ``K_alpha(y)`` for ``y`` in the fundamental cell, y != 0.
-
-    Accepts an array of shape (..., 2).  The lattice images are summed
-    explicitly out to ``16 * lattice_radius`` and the rest is the midpoint-rule
-    integral over the exterior of the matching square,
-    including the second-order mean-value correction in ``|y|``; doubling
-    ``lattice_radius`` then perturbs values for ``|y| <= pi`` by under 1e-6
-    relative.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape[-1] != 2:
-        raise ValueError("kernel_value expects 2-vectors")
-    a = spec.alpha
-    ca = c_alpha(a)
-    beta = 2.0 + a
-    R2 = 16 * spec.lattice_radius
-    ks = np.arange(-R2, R2 + 1)
-    kx, ky = np.meshgrid(ks, ks, indexing="ij")
-    lat = 2.0 * np.pi * np.stack([kx.ravel(), ky.ravel()], axis=1)  # ((2R2+1)^2, 2)
-    d = y[..., None, :] - lat  # (..., L, 2)
-    total = np.sum(np.sum(d * d, axis=-1) ** (-beta / 2.0), axis=-1)
-    s = 2.0 * np.pi * (R2 + 0.5)
-    i1 = _square_exterior_moment(beta)
-    i2 = _square_exterior_moment(beta + 2.0)
-    y_sq = np.sum(y * y, axis=-1)
-    tail = (8.0 / (2.0 * np.pi) ** 2) * (
-        i1 * s**-a / a + (beta**2 / 4.0) * y_sq * i2 * s ** (-2.0 - a) / (2.0 + a)
-    )
-    return ca * (total + tail)
+    return float(2.0**alpha * _gamma((2 + alpha) / 2.0) / (np.pi * abs(_gamma(-alpha / 2.0))))
 
 
 @dataclass(frozen=True)
@@ -136,23 +89,20 @@ class QuadratureSpec:
     """Principal-value quadrature layout for the whole-space dissipation form.
 
     ``pv_inner_radius`` is the Taylor-model disc radius (must stay below the
-    collocation spacing of the field it is applied to), ``outer_radius`` the
-    switch-over to the analytic tail, ``refinement`` a density multiplier for
-    both radial and angular node counts.  :meth:`for_grid` picks the radius
+    collocation spacing of the field it is applied to), ``refinement`` a
+    density multiplier for both radial and angular node counts.
+    :meth:`for_grid` picks the radius
     ``min(h/2, pi/(4 kmax))``: the relative Taylor-model error scales like
     ``(kmax delta)^(4 - alpha)``, so the disc shrinks with the integrand
     bandwidth ``kmax`` once that exceeds ``n/4``.
     """
 
     pv_inner_radius: float
-    outer_radius: float = 8.0 * np.pi
     refinement: int = 1
 
     def __post_init__(self):
         if self.pv_inner_radius <= 0:
             raise ValueError("pv_inner_radius must be positive")
-        if self.outer_radius < 4.0 * np.pi:
-            raise ValueError("outer_radius must be >= 4*pi")
         if self.refinement < 1:
             raise ValueError("refinement must be >= 1")
 
@@ -167,8 +117,8 @@ def _annulus_nodes(alpha: float, kmax: int, spec: QuadratureSpec):
     ref = spec.refinement
     ys1, ys2, ws = [], [], []
     a = spec.pv_inner_radius
-    while a < spec.outer_radius:
-        b = min(2.0 * a, spec.outer_radius)
+    while a < OUTER_RADIUS:
+        b = min(2.0 * a, OUTER_RADIUS)
         nr = int(np.ceil(0.45 * kmax * (b - a))) + 8 * ref
         xg, wg = leggauss(nr)
         r = 0.5 * (b - a) * xg + 0.5 * (b + a)
@@ -192,7 +142,7 @@ def _translation_symbol(alpha: float, kmax: int, n: int, spec: QuadratureSpec) -
     The weights are real, so only the rows ``k1 >= 0`` are summed, and
     ``S(-k) = conj S(k)`` fills the rest of the band.
     """
-    key = (round(alpha, 12), kmax, n, round(spec.pv_inner_radius, 14), round(spec.outer_radius, 10), spec.refinement)
+    key = (round(alpha, 12), kmax, n, round(spec.pv_inner_radius, 14), spec.refinement)
     got = _symbol_cache.get(key)
     if got is not None:
         return got
@@ -245,22 +195,20 @@ def dissipation_field(field: SpectralField, alpha: float, spec: Optional[Quadrat
         spec = QuadratureSpec.for_grid(grid, kmax)
     if spec.pv_inner_radius >= grid.spacing:
         raise ValueError("pv_inner_radius must be below the grid spacing")
-    n = grid.n
     ca = c_alpha(alpha)
-    S = _translation_symbol(alpha, kmax, n, spec)
+    S = _translation_symbol(alpha, kmax, grid.n, spec)
     v = field.values()
     v2 = v * v
-    ch = field.coeffs
-    ch2 = np.fft.fft2(v2) / n**2
     w_total = float(S[0, 0].real)
-    conv_v = np.real(np.fft.ifft2(ch * S * n**2))
-    conv_v2 = np.real(np.fft.ifft2(ch2 * S * n**2))
+    conv_v = _collocation(grid, field.coeffs * S)
+    # the unprojected transform: the mean of v^2 is part of the integrand
+    conv_v2 = _collocation(grid, _forward(grid, v2) * S)
     gx, gy = gradient(field)
     grad2 = gx.values() ** 2 + gy.values() ** 2
     delta = spec.pv_inner_radius
     inner = ca * np.pi * delta ** (2.0 - alpha) / (2.0 - alpha) * grad2
     m2 = float(np.mean(v2))
-    tail = ca * 2.0 * np.pi / (alpha * spec.outer_radius**alpha) * (v2 + m2)
+    tail = ca * 2.0 * np.pi / (alpha * OUTER_RADIUS**alpha) * (v2 + m2)
     return w_total * v2 - 2.0 * v * conv_v + conv_v2 + inner + tail
 
 
@@ -271,7 +219,7 @@ def dissipation_convergence(field: SpectralField, alpha: float) -> float:
     for this field.
     """
     spec = QuadratureSpec.for_grid(field.grid, _field_kmax(field))
-    fine = QuadratureSpec(spec.pv_inner_radius / 2.0, spec.outer_radius, 2 * spec.refinement)
+    fine = QuadratureSpec(spec.pv_inner_radius / 2.0, 2 * spec.refinement)
     d0 = dissipation_field(field, alpha, spec)
     d1 = dissipation_field(field, alpha, fine)
     scale = max(float(np.abs(d1).max()), 1e-300)
@@ -298,30 +246,12 @@ def pointwise_identity_residual(field: SpectralField, alpha: float) -> np.ndarra
     return np.abs(spectral_identity_rhs(field, alpha) - dissipation_field(field, alpha))
 
 
-def lp_poincare_constant(alpha: float, dim: int = 2) -> float:
-    """A valid constant C_{alpha,d} for the L^p lower bound (larger is weaker).
+def lp_poincare_check(field: SpectralField, p: int):
+    """Evaluate both sides of the L^p lower bound for the critical ``Lambda = (-Laplacian)^{1/2}``.
 
-    For the critical two-dimensional case the pinned value ``2^9 * pi^2`` is
-    returned; other parameters fall back to the general closed form with the
-    Euclidean cell diameter.
-    """
-    if dim == 2 and alpha == 1.0:
-        return float(2**9 * np.pi**2)
-    if not 0.0 < alpha < 2.0:
-        raise ValueError("alpha must lie in (0, 2)")
-    ca = c_alpha(alpha, dim)
-    volume = (2.0 * np.pi) ** dim
-    diam = 2.0 * np.pi * math.sqrt(dim)
-    inv = ca * volume / (8.0 * (2.0 * np.pi + diam) ** (dim + alpha))
-    return float(1.0 / inv)
-
-
-def lp_poincare_check(field: SpectralField, p: int, alpha: float):
-    """Evaluate both sides of the L^p lower bound for the fractional Laplacian.
-
-        int theta^{p-1} Lambda^alpha theta dx
-            >= (1/p) ||Lambda^{alpha/2}(theta^{p/2})||_{L^2}^2
-               + (1/C_{alpha,d}) ||theta||_{L^p}^p
+        int theta^{p-1} Lambda theta dx
+            >= (1/p) ||Lambda^{1/2}(theta^{p/2})||_{L^2}^2
+               + (1/C) ||theta||_{L^p}^p,      C = LP_POINCARE_CONSTANT = 2^9 pi^2
 
     Returns ``(lhs, (smooth_part, lp_part))``; the caller asserts the
     inequality.  Quadratures are alias-free (power products are formed on a
@@ -338,18 +268,17 @@ def lp_poincare_check(field: SpectralField, p: int, alpha: float):
         m *= 2
     padded = resample(field, m)
     v = padded.values()
-    lam = resample(fractional_laplacian(field, alpha), m).values()
+    lam = resample(fractional_laplacian(field, 1.0), m).values()
     cell = (2.0 * np.pi / m) ** grid.dim
     lhs = float(np.sum(v ** (p - 1) * lam) * cell)
 
-    half = v ** (p // 2)
-    ch = np.fft.fftn(half) / m**grid.dim
+    ch = _forward(padded.grid, v ** (p // 2))
     kmag = padded.grid.kmag
     nzm = kmag > 0
-    smooth = float((2.0 * np.pi) ** grid.dim * np.sum(kmag[nzm] ** alpha * np.abs(ch[nzm]) ** 2)) / p
+    smooth = float((2.0 * np.pi) ** grid.dim * np.sum(kmag[nzm] * np.abs(ch[nzm]) ** 2)) / p
 
     lp_p = float(np.sum(v**p) * cell)
-    lp_part = lp_p / lp_poincare_constant(alpha, grid.dim)
+    lp_part = lp_p / LP_POINCARE_CONSTANT
     return lhs, (smooth, lp_part)
 
 

@@ -33,7 +33,7 @@ from .snapshots import read_snapshot
 from .spectral import (
     SpectralField,
     TorusGrid,
-    _inverse_in_place,
+    _packed_values,
     _product_coeffs,
     inner_l2,
     lp_norm,
@@ -197,17 +197,6 @@ def mollify_force(f: SpectralField, width: float) -> SpectralField:
         return f
     sym = np.exp(-0.5 * width**2 * f.grid.kmag ** 2)
     return SpectralField.from_coeffs(f.grid, f.coeffs * sym)
-
-
-def _packed_values(grid: TorusGrid, coeffs: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """Inverse transform of ``coeffs * symbols * n**2``, computed in place.
-
-    Each packed symbol of ``grid.transport_symbols`` gives two real fields
-    at once, in the real and imaginary parts of the result.
-    """
-    c = coeffs * symbols
-    c *= grid.n**grid.dim
-    return _inverse_in_place(grid, c)
 
 
 def _transport_values(grid: TorusGrid, coeffs: np.ndarray) -> tuple:
@@ -382,12 +371,6 @@ class Trajectory:
     config: SolverConfig
     force: Force
     cfl_reductions: int = 0
-
-    def field_at(self, t: float) -> SpectralField:
-        i = int(np.argmin(np.abs(np.asarray(self.times) - t)))
-        if abs(self.times[i] - t) > 1e-9:
-            raise KeyError(f"no snapshot at t={t}")
-        return self.fields[i]
 
 
 def run(

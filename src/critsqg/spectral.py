@@ -11,6 +11,8 @@ Conventions, fixed once and referenced by every norm formula in the package:
 
       ||phi||_{L^2}^2 = (2*pi)^d * sum_k |c_k|^2      (discrete Parseval, exact)
 
+  Only this module transforms or applies the ``n^d`` scale, in
+  :func:`_forward`, :func:`_collocation` and :func:`_packed_values`.
 * The ``k = 0`` coefficient is identically zero (all fields are mean-free) and
   the Nyquist row/column (``k_i = n/2``) is zeroed on construction: it breaks
   Hermitian-symmetry bookkeeping for odd derivatives and sits above the
@@ -183,15 +185,31 @@ def _collocation(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     return _inverse_in_place(grid, coeffs * grid.n**grid.dim).real
 
 
+def _packed_values(grid: TorusGrid, coeffs: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """Inverse transform of ``coeffs * symbols * n**d``, computed in place.
+
+    Each packed symbol of ``grid.transport_symbols`` gives two real fields
+    at once, in the real and imaginary parts of the result.
+    """
+    c = coeffs * symbols
+    c *= grid.n**grid.dim
+    return _inverse_in_place(grid, c)
+
+
+def _forward(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """``DFT(values) / n^d`` over the trailing grid axes (stackable), with no projection."""
+    c = np.fft.fftn(values, s=grid.shape, axes=tuple(range(-grid.dim, 0)))
+    c /= grid.n**grid.dim
+    return c
+
+
 def _product_coeffs(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     """Coefficients of real collocation values (stackable like :func:`_collocation`).
 
     Real input guarantees Hermitian symmetry to roundoff, so only the mean and
     Nyquist projections are applied.
     """
-    axes = tuple(range(-grid.dim, 0))
-    c = np.fft.fftn(values, s=grid.shape, axes=axes)
-    c /= grid.n**grid.dim
+    c = _forward(grid, values)
     c[(...,) + (0,) * grid.dim] = 0.0
     np.copyto(c, 0.0, where=grid.nyquist_mask)
     return c
@@ -253,8 +271,7 @@ class SpectralField:
         scale = float(np.abs(v).max())
         if not demean and scale > 0 and abs(mean) > 1e-10 * max(scale, 1.0):
             raise MeanZeroError(f"field mean {mean:.3e} is not zero (pass demean=True to project)")
-        c = np.fft.fftn(v) / grid.n**grid.dim
-        return SpectralField.from_coeffs(grid, c)
+        return SpectralField.from_coeffs(grid, _forward(grid, v))
 
     @staticmethod
     def zeros(grid: TorusGrid) -> "SpectralField":

@@ -106,12 +106,11 @@ def _linearized_stack(theta: SpectralField, coeffs: np.ndarray, kappa: float,
     return _transport_derivative(grid, base, coeffs, rule) - coeffs * grid.kmag * float(kappa)
 
 
-def linearized_rhs(theta: SpectralField, xi: SpectralField, kappa: float,
-                   rule: str = "two-thirds") -> SpectralField:
-    """``A_theta[xi] = -kappa*Lambda xi - u_theta.grad xi - u_xi.grad theta``."""
+def linearized_rhs(theta: SpectralField, xi: SpectralField, kappa: float) -> SpectralField:
+    """``A_theta[xi] = -kappa*Lambda xi - u_theta.grad xi - u_xi.grad theta``, dealiased."""
     if theta.grid != xi.grid:
         raise ValueError("theta and xi live on different grids")
-    out = _linearized_stack(theta, xi.coeffs[None], kappa, rule)
+    out = _linearized_stack(theta, xi.coeffs[None], kappa, "two-thirds")
     return SpectralField._trusted(theta.grid, out[0])
 
 
@@ -281,13 +280,22 @@ class VolumeTraceResult:
             out[0] = tr[0]
         return out
 
-    def identity_residual_at(self, t: float, m: int = None) -> float:
-        """``|log V_m(t) - log V_m(0) - int_0^t Tr(P_m A)|`` at the sample nearest t."""
-        if m is None:
-            m = self.traces.shape[1]
+    def identity_residual_at(self, t: float) -> float:
+        """``|log V_m(t) - log V_m(0) - int_0^t Tr(P_m A)|``, all m tangents, at the sample nearest t."""
         i = int(np.argmin(np.abs(self.times - t)))
-        integral = np.trapezoid(self.traces[: i + 1, m - 1], self.times[: i + 1])
-        return abs(float(self.log_volume[i, m - 1] - self.log_volume[0, m - 1] - integral))
+        integral = np.trapezoid(self.traces[: i + 1, -1], self.times[: i + 1])
+        return abs(float(self.log_volume[i, -1] - self.log_volume[0, -1] - integral))
+
+
+def _frame_condition(grid: TorusGrid, xis: Sequence[SpectralField]) -> float:
+    """``sqrt(cond G)``, ``G`` the H^1 Gram matrix of the tangents (inf if singular to roundoff).
+
+    Never below the ratio of the largest to the smallest H^1 norm: ``G`` holds their squares.
+    """
+    # Re(conj(a) b) summed over k is the real dot product of the float views
+    y = (_stack(grid, xis) * grid.kmag).view(np.float64).reshape(len(xis), -1)
+    lam = np.linalg.eigvalsh(y @ y.T)
+    return math.sqrt(lam[-1] / lam[0]) if lam[0] > 0.0 else math.inf
 
 
 def _windowed_average(t: np.ndarray, y: np.ndarray, t_from: float, t_to: float) -> float:
@@ -315,7 +323,8 @@ def volume_and_trace_run(
     The base is first relaxed for ``t_relax`` (pre-conditioning onto the
     empirically absorbing region).  The ensemble is re-orthonormalized every
     ``reorth_every`` steps and at exactly ``t_end``, accumulating per-dimension
-    log-volumes and trace samples; collapse in between raises
+    log-volumes and trace samples.  A frame condition (:func:`_frame_condition`)
+    above ``condition_trigger`` after any coupled step raises
     :class:`EnsembleCollapseError` with advice to reduce the interval.  A
     blowup raises :class:`BlowupError` stamped with the time elapsed since
     ``theta0``, relax phase included.
@@ -333,7 +342,14 @@ def volume_and_trace_run(
     xis = list(frame)
 
     def coupled_step(state, dt, t_run):
-        return stepper.step(state[0], state[1], dt, t=t_relaxed + t_run)
+        theta, xis = stepper.step(state[0], state[1], dt, t=t_relaxed + t_run)
+        condition = _frame_condition(grid, xis)
+        if not condition <= condition_trigger:
+            raise EnsembleCollapseError(
+                f"tangent frame condition {condition:.2e} exceeded trigger at "
+                f"t={t_relaxed + t_run + dt:.6g}; reduce reorth_every (currently {reorth_every})"
+            )
+        return theta, xis
 
     def coupled_cfl_dt(state, dt, t_run):
         return stepper.lead_cfl_dt(state, dt, t_relaxed + t_run)
@@ -346,13 +362,6 @@ def volume_and_trace_run(
     while t_run < t_end:
         (theta, xis), t_run = integrate(coupled_step, coupled_cfl_dt, (theta, xis),
                                         t_run, t_end, config.dt, max_steps=reorth_every)
-        norms = [math.sqrt(max(inner_h1(xi, xi), 0.0)) for xi in xis]
-        top, bot = max(norms), min(norms)
-        if bot <= 0.0 or top / max(bot, 1e-300) > condition_trigger:
-            raise EnsembleCollapseError(
-                f"tangent frame condition {top / max(bot, 1e-300):.2e} exceeded trigger; "
-                f"reduce reorth_every (currently {reorth_every})"
-            )
         frame, increments = h1_gram_schmidt(xis)
         xis = list(frame)
         acc = acc + np.cumsum(increments)

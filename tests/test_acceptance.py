@@ -124,7 +124,7 @@ def test_criterion_04_lp_poincare(kernel_fields):
     checked = 0
     for phi in kernel_fields:
         for p in (4, 8):
-            lhs, (r1, r2) = lp_poincare_check(phi, p, 1.0)
+            lhs, (r1, r2) = lp_poincare_check(phi, p)
             checked += 1
             if lhs < r1 + r2:
                 violations += 1
@@ -221,7 +221,7 @@ def test_criterion_09_tangent_exactness():
 
 def test_criterion_10_volume_trace_identity(dimension_run):
     res, _force, _cfg = dimension_run
-    resid = res.identity_residual_at(5.0, m=6)
+    resid = res.identity_residual_at(5.0)
     report(10, resid <= 1e-3,
            f"|log V_6(5) - log V_6(0) - int Tr| = {resid:.2e} <= 1e-3 on the forced run")
 

@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -44,6 +45,32 @@ seed = 11
 decay_envelope_ps = 2,4,inf
 holder_alpha = auto
 absorption = 1
+"""
+
+
+# an unforced n=16 dimension run: 4 tangents in band 3, a few steps of relax and run
+SMALL_DIMENSION = """
+[solver]
+dim = 2
+n = 16
+dt = 1e-2
+t_end = 0.05
+snapshot_dt = 0.05
+
+[initial]
+kind = random_band
+band = 3
+amplitude = 0.5
+seed = 5
+
+[force]
+kind = zero
+
+[tangent]
+n_tangent = 4
+reorth_every = 2
+t_relax = 0.02
+tangent_band = 3
 """
 
 
@@ -100,8 +127,15 @@ class TestConfigParsing:
         ("[solver]\ndt = abc\n", "bad value for 'dt'"),
         ("[solver]\nt_end = inf\n", "not finite"),
         ("[solver]\ncfl_budget = 0\n", "cfl_budget must be positive"),
+        ("[tangent]\nn_tangent = 0\n", "n_tangent must be a positive integer, got 0"),
+        ("[tangent]\ntangent_band = 0\n", "tangent_band must be a positive integer, got 0"),
+        ("[tangent]\nt_relax = -1\n", "t_relax must be >= 0"),
+        # band 1 holds the 4 modes (+-1, 0) and (0, +-1)
+        ("[tangent]\ntangent_band = 1\nn_tangent = 6\n",
+         "n_tangent = 6 exceeds the 4 independent modes"),
     ], ids=["odd_n", "unknown_kind", "zero_wavevector", "zero_reorth", "bad_dt", "inf_t_end",
-            "zero_cfl_budget"])
+            "zero_cfl_budget", "zero_n_tangent", "zero_tangent_band", "negative_t_relax",
+            "n_tangent_above_band_modes"])
     def test_bad_run_config_exit_2_before_manifest(self, tmp_path, capsys, extra, message):
         # later sections override the same keys of SMALL_RUN; no case steps a field
         text = SMALL_RUN + extra
@@ -165,6 +199,10 @@ class TestConfigParsing:
         "[tangent]\ntangent_band = 17\n",
         "[probes]\nholder_alpha = 2\n",
         "[probes]\ndecay_envelope_ps = 2,three\n",
+        "[tangent]\nn_tangent = -3\n",
+        "[tangent]\ntangent_band = 0\n",
+        "[tangent]\nt_relax = -1\n",
+        "[tangent]\ntangent_band = 1\nn_tangent = 5\n",
     ])
     def test_value_error_reports_its_line(self, tmp_path, capsys, extra):
         # the bad value is on the last line of the file
@@ -523,6 +561,61 @@ class TestDimensionCommand:
         rc = main(["dimension", "--preset", "dimension-sweep", "--n-max", "0",
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_USAGE
+
+    def test_n_max_replays_from_manifest(self, tmp_path):
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text(SMALL_DIMENSION)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["dimension", "--config", str(cfg), "--n-max", "2",
+                     "--out", str(out1)]) == EXIT_OK
+        # the manifest records the override, so the replay needs no --n-max
+        sections = parse_config_text((out1 / "manifest.txt").read_text())
+        assert sections["tangent"]["n_tangent"] == "2"
+        assert main(["dimension", "--config", str(out1 / "manifest.txt"),
+                     "--out", str(out2)]) == EXIT_OK
+        for name in ("trace_log.csv", "dimension_report.txt"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        ms = {line.split(",")[1] for line in (out1 / "trace_log.csv").read_text().splitlines()[1:]}
+        assert ms == {"1", "2"}
+
+    def test_tangent_count_capped_by_band_modes(self, tmp_path, capsys):
+        # band 1 holds the 4 modes (+-1, 0) and (0, +-1): 4 tangents run, 5 do not,
+        # and the error names the n_tangent line also when the band line comes last
+        band1 = "[tangent]\ntangent_band = 1\n"
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text(SMALL_DIMENSION + band1)
+        assert main(["dimension", "--config", str(cfg), "--out", str(tmp_path / "a")]) == EXIT_OK
+        text = SMALL_DIMENSION.replace("n_tangent = 4", "n_tangent = 5") + band1
+        cfg.write_text(text)
+        out = tmp_path / "b"
+        assert main(["dimension", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        want = text.splitlines().index("n_tangent = 5") + 1
+        err = capsys.readouterr().err
+        assert f"line {want}: n_tangent = 5 exceeds the 4 independent modes" in err
+        assert not (out / "manifest.txt").exists()
+
+    @settings(max_examples=40, deadline=None)
+    @given(tangent=st.fixed_dictionaries({}, optional={
+        "n_tangent": st.integers(-2, 30),
+        "tangent_band": st.integers(-1, 9),
+        "reorth_every": st.integers(-1, 4),
+        "t_relax": st.sampled_from(["-0.5", "-0.0", "0", "0.01", "0.03"]),
+    }))
+    def test_exit_code_is_2_exactly_when_build_setup_raises(self, tangent):
+        text = SMALL_DIMENSION + "[tangent]\n" + "".join(f"{k} = {v}\n" for k, v in tangent.items())
+        try:
+            build_setup(parse_config_text(text), command="dimension")
+            want = EXIT_OK
+        except ConfigError:
+            want = EXIT_USAGE
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "d.cfg")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            out = os.path.join(tmp, "o")
+            # an uncaught exception (a traceback, exit 1) fails the example
+            assert main(["dimension", "--config", cfg, "--out", out]) == want
+            assert os.path.exists(os.path.join(out, "manifest.txt")) == (want == EXIT_OK)
 
     def test_unforced_reports_empirical_one(self, tmp_path, capsys):
         cfg = tmp_path / "d.cfg"

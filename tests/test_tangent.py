@@ -18,6 +18,8 @@ from critsqg.spectral import SpectralField, TorusGrid, fractional_laplacian, inn
 from critsqg.tangent import (
     CoupledStepper,
     EnsembleCollapseError,
+    _frame_condition,
+    _linearized_stack,
     _trace_per_m,
     continuity_test,
     dimension_bound,
@@ -266,8 +268,11 @@ class TestStackedOracle:
         grid = TorusGrid(2, n)
         theta = random_band_field(grid, 5, 0.7, 3)
         xi = random_band_field(grid, 5, 1.0, 4)
-        out = linearized_rhs(theta, xi, 0.9, rule)
-        assert np.array_equal(out.coeffs, ref_linearized_rhs(theta, xi, 0.9, rule))
+        if rule == "two-thirds":
+            out = linearized_rhs(theta, xi, 0.9).coeffs
+        else:  # only the frame traces of an undealiased run take this rule
+            out = _linearized_stack(theta, xi.coeffs[None], 0.9, rule)[0]
+        assert np.array_equal(out, ref_linearized_rhs(theta, xi, 0.9, rule))
 
     @pytest.mark.parametrize("n", [32, 48])
     def test_traces_match_per_field(self, n):
@@ -492,6 +497,21 @@ class TestVolumeTrace:
                                    reorth_every=3, t_relax=0.0137, tangent_band=3)
         assert res.times[-1] == t_end
         assert np.all(np.diff(res.times) > 0)
+
+    def test_frame_condition_is_sqrt_cond_of_h1_gram(self, grid48):
+        xis = [random_band_field(grid48, 4, 1.0 + j, 50 + j) for j in range(5)]
+        # nearly dependent on the first, with a shorter norm
+        xis.append(xis[0] * 0.5 + random_band_field(grid48, 4, 1e-3, 99))
+        gram = np.array([[inner_h1(f, g) for g in xis] for f in xis])
+        want = math.sqrt(np.linalg.cond(gram))
+        got = _frame_condition(grid48, xis)
+        assert want > 100.0 and got == pytest.approx(want, rel=1e-6)
+        norms = [math.sqrt(inner_h1(f, f)) for f in xis]
+        assert got >= max(norms) / min(norms)
+        frame, _ = h1_gram_schmidt(xis)
+        assert _frame_condition(grid48, frame) == pytest.approx(1.0, abs=1e-9)
+        # a dependent pair reads inf, or a roundoff-sized lambda_min far above any trigger
+        assert _frame_condition(grid48, [xis[0], xis[0] * 2.0]) > 1e6
 
     def test_collapse_detection(self):
         g = TorusGrid(2, 32)

@@ -11,7 +11,7 @@ set to the tree's ``src/``, two at a time (one per tree):
 * ``simulate`` of the presets ``exact-decay``, ``steady-state`` and
   ``holder-corpus`` (default seed and ``--seed-override`` 0, 1 and 5);
 * ``burgers --preset burgers-basic``;
-* ``dimension --preset dimension-sweep``, in full and with ``--n-max 6``;
+* ``dimension --preset dimension-sweep``, in full and with ``--n-max 3``;
 * the benchmark's ``tangent_sweep`` config with ``--seed-override`` 3 and 11;
 * ``verify-kernels`` on the benchmark's kernel corpus of seed 4.
 
@@ -26,8 +26,8 @@ Nothing is written outside the temporary directory.
 
 ``--expect-change`` names files (by file name, for every command) that a
 numerical change may move; the script prints the largest relative change
-``|a - b| / max(|a|, |b|)`` of what may move, and everything else must be
-identical:
+``|a - b| / max(|a|, |b|)`` of what may move (one line of the dimension
+report excepted, below), and everything else must be identical:
 
 * a CSV must have the same header and number of rows and identical
   non-numeric columns; a column is numeric when every cell parses as a float
@@ -38,7 +38,10 @@ identical:
   two fields' largest magnitudes.
 * ``dimension_report.txt`` must have identical text, integers and
   ``True``/``False``; the change is printed per line that holds floats
-  (numbers written with a ``.`` or an exponent).
+  (numbers written with a ``.`` or an exponent).  The ``volume/trace identity
+  residual`` line gets the absolute change ``|a - b|`` instead: its value is
+  a cancellation of log-volume terms of size ~68, so a last-bit change of the
+  run is large relative to the residual itself.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ def _commands(inputs: str) -> dict:
         "holder-corpus": ["simulate", "--preset", "holder-corpus"],
         "burgers-basic": ["burgers", "--preset", "burgers-basic"],
         "dimension-sweep": ["dimension", "--preset", "dimension-sweep"],
-        "dimension-sweep-n6": ["dimension", "--preset", "dimension-sweep", "--n-max", "6"],
+        "dimension-sweep-n3": ["dimension", "--preset", "dimension-sweep", "--n-max", "3"],
         "kernels-corpus4": ["verify-kernels", corpus],
     }
     for seed in (0, 1, 5):
@@ -158,6 +161,12 @@ def _relative(x: float, y: float) -> float:
     return abs(x - y) / max(abs(x), abs(y))
 
 
+def _absolute(x: float, y: float) -> float:
+    """``|x - y|``, with the non-finite cases of :func:`_relative`."""
+    rel = _relative(x, y)
+    return abs(x - y) if 0.0 < rel < math.inf else rel
+
+
 _SQGF_HEADER = 24  # magic, version, dim, n (4 bytes each) and the time (f64)
 
 
@@ -187,7 +196,7 @@ def _is_float_text(part: str) -> bool:
 
 
 def _compare_report(parent: str, change: str) -> tuple:
-    """``(problem or None, {"line N": largest relative change})`` of two dimension reports."""
+    """``(problem or None, {"line N": largest change})`` of two dimension reports."""
     with open(parent, encoding="utf-8") as fh:
         a = fh.read().splitlines()
     with open(change, encoding="utf-8") as fh:
@@ -199,10 +208,13 @@ def _compare_report(parent: str, change: str) -> tuple:
         parts_a, parts_b = _NUMBER.split(line_a), _NUMBER.split(line_b)
         if len(parts_a) != len(parts_b):
             return f"line {lineno} differs", {}
+        if line_a.startswith("volume/trace identity residual"):
+            change, key = _absolute, f"line {lineno} absolute"
+        else:
+            change, key = _relative, f"line {lineno}"
         for i, (part_a, part_b) in enumerate(zip(parts_a, parts_b)):
             if i % 2 == 1 and _is_float_text(part_a) and _is_float_text(part_b):
-                rel = _relative(float(part_a), float(part_b))
-                worst[f"line {lineno}"] = max(worst.get(f"line {lineno}", 0.0), rel)
+                worst[key] = max(worst.get(key, 0.0), change(float(part_a), float(part_b)))
             elif part_a != part_b:
                 return f"line {lineno} differs", {}
     return None, worst
@@ -267,7 +279,7 @@ def main(argv=None) -> int:
             problem, worst = expected[key]
             differ += problem is not None
             changes = ", ".join(f"{col} {rel:.3g}" for col, rel in worst.items())
-            print(f"expected change: {key}: {problem or 'largest relative change ' + changes}")
+            print(f"expected change: {key}: {problem or 'largest change ' + changes}")
         elif a is None or b is None:
             differ += 1
             print(f"only in {'change' if a is None else 'parent'}: {key}")
