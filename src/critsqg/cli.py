@@ -147,7 +147,7 @@ def _run_with_probes(args, sections, command: str) -> int:
         write_csv(
             os.path.join(args.out, "holder.csv"),
             ["t", "g", "envelope_sq", "slack", "violated"],
-            [(t, g, e, e - g, g > e) for t, g, e in zip(track.t, track.g, track.envelope_sq)],
+            zip(track.t, track.g, track.envelope_sq, track.envelope_sq - track.g, track.violated),
         )
         for i, ev in enumerate(track.events):
             write_snapshot(os.path.join(args.out, f"falsification_{i}.sqgf"), ev.field, ev.t)

@@ -77,11 +77,9 @@ def c_alpha(alpha: float) -> float:
     ``alpha = 1`` this evaluates to ``1/(2*pi)``.  Vanishes in both limits
     ``alpha -> 0+`` and ``alpha -> 2-``.
     """
-    from scipy.special import gamma as _gamma  # ~0.2 s to import, needed by the kernel checks only
-
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    return float(2.0**alpha * _gamma((2 + alpha) / 2.0) / (np.pi * abs(_gamma(-alpha / 2.0))))
+    return 2.0**alpha * math.gamma((2 + alpha) / 2.0) / (np.pi * abs(math.gamma(-alpha / 2.0)))
 
 
 @dataclass(frozen=True)

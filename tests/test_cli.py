@@ -334,23 +334,25 @@ class TestUsageErrors:
         assert exc.value.code == EXIT_USAGE
 
 
-def _loaded_by_cli_import(module: str) -> bool:
+def test_simulate_and_verify_kernels_load_no_scipy(tmp_path):
+    # the runtime depends on numpy alone: a Hoelder and absorption run and a kernel
+    # check in one fresh process leave no scipy module behind
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_RUN)
+    corpus = tmp_path / "c.csv"
+    corpus.write_text("seed,band,norm,n\n0,6,1.0,32\n")
+    code = ("import sys\nfrom critsqg.cli import main\n"
+            f"rcs = [main(['simulate', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'sim')!r}]),\n"
+            f"       main(['verify-kernels', {str(corpus)!r}, '--out', {str(tmp_path / 'ker')!r}])]\n"
+            "print(rcs, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    code = f"import sys, critsqg.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    return out.stdout.strip() == "True"
-
-
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # solve_ivp is imported where the Hoelder envelope needs it, not at CLI start-up
-    assert not _loaded_by_cli_import("scipy.integrate")
-
-
-def test_cli_import_leaves_scipy_special_unloaded():
-    # gamma is imported where the kernel constant needs it, not at CLI start-up
-    assert not _loaded_by_cli_import("scipy.special")
+    assert out.stdout.splitlines()[-1] == f"[{EXIT_OK}, {EXIT_OK}] []"
+    assert (tmp_path / "sim" / "holder.csv").exists()
+    assert (tmp_path / "sim" / "absorption.csv").exists()
+    assert (tmp_path / "ker" / "kernel_report.csv").exists()
 
 
 class TestSimulate:
@@ -371,6 +373,28 @@ class TestSimulate:
             assert sorted(listed + ["manifest.txt"]) == sorted(os.listdir(out))
             rows = (out / "absorption_windows.csv").read_text().splitlines()
             assert rows[0] == "t_start,avg_h32_sq,budget,violated" and len(rows) == 1 + windows
+
+    def test_holder_violated_column_is_the_verdict(self, tmp_path, monkeypatch):
+        # an envelope a hair (1e-12 relative) below g is within the slack of the
+        # comparison: the run passes and no row of holder.csv reads violated
+        from critsqg import diagnostics
+
+        real = diagnostics.holder_envelope_check
+
+        def envelope_just_below(*args):
+            g, _envelope_sq, _violated = real(*args)
+            envelope_sq = g / (1.0 + 1e-12)
+            return g, envelope_sq, diagnostics._exceeds(g, envelope_sq)
+
+        monkeypatch.setattr(diagnostics, "holder_envelope_check", envelope_just_below)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_RUN)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        rows = [line.split(",") for line in (out / "holder.csv").read_text().splitlines()]
+        assert rows[0] == ["t", "g", "envelope_sq", "slack", "violated"]
+        assert any(float(g) > float(e) for _t, g, e, _s, _v in rows[1:])
+        assert [v for *_rest, v in rows[1:]] == ["0"] * (len(rows) - 1)
 
     def test_exact_decay_preset_l2_series(self, tmp_path):
         out = tmp_path / "decay"

@@ -88,7 +88,7 @@ class TestMAlphaEnvelope:
         assert np.abs(sol.m_alpha - eq).max() < 1e-9
 
     def test_monotone_rise_from_zero(self):
-        # monotone up to the ODE-solver tolerance near the equilibrium
+        # monotone up to rounding near the equilibrium
         sol = m_alpha_envelope(0.0, 1.0, 1.0, 2.0, np.linspace(0, 20, 200))
         assert np.all(np.diff(sol.m_alpha) >= -1e-9)
         assert sol.m_alpha[-1] == pytest.approx(2.0, rel=1e-3)
@@ -104,15 +104,39 @@ class TestMAlphaEnvelope:
         assert t_alpha_formula(1.0, 1.0, 1.0, 2.0) == 0.0
         # explicit branch value
         M0, c5, m_inf, kappa = 10.0, 1.0, 1.0, 2.0
-        expected = (M0**2 / (4 * c5**2 * m_inf**2) - 1.0) / (7.0 * kappa)
+        # d/dt M^2 <= -7 kappa c5^2 M_inf^2 while M >= 2 c5 M_inf
+        expected = (M0**2 - 4 * c5**2 * m_inf**2) / (7.0 * kappa * c5**2 * m_inf**2)
         assert t_alpha_formula(M0, m_inf, kappa, c5) == pytest.approx(expected)
 
     def test_longtime_cap_holds_past_t_alpha(self):
-        M0, m_inf, kappa, c5 = 25.0, 1.0, 1.0, 1.5
-        t = np.linspace(0, 60, 1200)
-        sol = m_alpha_envelope(M0, m_inf, kappa, c5, t)
-        after = t >= sol.t_alpha
-        assert np.all(sol.m_alpha[after] <= sol.longtime_cap * (1 + 1e-9))
+        # w0 = M0/(c5 M_inf) over (2, 50]; just above 2 the true crossing time comes
+        # closest to the bound, so a bound short by a factor shows there
+        m_inf, kappa, c5 = 1.3, 0.7, 1.5
+        for w0 in (2.01, 2.2, 3.0, 4.5, 25.0 / 1.5, 50.0):
+            M0 = w0 * c5 * m_inf
+            t = np.linspace(0.0, 2.0 * w0**2 / kappa, 2001)
+            sol = m_alpha_envelope(M0, m_inf, kappa, c5, t)
+            after = t >= sol.t_alpha
+            assert after.sum() > 1000
+            assert np.all(sol.m_alpha[after] <= sol.longtime_cap * (1 + 1e-9)), w0
+
+    def test_closed_form_matches_ode_oracle(self):
+        from scipy.integrate import solve_ivp
+
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            m_inf, c5, kappa = 10 ** rng.uniform(-2, 1), 10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-1, 0.5)
+            M0 = c5 * m_inf * rng.uniform(0.0, 50.0)
+            t = np.linspace(0.0, 10 ** rng.uniform(-1, 1.5), 101)
+            source, damp = c5**2 * kappa * m_inf**2, kappa / (c5 * m_inf)
+            ref = solve_ivp(lambda _t, y: source - damp * np.maximum(y, 0.0) ** 1.5, (t[0], t[-1]),
+                            [M0**2], t_eval=t, rtol=1e-12, atol=1e-300, method="DOP853").y[0]
+            got = m_alpha_envelope(M0, m_inf, kappa, c5, t).m_alpha ** 2
+            assert np.all(np.abs(got - ref) <= 1e-10 * ref), (M0, m_inf, kappa, c5)
+
+    def test_single_point_grid(self):
+        sol = m_alpha_envelope(3.0, 1.0, 1.0, 2.0, [0.5])
+        assert sol.t.tolist() == [0.5] and sol.m_alpha.tolist() == [3.0]
 
     def test_degenerate_m_inf(self):
         sol = m_alpha_envelope(3.0, 0.0, 1.0, 2.0, np.linspace(0, 1, 5))

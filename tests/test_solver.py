@@ -1,5 +1,7 @@
 """Time integration: exact-solution oracles, conservation, and stability plumbing."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,6 +144,21 @@ class TestRun:
         # exact decay exp(-t) cos x1: the last state is the one at t_end
         expected = np.exp(-t_end) * cos_x1(grid32).values()
         assert np.abs(traj.fields[-1].values() - expected).max() < 1e-6
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.sampled_from([8, 16]), dt=st.floats(1e-2, 0.5),
+           snapshot_dt=st.floats(0.05, 1.0), t_end=st.floats(1e-4, 1.0),
+           multiple=st.one_of(st.none(), st.integers(1, 5)))
+    def test_last_snapshot_is_t_end_property(self, n, dt, snapshot_dt, t_end, multiple):
+        # `multiple` puts t_end on a multiple of snapshot_dt, up to rounding
+        if multiple is not None:
+            t_end = multiple * snapshot_dt
+        g = TorusGrid(2, n)
+        cfg = SolverConfig(kappa=1.0, dt=dt, t_end=t_end, snapshot_dt=snapshot_dt)
+        traj = run(cos_x1(g), cfg, zero_force(g))
+        assert traj.times[-1] == t_end
+        assert len(traj.times) == math.ceil(t_end / snapshot_dt - 1e-9) + 1
+        assert np.all(np.diff(traj.times) > 0.0)
 
     def test_nonpositive_snapshot_dt_rejected(self):
         with pytest.raises(ValueError):
