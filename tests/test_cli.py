@@ -334,6 +334,25 @@ class TestUsageErrors:
         assert exc.value.code == EXIT_USAGE
 
 
+def _loaded_by_cli_import(module: str) -> bool:
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = f"import sys, critsqg.cli; print({module!r} in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # the Hoelder envelope is solved in closed form: no ODE integrator is loaded
+    assert not _loaded_by_cli_import("scipy.integrate")
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # the kernel constant uses math.gamma: scipy.special is never loaded
+    assert not _loaded_by_cli_import("scipy.special")
+
+
 def test_simulate_and_verify_kernels_load_no_scipy(tmp_path):
     # the runtime depends on numpy alone: a Hoelder and absorption run and a kernel
     # check in one fresh process leave no scipy module behind
