@@ -471,26 +471,66 @@ def _all_shift_powers(grid: TorusGrid, alpha: float) -> np.ndarray:
     return powers
 
 
-def _increment_maxima(v: np.ndarray) -> np.ndarray:
-    """Table ``dmax[s] = max_x |v(x + s) - v(x)|`` over every grid shift ``s``.
+def _shift_bound(vmax: np.ndarray, vmin: np.ndarray) -> np.ndarray:
+    """``b[i] = max_x max(vmax[x+i] - vmin[x], vmax[x] - vmin[x+i])`` for every cyclic ``i``."""
+    ring = np.arange(vmax.shape[0])
+    up = (vmax[(ring[:, None] + ring) % ring.size] - vmin).max(axis=1)
+    return np.maximum(up, up[-ring % ring.size])
 
-    In 1D a single ``(n, n)`` block covers every shift.  In 2D one
-    ``(n, n, n)`` block covers all column shifts of one row shift.
-    Only row shifts ``0..n/2`` are scanned; the others are mirrors, because
-    the increments of ``-s`` at ``x + s`` are those of ``s`` at ``x`` with the
-    sign flipped, and ``fl(a - b) = -fl(b - a)`` makes that exact.
+
+def _increment_bound(v: np.ndarray) -> np.ndarray:
+    """Upper bound ``B[s] >= max_x |v(x + s) - v(x)|`` for every 2D grid shift ``s``.
+
+    An increment between rows ``s_1`` apart lies between differences of their
+    row extremes, and likewise for columns; ``B`` is the smaller of the two
+    bounds.  Rounding is monotone, so ``fl(a - b) <= fl(max - min)`` and the
+    bound holds for the floating-point increments, not only for the real ones.
+    """
+    return np.minimum.outer(_shift_bound(v.max(axis=1), v.min(axis=1)),
+                            _shift_bound(v.max(axis=0), v.min(axis=0)))
+
+
+def _attained_quotient(v: np.ndarray, hpow: np.ndarray) -> float:
+    """The largest quotient out of the argmax and argmin points of ``v``: at most the maximum."""
+    axes = tuple(range(v.ndim))
+    return max(
+        float((np.abs(np.roll(v, tuple(-c for c in x), axis=axes) - v[x]).ravel()[1:] / hpow).max())
+        for x in (np.unravel_index(np.argmax(v), v.shape), np.unravel_index(np.argmin(v), v.shape)))
+
+
+def _increment_maxima(v: np.ndarray, hpow: np.ndarray) -> np.ndarray:
+    """Table ``dmax[s] = max_x |v(x + s) - v(x)|`` wherever the quotient can be maximal.
+
+    In 1D a single ``(n, n)`` block covers every shift.  In 2D a shift is
+    scanned only if it or its mirror has ``fl(B[s] / |h|^alpha)`` at least the
+    attained quotient, with ``B`` from :func:`_increment_bound`; division by a
+    positive number is monotone too, so every other shift has a quotient below
+    the maximum, and its entry is left 0.  Only row shifts ``0..n/2`` are
+    scanned; the others are mirrors, because the increments of ``-s`` at
+    ``x + s`` are those of ``s`` at ``x`` with the sign flipped, and
+    ``fl(a - b) = -fl(b - a)`` makes that exact.
     """
     n = v.shape[0]
     # windows[s] is v translated by s (periodically), for every 0 <= s_i <= n
     windows = sliding_window_view(np.tile(v, (2,) * v.ndim), v.shape)
     if v.ndim == 1:
         return np.abs(windows[:n] - v).max(axis=1)
-    dmax = np.empty((n, n))
-    block = np.empty((n, n, n))
-    for i in range(n // 2 + 1):
-        np.subtract(windows[i, :n], v, out=block)
-        np.abs(block, out=block)
-        dmax[i] = block.reshape(n, -1).max(axis=1)
+    keep = np.zeros(n * n, dtype=bool)
+    reach = _attained_quotient(v, hpow)
+    np.greater_equal(_increment_bound(v).ravel()[1:] / hpow, reach, out=keep[1:])
+    keep = keep.reshape(n, n)
+    half = np.arange(n // 2 + 1)
+    need = keep[half] | keep[-half % n][:, -np.arange(n) % n]
+    # each run of needed column shifts of a row is one contiguous window slice;
+    # the maximizing shift is always needed, so there is at least one run
+    rows, cols = np.nonzero(np.diff(need, axis=1, prepend=False, append=False))
+    dmax = np.zeros((n, n))
+    block = np.empty((int((cols[1::2] - cols[::2]).max()), n, n))
+    for i, j0, j1 in zip(rows[::2].tolist(), cols[::2].tolist(), cols[1::2].tolist()):
+        incs = block[: j1 - j0]
+        np.subtract(windows[i, j0:j1], v, out=incs)
+        np.abs(incs, out=incs)
+        incs.reshape(j1 - j0, -1).max(axis=1, out=dmax[i, j0:j1])
     rows = np.arange(1, n // 2)
     dmax[n - rows] = dmax[rows][:, -np.arange(n) % n]
     return dmax
@@ -499,18 +539,21 @@ def _increment_maxima(v: np.ndarray) -> np.ndarray:
 def holder_seminorm(field: SpectralField, alpha: float) -> HolderMax:
     """Discrete Hoelder quotient ``max_{x,h} |theta(x+h) - theta(x)| / |h|^alpha``.
 
-    Every nonzero grid shift is scanned; its canonical torus representative
+    Every nonzero grid shift is considered; its canonical torus representative
     satisfies ``|h| <= pi*sqrt(dim)``.  Returns the maximum together with the
     maximizing collocation point and shift (canonical coordinates).
     Non-finite field values raise ``ValueError``.
 
-    The scan is exact and vectorized.  A table of ``max_x |delta_h theta|``
-    over all grid shifts is built one row shift at a time from an
-    ``(n, n, n)`` block of increments (n^3 floats: 0.84 MiB at n = 48, 16 MiB
-    at n = 128); only half of the row shifts are scanned, the rest are exact
-    mirrors (``h`` and ``-h`` share the same maximal increment).  Each quotient
-    divides that maximum by the same scalar ``|h|**alpha`` as a one-shift-at-a-
-    time loop, and ties go to the first shift in row-major order, so value and
+    The scan is exact.  In 2D it is a branch-and-bound over shifts: the row
+    and column extremes of the field bound ``max_x |delta_h theta|`` from
+    above for every shift, the increments out of the field's argmax and argmin
+    give a quotient the field attains, and only the shifts whose bound reaches
+    that quotient are scanned, a run of adjacent column shifts at a time.
+    How many are left depends on the field (the zero field prunes none).
+    Only half of the row shifts are scanned; the rest are exact mirrors
+    (``h`` and ``-h`` share the same maximal increment).  Each quotient divides
+    that maximum by the same scalar ``|h|**alpha`` as a one-shift-at-a-time
+    loop, and ties go to the first shift in row-major order, so value and
     argmax are bit-for-bit those of the serial scan with a strict ``>``.
     """
     if not 0.0 < alpha <= 1.0:
@@ -522,7 +565,7 @@ def holder_seminorm(field: SpectralField, alpha: float) -> HolderMax:
     if not np.isfinite(v).all():
         raise ValueError("Hoelder quotient of a field with non-finite values")
     # the table in row-major order, without the zero shift
-    ratio = _increment_maxima(v).ravel()[1:] / hpow
+    ratio = _increment_maxima(v, hpow).ravel()[1:] / hpow
     k = int(np.argmax(ratio))
 
     best = tuple(int(c) for c in np.unravel_index(k + 1, grid.shape))

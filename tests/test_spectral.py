@@ -8,6 +8,10 @@ from critsqg.spectral import (
     MeanZeroError,
     SpectralField,
     TorusGrid,
+    _all_shift_powers,
+    _attained_quotient,
+    _increment_bound,
+    _increment_maxima,
     dealias,
     fractional_laplacian,
     gradient,
@@ -234,6 +238,25 @@ def holder_corpus_alpha0():
     return theta0, alpha0
 
 
+def _spike(X, Y):
+    v = np.zeros_like(X)
+    v[3, 1] = 1.0
+    return v
+
+
+# raw values; as fields they are demeaned, so the constant field becomes the zero field
+ADVERSARIAL = {
+    "zero": lambda X, Y: np.zeros_like(X),
+    "constant": lambda X, Y: np.full_like(X, 2.5),
+    "x1 only": lambda X, Y: np.cos(X) + 0.3 * np.sin(2 * X),
+    "cos x1 + cos x2": lambda X, Y: np.cos(X) + np.cos(Y),
+    "single-point spike": _spike,
+    # at n = 32, |h|^alpha of shift (n-1, 0) rounds below that of (1, 0), so
+    # the raw maximum sits on a mirrored row and is found only through its mirror
+    "single-row line": lambda X, Y: np.where(X == X[0, 0], 1.0, 0.0),
+}
+
+
 class TestHolderScanExactness:
     """The vectorized scan equals the serial per-shift scan bit for bit."""
 
@@ -289,6 +312,22 @@ class TestHolderScanExactness:
             self.assert_identical(f, alpha)
         self.assert_identical(SpectralField.zeros(g), 0.5)
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from(range(8, 33, 2)), alpha=st.floats(0.0, 1.0, exclude_min=True),
+           band=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), scale=st.floats(-6.0, 6.0))
+    def test_random_band_fields(self, n, alpha, band, seed, scale):
+        # grids start at n = 8, the smallest TorusGrid
+        f = random_field(TorusGrid(2, n), band, seed, amplitude=10.0**scale)
+        self.assert_identical(f, alpha)
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+    @pytest.mark.parametrize("n", [8, 14, 32])
+    def test_adversarial_fields(self, name, n):
+        g = TorusGrid(2, n)
+        f = SpectralField.from_values(g, ADVERSARIAL[name](*meshes(g)), demean=True)
+        for alpha in (0.09, 0.25, 0.5, 1.0):
+            self.assert_identical(f, alpha)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # building the inf field warns
     def test_non_finite_values_raise(self, grid32):
         vals = random_field(grid32, 4, 1).values()
@@ -298,6 +337,42 @@ class TestHolderScanExactness:
         inf = SpectralField.from_coeffs(grid32, np.full(grid32.shape, np.inf, dtype=complex))
         with pytest.raises(ValueError):
             holder_seminorm(inf, 0.5)
+
+
+class TestHolderScanBounds:
+    """The pruning rests on two inequalities; both hold in floating point, with no tolerance."""
+
+    @staticmethod
+    def assert_bounds(v, alpha):
+        n = v.shape[0]
+        dmax = np.array([[np.abs(np.roll(v, (-i, -j), axis=(0, 1)) - v).max() for j in range(n)]
+                         for i in range(n)])
+        assert (dmax <= _increment_bound(v)).all()
+        if n >= 8:
+            hpow = _all_shift_powers(TorusGrid(2, n), alpha)
+            ratio = dmax.ravel()[1:] / hpow
+            assert _attained_quotient(v, hpow) <= ratio.max()
+            # and the pruned table keeps the serial maximum and its first argmax
+            pruned = _increment_maxima(v, hpow).ravel()[1:] / hpow
+            assert (pruned.max(), np.argmax(pruned)) == (ratio.max(), np.argmax(ratio))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from(range(4, 33, 2)), alpha=st.floats(0.0, 1.0, exclude_min=True),
+           seed=st.integers(0, 2**32 - 1), scale=st.floats(-6.0, 6.0), smooth=st.booleans())
+    def test_random_fields(self, n, alpha, seed, scale, smooth):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((n, n))
+        if smooth:
+            v = np.cumsum(np.cumsum(v, axis=0), axis=1)
+        self.assert_bounds(v * 10.0**scale, alpha)
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+    @pytest.mark.parametrize("n", [4, 8, 14, 32])
+    def test_adversarial_fields(self, name, n):
+        X, Y = np.meshgrid(np.linspace(-np.pi, np.pi, n, endpoint=False),
+                           np.linspace(-np.pi, np.pi, n, endpoint=False), indexing="ij")
+        for alpha in (0.09, 0.5, 1.0):
+            self.assert_bounds(ADVERSARIAL[name](X, Y), alpha)
 
 
 class TestOperations:
