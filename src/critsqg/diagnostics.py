@@ -472,10 +472,10 @@ def log_convexity_series(traj1: Trajectory, traj2: Trajectory):
 
     ``w(t) = log(2m/||diff||_{L^2})`` with ``m`` the max of the difference L^2
     norm over the window, and ``integral`` the running trapezoid integral of
-    ``||avg||_{H^{3/2}}^2`` of the average solution.  Pairs whose difference
-    collapses to numerical zero are cut at the collapse with status
-    ``indistinguishable`` (``w`` is empty, and ``t`` all snapshot times, when
-    nothing is left); otherwise the status is ``ok``.
+    ``||avg||_{H^{3/2}}^2`` of the average solution.  A pair whose difference
+    collapses to numerical zero at any sample is cut before the first such
+    sample with status ``indistinguishable`` (``w`` is empty, and ``t`` all
+    snapshot times, when nothing is left); otherwise the status is ``ok``.
     """
     if list(traj1.times) != list(traj2.times):
         raise ValueError("trajectory pair must share snapshot times")
@@ -490,24 +490,12 @@ def log_convexity_series(traj1: Trajectory, traj2: Trajectory):
         h32_avg_sq[i] = sobolev_norm(avg, 1.5) ** 2
         scale = max(scale, lp_norm(f1, 2), lp_norm(f2, 2))
     floor = 1e4 * np.finfo(float).eps * max(scale, 1.0)
-    alive = d > floor
-    if not alive.any():
+    dead = np.nonzero(d <= floor)[0]
+    cut = int(dead[0]) if len(dead) else len(t)
+    if cut == 0:
         return t, np.array([]), np.array([]), "indistinguishable"
-    last = int(np.nonzero(alive)[0][-1])
-    keep = slice(0, last + 1)
-    t_k = t[keep]
-    d_k = d[keep]
-    if (d_k <= floor).any():
-        # difference collapsed mid-window; monitor up to the collapse
-        first_dead = int(np.nonzero(d_k <= floor)[0][0])
-        t_k, d_k = t_k[:first_dead], d_k[:first_dead]
-        h32 = h32_avg_sq[:first_dead]
-        status = "indistinguishable"
-    else:
-        h32 = h32_avg_sq[keep]
-        status = "ok"
-    if len(t_k) == 0:
-        return t, np.array([]), np.array([]), "indistinguishable"
+    t_k, d_k, h32 = t[:cut], d[:cut], h32_avg_sq[:cut]
+    status = "indistinguishable" if len(dead) else "ok"
     m = float(d_k.max())
     w = np.log(2.0 * m / d_k)
     integral = np.concatenate([[0.0], np.cumsum(0.5 * (h32[1:] + h32[:-1]) * np.diff(t_k))])

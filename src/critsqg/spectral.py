@@ -421,20 +421,24 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
     return float(np.sqrt(TWO_PI**field.grid.dim * np.sum(w * np.abs(field.coeffs[nz]) ** 2)))
 
 
+def _lp_of_values(grid: TorusGrid, v: np.ndarray, p) -> float:
+    """L^p norm of the collocation values ``v``, as :func:`lp_norm` defines it."""
+    if p == np.inf or p == "inf":
+        return float(np.abs(v).max())
+    p = int(p)
+    if p < 2 or p % 2 != 0:
+        raise ValueError(f"p must be an even integer >= 2 or inf, got {p}")
+    cell = grid.spacing ** grid.dim
+    return float((np.sum(v**p) * cell) ** (1.0 / p))
+
+
 def lp_norm(field: SpectralField, p) -> float:
     """Collocation L^p norm: trapezoidal quadrature for even p, max for p=inf.
 
     Trapezoidal quadrature on the periodic grid is exact for trig polynomials
     below the aliasing limit ``p * band < n``.
     """
-    v = field.values()
-    if p == np.inf or p == "inf":
-        return float(np.abs(v).max())
-    p = int(p)
-    if p < 2 or p % 2 != 0:
-        raise ValueError(f"p must be an even integer >= 2 or inf, got {p}")
-    cell = field.grid.spacing ** field.grid.dim
-    return float((np.sum(v**p) * cell) ** (1.0 / p))
+    return _lp_of_values(field.grid, field.values(), p)
 
 
 def inner_l2(f: SpectralField, g: SpectralField) -> float:
@@ -442,11 +446,23 @@ def inner_l2(f: SpectralField, g: SpectralField) -> float:
     return float(np.real(np.sum(np.conj(f.coeffs) * g.coeffs)) * TWO_PI**f.grid.dim)
 
 
+def _h1_pair(grid: TorusGrid, a: np.ndarray, b: np.ndarray) -> float:
+    """H^1 inner product of two coefficient arrays on ``grid``; the one copy of the H^1 sum."""
+    k2 = grid.kmag ** 2
+    return float(np.real(np.sum(k2 * np.conj(a) * b)) * TWO_PI**grid.dim)
+
+
+def _h1_gram(grid: TorusGrid, xs: np.ndarray) -> np.ndarray:
+    """H^1 Gram matrix of an ``(m, *shape)`` coefficient stack, without the factor ``(2pi)^d``."""
+    # Re(conj(a) b) summed over k is the real dot product of the float views
+    y = (xs * grid.kmag).view(np.float64).reshape(len(xs), -1)
+    return y @ y.T
+
+
 def inner_h1(f: SpectralField, g: SpectralField) -> float:
     """Homogeneous H^1 inner product ``sum |k|^2 conj(f_k) g_k * (2pi)^d``."""
     f._check_same_grid(g)
-    k2 = f.grid.kmag ** 2
-    return float(np.real(np.sum(k2 * np.conj(f.coeffs) * g.coeffs)) * TWO_PI**f.grid.dim)
+    return _h1_pair(f.grid, f.coeffs, g.coeffs)
 
 
 def _canonical(delta: np.ndarray) -> np.ndarray:
@@ -578,12 +594,11 @@ def holder_seminorm(field: SpectralField, alpha: float) -> HolderMax:
 
 
 def norm_report(field: SpectralField, ps=(2, 4)) -> NormReport:
-    """The standard norm bundle of one field: L^p for ``ps`` and H^s for s in 0, 1/2, .., 2."""
-    lp = {int(p): lp_norm(field, p) for p in ps}
-    hs = {s: sobolev_norm(field, s) for s in (0.0, 0.5, 1.0, 1.5, 2.0)}
+    """The standard norm bundle of one field: L^p for ``ps`` (one transform) and H^s, s in 0..2."""
+    grid, v = field.grid, field.values()
     return NormReport(
-        l2=lp_norm(field, 2),
-        linf=lp_norm(field, np.inf),
-        lp=lp,
-        hs=hs,
+        l2=_lp_of_values(grid, v, 2),
+        linf=_lp_of_values(grid, v, np.inf),
+        lp={int(p): _lp_of_values(grid, v, p) for p in ps},
+        hs={s: sobolev_norm(field, s) for s in (0.0, 0.5, 1.0, 1.5, 2.0)},
     )

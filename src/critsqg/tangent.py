@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectral import SpectralField, TorusGrid, inner_h1
+from .spectral import SpectralField, TorusGrid, _h1_gram, _h1_pair
 from .solver import (
     BlowupError,
     Force,
@@ -74,12 +74,6 @@ __all__ = [
 
 class EnsembleCollapseError(RuntimeError):
     """Tangent frame became numerically degenerate between re-orthonormalizations."""
-
-
-def _stack(grid: TorusGrid, fields: Sequence[SpectralField]) -> np.ndarray:
-    """``(m, n, n)`` coefficient stack of ``m`` fields (``m`` may be 0)."""
-    coeffs = np.array([f.coeffs for f in fields], dtype=np.complex128)
-    return coeffs.reshape((len(fields),) + grid.shape)
 
 
 def _transport_derivative(grid: TorusGrid, base: tuple, coeffs: np.ndarray,
@@ -141,70 +135,73 @@ class CoupledStepper(_Stepper):
         return (_sqg_advection(self.grid, base, rule)[0] + self.force.coeffs,
                 _transport_derivative(self.grid, base, xs, rule))
 
-    def step(self, theta: SpectralField, xis: Sequence[SpectralField], dt: float, *,
-             t: float = 0.0):
-        """Advance ``theta`` and the tangents ``xis`` by ``dt`` from time ``t``.
+    def step(self, theta: SpectralField, xs: np.ndarray, dt: float, *, t: float = 0.0):
+        """Advance ``theta`` and the ``(m, n, n)`` tangent stack ``xs`` by ``dt`` from time ``t``.
 
-        A non-finite base or tangent coefficient raises :class:`BlowupError`
-        stamped ``t + dt``, carrying ``theta``.
+        Returns the new base field and a new read-only stack.  A non-finite
+        base or tangent coefficient raises :class:`BlowupError` stamped
+        ``t + dt``, carrying ``theta``.
         """
-        theta_new, xs_new = self._heun(theta.coeffs, _stack(self.grid, xis), dt)
+        if xs.shape[1:] != self.grid.shape:
+            raise ValueError(f"tangent stack shape {xs.shape} does not match grid {self.grid.shape}")
+        theta_new, xs_new = self._heun(theta.coeffs, xs, dt)
         if not (np.all(np.isfinite(theta_new)) and np.all(np.isfinite(xs_new))):
             raise BlowupError(t + dt, theta)
-        return (SpectralField._trusted(self.grid, theta_new),
-                [SpectralField._trusted(self.grid, x) for x in xs_new])
+        xs_new.setflags(write=False)
+        return SpectralField._trusted(self.grid, theta_new), xs_new
 
     def lead_cfl_dt(self, state: tuple, dt: float, t: float) -> float:
         """``cfl_dt`` of a tuple state led by the base: every member takes the base's step."""
         return self.cfl_dt(state[0], dt, t)
 
 
-def h1_gram_schmidt(xis: Sequence[SpectralField]):
-    """Modified Gram-Schmidt in the H^1 inner product.
+def h1_gram_schmidt(grid: TorusGrid, xs: np.ndarray):
+    """Modified Gram-Schmidt in the H^1 inner product over an ``(m, n, n)`` stack.
 
-    Returns ``(frame, increments)`` where ``increments[j] = log r_jj`` is the
-    log of the diagonal factor of direction j; their prefix sums advance the
-    per-dimension log-volumes.  Raises on a non-finite norm and on rank
-    deficiency, reporting the offending index.
+    Returns ``(frame, increments)``: the orthonormal frame as a new read-only
+    stack, and ``increments[j] = log r_jj``, the log of the diagonal factor of
+    direction j; their prefix sums advance the per-dimension log-volumes.
+    Raises on a non-finite norm and on rank deficiency, reporting the
+    offending index.
     """
-    frame = []
-    increments = np.empty(len(xis))
-    for j, xi in enumerate(xis):
+    frame = np.empty_like(xs)
+    increments = np.empty(len(xs))
+    for j, xi in enumerate(xs):
         v = xi
-        for phi in frame:
-            v = v - inner_h1(phi, v) * phi
-        norm_sq = inner_h1(v, v)
-        ref = inner_h1(xi, xi)
+        for phi in frame[:j]:
+            v = v - phi * _h1_pair(grid, phi, v)
+        norm_sq = _h1_pair(grid, v, v)
+        ref = _h1_pair(grid, xi, xi)
         if not math.isfinite(norm_sq):
             raise EnsembleCollapseError(f"non-finite H^1 norm at tangent index {j}")
         if norm_sq <= 0.0 or (ref > 0 and norm_sq < 1e-24 * ref):
             raise EnsembleCollapseError(f"rank deficiency at tangent index {j}")
         r = math.sqrt(norm_sq)
-        frame.append(v * (1.0 / r))
+        np.multiply(v, 1.0 / r, out=frame[j])
         increments[j] = math.log(r)
+    frame.setflags(write=False)
     return frame, increments
 
 
-def trace_Pn_A(theta: SpectralField, frame: Sequence[SpectralField], kappa: float) -> float:
-    """``sum_j int (-Laplacian phi_j) A_theta[phi_j] dx`` over an H^1-orthonormal frame.
+def trace_Pn_A(theta: SpectralField, xs: np.ndarray, kappa: float) -> float:
+    """``sum_j int (-Laplacian phi_j) A_theta[phi_j] dx`` over an H^1-orthonormal frame stack.
 
     Uses ``int (-Lap f) g = <f, g>_{H^1}``; the value does not depend on the
     orthonormalization chosen.  An empty frame contributes zero.
     """
-    traces = _trace_per_m(theta, frame, kappa)
+    traces = _trace_per_m(theta, xs, kappa)
     return float(traces[-1]) if len(traces) else 0.0
 
 
-def _trace_per_m(theta: SpectralField, frame: Sequence[SpectralField], kappa: float,
+def _trace_per_m(theta: SpectralField, xs: np.ndarray, kappa: float,
                  rule: str = "two-thirds") -> np.ndarray:
-    """Traces of ``P_m A_theta`` for ``m = 1..len(frame)``, from one stacked evaluation.
+    """Traces of ``P_m A_theta`` for ``m = 1..len(xs)``, from one stacked evaluation.
 
     ``rule`` must be the dealias rule the frame was stepped under.
     """
     grid = theta.grid
-    rhs = _linearized_stack(theta, _stack(grid, frame), kappa, rule)
-    terms = np.array([inner_h1(phi, SpectralField._trusted(grid, r)) for phi, r in zip(frame, rhs)])
-    return np.cumsum(terms)
+    rhs = _linearized_stack(theta, xs, kappa, rule)
+    return np.cumsum([_h1_pair(grid, phi, r) for phi, r in zip(xs, rhs)])
 
 
 def lattice_eigenvalues(count: int) -> np.ndarray:
@@ -267,7 +264,6 @@ class VolumeTraceResult:
     trace_averages: np.ndarray       # second-half time average per m
     average_converged: np.ndarray    # Cauchy-over-doubling flags per m
     empirical_N: int                 # smallest m with negative trace average
-    identity_residual: float         # |log V_n - int Tr(P_n A)| at the final time
 
     def running_average(self, m: int) -> np.ndarray:
         tr = self.traces[:, m - 1]
@@ -286,15 +282,18 @@ class VolumeTraceResult:
         integral = np.trapezoid(self.traces[: i + 1, -1], self.times[: i + 1])
         return abs(float(self.log_volume[i, -1] - self.log_volume[0, -1] - integral))
 
+    @property
+    def identity_residual(self) -> float:
+        """:meth:`identity_residual_at` the final time."""
+        return self.identity_residual_at(self.times[-1])
 
-def _frame_condition(grid: TorusGrid, xis: Sequence[SpectralField]) -> float:
-    """``sqrt(cond G)``, ``G`` the H^1 Gram matrix of the tangents (inf if singular to roundoff).
+
+def _frame_condition(grid: TorusGrid, xs: np.ndarray) -> float:
+    """``sqrt(cond G)``, ``G`` the H^1 Gram matrix of a tangent stack (inf if singular to roundoff).
 
     Never below the ratio of the largest to the smallest H^1 norm: ``G`` holds their squares.
     """
-    # Re(conj(a) b) summed over k is the real dot product of the float views
-    y = (_stack(grid, xis) * grid.kmag).view(np.float64).reshape(len(xis), -1)
-    lam = np.linalg.eigvalsh(y @ y.T)
+    lam = np.linalg.eigvalsh(_h1_gram(grid, xs))
     return math.sqrt(lam[-1] / lam[0]) if lam[0] > 0.0 else math.inf
 
 
@@ -337,36 +336,35 @@ def volume_and_trace_run(
     theta, t_relaxed = integrate(stepper.checked_advance, stepper.cfl_dt, theta0, 0.0, t_relax,
                                  config.dt)
 
-    raw = [random_band_field(grid, tangent_band, 1.0, seed + 17 * j) for j in range(n_tangent)]
-    frame, _ = h1_gram_schmidt(raw)
-    xis = list(frame)
+    raw = np.array([random_band_field(grid, tangent_band, 1.0, seed + 17 * j).coeffs
+                    for j in range(n_tangent)])
+    xs, _ = h1_gram_schmidt(grid, raw)
 
     def coupled_step(state, dt, t_run):
-        theta, xis = stepper.step(state[0], state[1], dt, t=t_relaxed + t_run)
-        condition = _frame_condition(grid, xis)
+        theta, xs = stepper.step(state[0], state[1], dt, t=t_relaxed + t_run)
+        condition = _frame_condition(grid, xs)
         if not condition <= condition_trigger:
             raise EnsembleCollapseError(
                 f"tangent frame condition {condition:.2e} exceeded trigger at "
                 f"t={t_relaxed + t_run + dt:.6g}; reduce reorth_every (currently {reorth_every})"
             )
-        return theta, xis
+        return theta, xs
 
     def coupled_cfl_dt(state, dt, t_run):
         return stepper.lead_cfl_dt(state, dt, t_relaxed + t_run)
 
     times = [0.0]
-    traces = [_trace_per_m(theta, xis, config.kappa, config.dealias)]
+    traces = [_trace_per_m(theta, xs, config.kappa, config.dealias)]
     logv = [np.zeros(n_tangent)]
     acc = np.zeros(n_tangent)
     t_run = 0.0
     while t_run < t_end:
-        (theta, xis), t_run = integrate(coupled_step, coupled_cfl_dt, (theta, xis),
-                                        t_run, t_end, config.dt, max_steps=reorth_every)
-        frame, increments = h1_gram_schmidt(xis)
-        xis = list(frame)
+        (theta, xs), t_run = integrate(coupled_step, coupled_cfl_dt, (theta, xs),
+                                       t_run, t_end, config.dt, max_steps=reorth_every)
+        xs, increments = h1_gram_schmidt(grid, xs)
         acc = acc + np.cumsum(increments)
         times.append(t_run)
-        traces.append(_trace_per_m(theta, xis, config.kappa, config.dealias))
+        traces.append(_trace_per_m(theta, xs, config.kappa, config.dealias))
         logv.append(acc.copy())
 
     times = np.asarray(times)
@@ -386,8 +384,6 @@ def volume_and_trace_run(
     negative = np.nonzero(averages < 0.0)[0]
     empirical_n = int(negative[0] + 1) if len(negative) else n_tangent + 1
 
-    integral = np.trapezoid(traces[:, -1], times)
-    residual = abs(float(logv[-1, -1] - logv[0, -1] - integral))
     return VolumeTraceResult(
         times=times,
         traces=traces,
@@ -395,8 +391,22 @@ def volume_and_trace_run(
         trace_averages=averages,
         average_converged=converged,
         empirical_N=empirical_n,
-        identity_residual=residual,
     )
+
+
+def _h1_norm(grid: TorusGrid, c: np.ndarray) -> float:
+    return math.sqrt(max(_h1_pair(grid, c, c), 0.0))
+
+
+def _gap_norms(stepper: CoupledStepper, step, state: tuple, ts: np.ndarray, dt: float,
+               gap) -> list:
+    """``||gap(*state)||_{H^1}`` at each sorted time ``ts``, ``state`` led by the base from t = 0."""
+    out = []
+    t = 0.0
+    for t_target in ts:
+        state, t = integrate(step, stepper.lead_cfl_dt, state, t, t_target, dt)
+        out.append(_h1_norm(stepper.grid, gap(*state)))
+    return out
 
 
 @dataclass
@@ -428,47 +438,33 @@ def frechet_residual(
     """
     ts = np.asarray(sorted(ts), dtype=np.float64)
     scales = np.asarray(sorted(scales, reverse=True), dtype=np.float64)
-    norm0 = math.sqrt(max(inner_h1(xi0, xi0), 0.0))
+    grid = theta0.grid
+    norm0 = _h1_norm(grid, xi0.coeffs)
     if norm0 == 0.0:
         return FrechetResult(scales=scales, ts=ts, ratios=np.zeros((len(ts), len(scales))),
                              slopes=np.zeros(len(ts)), excluded=[])
     xihat = xi0 * (1.0 / norm0)
-    grid = theta0.grid
     stepper = CoupledStepper(grid, config, force)
 
     def pair_step(state, dt, t):
-        theta, xi, phi = state
-        theta, (xi,) = stepper.step(theta, (xi,), dt, t=t)
-        return theta, xi, stepper.checked_advance(phi, dt, t)
+        theta, xs, phi = state
+        theta, xs = stepper.step(theta, xs, dt, t=t)
+        return theta, xs, stepper.checked_advance(phi, dt, t)
 
     def advance_pairs(r: float):
         """Return eta ratios at the requested times for one scale."""
-        state = (theta0, xihat, theta0 + r * xihat)
-        out = []
-        t = 0.0
-        for t_target in ts:
-            state, t = integrate(pair_step, stepper.lead_cfl_dt, state, t, t_target, config.dt)
-            theta, xi, phi = state
-            eta = phi - theta - r * xi
-            out.append(math.sqrt(max(inner_h1(eta, eta), 0.0)) / r)
-        return out
+        state = (theta0, xihat.coeffs[None], theta0 + r * xihat)
+        norms = _gap_norms(stepper, pair_step, state, ts, config.dt,
+                           lambda theta, xs, phi: phi.coeffs - theta.coeffs - xs[0] * r)
+        return [eta / r for eta in norms]
 
     ratios = np.array([advance_pairs(float(r)) for r in scales]).T  # (ts, scales)
-    excluded = []
-    keep = np.ones(len(scales), dtype=bool)
-    for j, r in enumerate(scales):
-        if np.any(ratios[:, j] <= 1e-11):
-            keep[j] = False
-            excluded.append(float(r))
-    slopes = np.empty(len(ts))
-    for i in range(len(ts)):
-        xs = np.log(scales[keep])
-        ys = np.log(np.maximum(ratios[i, keep], 1e-300))
-        if keep.sum() >= 2:
-            slopes[i] = float(np.polyfit(xs, ys, 1)[0])
-        else:
-            slopes[i] = math.nan
-    return FrechetResult(scales=scales, ts=ts, ratios=ratios, slopes=slopes, excluded=excluded)
+    keep = ~np.any(ratios <= 1e-11, axis=0)
+    log_r = np.log(scales[keep])
+    slopes = np.array([np.polyfit(log_r, np.log(np.maximum(row[keep], 1e-300)), 1)[0]
+                       if keep.sum() >= 2 else math.nan for row in ratios])
+    return FrechetResult(scales=scales, ts=ts, ratios=ratios, slopes=slopes,
+                         excluded=[float(r) for r in scales[~keep]])
 
 
 @dataclass
@@ -491,7 +487,7 @@ def continuity_test(
     degenerate status instead of dividing by zero.
     """
     t_grid = np.asarray(sorted(t_grid), dtype=np.float64)
-    base_norm = math.sqrt(max(inner_h1(perturbation, perturbation), 0.0))
+    base_norm = _h1_norm(theta0.grid, perturbation.coeffs)
     if base_norm == 0.0:
         return ContinuityResult(t=t_grid, ratio=np.array([]), status="degenerate")
     stepper = CoupledStepper(theta0.grid, config, force)
@@ -499,12 +495,6 @@ def continuity_test(
     def pair_step(state, dt, t):
         return tuple(stepper.checked_advance(fld, dt, t) for fld in state)
 
-    state = (theta0, theta0 + perturbation)
-    out = []
-    t = 0.0
-    for t_target in t_grid:
-        state, t = integrate(pair_step, stepper.lead_cfl_dt, state, t, t_target, config.dt)
-        theta, other = state
-        diff = other - theta
-        out.append(math.sqrt(max(inner_h1(diff, diff), 0.0)) / base_norm)
-    return ContinuityResult(t=t_grid, ratio=np.asarray(out), status="ok")
+    norms = _gap_norms(stepper, pair_step, (theta0, theta0 + perturbation), t_grid, config.dt,
+                       lambda theta, other: other.coeffs - theta.coeffs)
+    return ContinuityResult(t=t_grid, ratio=np.asarray(norms) / base_norm, status="ok")

@@ -201,18 +201,19 @@ def test_criterion_09_tangent_exactness():
         f = SpectralField.from_values(g, vals)
         return f * (1.0 / math.sqrt(inner_h1(f, f)))
 
-    frame = [h1n(np.cos(X)), h1n(np.sin(X)), h1n(np.cos(Y)), h1n(np.sin(Y))]
+    frame = np.array([h1n(v).coeffs for v in (np.cos(X), np.sin(X), np.cos(Y), np.sin(Y))])
     kappa = 1.0
     tr = trace_Pn_A(SpectralField.zeros(g), frame, kappa)
     trace_err = abs(tr + 4.0 * kappa)
 
     cfg = SolverConfig(kappa=1.0, dt=1e-3, t_end=1.0)
     cs = CoupledStepper(g, cfg, Force.wrap(SpectralField.zeros(g)))
-    th, xi = SpectralField.zeros(g), cos_x1(g)
+    th, xs = SpectralField.zeros(g), cos_x1(g).coeffs[None]
     t = 0.0
     while t < 1.0 - 1e-12:
-        th, (xi,) = cs.step(th, (xi,), 1e-3)
+        th, xs = cs.step(th, xs, 1e-3)
         t += 1e-3
+    xi = SpectralField._trusted(g, xs[0])
     heat_err = float(np.abs(xi.values() - math.exp(-1.0) * np.cos(X)).max())
     report(9, trace_err <= 1e-8 and heat_err <= 1e-6,
            f"Tr(P4 A_0) = -4k within {trace_err:.1e} (tol 1e-8); "

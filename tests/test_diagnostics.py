@@ -14,13 +14,14 @@ from critsqg.diagnostics import (
     holder_budget,
     load_constants,
     log_convexity_monitor,
+    log_convexity_series,
     m_alpha_envelope,
     save_constants,
     t_alpha_formula,
     track_holder,
     uniform_gronwall,
 )
-from critsqg.solver import Force, SolverConfig, random_band_field, run
+from critsqg.solver import Force, SolverConfig, Trajectory, random_band_field, run
 from critsqg.spectral import SpectralField, TorusGrid
 
 from conftest import cos_x1
@@ -280,6 +281,42 @@ class TestLogConvexity:
         # w grows like kappa*t on this family
         assert np.abs(res.w - (res.w[0] + res.t)).max() < 1e-3
         assert res.violations == 0
+
+
+def _scaled_pair(grid, scales):
+    """Trajectories ``theta`` and ``theta + s*xi`` with one snapshot per scale, 0.1 apart."""
+    theta, xi = cos_x1(grid), random_band_field(grid, 4, 1.0, 5)
+    times = [0.1 * i for i in range(len(scales))]
+    cfg = SolverConfig(kappa=1.0, dt=1e-3, t_end=times[-1])
+
+    def traj(fields):
+        return Trajectory(times=times, fields=fields, reports=[], config=cfg, force=zero_force(grid))
+
+    return traj([theta] * len(scales)), traj([theta + s * xi for s in scales])
+
+
+class TestLogConvexitySeries:
+    @pytest.mark.parametrize("scales, kept", [
+        ([1e-2, 1e-3, 1e-4, 0.0, 0.0], 3),   # collapses only at the trailing samples
+        ([1e-2, 1e-3, 0.0, 1e-4, 1e-5], 2),  # collapses mid-window, then separates again
+        ([1e-2, 0.0, 0.0, 0.0, 0.0], 1),
+    ])
+    def test_cut_at_first_collapse(self, grid32, scales, kept):
+        t, w, integral, status = log_convexity_series(*_scaled_pair(grid32, scales))
+        assert status == "indistinguishable"
+        assert np.array_equal(t, [0.1 * i for i in range(kept)])
+        assert len(w) == len(integral) == kept
+
+    @pytest.mark.parametrize("scales", [[0.0, 1e-2, 1e-3], [0.0, 0.0, 0.0]])
+    def test_collapsed_at_start_keeps_nothing(self, grid32, scales):
+        t, w, integral, status = log_convexity_series(*_scaled_pair(grid32, scales))
+        assert status == "indistinguishable"
+        assert len(t) == len(scales) and w.size == integral.size == 0
+
+    def test_separated_pair_is_ok(self, grid32):
+        t, w, _integral, status = log_convexity_series(*_scaled_pair(grid32, [1e-2, 1e-3, 1e-4]))
+        assert status == "ok" and len(t) == len(w) == 3
+        assert np.allclose(w, np.log(2.0 * np.array([1.0, 10.0, 100.0])))
 
 
 class TestReports:

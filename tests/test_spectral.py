@@ -160,9 +160,13 @@ class TestNorms:
             lp_norm(f, 1)
 
     def test_norm_report_consistency(self, grid64):
-        rep = norm_report(random_field(grid64, 8, 7))
+        f = random_field(grid64, 8, 7)
+        rep = norm_report(f, ps=(2, 4, 6))
         assert rep.hs[0.0] == pytest.approx(rep.l2, rel=1e-12)
         assert rep.l2 >= 0 and rep.linf >= 0
+        # one shared transform gives exactly the per-norm values
+        assert rep.l2 == lp_norm(f, 2) and rep.linf == lp_norm(f, np.inf)
+        assert rep.lp == {p: lp_norm(f, p) for p in (2, 4, 6)}
 
 
 class TestHolderSeminorm:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from critsqg.solver import (
     BlowupError,
@@ -40,13 +41,22 @@ def h1_normalize(f):
     return f * (1.0 / math.sqrt(inner_h1(f, f)))
 
 
+def stack(grid, fields):
+    """``(m, n, n)`` coefficient stack of ``m`` fields (``m`` may be 0)."""
+    return np.array([f.coeffs for f in fields], dtype=np.complex128).reshape((-1,) + grid.shape)
+
+
+def fields(grid, xs):
+    return [SpectralField._trusted(grid, x) for x in xs]
+
+
 def mode_frame(grid, specs):
     x = grid.coords
     X, Y = np.meshgrid(x, x, indexing="ij")
     out = []
     for fn in specs:
         out.append(h1_normalize(SpectralField.from_values(grid, fn(X, Y))))
-    return out
+    return stack(grid, out)
 
 
 @pytest.fixture(scope="module")
@@ -95,31 +105,42 @@ class TestCoupledStepper:
         cfg = SolverConfig(kappa=1.0, dt=1e-3, t_end=1.0)
         cs = CoupledStepper(grid48, cfg, Force.wrap(SpectralField.zeros(grid48)))
         th = SpectralField.zeros(grid48)
-        xi = cos_x1(grid48)
+        xs = stack(grid48, [cos_x1(grid48)])
         t = 0.0
         while t < 1.0 - 1e-12:
-            th, (xi,) = cs.step(th, (xi,), 1e-3)
+            th, xs = cs.step(th, xs, 1e-3)
             t += 1e-3
+        (xi,) = fields(grid48, xs)
         assert np.abs(xi.values() - np.exp(-1.0) * np.cos(X)).max() < 1e-6
+
+    def test_returns_a_read_only_stack(self, grid48):
+        cfg = SolverConfig(kappa=1.0, dt=1e-3, t_end=1.0)
+        cs = CoupledStepper(grid48, cfg, Force.wrap(SpectralField.zeros(grid48)))
+        xs = stack(grid48, [cos_x1(grid48), random_band_field(grid48, 4, 1.0, 3)])
+        _, out = cs.step(random_band_field(grid48, 4, 0.5, 2), xs, 1e-3)
+        assert out.shape == xs.shape and not out.flags.writeable
+        with pytest.raises(ValueError, match="tangent stack shape"):
+            cs.step(SpectralField.zeros(grid48), xs[0], 1e-3)
 
     def test_zero_tangent_stays_zero(self, grid48):
         cfg = SolverConfig(kappa=1.0, dt=1e-2, t_end=1.0)
         cs = CoupledStepper(grid48, cfg, Force.wrap(random_band_field(grid48, 3, 0.2, 1)))
         th = random_band_field(grid48, 4, 0.5, 2)
-        xi = SpectralField.zeros(grid48)
+        xs = stack(grid48, [SpectralField.zeros(grid48)])
         for _ in range(10):
-            th, (xi,) = cs.step(th, (xi,), 1e-2)
-        assert xi.is_zero()
+            th, xs = cs.step(th, xs, 1e-2)
+        assert np.all(xs == 0.0)
 
     def test_linearity_proportional_tangents(self, grid48):
         cfg = SolverConfig(kappa=1.0, dt=1e-3, t_end=1.0)
         cs = CoupledStepper(grid48, cfg, Force.wrap(random_band_field(grid48, 3, 0.2, 5)))
         th = random_band_field(grid48, 4, 0.5, 6)
         x1 = random_band_field(grid48, 4, 1.0, 7)
-        x2 = 2.0 * x1
+        xs = stack(grid48, [x1, 2.0 * x1])
         for _ in range(300):
-            th, (x1, x2) = cs.step(th, (x1, x2), 1e-3)
-        rel = np.abs(x2.coeffs - 2.0 * x1.coeffs).max() / np.abs(x1.coeffs).max()
+            th, xs = cs.step(th, xs, 1e-3)
+        x1, x2 = xs
+        rel = np.abs(x2 - 2.0 * x1).max() / np.abs(x1).max()
         assert rel < 1e-10
 
 
@@ -133,9 +154,9 @@ class TestOneStepBody:
         cs = CoupledStepper(grid48, cfg, Force.wrap(force))
         plain = _Stepper(grid48, cfg, force)
         theta = other = random_band_field(grid48, 4, 0.5, 2)
-        xis = [random_band_field(grid48, 4, 1.0, 3 + j) for j in range(m)]
+        xs = stack(grid48, [random_band_field(grid48, 4, 1.0, 3 + j) for j in range(m)])
         for _ in range(3):
-            theta, xis = cs.step(theta, xis, 2e-3)
+            theta, xs = cs.step(theta, xs, 2e-3)
             other = plain.advance(other, 2e-3)
             assert np.array_equal(theta.coeffs, other.coeffs)
             assert np.array_equal(cs.checked_advance(other, 1e-3, 0.0).coeffs,
@@ -148,13 +169,13 @@ class TestOneStepBody:
         cs = CoupledStepper(grid48, cfg, Force.wrap(random_band_field(grid48, 3, 0.2, 1)))
         theta = random_band_field(grid48, 4, 0.8, 2)
         xi = random_band_field(grid48, 4, 1.0, 3)
-        _, (got,) = cs.step(theta, [xi], 5e-3)
+        _, (got,) = cs.step(theta, stack(grid48, [xi]), 5e-3)
         errs = []
         for eps in (1e-2, 5e-3):
             plus = cs.advance(theta + eps * xi, 5e-3)
             minus = cs.advance(theta - eps * xi, 5e-3)
             fd = (plus - minus) * (0.5 / eps)
-            errs.append(np.abs(fd.coeffs - got.coeffs).max() / np.abs(got.coeffs).max())
+            errs.append(np.abs(fd.coeffs - got).max() / np.abs(got).max())
         assert errs[0] < 1e-8  # dropping a transport term gives ~1e-2
         assert errs[1] < errs[0] / 3.0
 
@@ -233,16 +254,16 @@ class TestStackedOracle:
         force = random_band_field(grid, 2, 0.3, 6) if forced else SpectralField.zeros(grid)
         cs = CoupledStepper(grid, cfg, Force.wrap(force))
         theta = random_band_field(grid, 4, 0.5, 5)
-        xis = [random_band_field(grid, 4, 1.0, 20 + j) for j in range(m)]
+        xs = stack(grid, [random_band_field(grid, 4, 1.0, 20 + j) for j in range(m)])
         dt = cs.cfl_dt(theta, cfg.dt)
         assert (dt < cfg.dt) == cfl_halved
         for _ in range(3):
-            want_theta, want_xis = ref_step(cs, theta, xis, dt)
-            theta, xis = cs.step(theta, xis, dt)
+            want_theta, want_xis = ref_step(cs, theta, fields(grid, xs), dt)
+            theta, xs = cs.step(theta, xs, dt)
             assert np.array_equal(theta.coeffs, want_theta)
-            assert len(xis) == m
-            for xi, want in zip(xis, want_xis):
-                assert np.array_equal(xi.coeffs, want)
+            assert len(xs) == m
+            for xi, want in zip(xs, want_xis):
+                assert np.array_equal(xi, want)
 
     @pytest.mark.parametrize("n", [32, 48])
     @pytest.mark.parametrize("rule", ["two-thirds", "none"])
@@ -252,13 +273,14 @@ class TestStackedOracle:
         cfg = SolverConfig(kappa=0.8, dt=1e-3, t_end=1.0, dealias=rule)
         cs = CoupledStepper(grid, cfg, Force.wrap(random_band_field(grid, 2, 0.3, 6)))
         theta = ref_theta = random_band_field(grid, 4, 0.5, 5)
-        xis = ref_xis = [random_band_field(grid, 4, 1.0, 20 + j) for j in range(6)]
+        ref_xis = [random_band_field(grid, 4, 1.0, 20 + j) for j in range(6)]
+        xs = stack(grid, ref_xis)
         for _ in range(4):
-            theta, xis = cs.step(theta, xis, cfg.dt)
+            theta, xs = cs.step(theta, xs, cfg.dt)
             want_theta, want_xis = ref_step(cs, ref_theta, ref_xis, cfg.dt, packed=False)
             ref_theta = SpectralField._trusted(grid, want_theta)
             ref_xis = [SpectralField._trusted(grid, x) for x in want_xis]
-        for got, want in zip([theta] + xis, [ref_theta] + ref_xis):
+        for got, want in zip([theta] + fields(grid, xs), [ref_theta] + ref_xis):
             scale = np.abs(want.coeffs).max()
             assert np.abs(got.coeffs - want.coeffs).max() <= 1e-14 * scale
 
@@ -278,9 +300,10 @@ class TestStackedOracle:
     def test_traces_match_per_field(self, n):
         grid = TorusGrid(2, n)
         theta = random_band_field(grid, 4, 0.5, 3)
-        frame, _ = h1_gram_schmidt([random_band_field(grid, 4, 1.0, s) for s in range(30, 36)])
+        frame, _ = h1_gram_schmidt(
+            grid, stack(grid, [random_band_field(grid, 4, 1.0, s) for s in range(30, 36)]))
         terms = [inner_h1(phi, SpectralField._trusted(grid, ref_linearized_rhs(theta, phi, 1.1)))
-                 for phi in frame]
+                 for phi in fields(grid, frame)]
         per_m = _trace_per_m(theta, frame, 1.1)
         assert np.array_equal(per_m, np.cumsum(terms))
         total = 0.0
@@ -288,6 +311,81 @@ class TestStackedOracle:
             total += term
         assert trace_Pn_A(theta, frame, 1.1) == total
         assert trace_Pn_A(theta, frame[:1], 1.1) == per_m[0]
+
+
+# Per-field reference for the stacked Gram-Schmidt and traces: the list
+# implementation over ``inner_h1`` that the stack replaced.  The stack path
+# must agree with it bit for bit, errors included.
+def ref_gram_schmidt(xis):
+    frame = []
+    increments = np.empty(len(xis))
+    for j, xi in enumerate(xis):
+        v = xi
+        for phi in frame:
+            v = v - inner_h1(phi, v) * phi
+        norm_sq = inner_h1(v, v)
+        ref = inner_h1(xi, xi)
+        if not math.isfinite(norm_sq):
+            raise EnsembleCollapseError(f"non-finite H^1 norm at tangent index {j}")
+        if norm_sq <= 0.0 or (ref > 0 and norm_sq < 1e-24 * ref):
+            raise EnsembleCollapseError(f"rank deficiency at tangent index {j}")
+        r = math.sqrt(norm_sq)
+        frame.append(v * (1.0 / r))
+        increments[j] = math.log(r)
+    return frame, increments
+
+
+def ref_trace_per_m(theta, frame, kappa, rule):
+    grid = theta.grid
+    rhs = _linearized_stack(theta, stack(grid, frame), kappa, rule)
+    return np.cumsum([inner_h1(phi, SpectralField._trusted(grid, r)) for phi, r in zip(frame, rhs)])
+
+
+def _outcome(fn, *args):
+    """``("ok", result)`` or ``("raised", message)`` of an :class:`EnsembleCollapseError`."""
+    try:
+        return "ok", fn(*args)
+    except EnsembleCollapseError as exc:
+        return "raised", str(exc)
+
+
+class TestStackedFrameOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([16, 32]), m=st.integers(1, 6), band=st.integers(2, 5),
+           exponents=st.lists(st.floats(-6.0, 6.0), min_size=7, max_size=7),
+           seed=st.integers(0, 2**32 - 1), rule=st.sampled_from(["two-thirds", "none"]))
+    def test_gram_schmidt_and_traces_match_per_field(self, n, m, band, exponents, seed, rule):
+        grid = TorusGrid(2, n)
+        xis = [random_band_field(grid, band, 10.0 ** e, seed + j)
+               for j, e in enumerate(exponents[:m])]
+        kind, want = _outcome(ref_gram_schmidt, xis)
+        assert kind == "ok"
+        frame, increments = h1_gram_schmidt(grid, stack(grid, xis))
+        assert not frame.flags.writeable
+        assert np.array_equal(frame, stack(grid, want[0]))
+        assert np.array_equal(increments, want[1])
+        theta = random_band_field(grid, band, 10.0 ** exponents[m], seed + 99)
+        assert np.array_equal(_trace_per_m(theta, frame, 0.9, rule),
+                              ref_trace_per_m(theta, want[0], 0.9, rule))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([16, 32]), m=st.integers(2, 6), data=st.data(),
+           defect=st.sampled_from(["nan", "inf", "dependent"]), seed=st.integers(0, 2**32 - 1))
+    def test_defects_raise_with_the_offending_index(self, n, m, data, defect, seed):
+        grid = TorusGrid(2, n)
+        xis = [random_band_field(grid, 4, 10.0 ** data.draw(st.floats(-6.0, 6.0)), seed + j)
+               for j in range(m)]
+        j = data.draw(st.integers(1, m - 1))
+        if defect == "dependent":
+            xis[j] = xis[data.draw(st.integers(0, j - 1))] * 10.0 ** data.draw(st.floats(-6.0, 6.0))
+        else:
+            c = xis[j].coeffs.copy()
+            c[1, 2] = np.nan if defect == "nan" else np.inf
+            xis[j] = SpectralField._trusted(grid, c)
+        want = _outcome(ref_gram_schmidt, xis)
+        assert want[0] == "raised" and want[1].endswith(f"index {j}")
+        assert _outcome(h1_gram_schmidt, grid, stack(grid, xis)) == want
 
 
 class TestTangentBlowup:
@@ -299,7 +397,7 @@ class TestTangentBlowup:
         c[1, 2] = np.nan
         bad = SpectralField._trusted(grid48, c)
         with pytest.raises(BlowupError) as exc:
-            cs.step(theta, [cos_x1(grid48), bad], 1e-3, t=0.25)
+            cs.step(theta, stack(grid48, [cos_x1(grid48), bad]), 1e-3, t=0.25)
         assert exc.value.t == 0.25 + 1e-3
         assert exc.value.last_state is theta
 
@@ -307,7 +405,7 @@ class TestTangentBlowup:
         c = random_band_field(grid48, 4, 1.0, 3).coeffs.copy()
         c[1, 2] = np.nan
         with pytest.raises(EnsembleCollapseError, match="non-finite.*index 1"):
-            h1_gram_schmidt([cos_x1(grid48), SpectralField._trusted(grid48, c)])
+            h1_gram_schmidt(grid48, stack(grid48, [cos_x1(grid48), SpectralField._trusted(grid48, c)]))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_stamped_with_elapsed_time(self):
@@ -334,28 +432,29 @@ class TestGramSchmidt:
             lambda X, Y: np.cos(X), lambda X, Y: np.sin(X),
             lambda X, Y: np.cos(Y), lambda X, Y: np.sin(Y),
         ])
-        out, inc = h1_gram_schmidt(frame)
+        out, inc = h1_gram_schmidt(grid48, frame)
         assert np.abs(inc).max() < 1e-12
 
     def test_single_vector_norm(self, grid48):
         f = cos_x1(grid48)
         f3 = f * (3.0 / math.sqrt(inner_h1(f, f)))
-        out, inc = h1_gram_schmidt([f3])
+        out, inc = h1_gram_schmidt(grid48, stack(grid48, [f3]))
         assert inc[0] == pytest.approx(math.log(3.0), abs=1e-12)
-        assert inner_h1(out[0], out[0]) == pytest.approx(1.0, rel=1e-12)
+        (phi,) = fields(grid48, out)
+        assert inner_h1(phi, phi) == pytest.approx(1.0, rel=1e-12)
 
     def test_random_frame_gram_identity(self, grid48):
         xis = [random_band_field(grid48, 5, 1.0, s) for s in (11, 12, 13)]
-        frame, _ = h1_gram_schmidt(xis)
-        for i, a in enumerate(frame):
-            for j, b in enumerate(frame):
+        frame, _ = h1_gram_schmidt(grid48, stack(grid48, xis))
+        for i, a in enumerate(fields(grid48, frame)):
+            for j, b in enumerate(fields(grid48, frame)):
                 want = 1.0 if i == j else 0.0
                 assert inner_h1(a, b) == pytest.approx(want, abs=1e-10)
 
     def test_rank_deficiency_reports_index(self, grid48):
         a = random_band_field(grid48, 4, 1.0, 1)
         with pytest.raises(EnsembleCollapseError, match="index 1"):
-            h1_gram_schmidt([a, 2.0 * a])
+            h1_gram_schmidt(grid48, stack(grid48, [a, 2.0 * a]))
 
 
 class TestTrace:
@@ -368,7 +467,7 @@ class TestTrace:
         assert tr == pytest.approx(-4.0, abs=1e-8)
 
     def test_empty_frame(self, grid48):
-        assert trace_Pn_A(SpectralField.zeros(grid48), [], kappa=1.0) == 0.0
+        assert trace_Pn_A(SpectralField.zeros(grid48), stack(grid48, []), kappa=1.0) == 0.0
 
     def test_mixed_eigenvalues(self, grid48):
         frame = mode_frame(grid48, [
@@ -399,13 +498,13 @@ class TestTrace:
         # the trace must not depend on the basis of the span
         th = random_band_field(grid48, 4, 0.5, 3)
         xis = [random_band_field(grid48, 5, 1.0, s) for s in (21, 22, 23)]
-        frame, _ = h1_gram_schmidt(xis)
-        mixed = [
+        frame, _ = h1_gram_schmidt(grid48, stack(grid48, xis))
+        mixed = np.array([
             frame[0] * 0.6 + frame[1] * 0.8,
             frame[1] * 0.8 - frame[0] * 0.6,
             frame[2],
-        ]
-        frame2, _ = h1_gram_schmidt(mixed)
+        ])
+        frame2, _ = h1_gram_schmidt(grid48, mixed)
         t1 = trace_Pn_A(th, frame, 1.0)
         t2 = trace_Pn_A(th, frame2, 1.0)
         assert t1 == pytest.approx(t2, rel=1e-9)
@@ -504,14 +603,14 @@ class TestVolumeTrace:
         xis.append(xis[0] * 0.5 + random_band_field(grid48, 4, 1e-3, 99))
         gram = np.array([[inner_h1(f, g) for g in xis] for f in xis])
         want = math.sqrt(np.linalg.cond(gram))
-        got = _frame_condition(grid48, xis)
+        got = _frame_condition(grid48, stack(grid48, xis))
         assert want > 100.0 and got == pytest.approx(want, rel=1e-6)
         norms = [math.sqrt(inner_h1(f, f)) for f in xis]
         assert got >= max(norms) / min(norms)
-        frame, _ = h1_gram_schmidt(xis)
+        frame, _ = h1_gram_schmidt(grid48, stack(grid48, xis))
         assert _frame_condition(grid48, frame) == pytest.approx(1.0, abs=1e-9)
         # a dependent pair reads inf, or a roundoff-sized lambda_min far above any trigger
-        assert _frame_condition(grid48, [xis[0], xis[0] * 2.0]) > 1e6
+        assert _frame_condition(grid48, stack(grid48, [xis[0], xis[0] * 2.0])) > 1e6
 
     def test_collapse_detection(self):
         g = TorusGrid(2, 32)
@@ -528,9 +627,9 @@ def _record_steps(monkeypatch):
     seen = []
     step, checked_advance = CoupledStepper.step, CoupledStepper.checked_advance
 
-    def step_spy(self, theta, xis, dt, *, t=0.0):
+    def step_spy(self, theta, xs, dt, *, t=0.0):
         seen.append((t, dt))
-        return step(self, theta, xis, dt, t=t)
+        return step(self, theta, xs, dt, t=t)
 
     def advance_spy(self, theta, dt, t):
         seen.append((t, dt))
