@@ -125,7 +125,7 @@ def solver_corpus_runs() -> List[Trajectory]:
         for dspec in SOLVER_DATA:
             theta0 = build_field(dspec, grid)
             cfg = SolverConfig(kappa=1.0, dt=SOLVER_DT, t_end=SOLVER_T_END, snapshot_dt=0.1)
-            out.append(run(theta0, cfg, force, report_ps=(2, 4)))
+            out.append(run(theta0, cfg, force))
     return out
 
 
@@ -136,7 +136,7 @@ def burgers_corpus_runs() -> List[Trajectory]:
         force = build_force(fspec, grid)
         theta0 = build_field(dspec, grid)
         cfg = SolverConfig(kappa=1.0, dt=1e-3, t_end=5.0, snapshot_dt=0.1)
-        out.append(run(theta0, cfg, force, report_ps=(2, 4)))
+        out.append(run(theta0, cfg, force))
     return out
 
 

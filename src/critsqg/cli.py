@@ -104,7 +104,7 @@ def _norm_rows(traj: Trajectory):
     header = ["t", "l2", "linf", "lp4", "hs0.5", "hs1.0", "hs1.5", "hs2.0"]
     rows = []
     for t, rep in zip(traj.times, traj.reports):
-        rows.append((t, rep.l2, rep.linf, rep.lp.get(4, 0.0),
+        rows.append((t, rep.lp[2], rep.lp[np.inf], rep.lp[4],
                      rep.hs[0.5], rep.hs[1.0], rep.hs[1.5], rep.hs[2.0]))
     return header, rows
 
@@ -113,9 +113,9 @@ def _run_with_probes(args, sections, command: str) -> int:
     setup = build_setup(sections, args.seed_override, command)
     grid = TorusGrid(setup.dim, setup.n)
     consts = load_constants()
-    outputs = ["norms.csv", "theta_initial.sqgf", "theta_final.sqgf"]
-    for p in setup.decay_envelope_ps:
-        outputs.append(f"envelope_p{'inf' if p == np.inf else int(p)}.csv")
+    envelope_csv = {p: f"envelope_p{'inf' if p == np.inf else int(p)}.csv"
+                    for p in setup.decay_envelope_ps}
+    outputs = ["norms.csv", "theta_initial.sqgf", "theta_final.sqgf", *envelope_csv.values()]
     if setup.holder_alpha:
         outputs.append("holder.csv")
     if setup.absorption:
@@ -124,8 +124,7 @@ def _run_with_probes(args, sections, command: str) -> int:
 
     theta0 = build_field(setup.initial, grid)
     force = build_force(setup.force, grid)
-    report_ps = (2, 4) + tuple(p for p in setup.decay_envelope_ps if p not in (2, 4, np.inf))
-    traj = run(theta0, setup.solver, force, report_ps=report_ps)
+    traj = run(theta0, setup.solver, force, report_ps=setup.decay_envelope_ps)
 
     header, rows = _norm_rows(traj)
     write_csv(os.path.join(args.out, "norms.csv"), header, rows)
@@ -133,12 +132,11 @@ def _run_with_probes(args, sections, command: str) -> int:
     write_snapshot(os.path.join(args.out, "theta_final.sqgf"), traj.fields[-1], traj.times[-1])
 
     falsified = 0
-    for p in setup.decay_envelope_ps:
+    for p, name in envelope_csv.items():
         rep = decay_envelope_report(traj, p, consts)
-        label = "inf" if p == np.inf else str(int(p))
         falsified += rep.violations
-        write_csv(os.path.join(args.out, f"envelope_p{label}.csv"),
-                  ["t", "norm", "envelope", "slack", "violated"], rep.rows)
+        write_csv(os.path.join(args.out, name), ["t", "norm", "envelope", "slack", "violated"],
+                  rep.rows)
 
     if setup.holder_alpha:
         alpha0, _m_inf = holder_budget(theta0, force.field, setup.solver.kappa, consts)
@@ -297,20 +295,21 @@ def _cmd_dimension(args) -> int:
     if forced:
         ac = absorbing_constants(force.linf, force.h1, setup.solver.kappa, consts)
         m_a = max(ac.m_32f, ac.m_2f)
-        N = dimension_bound(setup.solver.kappa, m_a, consts.c10, consts.c11)
-        curve_at_n = float(trace_bound_curve(N, setup.solver.kappa, m_a, consts.c10, consts.c11))
+        bound = (setup.solver.kappa, m_a, consts.c10, consts.c11)
+        N = dimension_bound(*bound)
+        negative = bound_curve_negative_at(N, *bound)
+        with np.errstate(over="ignore", invalid="ignore"):
+            curve_at_n = float(trace_bound_curve(min(N, sys.float_info.max), *bound))
+        if not np.isfinite(curve_at_n):  # past float range only the exact sign is known
+            curve_at_n = -np.inf if negative else np.inf
         lines.append(f"M_A (max of H^3/2, H^2 radii) = {m_a!r}")
         lines.append(f"N (a-priori dimension bound)  = {N}")
-        negative = bound_curve_negative_at(N, setup.solver.kappa, m_a, consts.c10, consts.c11)
         lines.append(f"trace-bound curve at N        = {curve_at_n!r} (must be < 0: {negative})")
-        if not negative:
-            failures += 1
-        if res.empirical_N > N:
-            failures += 1
+        failures += int(not negative) + int(res.empirical_N > N)
         lines.append("")
         lines.append("bound curve -kappa*m^1.5/c11 + m*c10*M_A^2/kappa:")
         for m in range(1, min(n_max, 12) + 1):
-            lines.append(f"  m={m:3d}  {float(trace_bound_curve(m, setup.solver.kappa, m_a, consts.c10, consts.c11))!r}")
+            lines.append(f"  m={m:3d}  {float(trace_bound_curve(m, *bound))!r}")
     else:
         lines.append("force is zero: a-priori radii vanish, attractor is the origin")
     lines.append("")

@@ -154,12 +154,8 @@ def _exceeds(value, bound, floor: float = 1e-300):
     return value > bound * (1.0 + 1e-9) + floor
 
 
-def decay_envelope(p, t, theta0_norm: float, f_norm: float, kappa: float, c0: float):
-    """L^p decay envelope value at time(s) t; p only validates the usage."""
-    if p != np.inf and p != "inf":
-        p = int(p)
-        if p < 2 or p % 2 != 0:
-            raise ValueError("p must be an even integer >= 2 or inf")
+def decay_envelope(t, theta0_norm: float, f_norm: float, kappa: float, c0: float):
+    """L^p decay envelope value at time(s) t, from the L^p norms of the data and the force."""
     t = np.asarray(t, dtype=np.float64)
     decay = np.exp(-t * c0 * kappa)
     return theta0_norm * decay + f_norm / (c0 * kappa) * (1.0 - decay)
@@ -318,7 +314,7 @@ def late_holder_violations(traj: Trajectory, consts: UniversalConstants) -> int:
     alpha_star, m_inf_f = post_transient_holder(traj.force.linf, traj.config.kappa, consts)
     t_half = traj.times[-1] / 2.0
     return sum(
-        int(_exceeds(rep.linf + holder_seminorm(fld, alpha_star).value, m_inf_f))
+        int(_exceeds(rep.lp[np.inf] + holder_seminorm(fld, alpha_star).value, m_inf_f))
         for t, rep, fld in zip(traj.times, traj.reports, traj.fields) if t >= t_half
     )
 
@@ -389,20 +385,15 @@ class DecayEnvelopeReport:
 
 
 def decay_envelope_report(traj: Trajectory, p, consts: UniversalConstants) -> DecayEnvelopeReport:
-    """Compare recorded L^p norms (``p`` inf, 2 or in the run's ``report_ps``) with the envelope."""
+    """Compare recorded L^p norms (``p`` 2, 4, inf or in the run's ``report_ps``) with the envelope."""
     kappa = traj.config.kappa
     theta0_norm = lp_norm(traj.fields[0], p)
     f_norm = lp_norm(traj.force.field, p)
     rows = []
     violations = 0
     for t, rep in zip(traj.times, traj.reports):
-        if p == np.inf or p == "inf":
-            norm = rep.linf
-        elif int(p) == 2:
-            norm = rep.l2
-        else:
-            norm = rep.lp[int(p)]
-        env = float(decay_envelope(p, t, theta0_norm, f_norm, kappa, consts.c0))
+        norm = rep.lp[p]
+        env = float(decay_envelope(t, theta0_norm, f_norm, kappa, consts.c0))
         violated = _exceeds(norm, env)
         violations += int(violated)
         rows.append((t, norm, env, env - norm, violated))

@@ -153,12 +153,7 @@ def build_field(spec: FieldSpec, grid: TorusGrid) -> SpectralField:
         return SpectralField.zeros(grid)
     if spec.kind == "single_mode":
         kvec = np.asarray(spec.k[: grid.dim], dtype=np.float64)
-        coords = grid.coords
-        if grid.dim == 1:
-            phase = kvec[0] * coords
-        else:
-            x, y = np.meshgrid(coords, coords, indexing="ij")
-            phase = kvec[0] * x + kvec[1] * y
+        phase = sum(kc * x for kc, x in zip(kvec, grid._mesh(grid.coords)))
         return SpectralField.from_values(grid, spec.amplitude * np.cos(phase))
     if spec.kind == "random_band":
         return random_band_field(grid, spec.band, spec.amplitude, spec.seed)
@@ -234,10 +229,8 @@ def nonlinear_term(theta: SpectralField, rule: str = "two-thirds") -> SpectralFi
 def burgers_nonlinear_term(theta: SpectralField, rule: str = "two-thirds") -> SpectralField:
     """``-(theta^2 / 2)_x`` in conservative form, dealiased, mean-free."""
     grid = theta.grid
-    sq = _product_coeffs(grid, theta.values() ** 2)
-    if rule == "two-thirds":
-        sq *= grid.dealias_mask
-    return SpectralField._trusted(grid, sq * grid.gradient_symbols[0] * -0.5)
+    c = _advection_coeffs(grid, theta.values() ** 2, rule)
+    return SpectralField._trusted(grid, c * grid.gradient_symbols[0] * 0.5)
 
 
 def velocity_max(theta: SpectralField) -> float:
@@ -377,13 +370,14 @@ def run(
     theta0: SpectralField,
     config: SolverConfig,
     force: Force,
-    report_ps=(2, 4),
+    report_ps=(),
 ) -> Trajectory:
     """Integrate to ``t_end``, recording snapshots every ``snapshot_dt``.
 
     The last snapshot is taken at exactly ``t_end``, also when ``t_end`` is not
-    a multiple of ``snapshot_dt`` (the last interval is then shorter).  Norm
-    reports are recorded per snapshot.  Blowup propagates as :class:`BlowupError`.
+    a multiple of ``snapshot_dt`` (the last interval is then shorter).  Each
+    snapshot gets a norm report, with L^p for 2, 4, inf and ``report_ps``.
+    Blowup propagates as :class:`BlowupError`.
     """
     stepper = _Stepper(theta0.grid, config, force.field)
 

@@ -100,14 +100,14 @@ class TorusGrid:
         """1D integer wavenumbers in FFT ordering."""
         return self._frozen((np.fft.fftfreq(self.n) * self.n).astype(np.int64))
 
+    def _mesh(self, axis: np.ndarray) -> list:
+        """The 1D per-axis array ``axis`` spread over the grid, one array per dimension."""
+        return np.meshgrid(*(axis,) * self.dim, indexing="ij")
+
     @cached_property
     def kvecs(self) -> tuple:
         """Meshgrid of wavenumber components, one array per dimension."""
-        k = self.wavenumbers.astype(np.float64)
-        if self.dim == 1:
-            return (self._frozen(k),)
-        kx, ky = np.meshgrid(k, k, indexing="ij")
-        return (self._frozen(kx), self._frozen(ky))
+        return tuple(self._frozen(c) for c in self._mesh(self.wavenumbers.astype(np.float64)))
 
     @cached_property
     def kmag(self) -> np.ndarray:
@@ -143,12 +143,8 @@ class TorusGrid:
     @cached_property
     def nyquist_mask(self) -> np.ndarray:
         """Boolean mask of modes with any component equal to n/2."""
-        k = self.wavenumbers
-        ny = k == -self.n // 2  # fftfreq stores the Nyquist mode as -n/2
-        if self.dim == 1:
-            return self._frozen(ny)
-        mx, my = np.meshgrid(ny, ny, indexing="ij")
-        return self._frozen(mx | my)
+        ny = self.wavenumbers == -self.n // 2  # fftfreq stores the Nyquist mode as -n/2
+        return self._frozen(np.logical_or.reduce(self._mesh(ny)))
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -158,13 +154,8 @@ class TorusGrid:
         collocation quadrature of cubic expressions of dealiased fields is
         alias-free.
         """
-        kc = (self.n - 1) // 3
-        k = np.abs(self.wavenumbers)
-        keep = k <= kc
-        if self.dim == 1:
-            return self._frozen(keep)
-        mx, my = np.meshgrid(keep, keep, indexing="ij")
-        return self._frozen(mx & my)
+        keep = np.abs(self.wavenumbers) <= (self.n - 1) // 3
+        return self._frozen(np.logical_and.reduce(self._mesh(keep)))
 
 
 def _inverse_in_place(grid: TorusGrid, c: np.ndarray) -> np.ndarray:
@@ -288,10 +279,7 @@ class SpectralField:
         if top == 0.0:
             return 0
         active = mag > 1e-14 * top
-        k = np.abs(self.grid.wavenumbers)
-        if self.grid.dim == 1:
-            return int(k[active].max())
-        return int(max(k[active.any(axis=1)].max(), k[active.any(axis=0)].max()))
+        return int(max(np.abs(k[active]).max() for k in self.grid.kvecs))
 
     def is_zero(self) -> bool:
         return bool(np.all(self.coeffs == 0.0))
@@ -327,10 +315,8 @@ class HolderMax:
 
 @dataclass
 class NormReport:
-    """Bundle of norms of one field; every entry is a nonnegative real."""
+    """Norms of one field, keyed by the L^p exponent (``np.inf`` for L^inf) and the H^s index."""
 
-    l2: float
-    linf: float
     lp: dict
     hs: dict
 
@@ -400,12 +386,7 @@ def resample(field: SpectralField, m: int) -> SpectralField:
     c = np.zeros(target.shape, dtype=np.complex128)
     k = grid.wavenumbers
     keep = np.abs(k) < min(grid.n, m) // 2  # Nyquist is zero by invariant
-    if grid.dim == 1:
-        c[k[keep]] = field.coeffs[keep]
-    else:
-        kx = k[keep][:, None].repeat(int(keep.sum()), axis=1)
-        ky = k[keep][None, :].repeat(int(keep.sum()), axis=0)
-        c[kx, ky] = field.coeffs[np.ix_(keep, keep)]
+    c[np.ix_(*(k[keep],) * grid.dim)] = field.coeffs[np.ix_(*(keep,) * grid.dim)]
     return SpectralField.from_coeffs(target, c)
 
 
@@ -423,7 +404,7 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
 
 def _lp_of_values(grid: TorusGrid, v: np.ndarray, p) -> float:
     """L^p norm of the collocation values ``v``, as :func:`lp_norm` defines it."""
-    if p == np.inf or p == "inf":
+    if p == np.inf:
         return float(np.abs(v).max())
     p = int(p)
     if p < 2 or p % 2 != 0:
@@ -593,12 +574,10 @@ def holder_seminorm(field: SpectralField, alpha: float) -> HolderMax:
     return HolderMax(value=float(ratio[k]), argmax_x=x, argmax_h=tuple(float(c) for c in h))
 
 
-def norm_report(field: SpectralField, ps=(2, 4)) -> NormReport:
-    """The standard norm bundle of one field: L^p for ``ps`` (one transform) and H^s, s in 0..2."""
+def norm_report(field: SpectralField, ps=()) -> NormReport:
+    """The norms of one field: L^p for 2, 4, inf and ``ps`` (one transform), H^s for s in 0..2."""
     grid, v = field.grid, field.values()
     return NormReport(
-        l2=_lp_of_values(grid, v, 2),
-        linf=_lp_of_values(grid, v, np.inf),
-        lp={int(p): _lp_of_values(grid, v, p) for p in ps},
+        lp={p: _lp_of_values(grid, v, p) for p in dict.fromkeys((2, 4, np.inf, *ps))},
         hs={s: sobolev_norm(field, s) for s in (0.0, 0.5, 1.0, 1.5, 2.0)},
     )

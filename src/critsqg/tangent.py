@@ -28,7 +28,7 @@ The a-priori dimension bound uses the trace-bound curve
     m  |->  -kappa*m^{3/2}/c11 + m*c10*M_A^2/kappa,
 
 with ``c11`` the eigenvalue-counting constant of the torus lattice
-(``lambda_j >= sqrt(j)/c11``) and ``N = ceil((c10*c11*M_A^2/kappa^2)^2)``.
+(``lambda_j >= sqrt(j)/c11``) and ``N = floor((c10*c11*M_A^2/kappa^2)^2) + 1``.
 """
 
 from __future__ import annotations
@@ -233,24 +233,29 @@ def trace_bound_curve(m, kappa: float, M_A: float, c10: float, c11: float):
     return -kappa * m**1.5 / c11 + m * c10 * M_A**2 / kappa
 
 
-def dimension_bound(kappa: float, M_A: float, c10: float, c11: float) -> int:
-    """Attractor-dimension bound ``N = ceil((c10*c11*M_A^2/kappa^2)^2)``.
+def dimension_bound(kappa: float, M_A: float, c10: float, c11: float):
+    """Attractor-dimension bound ``N = floor((c10*c11*M_A^2/kappa^2)^2) + 1``.
 
-    The square and ceiling are taken in exact rational arithmetic so that the
-    trace-bound curve is strictly negative at N (floats lose that strictness
-    once N outgrows 2^52).
+    N is the smallest integer where the trace-bound curve is negative, in
+    exact rational arithmetic (floats lose that once N outgrows 2^52).  An
+    infinite radius (absorbing constants past float range) gives ``inf``.
     """
     x = c10 * c11 * M_A**2 / kappa**2
-    return int(math.ceil(Fraction(x) ** 2))
+    if math.isinf(x):
+        return math.inf
+    return math.floor(Fraction(x) ** 2) + 1
 
 
-def bound_curve_negative_at(n: int, kappa: float, M_A: float, c10: float, c11: float) -> bool:
-    """Exact sign test of the trace-bound curve at integer n.
+def bound_curve_negative_at(n, kappa: float, M_A: float, c10: float, c11: float) -> bool:
+    """Exact sign test of the trace-bound curve at integer n, or at the vacuous bound ``n = inf``.
 
     ``curve(n) < 0  iff  n > (c10*c11*M_A^2/kappa^2)^2``, decided in rational
-    arithmetic on the float inputs.
+    arithmetic on the float inputs.  An infinite radius stands for a finite
+    one past float range: every integer lies below the root, ``inf`` beyond.
     """
     x = c10 * c11 * M_A**2 / kappa**2
+    if n == math.inf or math.isinf(x):
+        return n == math.inf
     return Fraction(int(n)) > Fraction(x) ** 2
 
 

@@ -92,8 +92,7 @@ def _oracle_envelope_holds(traj, p, c0):
     n0 = lp_norm(traj.fields[0], p)
     nf = lp_norm(traj.force.field, p)
     for t, rep in zip(traj.times, traj.reports):
-        norm = rep.linf if p == np.inf else (rep.l2 if p == 2 else rep.lp[int(p)])
-        if norm > float(decay_envelope(p, t, n0, nf, kappa, c0)) * (1.0 + 1e-9):
+        if rep.lp[p] > float(decay_envelope(t, n0, nf, kappa, c0)) * (1.0 + 1e-9):
             return False
     return True
 

@@ -393,6 +393,19 @@ class TestSimulate:
             rows = (out / "absorption_windows.csv").read_text().splitlines()
             assert rows[0] == "t_start,avg_h32_sq,budget,violated" and len(rows) == 1 + windows
 
+    def test_duplicate_exponents_list_their_file_once(self, tmp_path):
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text("[solver]\ndim = 2\nn = 16\nt_end = 0.05\nsnapshot_dt = 0.05\n\n"
+                       "[initial]\nkind = random_band\nband = 3\namplitude = 0.5\nseed = 5\n\n"
+                       "[force]\nkind = zero\n\n[probes]\ndecay_envelope_ps = 2,2,inf,6\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        listed = [line.split(" = ", 1)[1] for line in (out / "manifest.txt").read_text().splitlines()
+                  if line.startswith("output = ")]
+        assert sorted(listed + ["manifest.txt"]) == sorted(os.listdir(out))
+        assert [name for name in listed if name.startswith("envelope_")] == [
+            "envelope_p2.csv", "envelope_pinf.csv", "envelope_p6.csv"]
+
     def test_holder_violated_column_is_the_verdict(self, tmp_path, monkeypatch):
         # an envelope a hair (1e-12 relative) below g is within the slack of the
         # comparison: the run passes and no row of holder.csv reads violated
@@ -674,6 +687,26 @@ class TestDimensionCommand:
         report = (out / "dimension_report.txt").read_text()
         assert "empirical_N (first m with negative trace average) = 1" in report
         assert (out / "trace_log.csv").exists()
+
+    @pytest.mark.parametrize("amplitude, radius", [("0.15", "6.00600111635"), ("0.3", "inf")])
+    def test_strong_force_ends_by_verdict(self, tmp_path, capsys, amplitude, radius):
+        # the holder-corpus force shape: at 0.15 N lies past float range, at 0.3
+        # the radius overflows to inf and the bound is vacuous
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text("[solver]\ndim = 2\nn = 16\ndt = 2e-3\nt_end = 0.02\nsnapshot_dt = 0.01\n\n"
+                       "[initial]\nkind = random_band\nband = 3\namplitude = 0.5\nseed = 5\n\n"
+                       f"[force]\nkind = random_band\nband = 3\namplitude = {amplitude}\nseed = 11\n\n"
+                       "[tangent]\nn_tangent = 2\nreorth_every = 5\nt_relax = 0\ntangent_band = 3\n")
+        out = tmp_path / "o"
+        assert main(["dimension", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert "output = dimension_report.txt" in (out / "manifest.txt").read_text()
+        report = {key.strip(): value for key, _, value in
+                  (line.partition(" = ") for line in (out / "dimension_report.txt").read_text().splitlines())}
+        assert report["M_A (max of H^3/2, H^2 radii)"].startswith(radius)
+        n_text = report["N (a-priori dimension bound)"]
+        assert (n_text == "inf") if radius == "inf" else (int(n_text) > sys.float_info.max)
+        assert report["trace-bound curve at N"] == "-inf (must be < 0: True)"
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_dump_stamped_with_elapsed_time(self, tmp_path):

@@ -38,26 +38,30 @@ def zero_force(grid):
 
 class TestDecayEnvelope:
     def test_t_zero(self):
-        assert decay_envelope(2, 0.0, 3.0, 1.0, 2.0, 0.7) == pytest.approx(3.0)
+        assert decay_envelope(0.0, 3.0, 1.0, 2.0, 0.7) == pytest.approx(3.0)
 
     def test_infinite_time_limit(self):
-        v = decay_envelope(4, 1e9, 3.0, 1.0, 2.0, 0.7)
+        v = decay_envelope(1e9, 3.0, 1.0, 2.0, 0.7)
         assert v == pytest.approx(1.0 / (0.7 * 2.0), rel=1e-12)
 
     def test_halving_arithmetic(self):
         # f = 0, kappa = 1, c0 = 1, ||theta0|| = 2, t = ln 2 -> 1
-        assert decay_envelope(2, math.log(2.0), 2.0, 0.0, 1.0, 1.0) == pytest.approx(1.0)
+        assert decay_envelope(math.log(2.0), 2.0, 0.0, 1.0, 1.0) == pytest.approx(1.0)
 
     def test_monotonicity_both_regimes(self):
         t = np.linspace(0.0, 5.0, 200)
-        high = np.asarray(decay_envelope(2, t, 5.0, 1.0, 1.0, 1.0))
-        low = np.asarray(decay_envelope(2, t, 0.1, 1.0, 1.0, 1.0))
+        high = np.asarray(decay_envelope(t, 5.0, 1.0, 1.0, 1.0))
+        low = np.asarray(decay_envelope(t, 0.1, 1.0, 1.0, 1.0))
         assert np.all(np.diff(high) <= 1e-12)
         assert np.all(np.diff(low) >= -1e-12)
 
-    def test_p_validation(self):
-        with pytest.raises(ValueError):
-            decay_envelope(3, 0.0, 1.0, 1.0, 1.0, 1.0)
+    def test_p_validation(self, consts):
+        g = TorusGrid(2, 16)
+        traj = run(cos_x1(g), SolverConfig(kappa=1.0, dt=1e-3, t_end=1e-3, snapshot_dt=1e-3),
+                   zero_force(g))
+        for p in (3, "inf"):
+            with pytest.raises(ValueError):
+                decay_envelope_report(traj, p, consts)
 
 
 class TestHolderBudget:

@@ -121,13 +121,13 @@ class TestRun:
     def test_zero_everything(self, grid32):
         cfg = SolverConfig(kappa=1.0, dt=1e-2, t_end=0.5)
         traj = run(SpectralField.zeros(grid32), cfg, zero_force(grid32))
-        assert all(rep.l2 == 0.0 for rep in traj.reports)
+        assert all(rep.lp[2] == 0.0 for rep in traj.reports)
 
     def test_l2_decay_rate(self, grid64):
         cfg = SolverConfig(kappa=1.0, dt=1e-3, t_end=1.0)
         traj = run(cos_x1(grid64), cfg, zero_force(grid64))
         expected = np.exp(-1.0) * np.sqrt(2 * np.pi**2)
-        assert traj.reports[-1].l2 == pytest.approx(expected, rel=1e-5)
+        assert traj.reports[-1].lp[2] == pytest.approx(expected, rel=1e-5)
 
     def test_snapshot_times(self, grid32):
         cfg = SolverConfig(kappa=1.0, dt=3e-3, t_end=0.5, snapshot_dt=0.1)
@@ -167,7 +167,7 @@ class TestRun:
     def test_unforced_maximum_principle(self, grid32):
         cfg = SolverConfig(kappa=1.0, dt=2e-3, t_end=2.0, snapshot_dt=0.05)
         traj = run(random_band_field(grid32, 6, 1.0, 17), cfg, zero_force(grid32))
-        linf = [rep.linf for rep in traj.reports]
+        linf = [rep.lp[np.inf] for rep in traj.reports]
         for a, b in zip(linf, linf[1:]):
             assert b <= a + 1e-8
 
@@ -224,7 +224,7 @@ class TestRun:
         cfg = SolverConfig(kappa=1.0, dt=0.05, t_end=0.2, snapshot_dt=0.1)
         traj = run(th0, cfg, zero_force(g))
         assert traj.cfl_reductions > 0
-        assert np.isfinite(traj.reports[-1].l2)
+        assert np.isfinite(traj.reports[-1].lp[2])
 
     def test_identity_rescale_bit_exact(self, grid32):
         # the lambda = 1 rescale of a run is the run itself, bit for bit
@@ -477,7 +477,7 @@ class TestBurgers:
         th0 = cos_x1(g)
         cfg = SolverConfig(kappa=1.0, dt=1e-3, t_end=2.0, snapshot_dt=0.05)
         traj = run(th0, cfg, Force.wrap(SpectralField.zeros(g)))
-        linf = [rep.linf for rep in traj.reports]
+        linf = [rep.lp[np.inf] for rep in traj.reports]
         for a, b in zip(linf, linf[1:]):
             assert b <= a + 1e-8
 

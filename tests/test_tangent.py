@@ -522,8 +522,8 @@ class TestEigenvalues:
 
 class TestDimensionBound:
     def test_ceil_one(self):
-        # c10*c11*M_A^2/kappa^2 = 1 -> N = 1
-        assert dimension_bound(1.0, 1.0, 0.5, 2.0) == 1
+        # c10*c11*M_A^2/kappa^2 = 1: the curve is 0 at m = 1, so N = 2
+        assert dimension_bound(1.0, 1.0, 0.5, 2.0) == 2
 
     def test_fourth_power_dependence(self):
         n1 = dimension_bound(1.0, 3.0, 1.3, 2.0)
@@ -533,7 +533,7 @@ class TestDimensionBound:
     def test_curve_negative_at_bound(self):
         for m_a in (0.7, 2.3, 11.0):
             N = dimension_bound(1.0, m_a, 1.3, 2.0)
-            assert trace_bound_curve(N, 1.0, m_a, 1.3, 2.0) < 0 or N == (1.3 * 2.0 * m_a**2) ** 2
+            assert trace_bound_curve(N, 1.0, m_a, 1.3, 2.0) < 0
 
     def test_curve_shape(self):
         m = np.arange(1, 50)
