@@ -195,7 +195,7 @@ def calibrate_c5(runs: Sequence[Trajectory], eps0: float, c0: float) -> float:
             continue
         t = np.asarray(tr.times)
         for alpha in (alpha0, alpha0 / 2.0):
-            cases.append((t, [holder_seminorm(f, alpha).value for f in tr.fields], m_inf, kappa))
+            cases.append((t, [holder_seminorm(f, alpha) for f in tr.fields], m_inf, kappa))
     lo, hi = 0.05, 64.0
     for _ in range(40):
         mid = 0.5 * (lo + hi)
@@ -244,7 +244,7 @@ def calibrate_c7(runs: Sequence[Trajectory], eps1: float) -> float:
             gx, gy = gradient(fld)
             Dg = dissipation_field(gx, 1.0) + dissipation_field(gy, 1.0)
             gmag = np.sqrt(gx.values() ** 2 + gy.values() ** 2)
-            sem = holder_seminorm(snap, a).value
+            sem = holder_seminorm(snap, a)
             if sem <= 0.0:
                 continue
             mask = gmag > 1e-3 * max(float(gmag.max()), 1e-300)

@@ -43,7 +43,8 @@ from .kernels import (
     pointwise_identity_residual,
 )
 from .snapshots import read_snapshot, write_csv, write_manifest, write_snapshot
-from .solver import BlowupError, Trajectory, build_field, build_force, random_band_field, run
+from .solver import (BlowupError, FieldSpec, Trajectory, build_field, build_force,
+                     check_field_spec, random_band_field, run)
 from .spectral import MeanZeroError, SpectralField, TorusGrid, lp_norm
 from .tangent import (
     EnsembleCollapseError,
@@ -147,9 +148,10 @@ def _run_with_probes(args, sections, command: str) -> int:
             ["t", "g", "envelope_sq", "slack", "violated"],
             zip(track.t, track.g, track.envelope_sq, track.envelope_sq - track.g, track.violated),
         )
-        for i, ev in enumerate(track.events):
-            write_snapshot(os.path.join(args.out, f"falsification_{i}.sqgf"), ev.field, ev.t)
-        falsified += track.falsification_count
+        for i, j in enumerate(np.nonzero(track.violated)[0]):
+            write_snapshot(os.path.join(args.out, f"falsification_{i}.sqgf"), traj.fields[j],
+                           traj.times[j])
+        falsified += int(np.count_nonzero(track.violated))
 
     if setup.absorption:
         rep = absorption_report(traj, consts)
@@ -181,6 +183,9 @@ def _read_corpus(path: str):
             row = {"seed": int(parts[0]), "band": int(parts[1]), "norm": float(parts[2]),
                    "grid": TorusGrid(2, int(parts[3]) if len(parts) > 3 and parts[3] else 64),
                    "path": parts[4] if len(parts) > 4 else "", "lineno": lineno}
+            if not np.isfinite(row["norm"]):
+                raise ValueError(f"norm must be finite, got {row['norm']}")
+            check_field_spec(FieldSpec("random_band", band=row["band"], seed=row["seed"]), 2)
         except (IndexError, ValueError) as exc:
             raise ConfigError(lineno, f"{path}: bad row {line!r}, expected "
                                       f"seed,band,norm[,n[,path]] ({exc})") from None

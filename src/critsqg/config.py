@@ -111,6 +111,17 @@ def _get(kv: Dict[str, str], key: str, cast, default, limit=None):
     return value
 
 
+def _check_spec(spec: FieldSpec, kv: Dict[str, str], section: str, dim: int) -> None:
+    """:func:`check_field_spec`, its ``ValueError`` a :class:`ConfigError` on the line at fault."""
+    try:
+        check_field_spec(spec, dim)
+    except ValueError as exc:
+        # an unknown kind, a zero single_mode wavevector, or the key the message starts with
+        word = str(exc).split()[0]
+        keys = {"unknown": ("kind",), "single_mode": ("kx", "ky")}.get(word, (word,))
+        raise ConfigError(max(_line(kv, k) for k in keys), f"[{section}] {exc}") from exc
+
+
 def _field_spec(kv: Dict[str, str], grid: TorusGrid, section: str) -> FieldSpec:
     """The ``[initial]``/``[force]`` recipe, checked against the run grid without building it."""
     spec = FieldSpec(
@@ -122,12 +133,7 @@ def _field_spec(kv: Dict[str, str], grid: TorusGrid, section: str) -> FieldSpec:
         seed=_get(kv, "seed", int, 0),
         path=kv.get("path", ""),
     )
-    try:
-        check_field_spec(spec, grid.dim)
-    except ValueError as exc:
-        # an unknown kind, or a single_mode wavevector that is zero
-        keys = ("kind",) if "kind" in str(exc) else ("kx", "ky")
-        raise ConfigError(max(_line(kv, k) for k in keys), f"[{section}] {exc}") from exc
+    _check_spec(spec, kv, section, grid.dim)
     if spec.kind == "file":
         try:
             got, _t = snapshot_header(spec.path)
@@ -226,7 +232,9 @@ def build_setup(sections: Dict[str, Dict[str, str]], seed_override: Optional[int
     if seed_override is not None:
         for name in ("initial", "force"):
             kv = sections.setdefault(name, {})
-            kv["seed"] = str(_get(kv, "seed", int, 0) + seed_override)
+            seed = _Value(_get(kv, "seed", int, 0) + seed_override)
+            seed.lineno = _line(kv, "seed")  # an offset seed is reported on its own line
+            kv["seed"] = seed
     if n_tangent is not None:
         sections.setdefault("tangent", {})["n_tangent"] = str(n_tangent)
     sol = sections.get("solver", {})
@@ -271,6 +279,10 @@ def build_setup(sections: Dict[str, Dict[str, str]], seed_override: Optional[int
     tangent_relax = _get(tangent, "t_relax", float, 4.0)
     if tangent_relax < 0:
         raise ConfigError(_line(tangent, "t_relax"), f"t_relax must be >= 0, got {tangent_relax}")
+    tangent_seed = _get(tangent, "seed", int, 7)
+    # the tangent seed fields are random_band fields of seeds tangent_seed + 17 j
+    _check_spec(FieldSpec("random_band", band=tangent_band, seed=tangent_seed), tangent,
+                "tangent", dim)
     return RunSetup(
         dim=dim,
         n=n,
@@ -283,7 +295,7 @@ def build_setup(sections: Dict[str, Dict[str, str]], seed_override: Optional[int
         tangent_n=tangent_n,
         tangent_reorth=tangent_reorth,
         tangent_relax=tangent_relax,
-        tangent_seed=_get(tangent, "seed", int, 7),
+        tangent_seed=tangent_seed,
         tangent_band=tangent_band,
         sections=sections,
     )

@@ -27,7 +27,6 @@ Closed forms implemented here (kappa the dissipation coefficient, f the force):
                  + c8 (8 c7)^{(3-3a)/(2a)} / (3 k^{(9-3a)/(4a)}) M_{inf,f}^{(9-a)/(4a)}``,
   ``M_{3/2,f}^2 = ((6+k)/k M_{1,f}^2 + ||f||_{H^1}^2/k) exp(c9 (6+k) M_{1,f}^2 / k^2)``,
   ``M_{2,f}^2  = 2/k^2 ||f||_{H^1}^2 + 2 c9 / k^2 M_{3/2,f}^4``
-* uniform Groenwall bound: ``x(t) <= (X/r + B) e^A`` for ``t >= t0 + r``
 * backward-uniqueness log-convexity budget:
   ``w(t) = log(2m/||theta^(1)-theta^(2)||_{L^2}) <= w(0) + C int ||avg||_{H^{3/2}}^2``
 
@@ -73,7 +72,6 @@ __all__ = [
     "track_holder",
     "late_holder_violations",
     "absorbing_constants",
-    "uniform_gronwall",
     "LogConvexityResult",
     "log_convexity_series",
     "log_convexity_monitor",
@@ -240,27 +238,13 @@ def m_alpha_envelope(M0: float, M_inf: float, kappa: float, c5: float, t_grid) -
 
 
 @dataclass
-class FalsificationEvent:
-    t: float
-    g: float
-    envelope_sq: float
-    field: SpectralField
-
-
-@dataclass
 class HolderTrackResult:
     """Per-snapshot running sup g(t) = sup_{x,h} v^2 against the envelope."""
 
-    alpha: float
     t: np.ndarray
     g: np.ndarray
     envelope_sq: np.ndarray
-    violated: np.ndarray  # g > envelope_sq beyond the slack of _exceeds
-    events: list
-
-    @property
-    def falsification_count(self) -> int:
-        return len(self.events)
+    violated: np.ndarray  # g > envelope_sq beyond the slack of _exceeds: the falsifications
 
 
 def holder_envelope_check(t, seminorms, m_inf: float, kappa: float, consts: UniversalConstants):
@@ -280,20 +264,18 @@ def track_holder(traj: Trajectory, alpha: float, consts: UniversalConstants) -> 
     """Track ``g(t) = (sup_{x,h} |delta_h theta|/|h|^alpha)^2`` along a trajectory.
 
     Verifies ``g(t) <= M_alpha(t)^2`` against the envelope ODE seeded from the
-    initial data (one Hoelder scan per snapshot, the first one seeds it); a
-    violation is recorded as a falsification event carrying the offending
-    state, never raised.  Callers owe snapshots dense enough to pin the
-    running sup (cadence at most ten time steps; the shipped presets comply).
+    initial data (one Hoelder scan per snapshot, the first one seeds it).  A
+    violation is recorded in ``violated``, one flag per snapshot, never
+    raised; the offending states are ``traj.fields`` at its nonzero indices.
+    Callers owe snapshots dense enough to pin the running sup (cadence at
+    most ten time steps; the shipped presets comply).
     """
     kappa = traj.config.kappa
     _alpha0, m_inf = holder_budget(traj.fields[0], traj.force.field, kappa, consts)
     t = np.asarray(traj.times)
     g, envelope_sq, violated = holder_envelope_check(
-        t, [holder_seminorm(fld, alpha).value for fld in traj.fields], m_inf, kappa, consts)
-    events = [FalsificationEvent(t=float(t[i]), g=float(g[i]), envelope_sq=float(envelope_sq[i]),
-                                 field=traj.fields[i]) for i in np.nonzero(violated)[0]]
-    return HolderTrackResult(alpha=alpha, t=t, g=g, envelope_sq=envelope_sq, violated=violated,
-                             events=events)
+        t, [holder_seminorm(fld, alpha) for fld in traj.fields], m_inf, kappa, consts)
+    return HolderTrackResult(t=t, g=g, envelope_sq=envelope_sq, violated=violated)
 
 
 def post_transient_holder(f_linf: float, kappa: float, consts: UniversalConstants):
@@ -314,7 +296,7 @@ def late_holder_violations(traj: Trajectory, consts: UniversalConstants) -> int:
     alpha_star, m_inf_f = post_transient_holder(traj.force.linf, traj.config.kappa, consts)
     t_half = traj.times[-1] / 2.0
     return sum(
-        int(_exceeds(rep.lp[np.inf] + holder_seminorm(fld, alpha_star).value, m_inf_f))
+        int(_exceeds(rep.lp[np.inf] + holder_seminorm(fld, alpha_star), m_inf_f))
         for t, rep, fld in zip(traj.times, traj.reports, traj.fields) if t >= t_half
     )
 
@@ -364,15 +346,6 @@ def absorbing_constants(f_linf: float, f_h1: float, kappa: float, consts: Univer
         m_32f=math.sqrt(m32_sq),
         m_2f=math.sqrt(m2_sq),
     )
-
-
-def uniform_gronwall(X: float, A: float, B: float, r: float) -> float:
-    """Pointwise bound ``(X/r + B) e^A`` from window-integral data."""
-    if r <= 0:
-        raise ValueError("window length r must be positive")
-    if min(X, A, B) < 0:
-        raise ValueError("X, A, B must be nonnegative")
-    return (X / r + B) * math.exp(A)
 
 
 @dataclass

@@ -145,6 +145,10 @@ def check_field_spec(spec: FieldSpec, dim: int) -> None:
         raise ValueError(f"unknown field kind {spec.kind!r}")
     if spec.kind == "single_mode" and not any(spec.k[:dim]):
         raise ValueError("single_mode wavevector must be nonzero")
+    if spec.kind == "random_band" and spec.band < 1:
+        raise ValueError(f"band must be a positive integer, got {spec.band}")
+    if spec.kind == "random_band" and spec.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {spec.seed}")
 
 
 def build_field(spec: FieldSpec, grid: TorusGrid) -> SpectralField:

@@ -36,7 +36,6 @@ __all__ = [
     "TorusGrid",
     "SpectralField",
     "NormReport",
-    "HolderMax",
     "MeanZeroError",
     "fractional_laplacian",
     "riesz_perp",
@@ -304,15 +303,6 @@ class SpectralField:
             raise ValueError("fields live on different grids")
 
 
-@dataclass(frozen=True)
-class HolderMax:
-    """Result of a discrete Hoelder-quotient maximization."""
-
-    value: float
-    argmax_x: tuple
-    argmax_h: tuple
-
-
 @dataclass
 class NormReport:
     """Norms of one field, keyed by the L^p exponent (``np.inf`` for L^inf) and the H^s index."""
@@ -446,23 +436,18 @@ def inner_h1(f: SpectralField, g: SpectralField) -> float:
     return _h1_pair(f.grid, f.coeffs, g.coeffs)
 
 
-def _canonical(delta: np.ndarray) -> np.ndarray:
-    """Canonical torus representative of a displacement, in [-pi, pi)."""
-    return (delta + np.pi) % TWO_PI - np.pi
-
-
 @lru_cache(maxsize=32, typed=True)
 def _all_shift_powers(grid: TorusGrid, alpha: float) -> np.ndarray:
     """``|h|^alpha`` per nonzero grid shift in row-major (serial scan) order.
 
-    ``h`` is the canonical displacement of the shift.  Evaluated one scalar
-    at a time, so each entry is bitwise the ``hnorm**alpha`` of the per-shift
-    definition.
+    ``h`` is the canonical torus displacement of the shift, in [-pi, pi).
+    Evaluated one scalar at a time, so each entry is bitwise the
+    ``hnorm**alpha`` of the per-shift definition.
     """
     spacing = grid.spacing
     powers = np.array([
-        float(np.linalg.norm(_canonical(np.asarray(s, dtype=np.float64) * spacing))) ** alpha
-        for s in np.ndindex(*grid.shape)
+        float(np.linalg.norm((np.asarray(s, dtype=np.float64) * spacing + np.pi) % TWO_PI - np.pi))
+        ** alpha for s in np.ndindex(*grid.shape)
     ][1:])
     powers.setflags(write=False)
     return powers
@@ -533,13 +518,29 @@ def _increment_maxima(v: np.ndarray, hpow: np.ndarray) -> np.ndarray:
     return dmax
 
 
-def holder_seminorm(field: SpectralField, alpha: float) -> HolderMax:
+def _holder_ratios(field: SpectralField, alpha: float) -> np.ndarray:
+    """Quotients ``max_x |theta(x+s) - theta(x)| / |h|^alpha`` of the nonzero shifts, row-major.
+
+    A shift the pruned scan of :func:`_increment_maxima` skips holds 0; its
+    quotient is below the maximum, so the first row-major argmax of the
+    table is the serial scan's maximizing shift.  ``alpha`` outside (0, 1]
+    and non-finite field values raise ``ValueError``.
+    """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    hpow = _all_shift_powers(field.grid, alpha)
+    v = field.values()
+    if not np.isfinite(v).all():
+        raise ValueError("Hoelder quotient of a field with non-finite values")
+    return _increment_maxima(v, hpow).ravel()[1:] / hpow
+
+
+def holder_seminorm(field: SpectralField, alpha: float) -> float:
     """Discrete Hoelder quotient ``max_{x,h} |theta(x+h) - theta(x)| / |h|^alpha``.
 
     Every nonzero grid shift is considered; its canonical torus representative
-    satisfies ``|h| <= pi*sqrt(dim)``.  Returns the maximum together with the
-    maximizing collocation point and shift (canonical coordinates).
-    Non-finite field values raise ``ValueError``.
+    satisfies ``|h| <= pi*sqrt(dim)``.  Non-finite field values raise
+    ``ValueError``.
 
     The scan is exact.  In 2D it is a branch-and-bound over shifts: the row
     and column extremes of the field bound ``max_x |delta_h theta|`` from
@@ -550,28 +551,9 @@ def holder_seminorm(field: SpectralField, alpha: float) -> HolderMax:
     Only half of the row shifts are scanned; the rest are exact mirrors
     (``h`` and ``-h`` share the same maximal increment).  Each quotient divides
     that maximum by the same scalar ``|h|**alpha`` as a one-shift-at-a-time
-    loop, and ties go to the first shift in row-major order, so value and
-    argmax are bit-for-bit those of the serial scan with a strict ``>``.
+    loop, so the value is ``==`` that of the serial scan.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    grid = field.grid
-    hpow = _all_shift_powers(grid, alpha)
-
-    v = field.values()
-    if not np.isfinite(v).all():
-        raise ValueError("Hoelder quotient of a field with non-finite values")
-    # the table in row-major order, without the zero shift
-    ratio = _increment_maxima(v, hpow).ravel()[1:] / hpow
-    k = int(np.argmax(ratio))
-
-    best = tuple(int(c) for c in np.unravel_index(k + 1, grid.shape))
-    spacing = grid.spacing
-    h = _canonical(np.asarray(best, dtype=np.float64) * spacing)
-    diff = np.abs(np.roll(v, tuple(-c for c in best), axis=tuple(range(grid.dim))) - v)
-    xi = np.unravel_index(int(np.argmax(diff)), v.shape)
-    x = tuple(float(c) for c in (-np.pi + spacing * np.asarray(xi)))
-    return HolderMax(value=float(ratio[k]), argmax_x=x, argmax_h=tuple(float(c) for c in h))
+    return float(_holder_ratios(field, alpha).max())
 
 
 def norm_report(field: SpectralField, ps=()) -> NormReport:

@@ -57,7 +57,6 @@ __all__ = [
     "linearized_rhs",
     "CoupledStepper",
     "h1_gram_schmidt",
-    "trace_Pn_A",
     "lattice_eigenvalues",
     "eigenvalue_count_constant",
     "VolumeTraceResult",
@@ -66,8 +65,6 @@ __all__ = [
     "trace_bound_curve",
     "FrechetResult",
     "frechet_residual",
-    "ContinuityResult",
-    "continuity_test",
     "EnsembleCollapseError",
 ]
 
@@ -183,21 +180,13 @@ def h1_gram_schmidt(grid: TorusGrid, xs: np.ndarray):
     return frame, increments
 
 
-def trace_Pn_A(theta: SpectralField, xs: np.ndarray, kappa: float) -> float:
-    """``sum_j int (-Laplacian phi_j) A_theta[phi_j] dx`` over an H^1-orthonormal frame stack.
+def _trace_per_m(theta: SpectralField, xs: np.ndarray, kappa: float, rule: str) -> np.ndarray:
+    """Traces ``sum_{j<m} int (-Laplacian phi_j) A_theta[phi_j] dx`` for ``m = 1..len(xs)``.
 
-    Uses ``int (-Lap f) g = <f, g>_{H^1}``; the value does not depend on the
-    orthonormalization chosen.  An empty frame contributes zero.
-    """
-    traces = _trace_per_m(theta, xs, kappa)
-    return float(traces[-1]) if len(traces) else 0.0
-
-
-def _trace_per_m(theta: SpectralField, xs: np.ndarray, kappa: float,
-                 rule: str = "two-thirds") -> np.ndarray:
-    """Traces of ``P_m A_theta`` for ``m = 1..len(xs)``, from one stacked evaluation.
-
-    ``rule`` must be the dealias rule the frame was stepped under.
+    ``xs`` is an H^1-orthonormal frame stack; ``int (-Lap f) g = <f, g>_{H^1}``,
+    so the trace does not depend on the orthonormalization chosen.  One
+    stacked evaluation of ``A_theta``; ``rule`` must be the dealias rule the
+    frame was stepped under.
     """
     grid = theta.grid
     rhs = _linearized_stack(theta, xs, kappa, rule)
@@ -403,17 +392,6 @@ def _h1_norm(grid: TorusGrid, c: np.ndarray) -> float:
     return math.sqrt(max(_h1_pair(grid, c, c), 0.0))
 
 
-def _gap_norms(stepper: CoupledStepper, step, state: tuple, ts: np.ndarray, dt: float,
-               gap) -> list:
-    """``||gap(*state)||_{H^1}`` at each sorted time ``ts``, ``state`` led by the base from t = 0."""
-    out = []
-    t = 0.0
-    for t_target in ts:
-        state, t = integrate(step, stepper.lead_cfl_dt, state, t, t_target, dt)
-        out.append(_h1_norm(stepper.grid, gap(*state)))
-    return out
-
-
 @dataclass
 class FrechetResult:
     """Superlinear-approximation residual ``||eta(t)||_{H^1}/r`` per scale."""
@@ -458,10 +436,12 @@ def frechet_residual(
 
     def advance_pairs(r: float):
         """Return eta ratios at the requested times for one scale."""
-        state = (theta0, xihat.coeffs[None], theta0 + r * xihat)
-        norms = _gap_norms(stepper, pair_step, state, ts, config.dt,
-                           lambda theta, xs, phi: phi.coeffs - theta.coeffs - xs[0] * r)
-        return [eta / r for eta in norms]
+        state, t, ratios = (theta0, xihat.coeffs[None], theta0 + r * xihat), 0.0, []
+        for t_target in ts:
+            state, t = integrate(pair_step, stepper.lead_cfl_dt, state, t, t_target, config.dt)
+            theta, xs, phi = state
+            ratios.append(_h1_norm(grid, phi.coeffs - theta.coeffs - xs[0] * r) / r)
+        return ratios
 
     ratios = np.array([advance_pairs(float(r)) for r in scales]).T  # (ts, scales)
     keep = ~np.any(ratios <= 1e-11, axis=0)
@@ -470,36 +450,3 @@ def frechet_residual(
                        if keep.sum() >= 2 else math.nan for row in ratios])
     return FrechetResult(scales=scales, ts=ts, ratios=ratios, slopes=slopes,
                          excluded=[float(r) for r in scales[~keep]])
-
-
-@dataclass
-class ContinuityResult:
-    t: np.ndarray
-    ratio: np.ndarray
-    status: str  # "ok" | "degenerate"
-
-
-def continuity_test(
-    theta0: SpectralField,
-    perturbation: SpectralField,
-    t_grid: Sequence[float],
-    config: SolverConfig,
-    force: Force,
-) -> ContinuityResult:
-    """Growth factor ``||S(t)theta0 - S(t)theta0~||_{H^1} / ||theta0 - theta0~||_{H^1}``.
-
-    Identical data (zero perturbation) returns an empty series with a
-    degenerate status instead of dividing by zero.
-    """
-    t_grid = np.asarray(sorted(t_grid), dtype=np.float64)
-    base_norm = _h1_norm(theta0.grid, perturbation.coeffs)
-    if base_norm == 0.0:
-        return ContinuityResult(t=t_grid, ratio=np.array([]), status="degenerate")
-    stepper = CoupledStepper(theta0.grid, config, force)
-
-    def pair_step(state, dt, t):
-        return tuple(stepper.checked_advance(fld, dt, t) for fld in state)
-
-    norms = _gap_norms(stepper, pair_step, (theta0, theta0 + perturbation), t_grid, config.dt,
-                       lambda theta, other: other.coeffs - theta.coeffs)
-    return ContinuityResult(t=t_grid, ratio=np.asarray(norms) / base_norm, status="ok")

@@ -36,9 +36,9 @@ from critsqg.tangent import (
     eigenvalue_count_constant,
     frechet_residual,
     trace_bound_curve,
-    trace_Pn_A,
     volume_and_trace_run,
     CoupledStepper,
+    _trace_per_m,
 )
 
 from conftest import cos_x1, meshes
@@ -153,7 +153,7 @@ def test_criterion_06_holder_envelope(corpus_runs, consts):
         alpha0, m_inf = holder_budget(traj.fields[0], traj.force.field, kappa, consts)
         for alpha in (alpha0, alpha0 / 2.0):
             res = track_holder(traj, alpha, consts)
-            events += res.falsification_count
+            events += int(np.count_nonzero(res.violated))
             tracked += 1
             env = m_alpha_envelope(math.sqrt(res.g[0]), m_inf, kappa, consts.c5,
                                    np.asarray(traj.times))
@@ -203,7 +203,7 @@ def test_criterion_09_tangent_exactness():
 
     frame = np.array([h1n(v).coeffs for v in (np.cos(X), np.sin(X), np.cos(Y), np.sin(Y))])
     kappa = 1.0
-    tr = trace_Pn_A(SpectralField.zeros(g), frame, kappa)
+    tr = _trace_per_m(SpectralField.zeros(g), frame, kappa, "two-thirds")[-1]
     trace_err = abs(tr + 4.0 * kappa)
 
     cfg = SolverConfig(kappa=1.0, dt=1e-3, t_end=1.0)

@@ -1,6 +1,7 @@
 """Command-line surface: presets, exit taxonomy, manifests, determinism."""
 
 import os
+import pkgutil
 import platform
 import subprocess
 import sys
@@ -11,7 +12,9 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from critsqg.cli import EXIT_BLOWUP, EXIT_OK, EXIT_USAGE, main
+import critsqg
+
+from critsqg.cli import EXIT_BLOWUP, EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, main
 from critsqg.config import ConfigError, build_setup, parse_config_text, preset_sections
 from critsqg.solver import build_field, build_force, random_band_field
 from critsqg.snapshots import read_snapshot, write_manifest, write_snapshot
@@ -203,6 +206,14 @@ class TestConfigParsing:
         "[tangent]\ntangent_band = 0\n",
         "[tangent]\nt_relax = -1\n",
         "[tangent]\ntangent_band = 1\nn_tangent = 5\n",
+        # a random_band field needs band >= 1 (band 0 or below built the zero field)
+        # and seed >= 0 (a negative seed raised from numpy)
+        "[initial]\nband = 0\n",
+        "[initial]\nband = -2\n",
+        "[force]\nband = -2\n",
+        "[initial]\nseed = -1\n",
+        "[force]\nseed = -1\n",
+        "[tangent]\nseed = -1\n",
     ])
     def test_value_error_reports_its_line(self, tmp_path, capsys, extra):
         # the bad value is on the last line of the file
@@ -247,6 +258,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as exc:
             build_setup(parse_config_text(text), seed_override=3)
         assert exc.value.lineno == text.splitlines().index("seed = x") + 1
+
+    def test_negative_offset_seed_reports_its_line(self, tmp_path, capsys):
+        # SMALL_RUN's [initial] seed 21 offset by -30 is -9, reported on the seed's line
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_RUN)
+        want = SMALL_RUN.splitlines().index("seed = 21") + 1
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -9") as exc:
+            build_setup(parse_config_text(SMALL_RUN), seed_override=-30)
+        assert exc.value.lineno == want
+        for source, line in ((["--config", str(cfg)], want), (["--preset", "holder-corpus"], 0)):
+            out = tmp_path / str(line)
+            assert main(["simulate", *source, "--seed-override", "-30", "--out", str(out)]) == EXIT_USAGE
+            assert f"line {line}: [initial] seed must be" in capsys.readouterr().err
+            assert not (out / "manifest.txt").exists()
 
     def test_band_above_half_n_rejected_without_building(self, tmp_path, monkeypatch):
         # band 40 on n = 16 used to build a 640-point normalization grid (123 MiB)
@@ -374,6 +399,12 @@ def test_simulate_and_verify_kernels_load_no_scipy(tmp_path):
     assert (tmp_path / "ker" / "kernel_report.csv").exists()
 
 
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(critsqg.__path__)))
+def test_every_all_entry_resolves(module):
+    # a stale __all__ entry breaks ``import *`` with an AttributeError
+    exec(f"from critsqg.{module} import *", {})
+
+
 class TestSimulate:
     def test_small_forced_run(self, tmp_path):
         # the manifest lists every file a passing run writes: at t_end = 0.4 no unit
@@ -427,6 +458,32 @@ class TestSimulate:
         assert rows[0] == ["t", "g", "envelope_sq", "slack", "violated"]
         assert any(float(g) > float(e) for _t, g, e, _s, _v in rows[1:])
         assert [v for *_rest, v in rows[1:]] == ["0"] * (len(rows) - 1)
+
+    def test_falsification_snapshots_follow_holder_rows(self, tmp_path, monkeypatch):
+        # c5 = 1e-6 shrinks the Hoelder envelope far below g once t > 0
+        from dataclasses import replace
+
+        from critsqg.diagnostics import load_constants, save_constants
+
+        save_constants(replace(load_constants(), c5=1e-6), str(tmp_path / "c.txt"))
+        monkeypatch.setenv("SQG_CONSTANTS", str(tmp_path / "c.txt"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[solver]\ndim = 2\nn = 32\ndt = 1e-2\nt_end = 0.5\nsnapshot_dt = 0.1\n\n"
+                       "[initial]\nkind = random_band\nband = 4\namplitude = 1.0\nseed = 3\n\n"
+                       "[force]\nkind = random_band\nband = 3\namplitude = 0.5\nseed = 4\n\n"
+                       "[probes]\nholder_alpha = 0.1\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_FALSIFIED
+        rows = [line.split(",") for line in (out / "holder.csv").read_text().splitlines()[1:]]
+        times = [float(t) for t, *_rest, violated in rows if violated == "1"]
+        assert len(times) == 5
+        dumped = {name for name in os.listdir(out) if name.startswith("falsification_")}
+        assert dumped == {f"falsification_{i}.sqgf" for i in range(len(times))}
+        for i, t in enumerate(times):
+            assert read_snapshot(str(out / f"falsification_{i}.sqgf"))[1] == t
+        listed = [line.split(" = ", 1)[1] for line in (out / "manifest.txt").read_text().splitlines()
+                  if line.startswith("output = ")]
+        assert not any(name.startswith("falsification_") for name in listed)
 
     def test_exact_decay_preset_l2_series(self, tmp_path):
         out = tmp_path / "decay"
@@ -534,7 +591,8 @@ class TestVerifyKernels:
         assert rc == EXIT_OK
         assert (tmp_path / "o" / "kernel_report.csv").exists()
 
-    @pytest.mark.parametrize("row", ["0,6", "0,6,1.0,31", "0,six,1.0,32"])
+    @pytest.mark.parametrize("row", ["0,6", "0,6,1.0,31", "0,six,1.0,32", "0,6,nan,32",
+                                     "0,6,inf,32", "-1,6,1.0,32", "0,0,1.0,32", "0,-2,1.0,32"])
     def test_bad_corpus_row_exit_2_with_line(self, tmp_path, capsys, row):
         corpus = tmp_path / "c.csv"
         corpus.write_text(f"seed,band,norm,n\n0,6,1.0,32\n{row}\n")

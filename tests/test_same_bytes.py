@@ -1,4 +1,4 @@
-"""The file comparisons of ``tools/same_bytes.py``, on small files (no subprocess)."""
+"""The file comparisons and line count of ``tools/same_bytes.py``, on small files (no subprocess)."""
 
 import importlib.util
 import os
@@ -98,3 +98,14 @@ class TestCompareReport:
         for kw in ({"N": 2}, {"flag": "False"}):
             problem, _ = same_bytes._compare_report(*_pair(tmp_path, _report(), _report(**kw), ".txt"))
             assert problem is not None and problem.startswith("line ")
+
+
+class TestSrcLines:
+    def test_counts_newlines_of_package_sources_only(self, tmp_path):
+        pkg = tmp_path / "critsqg"
+        (pkg / "data").mkdir(parents=True)
+        _write(pkg / "a.py", "x = 1\ny = 2\n")
+        _write(pkg / "b.py", "z = 3")  # no final newline: wc -l counts 0 lines
+        _write(pkg / "notes.txt", "1\n2\n3\n")
+        _write(pkg / "data" / "c.py", "\n")
+        assert same_bytes._src_lines(str(tmp_path)) == 2

@@ -10,6 +10,7 @@ from critsqg.spectral import (
     TorusGrid,
     _all_shift_powers,
     _attained_quotient,
+    _holder_ratios,
     _increment_bound,
     _increment_maxima,
     dealias,
@@ -171,13 +172,19 @@ class TestNorms:
 
 class TestHolderSeminorm:
     def test_zero_field(self, grid64):
-        assert holder_seminorm(SpectralField.zeros(grid64), 0.5).value == 0.0
+        value = holder_seminorm(SpectralField.zeros(grid64), 0.5)
+        assert type(value) is float and value == 0.0
+
+    def test_alpha_outside_unit_interval_raises(self, grid32):
+        for alpha in (0.0, -0.5, 1.5, np.nan):
+            with pytest.raises(ValueError, match="alpha must lie in"):
+                holder_seminorm(cos_x1(grid32), alpha)
 
     def test_lipschitz_of_cos(self):
         g = TorusGrid(2, 128)
-        hm = holder_seminorm(cos_x1(g), 1.0)
-        assert hm.value == pytest.approx(1.0, abs=1e-3)
-        assert hm.value >= 0.999
+        value = holder_seminorm(cos_x1(g), 1.0)
+        assert value == pytest.approx(1.0, abs=1e-3)
+        assert value >= 0.999
 
     def test_half_exponent_interior_max(self):
         # continuum maximizer solves tan(h/2) = h; value 2 sin(h/2)/sqrt(h)
@@ -186,9 +193,9 @@ class TestHolderSeminorm:
         hstar = brentq(lambda h: np.tan(h / 2) - h, 2.0, 3.0)
         expected = 2 * np.sin(hstar / 2) / np.sqrt(hstar)
         g = TorusGrid(2, 128)
-        hm = holder_seminorm(cos_x1(g), 0.5)
-        assert hm.value == pytest.approx(expected, abs=5e-3)
-        assert abs(np.hypot(*hm.argmax_h) - hstar) < 0.1
+        assert holder_seminorm(cos_x1(g), 0.5) == pytest.approx(expected, abs=5e-3)
+        h = (np.asarray(table_argmax(cos_x1(g), 0.5)) * g.spacing + np.pi) % (2 * np.pi) - np.pi
+        assert abs(np.hypot(*h) - hstar) < 0.1
 
     def test_matches_bruteforce_oracle(self):
         # independent dense double loop on a small grid
@@ -206,27 +213,29 @@ class TestHolderSeminorm:
                 h2 = (s2 * g.spacing + np.pi) % (2 * np.pi) - np.pi
                 diff = np.abs(np.roll(v, (-s1, -s2), axis=(0, 1)) - v).max()
                 best = max(best, diff / np.hypot(h1, h2) ** alpha)
-        assert holder_seminorm(f, alpha).value == pytest.approx(best, rel=1e-12)
+        assert holder_seminorm(f, alpha) == pytest.approx(best, rel=1e-12)
 
 
 def serial_holder_scan(field, alpha):
-    """Brute-force oracle: one np.roll per shift, strict ``>`` in serial order."""
+    """Brute-force oracle ``(value, shift)``: one np.roll per shift, strict ``>`` in serial order."""
     grid = field.grid
     shifts = [s for s in np.ndindex(*grid.shape) if any(s)]
     v = field.values()
-    spacing = grid.spacing
-    best = (-1.0, None, None)
+    best = (-1.0, None)
     for idx in shifts:
-        h = (np.asarray(idx, dtype=np.float64) * spacing + np.pi) % (2.0 * np.pi) - np.pi
+        h = (np.asarray(idx, dtype=np.float64) * grid.spacing + np.pi) % (2.0 * np.pi) - np.pi
         hnorm = float(np.linalg.norm(h))
         rolled = np.roll(v, tuple(-c for c in idx), axis=tuple(range(grid.dim)))
-        diff = np.abs(rolled - v)
-        ratio = float(diff.max()) / hnorm**alpha
+        ratio = float(np.abs(rolled - v).max()) / hnorm**alpha
         if ratio > best[0]:
-            xi = np.unravel_index(int(np.argmax(diff)), v.shape)
-            x = tuple(float(c) for c in (-np.pi + spacing * np.asarray(xi)))
-            best = (ratio, x, tuple(float(c) for c in h))
+            best = (ratio, idx)
     return best
+
+
+def table_argmax(field, alpha):
+    """The first row-major maximizing shift of the private ratio table, as grid indices."""
+    k = int(np.argmax(_holder_ratios(field, alpha)))
+    return tuple(int(c) for c in np.unravel_index(k + 1, field.grid.shape))
 
 
 def holder_corpus_alpha0():
@@ -262,12 +271,12 @@ ADVERSARIAL = {
 
 
 class TestHolderScanExactness:
-    """The vectorized scan equals the serial per-shift scan bit for bit."""
+    """The vectorized scan equals the serial per-shift scan bit for bit, value and first argmax."""
 
     @staticmethod
     def assert_identical(field, alpha):
-        hm = holder_seminorm(field, alpha)
-        assert (hm.value, hm.argmax_x, hm.argmax_h) == serial_holder_scan(field, alpha)
+        want = serial_holder_scan(field, alpha)
+        assert (holder_seminorm(field, alpha), table_argmax(field, alpha)) == want
 
     @pytest.fixture(scope="class")
     def alphas(self):

@@ -22,14 +22,12 @@ from critsqg.tangent import (
     _frame_condition,
     _linearized_stack,
     _trace_per_m,
-    continuity_test,
     dimension_bound,
     eigenvalue_count_constant,
     frechet_residual,
     h1_gram_schmidt,
     lattice_eigenvalues,
     linearized_rhs,
-    trace_Pn_A,
     trace_bound_curve,
     volume_and_trace_run,
 )
@@ -304,13 +302,13 @@ class TestStackedOracle:
             grid, stack(grid, [random_band_field(grid, 4, 1.0, s) for s in range(30, 36)]))
         terms = [inner_h1(phi, SpectralField._trusted(grid, ref_linearized_rhs(theta, phi, 1.1)))
                  for phi in fields(grid, frame)]
-        per_m = _trace_per_m(theta, frame, 1.1)
+        per_m = _trace_per_m(theta, frame, 1.1, "two-thirds")
         assert np.array_equal(per_m, np.cumsum(terms))
         total = 0.0
         for term in terms:
             total += term
-        assert trace_Pn_A(theta, frame, 1.1) == total
-        assert trace_Pn_A(theta, frame[:1], 1.1) == per_m[0]
+        assert per_m[-1] == total
+        assert _trace_per_m(theta, frame[:1], 1.1, "two-thirds")[-1] == per_m[0]
 
 
 # Per-field reference for the stacked Gram-Schmidt and traces: the list
@@ -457,17 +455,23 @@ class TestGramSchmidt:
             h1_gram_schmidt(grid48, stack(grid48, [a, 2.0 * a]))
 
 
+def zero_state_trace(grid, frame, kappa):
+    """``Tr(P_m A_0)`` about the zero state, ``m`` the frame size."""
+    return _trace_per_m(SpectralField.zeros(grid), frame, kappa, "two-thirds")[-1]
+
+
 class TestTrace:
     def test_four_unit_modes(self, grid48):
         frame = mode_frame(grid48, [
             lambda X, Y: np.cos(X), lambda X, Y: np.sin(X),
             lambda X, Y: np.cos(Y), lambda X, Y: np.sin(Y),
         ])
-        tr = trace_Pn_A(SpectralField.zeros(grid48), frame, kappa=1.0)
+        tr = zero_state_trace(grid48, frame, kappa=1.0)
         assert tr == pytest.approx(-4.0, abs=1e-8)
 
     def test_empty_frame(self, grid48):
-        assert trace_Pn_A(SpectralField.zeros(grid48), stack(grid48, []), kappa=1.0) == 0.0
+        # no frame sizes m, so no traces
+        assert _trace_per_m(SpectralField.zeros(grid48), stack(grid48, []), 1.0, "two-thirds").size == 0
 
     def test_mixed_eigenvalues(self, grid48):
         frame = mode_frame(grid48, [
@@ -475,7 +479,7 @@ class TestTrace:
             lambda X, Y: np.cos(Y), lambda X, Y: np.sin(Y),
             lambda X, Y: np.cos(X + Y), lambda X, Y: np.sin(X - Y),
         ])
-        tr = trace_Pn_A(SpectralField.zeros(grid48), frame, kappa=1.0)
+        tr = zero_state_trace(grid48, frame, kappa=1.0)
         assert tr == pytest.approx(-(4.0 + 2.0 * math.sqrt(2.0)), abs=1e-8)
 
     def test_twelve_mode_eigenvalue_sum(self, grid48):
@@ -491,7 +495,7 @@ class TestTrace:
         frame = mode_frame(grid48, specs)
         lam = lattice_eigenvalues(12)
         for m in range(1, 13):
-            tr = trace_Pn_A(SpectralField.zeros(grid48), frame[:m], kappa=1.3)
+            tr = zero_state_trace(grid48, frame[:m], kappa=1.3)
             assert tr == pytest.approx(-1.3 * lam[:m].sum(), abs=1e-8)
 
     def test_orthonormalization_invariance(self, grid48):
@@ -505,8 +509,8 @@ class TestTrace:
             frame[2],
         ])
         frame2, _ = h1_gram_schmidt(grid48, mixed)
-        t1 = trace_Pn_A(th, frame, 1.0)
-        t2 = trace_Pn_A(th, frame2, 1.0)
+        t1 = _trace_per_m(th, frame, 1.0, "two-thirds")[-1]
+        t2 = _trace_per_m(th, frame2, 1.0, "two-thirds")[-1]
         assert t1 == pytest.approx(t2, rel=1e-9)
 
 
@@ -684,33 +688,3 @@ class TestFrechet:
         # ratios decrease in r at every t
         assert np.all(np.diff(res.ratios, axis=1) <= 0)
 
-
-class TestContinuity:
-    def test_degenerate_identical_data(self, grid48):
-        cfg = SolverConfig(kappa=1.0, dt=2e-3, t_end=0.5)
-        res = continuity_test(random_band_field(grid48, 4, 0.5, 1),
-                              SpectralField.zeros(grid48), [0.1, 0.2],
-                              cfg, Force.wrap(SpectralField.zeros(grid48)))
-        assert res.status == "degenerate"
-        assert res.ratio.size == 0
-
-    def test_reaches_each_requested_time(self, monkeypatch):
-        g = TorusGrid(2, 16)
-        cfg = SolverConfig(kappa=1.0, dt=1e-2, t_end=0.123)
-        seen = _record_steps(monkeypatch)
-        ts = [0.05, 0.1, 0.123]
-        res = continuity_test(random_band_field(g, 3, 0.5, 1), random_band_field(g, 3, 0.01, 2),
-                              ts, cfg, Force.wrap(SpectralField.zeros(g)))
-        assert res.status == "ok" and res.ratio.shape == (3,)
-        _assert_reaches(seen, ts)
-
-    def test_exact_single_mode_family(self, grid48):
-        # cos x1 vs (1+delta) cos x1 under f = 0: ratio = exp(-kappa t)
-        cfg = SolverConfig(kappa=1.0, dt=1e-3, t_end=1.0)
-        theta0 = cos_x1(grid48)
-        pert = cos_x1(grid48, amplitude=0.01)
-        res = continuity_test(theta0, pert, [0.25, 0.5, 1.0], cfg,
-                              Force.wrap(SpectralField.zeros(grid48)))
-        assert res.status == "ok"
-        assert np.allclose(res.ratio, np.exp(-np.array([0.25, 0.5, 1.0])), atol=1e-6)
-        assert np.all(res.ratio <= 1.0)

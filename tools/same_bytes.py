@@ -19,9 +19,10 @@ The inputs of the last three come from this checkout's ``bench/run.py``, so
 both trees see the same files.  Every CSV, ``.sqgf`` and
 ``dimension_report.txt`` is compared (manifests hold a creation time, so they
 are not).  The script prints each command's exit codes, one line per file
-that differs or exists on one side only, the number of identical files, and
-for each tree the sha256 of the sorted ``sha256  command/file`` list.  It
-exits 0 when every exit code and every file is the same, and 1 otherwise.
+that differs or exists on one side only, the number of identical files,
+for each tree the sha256 of the sorted ``sha256  command/file`` list, and
+the line count of each tree's ``src/critsqg/*.py`` (as ``wc -l`` counts
+them: newline characters).  It exits 0 when every exit code and every file is the same, and 1 otherwise.
 Nothing is written outside the temporary directory.
 
 ``--expect-change`` names files (by file name, for every command) that a
@@ -229,6 +230,17 @@ def _compare(parent: str, change: str) -> tuple:
     return _compare_report(parent, change)
 
 
+def _src_lines(src: str) -> int:
+    """Newlines in the ``critsqg/*.py`` files under ``src``, the total of ``wc -l``."""
+    pkg = os.path.join(src, "critsqg")
+    total = 0
+    for name in os.listdir(pkg):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
+
+
 def _list_hash(digests: dict) -> str:
     lines = "".join(f"{digests[k]}  {k}\n" for k in sorted(digests))
     return hashlib.sha256(lines.encode()).hexdigest()
@@ -259,6 +271,7 @@ def main(argv=None) -> int:
                        for side in trees}
             codes = {side: fut.result() for side, fut in futures.items()}
         digests = {side: _digests(outs[side]) for side in trees}
+        lines = {side: _src_lines(trees[side]) for side in trees}
         expected = {}
         for key in sorted(set(digests["parent"]) & set(digests["change"])):
             if (os.path.basename(key) in args.expect_change
@@ -290,6 +303,7 @@ def main(argv=None) -> int:
           f" (parent {args.parent})")
     for side in trees:
         print(f"{side} list sha256 {_list_hash(digests[side])} ({len(digests[side])} files)")
+    print(f"src lines: parent {lines['parent']} -> change {lines['change']}")
     return 1 if differ else 0
 
 
