@@ -53,7 +53,7 @@ from .diagnostics import (
     post_transient_holder,
     save_constants,
 )
-from .kernels import dissipation_field, nonlinear_lower_bound_check
+from .kernels import KERNEL_SHIFTS, dissipation_field, nonlinear_lower_bound_check
 from .solver import FieldSpec, SolverConfig, Trajectory, build_field, build_force, random_band_field, run
 from .spectral import (
     SpectralField,
@@ -80,11 +80,6 @@ C10_TANGENT_SEEDS = (41, 42, 43, 44)  # seeds of the c10 tangent directions
 
 KERNEL_CORPUS_N = 64
 KERNEL_CORPUS = [(seed, 8, 1.0) for seed in range(20)]  # (seed, band, linf norm)
-
-KERNEL_SHIFTS = [
-    (np.pi / 8, 0.0), (0.0, np.pi / 8), (np.pi / 4, np.pi / 4), (np.pi / 2, 0.0),
-    (0.0, np.pi / 2), (np.pi, np.pi), (3 * np.pi / 8, np.pi / 8), (np.pi / 16, 0.0),
-]
 
 SOLVER_CORPUS_N = 48
 SOLVER_FORCES = [
@@ -149,6 +144,17 @@ def kernel_corpus_fields() -> List[SpectralField]:
 # individual calibrations
 
 
+def _bisect(holds, lo: float, hi: float, steps: int) -> Tuple[float, float]:
+    """Halve ``[lo, hi]`` ``steps`` times around the point where ``holds`` turns from true to false."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def calibrate_c2(fields: Sequence[SpectralField]) -> float:
     """Tightest c2 over corpus x shifts, then x2.
 
@@ -167,15 +173,8 @@ def calibrate_c2(fields: Sequence[SpectralField]) -> float:
 
 def calibrate_c0(runs: Sequence[Trajectory]) -> float:
     """Largest decay rate the corpus supports for p in {2, 4, inf}, halved."""
-    lo, hi = 1e-3, 4.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        consts = replace(_UNSET, c0=mid)
-        if all(decay_envelope_report(tr, p, consts).violations == 0
-               for tr in runs for p in (2, 4, np.inf)):
-            lo = mid
-        else:
-            hi = mid
+    lo, _hi = _bisect(lambda c0: all(decay_envelope_report(tr, p, replace(_UNSET, c0=c0)).violations == 0
+                                     for tr in runs for p in (2, 4, np.inf)), 1e-3, 4.0, 40)
     return 0.5 * lo
 
 
@@ -196,27 +195,15 @@ def calibrate_c5(runs: Sequence[Trajectory], eps0: float, c0: float) -> float:
         t = np.asarray(tr.times)
         for alpha in (alpha0, alpha0 / 2.0):
             cases.append((t, [holder_seminorm(f, alpha) for f in tr.fields], m_inf, kappa))
-    lo, hi = 0.05, 64.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        consts = replace(consts, c5=mid)
-        if all(not holder_envelope_check(*case, consts)[2].any() for case in cases):
-            hi = mid
-        else:
-            lo = mid
+    _lo, hi = _bisect(lambda c5: any(holder_envelope_check(*case, replace(consts, c5=c5))[2].any()
+                                     for case in cases), 0.05, 64.0, 40)
     return 2.0 * hi
 
 
 def calibrate_eps1(runs: Sequence[Trajectory]) -> float:
     """Largest eps1 with ||theta||_{C^{alpha_*}} <= 2||f||_inf/(eps1 k) on late halves, halved."""
-    lo, hi = 1e-4, 8.0
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        consts = replace(_UNSET, eps1=mid)
-        if all(late_holder_violations(tr, consts) == 0 for tr in runs):
-            lo = mid
-        else:
-            hi = mid
+    lo, _hi = _bisect(lambda eps1: all(late_holder_violations(tr, replace(_UNSET, eps1=eps1)) == 0
+                                       for tr in runs), 1e-4, 8.0, 30)
     return 0.5 * lo
 
 

@@ -379,10 +379,14 @@ class AbsorptionReport:
 
     m_1f: float
     entry_time: float            # first snapshot inside the ball (inf if never)
-    permanent: bool              # stays inside from entry to the horizon end
+    permanent: bool              # entered, and stays inside from entry to the horizon end
     window_rows: list            # (t_start, avg_h32_sq, budget, violated)
-    window_violations: int
     rows: list                   # (t, h1, m_1f, inside)
+
+    @property
+    def failures(self) -> int:
+        """One if the ball is never entered or not kept, plus the unit windows over budget."""
+        return int(not self.permanent) + sum(int(row[3]) for row in self.window_rows)
 
 
 def absorption_report(traj: Trajectory, consts: UniversalConstants) -> AbsorptionReport:
@@ -402,22 +406,19 @@ def absorption_report(traj: Trajectory, consts: UniversalConstants) -> Absorptio
     idx = np.nonzero(inside)[0]
     if len(idx) == 0:
         return AbsorptionReport(m_1f=ac.m_1f, entry_time=math.inf, permanent=False,
-                                window_rows=[], window_violations=0, rows=rows)
+                                window_rows=[], rows=rows)
     entry = int(idx[0])
     permanent = bool(inside[entry:].all())
     budget = (6.0 + kappa) / kappa * ac.m_1f**2
     window_rows = []
-    violations = 0
     for i in range(entry, len(t)):
         j = np.searchsorted(t, t[i] + 1.0)
         if j >= len(t) or t[j] < t[i] + 1.0 - 1e-9:
             break
         avg = float(np.trapezoid(h32_sq[i : j + 1], t[i : j + 1]))
-        violated = _exceeds(avg, budget)
-        violations += int(violated)
-        window_rows.append((float(t[i]), avg, budget, violated))
+        window_rows.append((float(t[i]), avg, budget, _exceeds(avg, budget)))
     return AbsorptionReport(m_1f=ac.m_1f, entry_time=float(t[entry]), permanent=permanent,
-                            window_rows=window_rows, window_violations=violations, rows=rows)
+                            window_rows=window_rows, rows=rows)
 
 
 @dataclass

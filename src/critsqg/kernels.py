@@ -45,6 +45,7 @@ from .spectral import (
     _forward,
     fractional_laplacian,
     gradient,
+    lp_norm,
     resample,
     shift,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "lp_poincare_check",
     "nonlinear_lower_bound_check",
     "LowerBoundReport",
+    "KERNEL_SHIFTS", "kernel_checks",
 ]
 
 
@@ -68,6 +70,12 @@ OUTER_RADIUS = 8.0 * np.pi  # switch-over from the annulus quadrature to the ana
 
 # the constant C_{1,2} of the L^p lower bound in the critical two-dimensional case
 LP_POINCARE_CONSTANT = float(2**9 * np.pi**2)
+
+# the shifts h of the cubic lower bound on D[delta_h theta]
+KERNEL_SHIFTS = [
+    (np.pi / 8, 0.0), (0.0, np.pi / 8), (np.pi / 4, np.pi / 4), (np.pi / 2, 0.0),
+    (0.0, np.pi / 2), (np.pi, np.pi), (3 * np.pi / 8, np.pi / 8), (np.pi / 16, 0.0),
+]
 
 
 def c_alpha(alpha: float) -> float:
@@ -317,3 +325,32 @@ def nonlinear_lower_bound_check(field: SpectralField, h, c2: float) -> LowerBoun
     ratios = np.zeros_like(dvals)
     ratios[valid] = D[valid] * c2 * linf * hnorm / dvals[valid] ** 3
     return LowerBoundReport(ratios=ratios, valid_mask=valid, empty=False)
+
+
+def kernel_checks(named_fields, c2: float) -> list:
+    """Rows ``(suite, field, value, threshold, passed)`` of the kernel suites on ``(name, phi)`` pairs.
+
+    Per field: ``identity``, the mean identity residual at alpha 0.5, 1, 1.5
+    within ``1e-2 ||phi||_inf^2``; ``poincare_p4/p8``, lhs minus rhs at least 0;
+    ``lower_bound``, the min ratio at least 1 per shift with a nonempty report.
+    Then ``lower_bound_nonvacuous``: the least ratio at most 10 (``c2`` is not
+    loose), a row left out on an empty corpus.
+    """
+    rows = []
+    for name, phi in named_fields:
+        linf_sq = lp_norm(phi, np.inf) ** 2
+        for alpha in (0.5, 1.0, 1.5):
+            resid = float(np.mean(pointwise_identity_residual(phi, alpha)))
+            rows.append(("identity", f"{name}_a{alpha}", resid, 1e-2 * linf_sq, resid <= 1e-2 * linf_sq))
+        for p in (4, 8):
+            lhs, (r1, r2) = lp_poincare_check(phi, p)
+            rows.append((f"poincare_p{p}", name, lhs - (r1 + r2), 0.0, lhs >= r1 + r2))
+        for h in KERNEL_SHIFTS:
+            lb = nonlinear_lower_bound_check(phi, h, c2)
+            if not lb.empty:
+                rows.append(("lower_bound", f"{name}_h{h[0]:.3f}_{h[1]:.3f}", lb.min_ratio, 1.0,
+                             lb.min_ratio >= 1.0))
+    if rows:
+        least = min((row[2] for row in rows if row[0] == "lower_bound"), default=math.inf)
+        rows.append(("lower_bound_nonvacuous", "corpus", least, 10.0, least <= 10.0))
+    return rows

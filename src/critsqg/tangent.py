@@ -34,12 +34,14 @@ with ``c11`` the eigenvalue-counting constant of the torus lattice
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
+from .diagnostics import UniversalConstants, absorbing_constants
 from .spectral import SpectralField, TorusGrid, _h1_gram, _h1_pair
 from .solver import (
     BlowupError,
@@ -63,6 +65,7 @@ __all__ = [
     "volume_and_trace_run",
     "dimension_bound",
     "trace_bound_curve",
+    "DimensionVerdict", "dimension_verdict",
     "FrechetResult",
     "frechet_residual",
     "EnsembleCollapseError",
@@ -246,6 +249,31 @@ def bound_curve_negative_at(n, kappa: float, M_A: float, c10: float, c11: float)
     if n == math.inf or math.isinf(x):
         return n == math.inf
     return Fraction(int(n)) > Fraction(x) ** 2
+
+
+@dataclass(frozen=True)
+class DimensionVerdict:
+    """The a-priori dimension bound of a forced run, checked against its empirical N."""
+
+    m_a: float          # max of the H^{3/2} and H^2 absorbing radii
+    n_bound: object     # N of :func:`dimension_bound`: an int, or inf
+    curve_at_n: float   # trace-bound curve at N, -inf or inf past float range
+    negative: bool      # the exact sign test of the curve at N
+    passed: bool        # negative, and empirical_n <= N
+
+
+def dimension_verdict(empirical_n: int, force: Force, kappa: float, consts: UniversalConstants) -> DimensionVerdict:
+    """Check ``empirical_n`` against the bound N that the absorbing radii of ``force`` give."""
+    ac = absorbing_constants(force.linf, force.h1, kappa, consts)
+    m_a = max(ac.m_32f, ac.m_2f)
+    bound = (kappa, m_a, consts.c10, consts.c11)
+    n_bound = dimension_bound(*bound)
+    negative = bound_curve_negative_at(n_bound, *bound)
+    with np.errstate(over="ignore", invalid="ignore"):
+        curve_at_n = float(trace_bound_curve(min(n_bound, sys.float_info.max), *bound))
+    if not np.isfinite(curve_at_n):  # past float range only the exact sign is known
+        curve_at_n = -np.inf if negative else np.inf
+    return DimensionVerdict(m_a, n_bound, curve_at_n, negative, negative and empirical_n <= n_bound)
 
 
 @dataclass

@@ -592,7 +592,8 @@ class TestVerifyKernels:
         assert (tmp_path / "o" / "kernel_report.csv").exists()
 
     @pytest.mark.parametrize("row", ["0,6", "0,6,1.0,31", "0,six,1.0,32", "0,6,nan,32",
-                                     "0,6,inf,32", "-1,6,1.0,32", "0,0,1.0,32", "0,-2,1.0,32"])
+                                     "0,6,inf,32", "-1,6,1.0,32", "0,0,1.0,32", "0,-2,1.0,32",
+                                     "0,6,0,32", "0,6,-1.0,32"])
     def test_bad_corpus_row_exit_2_with_line(self, tmp_path, capsys, row):
         corpus = tmp_path / "c.csv"
         corpus.write_text(f"seed,band,norm,n\n0,6,1.0,32\n{row}\n")
@@ -602,6 +603,27 @@ class TestVerifyKernels:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "line 3" in err[0] and repr(row) in err[0]
         assert not (out / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("scale, failing", [(1e-3, ["lower_bound"] * 8),
+                                                (1e3, ["lower_bound_nonvacuous"])])
+    def test_scaled_c2_is_falsified(self, tmp_path, capsys, monkeypatch, scale, failing):
+        # c2 x 1e-3 puts every cubic-bound ratio below 1; c2 x 1e3 puts the least one above 10
+        from dataclasses import replace
+
+        from critsqg.diagnostics import load_constants, save_constants
+
+        consts = load_constants()
+        save_constants(replace(consts, c2=consts.c2 * scale), str(tmp_path / "c.txt"))
+        monkeypatch.setenv("SQG_CONSTANTS", str(tmp_path / "c.txt"))
+        corpus = tmp_path / "c.csv"
+        corpus.write_text("seed,band,norm,n\n0,6,1.0,32\n")
+        out = tmp_path / "o"
+        assert main(["verify-kernels", str(corpus), "--out", str(out)]) == EXIT_FALSIFIED
+        rows = [line.split(",") for line in (out / "kernel_report.csv").read_text().splitlines()[1:]]
+        assert [suite for suite, _field, _value, _thr, passed in rows if passed == "0"] == failing
+        printed = [line.split()[:3] for line in capsys.readouterr().out.splitlines()]
+        assert printed == [["PASS" if passed == "1" else "FAIL", suite, field]
+                           for suite, field, _value, _thr, passed in rows]
 
     def test_unresolved_generated_row_exit_2_with_line(self, tmp_path, capsys):
         # band 16 on n=64 squares onto the Nyquist mode: a usage error, not a FAIL

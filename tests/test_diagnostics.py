@@ -21,7 +21,7 @@ from critsqg.diagnostics import (
     track_holder,
 )
 from critsqg.solver import Force, SolverConfig, Trajectory, random_band_field, run
-from critsqg.spectral import SpectralField, TorusGrid
+from critsqg.spectral import NormReport, SpectralField, TorusGrid
 
 from conftest import cos_x1
 
@@ -300,7 +300,39 @@ class TestReports:
         rep = absorption_report(traj, consts)
         assert np.isfinite(rep.entry_time)
         assert rep.permanent
-        assert rep.window_violations == 0
+        assert rep.failures == 0
+
+    @staticmethod
+    def _absorption(consts, h1_per_radius, h32_sq_per_budget):
+        """Report of a hand-made run, snapshots 0.5 apart, norms in units of M_1f and the budget."""
+        g = TorusGrid(2, 16)
+        force = Force.wrap(random_band_field(g, 2, 0.01, 6))
+        m_1f = absorbing_constants(force.linf, force.h1, 1.0, consts).m_1f
+        budget = 7.0 * m_1f**2  # (6 + kappa)/kappa M_1f^2 at kappa = 1
+        reports = [NormReport(lp={}, hs={1.0: a * m_1f, 1.5: math.sqrt(b * budget)})
+                   for a, b in zip(h1_per_radius, h32_sq_per_budget)]
+        times = [0.5 * i for i in range(len(reports))]
+        cfg = SolverConfig(kappa=1.0, dt=1e-2, t_end=times[-1])
+        return absorption_report(Trajectory(times=times, fields=[], reports=reports, config=cfg,
+                                            force=force), consts)
+
+    def test_absorption_never_entered_is_one_failure(self, consts):
+        rep = self._absorption(consts, [2.0] * 5, [0.0] * 5)
+        assert rep.entry_time == math.inf and rep.window_rows == []
+        assert rep.failures == 1
+
+    def test_absorption_entered_then_left_is_one_failure(self, consts):
+        rep = self._absorption(consts, [2.0, 0.5, 0.5, 2.0, 0.5, 0.5], [0.0] * 6)
+        assert rep.entry_time == 0.5 and not rep.permanent
+        assert [row[3] for row in rep.window_rows] == [False] * 3
+        assert rep.failures == 1
+
+    def test_absorption_counts_each_window_over_budget(self, consts):
+        # the trapezoid over [0, 1] gives 5/4 of the budget; every later window is 0
+        rep = self._absorption(consts, [0.5] * 5, [5.0, 0.0, 0.0, 0.0, 0.0])
+        assert rep.entry_time == 0.0 and rep.permanent
+        assert [row[3] for row in rep.window_rows] == [True, False, False]
+        assert rep.failures == 1
 
 
 class TestConstantsIO:

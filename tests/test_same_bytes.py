@@ -100,6 +100,23 @@ class TestCompareReport:
             assert problem is not None and problem.startswith("line ")
 
 
+class TestDigests:
+    def test_stdout_is_compared_and_manifest_is_not(self, tmp_path):
+        out = tmp_path / "kernels"
+        out.mkdir()
+        for name in ("kernel_report.csv", "stdout.txt", "manifest.txt", "notes.log"):
+            _write(out / name, f"{name}\n")
+        assert sorted(same_bytes._digests(str(tmp_path))) == ["kernels/kernel_report.csv",
+                                                              "kernels/stdout.txt"]
+
+    def test_stdout_change_is_compared_like_a_report(self, tmp_path):
+        a = "PASS  identity  seed0_a0.5  value=0.00125 threshold=0.01\n"
+        b = "FAIL  identity  seed0_a0.5  value=0.00125 threshold=0.01\n"
+        assert same_bytes._compare(*_pair(tmp_path, a, a, ".txt")) == (None, {"line 1": 0.0})
+        problem, _ = same_bytes._compare(*_pair(tmp_path, a, b, ".txt"))
+        assert problem == "line 1 differs"
+
+
 class TestSrcLines:
     def test_counts_newlines_of_package_sources_only(self, tmp_path):
         pkg = tmp_path / "critsqg"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from critsqg.diagnostics import load_constants
 from critsqg.solver import (
     BlowupError,
     Force,
@@ -23,6 +24,7 @@ from critsqg.tangent import (
     _linearized_stack,
     _trace_per_m,
     dimension_bound,
+    dimension_verdict,
     eigenvalue_count_constant,
     frechet_residual,
     h1_gram_schmidt,
@@ -546,6 +548,22 @@ class TestDimensionBound:
         assert c[-1] < 0
         tail = np.diff(c)[-10:]
         assert np.all(tail < 0)
+
+
+class TestDimensionVerdict:
+    def test_radius_past_float_range_is_a_vacuous_pass(self):
+        # the holder-corpus force shape at amplitude 0.3: the H^{3/2} radius overflows
+        force = Force.wrap(random_band_field(TorusGrid(2, 16), 3, 0.3, 11))
+        v = dimension_verdict(6, force, 1.0, load_constants())
+        assert v.m_a == math.inf and v.n_bound == math.inf
+        assert v.curve_at_n == -math.inf and v.negative and v.passed
+
+    def test_empirical_n_above_the_bound_fails(self):
+        force = Force.wrap(random_band_field(TorusGrid(2, 32), 2, 0.01, 6))
+        at_bound = dimension_verdict(1, force, 1.0, load_constants())
+        assert at_bound.passed and at_bound.curve_at_n < 0.0
+        above = dimension_verdict(at_bound.n_bound + 1, force, 1.0, load_constants())
+        assert above.negative and not above.passed
 
 
 @pytest.fixture(scope="module")

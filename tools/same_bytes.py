@@ -16,13 +16,15 @@ set to the tree's ``src/``, two at a time (one per tree):
 * ``verify-kernels`` on the benchmark's kernel corpus of seed 4.
 
 The inputs of the last three come from this checkout's ``bench/run.py``, so
-both trees see the same files.  Every CSV, ``.sqgf`` and
-``dimension_report.txt`` is compared (manifests hold a creation time, so they
-are not).  The script prints each command's exit codes, one line per file
-that differs or exists on one side only, the number of identical files,
-for each tree the sha256 of the sorted ``sha256  command/file`` list, and
-the line count of each tree's ``src/critsqg/*.py`` (as ``wc -l`` counts
-them: newline characters).  It exits 0 when every exit code and every file is the same, and 1 otherwise.
+both trees see the same files.  Each command's standard output is saved as
+``stdout.txt`` beside its outputs.  Every CSV, ``.sqgf``,
+``dimension_report.txt`` and ``stdout.txt`` is compared (manifests hold a
+creation time, so they are not).  The script prints each command's exit
+codes, one line per file that differs or exists on one side only, the
+number of identical files, for each tree the sha256 of the sorted
+``sha256  command/file`` list, and the line count of each tree's
+``src/critsqg/*.py`` (as ``wc -l`` counts them: newline characters).  It
+exits 0 when every exit code and every file is the same, and 1 otherwise.
 Nothing is written outside the temporary directory.
 
 ``--expect-change`` names files (by file name, for every command) that a
@@ -37,8 +39,8 @@ report excepted, below), and everything else must be identical:
 * a ``.sqgf`` snapshot must have a byte-equal header (grid and time) and the
   same size; the change of its values is taken relative to the larger of the
   two fields' largest magnitudes.
-* ``dimension_report.txt`` must have identical text, integers and
-  ``True``/``False``; the change is printed per line that holds floats
+* ``dimension_report.txt`` and ``stdout.txt`` must have identical text,
+  integers and ``True``/``False``; the change is printed per line that holds floats
   (numbers written with a ``.`` or an exponent).  The ``volume/trace identity
   residual`` line gets the absolute change ``|a - b|`` instead: its value is
   a cancellation of log-volume terms of size ~68, so a last-bit change of the
@@ -98,14 +100,20 @@ def _commands(inputs: str) -> dict:
 
 
 def _run_tree(src: str, out_root: str, cmds: dict) -> dict:
-    """Run every command on the package in ``src``; returns {name: exit code}."""
+    """Run every command on the package in ``src``; returns {name: exit code}.
+
+    Each command's standard output goes to ``stdout.txt`` in its output directory.
+    """
     env = {k: v for k, v in os.environ.items() if k != "SQG_CONSTANTS"}
     env["PYTHONPATH"] = src
     codes = {}
     for name, argv in cmds.items():
         out = os.path.join(out_root, name)
         done = subprocess.run([sys.executable, "-m", "critsqg.cli", *argv, "--out", out],
-                              env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        os.makedirs(out, exist_ok=True)
+        with open(os.path.join(out, "stdout.txt"), "wb") as fh:
+            fh.write(done.stdout)
         codes[name] = done.returncode
     return codes
 
@@ -115,7 +123,7 @@ def _digests(out_root: str) -> dict:
     got = {}
     for name in sorted(os.listdir(out_root)):
         for fname in sorted(os.listdir(os.path.join(out_root, name))):
-            if fname.endswith((".csv", ".sqgf")) or fname == "dimension_report.txt":
+            if fname.endswith((".csv", ".sqgf")) or fname in ("dimension_report.txt", "stdout.txt"):
                 with open(os.path.join(out_root, name, fname), "rb") as fh:
                     got[f"{name}/{fname}"] = hashlib.sha256(fh.read()).hexdigest()
     return got
@@ -197,7 +205,7 @@ def _is_float_text(part: str) -> bool:
 
 
 def _compare_report(parent: str, change: str) -> tuple:
-    """``(problem or None, {"line N": largest change})`` of two dimension reports."""
+    """``(problem or None, {"line N": largest change})`` of two dimension reports or stdouts."""
     with open(parent, encoding="utf-8") as fh:
         a = fh.read().splitlines()
     with open(change, encoding="utf-8") as fh:
@@ -250,8 +258,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
     parser.add_argument("--expect-change", nargs="+", default=[], metavar="FILE",
-                        help="CSV, .sqgf or dimension_report.txt file names whose "
-                             "numbers may differ")
+                        help="CSV, .sqgf, dimension_report.txt or stdout.txt file names "
+                             "whose numbers may differ")
     args = parser.parse_args(argv)
     root = subprocess.run(["git", "rev-parse", "--show-toplevel"], cwd=HERE, check=True,
                           capture_output=True, text=True).stdout.strip()
