@@ -43,8 +43,8 @@ class ConfigError(ValueError):
 
 _SCHEMA = {
     "solver": {
-        "dim", "n", "kappa", "dt", "t_end", "integrator", "dealias", "epsilon",
-        "mollifier_width", "cfl_budget", "snapshot_dt",
+        "dim", "n", "kappa", "dt", "t_end", "epsilon", "mollifier_width", "cfl_budget",
+        "snapshot_dt",
     },
     "initial": {"kind", "kx", "ky", "amplitude", "band", "seed", "path"},
     "force": {"kind", "kx", "ky", "amplitude", "band", "seed", "path"},
@@ -244,8 +244,6 @@ def build_setup(sections: Dict[str, Dict[str, str]], seed_override: Optional[int
         kappa=_get(sol, "kappa", float, 1.0),
         dt=_get(sol, "dt", float, 1e-3),
         t_end=_get(sol, "t_end", float, 1.0),
-        integrator=sol.get("integrator", "imex-cn"),
-        dealias=sol.get("dealias", "two-thirds"),
         epsilon=_get(sol, "epsilon", float, 0.0),
         mollifier_width=_get(sol, "mollifier_width", float, 0.0),
         cfl_budget=_get(sol, "cfl_budget", float, 0.5),

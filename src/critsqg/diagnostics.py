@@ -72,6 +72,7 @@ __all__ = [
     "track_holder",
     "late_holder_violations",
     "absorbing_constants",
+    "cumulative_trapezoid",
     "LogConvexityResult",
     "log_convexity_series",
     "log_convexity_monitor",
@@ -394,7 +395,8 @@ def absorption_report(traj: Trajectory, consts: UniversalConstants) -> Absorptio
 
     Window averages ``int_t^{t+1} ||theta||_{H^{3/2}}^2`` are compared against
     ``(6+kappa)/kappa * M_{1,f}^2`` for unit windows starting at or after the
-    empirical entry time.
+    empirical entry time; a window ends at the first snapshot at or after
+    ``t + 1`` (to within 1e-9).
     """
     kappa = traj.config.kappa
     ac = absorbing_constants(traj.force.linf, traj.force.h1, kappa, consts)
@@ -412,13 +414,19 @@ def absorption_report(traj: Trajectory, consts: UniversalConstants) -> Absorptio
     budget = (6.0 + kappa) / kappa * ac.m_1f**2
     window_rows = []
     for i in range(entry, len(t)):
-        j = np.searchsorted(t, t[i] + 1.0)
-        if j >= len(t) or t[j] < t[i] + 1.0 - 1e-9:
+        # i * snapshot_dt + 1.0 may round one ulp above the snapshot it names
+        j = np.searchsorted(t, t[i] + 1.0 - 1e-9)
+        if j >= len(t):
             break
         avg = float(np.trapezoid(h32_sq[i : j + 1], t[i : j + 1]))
         window_rows.append((float(t[i]), avg, budget, _exceeds(avg, budget)))
     return AbsorptionReport(m_1f=ac.m_1f, entry_time=float(t[entry]), permanent=permanent,
                             window_rows=window_rows, rows=rows)
+
+
+def cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of ``y`` over the samples ``t``, starting at 0."""
+    return np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))])
 
 
 @dataclass
@@ -463,7 +471,7 @@ def log_convexity_series(traj1: Trajectory, traj2: Trajectory):
     status = "indistinguishable" if len(dead) else "ok"
     m = float(d_k.max())
     w = np.log(2.0 * m / d_k)
-    integral = np.concatenate([[0.0], np.cumsum(0.5 * (h32[1:] + h32[:-1]) * np.diff(t_k))])
+    integral = cumulative_trapezoid(h32, t_k)
     return t_k, w, integral, status
 
 

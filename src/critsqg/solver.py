@@ -9,13 +9,13 @@ The evolved systems, on mean-free periodic fields:
 * Burgers on T:    d/dt theta + theta theta_x + Lambda theta = f,
                    with the transport in conservative form (theta^2/2)_x.
 
-The stiff diagonal part ``kappa*|k| + epsilon*|k|^2`` is treated implicitly
-(Crank-Nicolson) or exponentially (ETDRK2); the nonlinear term explicitly with
-Heun stages.  Products are formed pseudo-spectrally on the collocation grid and
-dealiased with the two-thirds rule; every step re-projects onto mean-free
-fields.  An advective CFL controller halves the step when
-``dt * ||u||_inf * n / (2*pi)`` exceeds the configured budget, and snapshots
-are hit exactly with one short final substep.
+The one time-stepping scheme is IMEX Crank-Nicolson: the stiff diagonal part
+``kappa*|k| + epsilon*|k|^2`` is treated implicitly, the nonlinear term
+explicitly with Heun stages.  Products are formed pseudo-spectrally on the
+collocation grid and dealiased with the two-thirds rule; every step
+re-projects onto mean-free fields.  An advective CFL controller halves the
+step when ``dt * ||u||_inf * n / (2*pi)`` exceeds the configured budget, and
+snapshots are hit exactly with one short final substep.
 
 The solver never certifies regularity: NaN/Inf states raise ``BlowupError``
 carrying the last valid state for a diagnostic dump.
@@ -79,8 +79,6 @@ class SolverConfig:
     kappa: float
     dt: float
     t_end: float
-    integrator: str = "imex-cn"  # or "etdrk2"
-    dealias: str = "two-thirds"  # or "none"
     epsilon: float = 0.0
     mollifier_width: float = 0.0
     cfl_budget: float = 0.5
@@ -94,10 +92,6 @@ class SolverConfig:
         for name in ("t_end", "epsilon", "mollifier_width"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.integrator not in ("imex-cn", "etdrk2"):
-            raise ValueError(f"integrator must be imex-cn or etdrk2, got {self.integrator!r}")
-        if self.dealias not in ("two-thirds", "none"):
-            raise ValueError(f"dealias must be two-thirds or none, got {self.dealias!r}")
 
 
 @dataclass(frozen=True)
@@ -209,31 +203,30 @@ def _transport_values(grid: TorusGrid, coeffs: np.ndarray) -> tuple:
     return c[0].real, c[0].imag, c[1].real, c[1].imag
 
 
-def _advection_coeffs(grid: TorusGrid, adv: np.ndarray, rule: str) -> np.ndarray:
-    """Coefficients of ``-adv`` for a stack of collocation products, dealiased under ``rule``."""
+def _advection_coeffs(grid: TorusGrid, adv: np.ndarray) -> np.ndarray:
+    """Coefficients of ``-adv`` for a stack of collocation products, dealiased (two-thirds rule)."""
     c = _product_coeffs(grid, -adv)
-    if rule == "two-thirds":
-        c *= grid.dealias_mask
+    c *= grid.dealias_mask
     return c
 
 
-def _sqg_advection(grid: TorusGrid, values: np.ndarray, rule: str) -> np.ndarray:
+def _sqg_advection(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     """Coefficients of ``-u . grad theta`` from the ``_transport_values`` of a stack."""
     u1, u2, gx, gy = values
-    return _advection_coeffs(grid, u1 * gx + u2 * gy, rule)
+    return _advection_coeffs(grid, u1 * gx + u2 * gy)
 
 
-def nonlinear_term(theta: SpectralField, rule: str = "two-thirds") -> SpectralField:
+def nonlinear_term(theta: SpectralField) -> SpectralField:
     """``-u . grad theta`` for SQG, pseudo-spectral, dealiased, mean-free."""
     grid = theta.grid
-    c = _sqg_advection(grid, _transport_values(grid, theta.coeffs[None]), rule)[0]
+    c = _sqg_advection(grid, _transport_values(grid, theta.coeffs[None]))[0]
     return SpectralField._trusted(grid, c)
 
 
-def burgers_nonlinear_term(theta: SpectralField, rule: str = "two-thirds") -> SpectralField:
+def burgers_nonlinear_term(theta: SpectralField) -> SpectralField:
     """``-(theta^2 / 2)_x`` in conservative form, dealiased, mean-free."""
     grid = theta.grid
-    c = _advection_coeffs(grid, theta.values() ** 2, rule)
+    c = _advection_coeffs(grid, theta.values() ** 2)
     return SpectralField._trusted(grid, c * grid.gradient_symbols[0] * 0.5)
 
 
@@ -246,11 +239,11 @@ def velocity_max(theta: SpectralField) -> float:
 
 
 class _Stepper:
-    """One-step integrator with per-dt coefficient caches.
+    """One IMEX Crank-Nicolson step with a per-dt coefficient cache.
 
-    The explicit part uses Heun stages around the implicit/exponential
-    treatment of the diagonal symbol ``L = kappa*|k| + epsilon*|k|^2``.  The
-    Crank-Nicolson variant makes single-mode steady states exact fixed points.
+    The explicit part uses Heun stages around the Crank-Nicolson treatment of
+    the diagonal symbol ``L = kappa*|k| + epsilon*|k|^2``, which makes
+    single-mode steady states exact fixed points.
     The stages carry an ``(m, n, n)`` stack of tangent coefficients beside the
     base state with the same coefficients; this class carries none, and
     ``tangent.CoupledStepper`` adds the derivative stack in ``_rhs``.
@@ -267,39 +260,24 @@ class _Stepper:
         self.cfl_reductions = 0
 
     def _coefficients(self, dt: float):
+        """The Crank-Nicolson pair ``(a, b) = (1 - dt*L/2, 1/(1 + dt*L/2))`` for ``dt``."""
         got = self._coef.get(dt)
-        if got is not None:
-            return got
-        if self.config.integrator == "imex-cn":
-            a = 1.0 - 0.5 * dt * self.L
-            b = 1.0 / (1.0 + 0.5 * dt * self.L)
-            coef = (a, b)
-        else:  # etdrk2
-            z = -dt * self.L
-            E = np.exp(z)
-            phi1 = np.where(np.abs(z) > 1e-5, (E - 1.0) / np.where(z == 0, 1.0, z), 1.0 + z / 2.0 + z**2 / 6.0)
-            phi2 = np.where(np.abs(z) > 1e-5, (E - 1.0 - z) / np.where(z == 0, 1.0, z**2), 0.5 + z / 6.0 + z**2 / 24.0)
-            coef = (E, phi1, phi2)
-        self._coef[dt] = coef
-        return coef
+        if got is None:
+            got = self._coef[dt] = (1.0 - 0.5 * dt * self.L, 1.0 / (1.0 + 0.5 * dt * self.L))
+        return got
 
     def _rhs(self, coeffs: np.ndarray, xs: np.ndarray):
         """Explicit stage terms: ``N(theta) + f``, and the tangent stack ``xs`` (empty) as is."""
         nonlinear = nonlinear_term if self.grid.dim == 2 else burgers_nonlinear_term
         theta = SpectralField._trusted(self.grid, coeffs)
-        return nonlinear(theta, self.config.dealias).coeffs + self.force.coeffs, xs
+        return nonlinear(theta).coeffs + self.force.coeffs, xs
 
     def _heun(self, coeffs: np.ndarray, xs: np.ndarray, dt: float):
         """One step of the base coefficients and the tangent stack ``xs``; returns both."""
+        a, b = self._coefficients(dt)
         g1, d1 = self._rhs(coeffs, xs)
-        if self.config.integrator == "imex-cn":
-            a, b = self._coefficients(dt)
-            g2, d2 = self._rhs((a * coeffs + dt * g1) * b, (a * xs + dt * d1) * b)
-            return (a * coeffs + 0.5 * dt * (g1 + g2)) * b, (a * xs + 0.5 * dt * (d1 + d2)) * b
-        E, phi1, phi2 = self._coefficients(dt)
-        mid, x_mid = E * coeffs + dt * phi1 * g1, E * xs + dt * phi1 * d1
-        g2, d2 = self._rhs(mid, x_mid)
-        return mid + dt * phi2 * (g2 - g1), x_mid + dt * phi2 * (d2 - d1)
+        g2, d2 = self._rhs((a * coeffs + dt * g1) * b, (a * xs + dt * d1) * b)
+        return (a * coeffs + 0.5 * dt * (g1 + g2)) * b, (a * xs + 0.5 * dt * (d1 + d2)) * b
 
     def advance(self, theta: SpectralField, dt: float) -> SpectralField:
         return SpectralField._trusted(self.grid, self._heun(theta.coeffs, self._no_tangents, dt)[0])

@@ -41,7 +41,6 @@ __all__ = [
     "riesz_perp",
     "gradient",
     "shift",
-    "dealias",
     "resample",
     "sobolev_norm",
     "lp_norm",
@@ -358,11 +357,6 @@ def shift(field: SpectralField, h: Sequence[float]) -> SpectralField:
     kv = field.grid.kvecs
     phase = np.exp(1j * sum(k * hi for k, hi in zip(kv, h)))
     return _multiplier(field, phase)
-
-
-def dealias(field: SpectralField) -> SpectralField:
-    """Zero every mode outside the two-thirds cutoff."""
-    return SpectralField._trusted(field.grid, field.coeffs * field.grid.dealias_mask)
 
 
 def resample(field: SpectralField, m: int) -> SpectralField:

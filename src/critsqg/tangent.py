@@ -6,10 +6,10 @@ field ``xi`` as
     A_theta[xi] = -kappa*Lambda xi - u_theta . grad xi - u_xi . grad theta,
 
 with ``u_phi`` the perpendicular-Riesz velocity of ``phi``.  Tangent fields are
-advanced with the exact Frechet derivative of the nonlinear IMEX step (same
-stages, same dealiasing), so the residual of the superlinear-approximation test
-is the genuine quadratic remainder of the discrete flow and not an integrator
-mismatch.
+advanced with the exact Frechet derivative of the IMEX Crank-Nicolson step
+(same stages, same dealiasing), so the residual of the superlinear-approximation
+test is the genuine quadratic remainder of the discrete flow and not an
+integrator mismatch.
 
 Volume bookkeeping is Benettin style: between re-orthonormalizations the
 tangent frame evolves freely; a modified Gram-Schmidt pass in the homogeneous
@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import UniversalConstants, absorbing_constants
+from .diagnostics import UniversalConstants, absorbing_constants, cumulative_trapezoid
 from .spectral import SpectralField, TorusGrid, _h1_gram, _h1_pair
 from .solver import (
     BlowupError,
@@ -76,46 +76,44 @@ class EnsembleCollapseError(RuntimeError):
     """Tangent frame became numerically degenerate between re-orthonormalizations."""
 
 
-def _transport_derivative(grid: TorusGrid, base: tuple, coeffs: np.ndarray,
-                          rule: str) -> np.ndarray:
+def _transport_derivative(grid: TorusGrid, base: tuple, coeffs: np.ndarray) -> np.ndarray:
     """Derivative of the SQG nonlinearity at theta along each field of a stack.
 
     ``base`` is ``_transport_values`` of theta, four ``(1, n, n)`` arrays, and
     ``coeffs`` the ``(m, n, n)`` tangent stack.  Returns the ``(m, n, n)`` stack
-    of ``-(u_theta . grad xi + u_xi . grad theta)``, dealiased under ``rule``,
-    from one batched inverse and one batched forward transform.
+    of ``-(u_theta . grad xi + u_xi . grad theta)``, dealiased, from one
+    batched inverse and one batched forward transform.
     """
     u1, u2, tx, ty = base
     w1, w2, gx, gy = _transport_values(grid, coeffs)
     adv = u1 * gx + u2 * gy
     adv += w1 * tx + w2 * ty
-    return _advection_coeffs(grid, adv, rule)
+    return _advection_coeffs(grid, adv)
 
 
-def _linearized_stack(theta: SpectralField, coeffs: np.ndarray, kappa: float,
-                      rule: str) -> np.ndarray:
+def _linearized_stack(theta: SpectralField, coeffs: np.ndarray, kappa: float) -> np.ndarray:
     """``A_theta`` (transport derivative minus ``kappa*|k|``) on each field of a stack."""
     grid = theta.grid
     base = _transport_values(grid, theta.coeffs[None])
-    return _transport_derivative(grid, base, coeffs, rule) - coeffs * grid.kmag * float(kappa)
+    return _transport_derivative(grid, base, coeffs) - coeffs * grid.kmag * float(kappa)
 
 
 def linearized_rhs(theta: SpectralField, xi: SpectralField, kappa: float) -> SpectralField:
     """``A_theta[xi] = -kappa*Lambda xi - u_theta.grad xi - u_xi.grad theta``, dealiased."""
     if theta.grid != xi.grid:
         raise ValueError("theta and xi live on different grids")
-    out = _linearized_stack(theta, xi.coeffs[None], kappa, "two-thirds")
+    out = _linearized_stack(theta, xi.coeffs[None], kappa)
     return SpectralField._trusted(theta.grid, out[0])
 
 
 class CoupledStepper(_Stepper):
     """Advance a base SQG state and tangent fields in lockstep.
 
-    The tangent update is the exact derivative of the base Heun step (IMEX-CN
-    or ETDRK2): both go through the one stage body of :class:`_Stepper`, which
-    carries the tangents as an ``(m, n, n)`` coefficient stack.  Stage one
-    linearizes about ``theta^n``, stage two about the predictor state, with
-    identical treatment of the dissipative symbol.  Each stage transforms the
+    The tangent update is the exact derivative of the base Heun step: both go
+    through the one stage body of :class:`_Stepper`, which carries the tangents
+    as an ``(m, n, n)`` coefficient stack.  Stage one linearizes about
+    ``theta^n``, stage two about the predictor state, with identical
+    Crank-Nicolson treatment of the dissipative symbol.  Each stage transforms the
     base velocity and gradient once, forms the base nonlinear term from them,
     and reuses them for every tangent.  Base-only steps are the inherited
     :meth:`checked_advance`.
@@ -130,10 +128,9 @@ class CoupledStepper(_Stepper):
         """Base stage term and derivative stack from one set of base transforms."""
         if not len(xs):
             return super()._rhs(coeffs, xs)
-        rule = self.config.dealias
         base = _transport_values(self.grid, coeffs[None])
-        return (_sqg_advection(self.grid, base, rule)[0] + self.force.coeffs,
-                _transport_derivative(self.grid, base, xs, rule))
+        return (_sqg_advection(self.grid, base)[0] + self.force.coeffs,
+                _transport_derivative(self.grid, base, xs))
 
     def step(self, theta: SpectralField, xs: np.ndarray, dt: float, *, t: float = 0.0):
         """Advance ``theta`` and the ``(m, n, n)`` tangent stack ``xs`` by ``dt`` from time ``t``.
@@ -183,16 +180,15 @@ def h1_gram_schmidt(grid: TorusGrid, xs: np.ndarray):
     return frame, increments
 
 
-def _trace_per_m(theta: SpectralField, xs: np.ndarray, kappa: float, rule: str) -> np.ndarray:
+def _trace_per_m(theta: SpectralField, xs: np.ndarray, kappa: float) -> np.ndarray:
     """Traces ``sum_{j<m} int (-Laplacian phi_j) A_theta[phi_j] dx`` for ``m = 1..len(xs)``.
 
     ``xs`` is an H^1-orthonormal frame stack; ``int (-Lap f) g = <f, g>_{H^1}``,
     so the trace does not depend on the orthonormalization chosen.  One
-    stacked evaluation of ``A_theta``; ``rule`` must be the dealias rule the
-    frame was stepped under.
+    stacked evaluation of ``A_theta``, dealiased as the frame was stepped.
     """
     grid = theta.grid
-    rhs = _linearized_stack(theta, xs, kappa, rule)
+    rhs = _linearized_stack(theta, xs, kappa)
     return np.cumsum([_h1_pair(grid, phi, r) for phi, r in zip(xs, rhs)])
 
 
@@ -292,7 +288,7 @@ class VolumeTraceResult:
         t = self.times
         out = np.zeros_like(tr)
         if len(t) > 1:
-            integ = np.concatenate([[0.0], np.cumsum(0.5 * (tr[1:] + tr[:-1]) * np.diff(t))])
+            integ = cumulative_trapezoid(tr, t)
             span = np.maximum(t - t[0], 1e-300)
             out = integ / span
             out[0] = tr[0]
@@ -333,10 +329,11 @@ def volume_and_trace_run(
     config: SolverConfig,
     force: Force,
     t_end: float,
-    reorth_every: int = 20,
-    t_relax: float = 0.0,
-    seed: int = 7,
-    tangent_band: int = 4,
+    *,
+    reorth_every: int,
+    t_relax: float,
+    seed: int,
+    tangent_band: int,
     condition_trigger: float = 1e6,
 ) -> VolumeTraceResult:
     """Co-evolve the base flow with ``n_tangent`` tangent fields.
@@ -376,7 +373,7 @@ def volume_and_trace_run(
         return stepper.lead_cfl_dt(state, dt, t_relaxed + t_run)
 
     times = [0.0]
-    traces = [_trace_per_m(theta, xs, config.kappa, config.dealias)]
+    traces = [_trace_per_m(theta, xs, config.kappa)]
     logv = [np.zeros(n_tangent)]
     acc = np.zeros(n_tangent)
     t_run = 0.0
@@ -386,7 +383,7 @@ def volume_and_trace_run(
         xs, increments = h1_gram_schmidt(grid, xs)
         acc = acc + np.cumsum(increments)
         times.append(t_run)
-        traces.append(_trace_per_m(theta, xs, config.kappa, config.dealias))
+        traces.append(_trace_per_m(theta, xs, config.kappa))
         logv.append(acc.copy())
 
     times = np.asarray(times)

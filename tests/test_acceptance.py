@@ -193,7 +193,7 @@ def test_criterion_09_tangent_exactness():
 
     frame = np.array([h1n(v).coeffs for v in (np.cos(X), np.sin(X), np.cos(Y), np.sin(Y))])
     kappa = 1.0
-    tr = _trace_per_m(SpectralField.zeros(g), frame, kappa, "two-thirds")[-1]
+    tr = _trace_per_m(SpectralField.zeros(g), frame, kappa)[-1]
     trace_err = abs(tr + 4.0 * kappa)
 
     cfg = SolverConfig(kappa=1.0, dt=1e-3, t_end=1.0)

@@ -303,15 +303,18 @@ class TestReports:
         assert rep.failures == 0
 
     @staticmethod
-    def _absorption(consts, h1_per_radius, h32_sq_per_budget):
-        """Report of a hand-made run, snapshots 0.5 apart, norms in units of M_1f and the budget."""
+    def _absorption(consts, h1_per_radius, h32_sq_per_budget, snapshot_dt=0.5):
+        """Report of a hand-made run, snapshots at ``i * snapshot_dt``.
+
+        The norms are given in units of M_1f and of the budget.
+        """
         g = TorusGrid(2, 16)
         force = Force.wrap(random_band_field(g, 2, 0.01, 6))
         m_1f = absorbing_constants(force.linf, force.h1, 1.0, consts).m_1f
         budget = 7.0 * m_1f**2  # (6 + kappa)/kappa M_1f^2 at kappa = 1
         reports = [NormReport(lp={}, hs={1.0: a * m_1f, 1.5: math.sqrt(b * budget)})
                    for a, b in zip(h1_per_radius, h32_sq_per_budget)]
-        times = [0.5 * i for i in range(len(reports))]
+        times = [i * snapshot_dt for i in range(len(reports))]
         cfg = SolverConfig(kappa=1.0, dt=1e-2, t_end=times[-1])
         return absorption_report(Trajectory(times=times, fields=[], reports=reports, config=cfg,
                                             force=force), consts)
@@ -333,6 +336,14 @@ class TestReports:
         assert rep.entry_time == 0.0 and rep.permanent
         assert [row[3] for row in rep.window_rows] == [True, False, False]
         assert rep.failures == 1
+
+    def test_absorption_windows_span_one_time_unit(self, consts):
+        # snapshot times as run makes them, 0.1 apart to 10; t + 1.0 rounds one
+        # ulp above the snapshot at t + 1 for t = 3.3, 7.1 and 7.6
+        rep = self._absorption(consts, [0.5] * 101, [0.25] * 101, snapshot_dt=0.1)
+        assert len(rep.window_rows) == 91
+        for t_start, avg, budget, _violated in rep.window_rows:
+            assert avg == pytest.approx(0.25 * budget, rel=1e-12), t_start
 
 
 class TestConstantsIO:

@@ -13,7 +13,6 @@ from critsqg.spectral import (
     _holder_ratios,
     _increment_bound,
     _increment_maxima,
-    dealias,
     fractional_laplacian,
     gradient,
     holder_seminorm,
@@ -404,10 +403,9 @@ class TestOperations:
 
     def test_dealias_idempotent_and_band(self, grid64):
         f = random_field(grid64, 30, 5)
-        d = dealias(f)
+        d = SpectralField._trusted(grid64, f.coeffs * grid64.dealias_mask)
         assert d.band() <= (grid64.n - 1) // 3
-        again = dealias(d)
-        assert np.abs(again.coeffs - d.coeffs).max() == 0.0
+        assert np.array_equal(d.coeffs * grid64.dealias_mask, d.coeffs)
 
     def test_mean_zero_preserved_by_everything(self, grid64):
         f = random_field(grid64, 8, 6)
@@ -417,7 +415,6 @@ class TestOperations:
             *riesz_perp(f),
             *gradient(f),
             shift(f, (0.3, -0.9)),
-            dealias(f),
             f + f,
             2.5 * f,
         ]:
@@ -453,18 +450,16 @@ def _operators(grid):
         "fractional_laplacian": lambda f, r: fractional_laplacian(f, -2.0 + 5.0 * r),
         "gradient": lambda f, r: gradient(f)[0],
         "shift": lambda f, r: shift(f, (7.0 * r - 3.0,) * grid.dim),
-        "dealias": lambda f, r: dealias(f),
         "resample": lambda f, r: resample(f, 2 * grid.n),
         "combination": lambda f, r: (r * f - 2.0 * f) + f,
         "mollify": lambda f, r: mollify_force(f, r),
         "product": lambda f, r: SpectralField._trusted(grid, _product_coeffs(grid, f.values() ** 3)),
-        "step": lambda f, r: step(f, SolverConfig(kappa=1.0, dt=1e-3 + r * 1e-2, t_end=1.0,
-                                                  integrator="etdrk2" if r > 0.5 else "imex-cn"),
+        "step": lambda f, r: step(f, SolverConfig(kappa=1.0, dt=1e-3 + r * 1e-2, t_end=1.0),
                                   2.0 * f),
     }
     if grid.dim == 2:
         ops["riesz_perp"] = lambda f, r: riesz_perp(f)[1]
-        ops["nonlinear_term"] = lambda f, r: nonlinear_term(f, "none" if r > 0.5 else "two-thirds")
+        ops["nonlinear_term"] = lambda f, r: nonlinear_term(f)
     else:
         ops["burgers_nonlinear_term"] = lambda f, r: burgers_nonlinear_term(f)
     return ops
@@ -474,7 +469,7 @@ class TestInvariantProperty:
     @settings(max_examples=150, deadline=None)
     @given(dim=st.sampled_from([1, 2]), n=st.sampled_from([8, 16, 32]),
            seed=st.integers(0, 2**32 - 1), r=st.floats(0.0, 1.0),
-           op=st.sampled_from(["fractional_laplacian", "gradient", "shift", "dealias",
+           op=st.sampled_from(["fractional_laplacian", "gradient", "shift",
                                "resample", "combination", "mollify", "product", "step",
                                "riesz_perp", "nonlinear_term", "burgers_nonlinear_term"]),
            via_values=st.booleans())
