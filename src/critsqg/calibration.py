@@ -23,7 +23,8 @@ eps1        post-transient C^{alpha_*} bound 2||f||_inf/(eps1*kappa)
             (smaller = safer; pinned at half the largest valid value)
 c7          improved lower bound on D[grad theta] (larger = safer)
 c8          velocity-splitting bound on |grad u| |grad theta|^2
-c9          H^{3/2} differential inequality coefficient
+c9          H^{3/2} differential inequality coefficient (the measured excess
+            is 0 on the corpus, so the floor 1.0 decides)
 c10         H^1 quadratic-form bound on the linearized generator
 c11         eigenvalue counting lambda_j >= sqrt(j)/c11 (exact enumeration,
             no margin: the minimum over the first 10^4 eigenvalues)
@@ -37,15 +38,16 @@ Regenerate with ``python -m critsqg.calibration``.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import fields as dc_fields, replace
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .config import default_corpus_path, read_corpus
 from .diagnostics import (
     UniversalConstants,
     decay_envelope_report,
+    default_constants_path,
     holder_budget,
     holder_envelope_check,
     late_holder_violations,
@@ -76,10 +78,7 @@ ROUGH_PROBE_BAND = 10                 # their band
 C10_TANGENT_SEEDS = (41, 42, 43, 44)  # seeds of the c10 tangent directions
 
 # ---------------------------------------------------------------------------
-# published corpus
-
-KERNEL_CORPUS_N = 64
-KERNEL_CORPUS = [(seed, 8, 1.0) for seed in range(20)]  # (seed, band, linf norm)
+# published corpus (the kernel corpus is src/critsqg/data/kernel_corpus.csv)
 
 SOLVER_CORPUS_N = 48
 SOLVER_FORCES = [
@@ -111,33 +110,26 @@ _UNSET = UniversalConstants(**{f.name: None for f in dc_fields(UniversalConstant
                                if f.name != "version"})
 
 
+def _runs(grid: TorusGrid, cases, **cfg) -> List[Trajectory]:
+    """One ``kappa = 1`` run per ``(data, force)`` spec pair on ``grid``."""
+    config = SolverConfig(kappa=1.0, **cfg)
+    return [run(build_field(d, grid), config, build_force(f, grid)) for d, f in cases]
+
+
 def solver_corpus_runs() -> List[Trajectory]:
-    """The 9 forced SQG runs (3 forces x 3 data) used throughout calibration."""
-    grid = TorusGrid(2, SOLVER_CORPUS_N)
-    out = []
-    for fspec in SOLVER_FORCES:
-        force = build_force(fspec, grid)
-        for dspec in SOLVER_DATA:
-            theta0 = build_field(dspec, grid)
-            cfg = SolverConfig(kappa=1.0, dt=SOLVER_DT, t_end=SOLVER_T_END, snapshot_dt=0.1)
-            out.append(run(theta0, cfg, force))
-    return out
+    """The 9 forced SQG runs (3 forces x 3 data, force-major) used throughout calibration."""
+    return _runs(TorusGrid(2, SOLVER_CORPUS_N),
+                 [(dspec, fspec) for fspec in SOLVER_FORCES for dspec in SOLVER_DATA],
+                 dt=SOLVER_DT, t_end=SOLVER_T_END, snapshot_dt=0.1)
 
 
 def burgers_corpus_runs() -> List[Trajectory]:
-    grid = TorusGrid(1, BURGERS_N)
-    out = []
-    for dspec, fspec in BURGERS_RUNS:
-        force = build_force(fspec, grid)
-        theta0 = build_field(dspec, grid)
-        cfg = SolverConfig(kappa=1.0, dt=1e-3, t_end=5.0, snapshot_dt=0.1)
-        out.append(run(theta0, cfg, force))
-    return out
+    return _runs(TorusGrid(1, BURGERS_N), BURGERS_RUNS, dt=1e-3, t_end=5.0, snapshot_dt=0.1)
 
 
 def kernel_corpus_fields() -> List[SpectralField]:
-    grid = TorusGrid(2, KERNEL_CORPUS_N)
-    return [random_band_field(grid, band, norm, seed) for seed, band, norm in KERNEL_CORPUS]
+    """The shipped kernel corpus, read as ``verify-kernels`` reads it."""
+    return [field for _name, field in read_corpus(default_corpus_path())]
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +181,7 @@ def calibrate_c5(runs: Sequence[Trajectory], eps0: float, c0: float) -> float:
     cases = []
     for tr in runs:
         kappa = tr.config.kappa
-        alpha0, m_inf = holder_budget(tr.fields[0], tr.force.field, kappa, consts)
+        alpha0, m_inf = holder_budget(tr.reports[0].lp[np.inf], tr.force.linf, kappa, consts)
         if m_inf == 0.0:
             continue
         t = np.asarray(tr.times)
@@ -207,11 +199,18 @@ def calibrate_eps1(runs: Sequence[Trajectory]) -> float:
     return 0.5 * lo
 
 
-def _late_snapshots(tr: Trajectory, every: int = 10) -> Iterable[Tuple[float, SpectralField]]:
+def _late_snapshots(tr: Trajectory, every: int) -> List[SpectralField]:
+    """Every ``every``-th snapshot field that lies in the late half of the run."""
     t_half = tr.times[-1] / 2.0
-    for i in range(0, len(tr.times), every):
-        if tr.times[i] >= t_half:
-            yield tr.times[i], tr.fields[i]
+    return [tr.fields[i] for i in range(0, len(tr.times), every) if tr.times[i] >= t_half]
+
+
+def _gradient_dissipation(fld: SpectralField):
+    """``(|grad theta|, D[grad theta], |grad theta| > 1e-3 max|grad theta|)``: the c7 and c8 probe."""
+    gx, gy = gradient(fld)
+    Dg = dissipation_field(gx, 1.0) + dissipation_field(gy, 1.0)
+    gmag = np.sqrt(gx.values() ** 2 + gy.values() ** 2)
+    return gmag, Dg, gmag > 1e-3 * max(float(gmag.max()), 1e-300)
 
 
 def calibrate_c7(runs: Sequence[Trajectory], eps1: float) -> float:
@@ -225,16 +224,12 @@ def calibrate_c7(runs: Sequence[Trajectory], eps1: float) -> float:
     for tr in runs:
         a, _m_inf_f = post_transient_holder(tr.force.linf, tr.config.kappa, consts)
         expo = (3.0 - a) / (1.0 - a)
-        for _t, snap in _late_snapshots(tr, every=25):
+        for snap in _late_snapshots(tr, 25):
             # evolved fields fill the dealias band; upsample for alias-free squares
-            fld = resample(snap, 2 * snap.grid.n)
-            gx, gy = gradient(fld)
-            Dg = dissipation_field(gx, 1.0) + dissipation_field(gy, 1.0)
-            gmag = np.sqrt(gx.values() ** 2 + gy.values() ** 2)
+            gmag, Dg, mask = _gradient_dissipation(resample(snap, 2 * snap.grid.n))
             sem = holder_seminorm(snap, a)
             if sem <= 0.0:
                 continue
-            mask = gmag > 1e-3 * max(float(gmag.max()), 1e-300)
             need = gmag[mask] ** expo / (np.maximum(Dg[mask], 1e-300) * sem ** (1.0 / (1.0 - a)))
             worst = max(worst, float(need.max()))
     return 2.0 * worst
@@ -258,21 +253,18 @@ def calibrate_c8(runs: Sequence[Trajectory]) -> float:
     """
     kappa = PROBE_KAPPA
     worst = 0.0
-    shapes: List[SpectralField] = list(_rough_probe_fields())
+    shapes = _rough_probe_fields()
     for tr in runs:
-        for _t, snap in _late_snapshots(tr, every=40):
-            shapes.append(resample(snap, 2 * snap.grid.n))
+        shapes += [resample(snap, 2 * snap.grid.n) for snap in _late_snapshots(tr, 40)]
     for fld in shapes:
         linf = lp_norm(fld, np.inf)
         if linf <= 0.0:
             continue
-        gx, gy = gradient(fld)
-        Dg = dissipation_field(gx, 1.0) + dissipation_field(gy, 1.0)
+        gmag, Dg, mask = _gradient_dissipation(fld)
+        mask &= Dg > 0
         u1, u2 = riesz_perp(fld)
         du = [gradient(u1), gradient(u2)]
         gu = np.sqrt(sum(c.values() ** 2 for pair in du for c in pair))
-        gmag = np.sqrt(gx.values() ** 2 + gy.values() ** 2)
-        mask = (gmag > 1e-3 * max(float(gmag.max()), 1e-300)) & (Dg > 0)
         a = 2.0 * gu[mask] * gmag[mask] ** 2
         b = 0.5 * kappa * Dg[mask]
         c = math.sqrt(linf) * gmag[mask] ** 3 / math.sqrt(kappa)
@@ -281,36 +273,23 @@ def calibrate_c8(runs: Sequence[Trajectory]) -> float:
     return 2.0 * worst
 
 
-def rough_decay_runs() -> List[Trajectory]:
-    """Short unforced runs from steep data; these activate nonlinear H^{3/2} flux."""
-    grid = TorusGrid(2, 64)
-    out = []
-    for seed, amp in ((61, 2.0), (62, 3.0)):
-        theta0 = build_field(FieldSpec(kind="random_band", band=10, amplitude=amp, seed=seed), grid)
-        cfg = SolverConfig(kappa=1.0, dt=5e-4, t_end=1.0, snapshot_dt=0.01)
-        out.append(run(theta0, cfg, build_force(FieldSpec(kind="zero"), grid)))
-    return out
-
-
 def calibrate_c9(runs: Sequence[Trajectory]) -> float:
     """Tightest coefficient of the H^{3/2} differential inequality, x2.
 
-    Measured along trajectories (centered differences of the recorded norms);
-    rough-data runs are included because mild corpora may never produce a
-    positive excess, in which case the floor 1.0 documents the unconstrained
-    direction (larger values only enlarge the envelopes).
+    Measured along trajectories (centered differences of the recorded norms).
+    The excess is 0 on every run of the published corpus, so the floor 1.0
+    decides there; it documents the unconstrained direction (larger values
+    only enlarge the envelopes).
     """
     worst = 0.0
-    for tr in list(runs) + rough_decay_runs():
+    for tr in runs:
         kappa = tr.config.kappa
-        f_h1 = tr.force.h1
         t = np.asarray(tr.times)
         h32_sq = np.array([rep.hs[1.5] ** 2 for rep in tr.reports])
         h2_sq = np.array([rep.hs[2.0] ** 2 for rep in tr.reports])
         ddt = (h32_sq[2:] - h32_sq[:-2]) / (t[2:] - t[:-2])
         mid32 = h32_sq[1:-1]
-        mid2 = h2_sq[1:-1]
-        lhs = ddt + 0.5 * kappa * mid2 - f_h1**2 / kappa
+        lhs = ddt + 0.5 * kappa * h2_sq[1:-1] - tr.force.h1**2 / kappa
         ok = mid32 > 1e-12
         need = kappa * np.maximum(lhs[ok], 0.0) / mid32[ok] ** 2
         if need.size:
@@ -329,45 +308,32 @@ def calibrate_c10(runs: Sequence[Trajectory]) -> float:
     """
     kappa = PROBE_KAPPA
     worst = 0.0
-    thetas: List[SpectralField] = list(_rough_probe_fields(seeds=(71, 72)))
+    thetas = _rough_probe_fields(seeds=(71, 72))
     for tr in runs:
-        for _t, snap in _late_snapshots(tr, every=40):
-            thetas.append(snap)
+        thetas += _late_snapshots(tr, 40)
     for theta in thetas:
-        grid = theta.grid
         h2_sq = sobolev_norm(theta, 2.0) ** 2
         if h2_sq <= 1e-14:
             continue
-        xis = [random_band_field(grid, b, 1.0, s) for s in C10_TANGENT_SEEDS for b in (2, 6, 10)]
-        for xi in xis:
-            q = inner_h1(xi, linearized_rhs(theta, xi, kappa))
-            transport = q + kappa * sobolev_norm(xi, 1.5) ** 2
+        for xi in (random_band_field(theta.grid, b, 1.0, s)
+                   for s in C10_TANGENT_SEEDS for b in (2, 6, 10)):
+            xi32_sq = sobolev_norm(xi, 1.5) ** 2
+            transport = inner_h1(xi, linearized_rhs(theta, xi, kappa)) + kappa * xi32_sq
             if transport <= 0.0:
                 continue
-            need = transport**2 / (
-                2.0 * sobolev_norm(xi, 1.5) ** 2 * h2_sq * inner_h1(xi, xi)
-            )
-            worst = max(worst, float(need))
+            worst = max(worst, float(transport**2 / (2.0 * xi32_sq * h2_sq * inner_h1(xi, xi))))
     return 2.0 * worst
 
 
 def pair_corpus_runs() -> List[Tuple[Trajectory, Trajectory]]:
     """Five trajectory pairs (same force, nearby data) for the budget monitor."""
     grid = TorusGrid(2, SOLVER_CORPUS_N)
-    combos = [
-        (SOLVER_DATA[0], SOLVER_FORCES[0]),
-        (SOLVER_DATA[1], SOLVER_FORCES[1]),
-        (SOLVER_DATA[1], SOLVER_FORCES[2]),
-        (SOLVER_DATA[2], SOLVER_FORCES[1]),
-        (SOLVER_DATA[2], SOLVER_FORCES[2]),
-    ]
+    cfg = SolverConfig(kappa=1.0, dt=SOLVER_DT, t_end=PAIR_HORIZON, snapshot_dt=0.1)
     out = []
-    for dspec, fspec in combos:
-        force = build_force(fspec, grid)
-        theta0 = build_field(dspec, grid)
-        pert = theta0 * PAIR_PERTURBATION
-        cfg = SolverConfig(kappa=1.0, dt=SOLVER_DT, t_end=PAIR_HORIZON, snapshot_dt=0.1)
-        out.append((run(theta0, cfg, force), run(theta0 + pert, cfg, force)))
+    for d, f in ((0, 0), (1, 1), (1, 2), (2, 1), (2, 2)):  # (SOLVER_DATA, SOLVER_FORCES) indices
+        force = build_force(SOLVER_FORCES[f], grid)
+        theta0 = build_field(SOLVER_DATA[d], grid)
+        out.append((run(theta0, cfg, force), run(theta0 + theta0 * PAIR_PERTURBATION, cfg, force)))
     return out
 
 
@@ -400,8 +366,7 @@ def run_calibration() -> UniversalConstants:
 
     log("building solver corpus (9 SQG runs + 2 Burgers runs) ...")
     runs = solver_corpus_runs()
-    bruns = burgers_corpus_runs()
-    all_runs = runs + bruns
+    all_runs = runs + burgers_corpus_runs()
 
     c0 = calibrate_c0(all_runs)
     log(f"c0 = {c0!r}")
@@ -433,9 +398,7 @@ def run_calibration() -> UniversalConstants:
 
 def main() -> int:
     consts = run_calibration()
-    here = os.path.dirname(os.path.abspath(__file__))
-    out = os.path.join(here, "data", "default_constants.txt")
-    os.makedirs(os.path.dirname(out), exist_ok=True)
+    out = default_constants_path()
     header = (
         "calibrated universal constants\n"
         f"protocol: critsqg.calibration, corpus version {CONSTANTS_VERSION}\n"

@@ -25,7 +25,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, build_setup, parse_config_file, preset_sections
+from .config import (ConfigError, build_setup, default_corpus_path, parse_config_file,
+                     preset_sections, read_corpus)
 from .diagnostics import (
     absorption_report,
     constants_path,
@@ -34,11 +35,10 @@ from .diagnostics import (
     load_constants,
     track_holder,
 )
-from .kernels import _check_product_resolution, kernel_checks
-from .snapshots import read_snapshot, write_csv, write_manifest, write_snapshot
-from .solver import (BlowupError, FieldSpec, Trajectory, build_field, build_force,
-                     check_field_spec, random_band_field, run)
-from .spectral import MeanZeroError, SpectralField, TorusGrid
+from .kernels import kernel_checks
+from .snapshots import write_csv, write_manifest, write_snapshot
+from .solver import BlowupError, Trajectory, build_field, build_force, run
+from .spectral import MeanZeroError, TorusGrid
 from .tangent import EnsembleCollapseError, dimension_verdict, trace_bound_curve, volume_and_trace_run
 
 EXIT_OK = 0
@@ -127,7 +127,8 @@ def _run_with_probes(args, sections, command: str) -> int:
                   rep.rows)
 
     if setup.holder_alpha:
-        alpha0, _m_inf = holder_budget(theta0, force.field, setup.solver.kappa, consts)
+        alpha0, _m_inf = holder_budget(traj.reports[0].lp[np.inf], force.linf, setup.solver.kappa,
+                                       consts)
         alpha = alpha0 if setup.holder_alpha == "auto" else float(setup.holder_alpha)
         track = track_holder(traj, alpha, consts)
         write_csv(
@@ -155,60 +156,10 @@ def _run_with_probes(args, sections, command: str) -> int:
     return EXIT_OK
 
 
-def _read_corpus(path: str):
-    """Rows ``seed,band,norm[,n[,path]]`` (n defaults to 64); a bad line is a ConfigError."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(lineno, l.strip()) for lineno, l in enumerate(fh, start=1) if l.strip()]
-    if lines and lines[0][1].lower().startswith("seed"):
-        lines = lines[1:]
-    for lineno, line in lines:
-        parts = [p.strip() for p in line.split(",")]
-        try:
-            row = {"seed": int(parts[0]), "band": int(parts[1]), "norm": float(parts[2]),
-                   "grid": TorusGrid(2, int(parts[3]) if len(parts) > 3 and parts[3] else 64),
-                   "path": parts[4] if len(parts) > 4 else "", "lineno": lineno}
-            if not 0.0 < row["norm"] < np.inf:
-                raise ValueError(f"norm must be finite and positive, got {row['norm']}")
-            check_field_spec(FieldSpec("random_band", band=row["band"], seed=row["seed"]), 2)
-        except (IndexError, ValueError) as exc:
-            raise ConfigError(lineno, f"{path}: bad row {line!r}, expected "
-                                      f"seed,band,norm[,n[,path]] ({exc})") from None
-        rows.append(row)
-    return rows
-
-
-def _corpus_field(row, corpus_path: str) -> SpectralField:
-    """The field of a corpus row; a field the quadrature cannot resolve is a ConfigError.
-
-    A generated row is checked from its own band before its field is built:
-    the normalization grid of a random field grows with its band.
-    """
-    field = None
-    if row["path"]:
-        # file-based corpus entries must already be mean-free
-        try:
-            field, _t = read_snapshot(row["path"])
-        except MeanZeroError as exc:
-            raise MeanZeroError(f"corpus field {row['path']}: {exc}") from exc
-    grid, band = (row["grid"], row["band"]) if field is None else (field.grid, field.band())
-    try:
-        if grid.dim != 2:
-            raise ValueError(f"field is {grid.dim}-dimensional, expected 2")
-        _check_product_resolution(band, grid.n)
-    except ValueError as exc:
-        raise ConfigError(row["lineno"], f"{corpus_path}: {exc}") from None
-    return random_band_field(grid, band, row["norm"], row["seed"]) if field is None else field
-
-
 def _cmd_verify_kernels(args) -> int:
-    corpus_path = args.corpus
-    if corpus_path is None:
-        here = os.path.dirname(os.path.abspath(__file__))
-        corpus_path = os.path.join(here, "data", "kernel_corpus.csv")
     consts = load_constants()
     try:
-        fields = [(row, _corpus_field(row, corpus_path)) for row in _read_corpus(corpus_path)]
+        fields = read_corpus(default_corpus_path() if args.corpus is None else args.corpus)
     except MeanZeroError as exc:
         print(f"critsqg: precondition: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -218,7 +169,7 @@ def _cmd_verify_kernels(args) -> int:
     _start_manifest(args, {"solver": {"dim": "2"}}, "verify-kernels", ["kernel_report.csv"])
     if not fields:
         print("critsqg: warning: empty corpus, vacuous pass", file=sys.stderr)
-    report = kernel_checks([(f"seed{row['seed']}", phi) for row, phi in fields], consts.c2)
+    report = kernel_checks(fields, consts.c2)
     write_csv(os.path.join(args.out, "kernel_report.csv"),
               ["suite", "field", "value", "threshold", "passed"], report)
     for suite, name, value, thr, ok in report:
@@ -236,9 +187,8 @@ def _cmd_dimension(args) -> int:
     theta0 = build_field(setup.initial, grid)
     force = build_force(setup.force, grid)
     res = volume_and_trace_run(
-        theta0, n_max, setup.solver, force, t_end=setup.solver.t_end,
-        reorth_every=setup.tangent_reorth, t_relax=setup.tangent_relax,
-        seed=setup.tangent_seed, tangent_band=setup.tangent_band,
+        theta0, n_max, setup.solver, force, reorth_every=setup.tangent_reorth,
+        t_relax=setup.tangent_relax, seed=setup.tangent_seed, tangent_band=setup.tangent_band,
     )
 
     rows = []

@@ -14,23 +14,26 @@ The format is sectioned plain text, trivially diffable::
 
 Parsing is line-anchored: every syntax or schema violation reports the
 offending line number.  Unknown sections other than ``[manifest]`` (which a
-rerun ignores) are rejected; duplicate keys take the last value.
+rerun ignores) are rejected; duplicate keys take the last value.  The kernel
+corpus CSV is read here too, by :func:`read_corpus`, with line-anchored errors.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .snapshots import snapshot_header
-from .solver import FieldSpec, SolverConfig, check_field_spec
-from .spectral import TorusGrid
+from .kernels import _check_product_resolution
+from .snapshots import read_snapshot, snapshot_header
+from .solver import FieldSpec, SolverConfig, check_field_spec, random_band_field
+from .spectral import MeanZeroError, SpectralField, TorusGrid
 
 __all__ = ["ConfigError", "RunSetup", "parse_config_text", "parse_config_file",
-           "build_setup", "PRESETS", "preset_sections"]
+           "build_setup", "PRESETS", "preset_sections", "default_corpus_path", "read_corpus"]
 
 
 class ConfigError(ValueError):
@@ -94,6 +97,60 @@ def parse_config_text(text: str) -> Dict[str, Dict[str, str]]:
 def parse_config_file(path: str) -> Dict[str, Dict[str, str]]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read())
+
+
+def default_corpus_path() -> str:
+    """The shipped kernel corpus manifest."""
+    return os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "kernel_corpus.csv")
+
+
+def _corpus_field(row, corpus_path: str) -> SpectralField:
+    """The field of a corpus row; a field the quadrature cannot resolve is a ConfigError.
+
+    A generated row is checked from its own band before its field is built:
+    the normalization grid of a random field grows with its band.
+    """
+    field = None
+    if row["path"]:
+        # file-based corpus entries must already be mean-free
+        try:
+            field, _t = read_snapshot(row["path"])
+        except MeanZeroError as exc:
+            raise MeanZeroError(f"corpus field {row['path']}: {exc}") from exc
+    grid, band = (row["grid"], row["band"]) if field is None else (field.grid, field.band())
+    try:
+        if grid.dim != 2:
+            raise ValueError(f"field is {grid.dim}-dimensional, expected 2")
+        _check_product_resolution(band, grid.n)
+    except ValueError as exc:
+        raise ConfigError(row["lineno"], f"{corpus_path}: {exc}") from None
+    return random_band_field(grid, band, row["norm"], row["seed"]) if field is None else field
+
+
+def read_corpus(path: str) -> List[Tuple[str, SpectralField]]:
+    """``(name, field)`` per row ``seed,band,norm[,n[,path]]`` (n defaults to 64) of a corpus CSV.
+
+    Every row is parsed before any field is built; a bad row is a ConfigError at its line.
+    """
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [(lineno, l.strip()) for lineno, l in enumerate(fh, start=1) if l.strip()]
+    if lines and lines[0][1].lower().startswith("seed"):
+        lines = lines[1:]
+    for lineno, line in lines:
+        parts = [p.strip() for p in line.split(",")]
+        try:
+            row = {"seed": int(parts[0]), "band": int(parts[1]), "norm": float(parts[2]),
+                   "grid": TorusGrid(2, int(parts[3]) if len(parts) > 3 and parts[3] else 64),
+                   "path": parts[4] if len(parts) > 4 else "", "lineno": lineno}
+            if not 0.0 < row["norm"] < np.inf:
+                raise ValueError(f"norm must be finite and positive, got {row['norm']}")
+            check_field_spec(FieldSpec("random_band", band=row["band"], seed=row["seed"]), 2)
+        except (IndexError, ValueError) as exc:
+            raise ConfigError(lineno, f"{path}: bad row {line!r}, expected "
+                                      f"seed,band,norm[,n[,path]] ({exc})") from None
+        rows.append(row)
+    return [(f"seed{row['seed']}", _corpus_field(row, path)) for row in rows]
 
 
 def _get(kv: Dict[str, str], key: str, cast, default, limit=None):

@@ -51,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from .config import ConfigError
-from .spectral import SpectralField, holder_seminorm, lp_norm, sobolev_norm
+from .spectral import holder_seminorm, lp_norm, sobolev_norm
 from .solver import Trajectory
 
 __all__ = [
@@ -160,9 +160,9 @@ def decay_envelope(t, theta0_norm: float, f_norm: float, kappa: float, c0: float
     return theta0_norm * decay + f_norm / (c0 * kappa) * (1.0 - decay)
 
 
-def holder_budget(theta0: SpectralField, f: SpectralField, kappa: float, consts: UniversalConstants):
-    """``(alpha_0, M_inf)`` admissible-exponent budget from data and force norms."""
-    m_inf = lp_norm(theta0, np.inf) + lp_norm(f, np.inf) / (consts.c0 * kappa)
+def holder_budget(theta0_linf: float, f_linf: float, kappa: float, consts: UniversalConstants):
+    """``(alpha_0, M_inf)`` admissible-exponent budget from the L^inf norms of data and force."""
+    m_inf = theta0_linf + f_linf / (consts.c0 * kappa)
     if m_inf == 0.0:
         return 0.25, 0.0
     alpha0 = min(consts.eps0 * kappa / m_inf, 0.25)
@@ -272,7 +272,7 @@ def track_holder(traj: Trajectory, alpha: float, consts: UniversalConstants) -> 
     most ten time steps; the shipped presets comply).
     """
     kappa = traj.config.kappa
-    _alpha0, m_inf = holder_budget(traj.fields[0], traj.force.field, kappa, consts)
+    _alpha0, m_inf = holder_budget(traj.reports[0].lp[np.inf], traj.force.linf, kappa, consts)
     t = np.asarray(traj.times)
     g, envelope_sq, violated = holder_envelope_check(
         t, [holder_seminorm(fld, alpha) for fld in traj.fields], m_inf, kappa, consts)
@@ -361,8 +361,8 @@ class DecayEnvelopeReport:
 def decay_envelope_report(traj: Trajectory, p, consts: UniversalConstants) -> DecayEnvelopeReport:
     """Compare recorded L^p norms (``p`` 2, 4, inf or in the run's ``report_ps``) with the envelope."""
     kappa = traj.config.kappa
-    theta0_norm = lp_norm(traj.fields[0], p)
-    f_norm = lp_norm(traj.force.field, p)
+    f_norm = lp_norm(traj.force.field, p)  # a p that is no L^p exponent raises ValueError here
+    theta0_norm = traj.reports[0].lp[p]
     rows = []
     violations = 0
     for t, rep in zip(traj.times, traj.reports):

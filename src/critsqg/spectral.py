@@ -551,9 +551,9 @@ def holder_seminorm(field: SpectralField, alpha: float) -> float:
 
 
 def norm_report(field: SpectralField, ps=()) -> NormReport:
-    """The norms of one field: L^p for 2, 4, inf and ``ps`` (one transform), H^s for s in 0..2."""
+    """The norms of one field: L^p for 2, 4, inf and ``ps`` (one transform), H^s for s in 0.5..2."""
     grid, v = field.grid, field.values()
     return NormReport(
         lp={p: _lp_of_values(grid, v, p) for p in dict.fromkeys((2, 4, np.inf, *ps))},
-        hs={s: sobolev_norm(field, s) for s in (0.0, 0.5, 1.0, 1.5, 2.0)},
+        hs={s: sobolev_norm(field, s) for s in (0.5, 1.0, 1.5, 2.0)},
     )

@@ -328,7 +328,6 @@ def volume_and_trace_run(
     n_tangent: int,
     config: SolverConfig,
     force: Force,
-    t_end: float,
     *,
     reorth_every: int,
     t_relax: float,
@@ -340,7 +339,7 @@ def volume_and_trace_run(
 
     The base is first relaxed for ``t_relax`` (pre-conditioning onto the
     empirically absorbing region).  The ensemble is re-orthonormalized every
-    ``reorth_every`` steps and at exactly ``t_end``, accumulating per-dimension
+    ``reorth_every`` steps and at exactly ``config.t_end``, accumulating per-dimension
     log-volumes and trace samples.  A frame condition (:func:`_frame_condition`)
     above ``condition_trigger`` after any coupled step raises
     :class:`EnsembleCollapseError` with advice to reduce the interval.  A
@@ -377,9 +376,9 @@ def volume_and_trace_run(
     logv = [np.zeros(n_tangent)]
     acc = np.zeros(n_tangent)
     t_run = 0.0
-    while t_run < t_end:
+    while t_run < config.t_end:
         (theta, xs), t_run = integrate(coupled_step, coupled_cfl_dt, (theta, xs),
-                                       t_run, t_end, config.dt, max_steps=reorth_every)
+                                       t_run, config.t_end, config.dt, max_steps=reorth_every)
         xs, increments = h1_gram_schmidt(grid, xs)
         acc = acc + np.cumsum(increments)
         times.append(t_run)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from critsqg import calibration as cal
+from critsqg.config import default_corpus_path, read_corpus
 from critsqg.diagnostics import (
     absorption_report,
     decay_envelope_report,
@@ -58,9 +59,8 @@ def corpus_runs():
 
 @pytest.fixture(scope="session")
 def kernel_rows(consts):
-    """``kernel_checks`` rows of the kernel corpus, and the seconds they took."""
-    named = [(f"seed{seed}", phi) for (seed, _band, _norm), phi
-             in zip(cal.KERNEL_CORPUS, cal.kernel_corpus_fields())]
+    """``kernel_checks`` rows of the shipped corpus, read as ``verify-kernels`` reads it, and their time."""
+    named = read_corpus(default_corpus_path())
     t0 = time.perf_counter()
     rows = kernel_checks(named, consts.c2)
     return rows, time.perf_counter() - t0
@@ -78,7 +78,7 @@ def dimension_run():
     theta0 = random_band_field(g, 3, 0.5, 5)
     force = Force.wrap(random_band_field(g, 2, 0.01, 6))
     cfg = SolverConfig(kappa=1.0, dt=2e-3, t_end=10.0)
-    res = volume_and_trace_run(theta0, 6, cfg, force, t_end=10.0, reorth_every=10,
+    res = volume_and_trace_run(theta0, 6, cfg, force, reorth_every=10,
                                t_relax=6.0, seed=7, tangent_band=3)
     return res, force, cfg
 
@@ -141,7 +141,7 @@ def test_criterion_06_holder_envelope(corpus_runs, consts):
     cap_ok = True
     for traj in corpus_runs:
         kappa = traj.config.kappa
-        alpha0, m_inf = holder_budget(traj.fields[0], traj.force.field, kappa, consts)
+        alpha0, m_inf = holder_budget(traj.reports[0].lp[np.inf], traj.force.linf, kappa, consts)
         for alpha in (alpha0, alpha0 / 2.0):
             res = track_holder(traj, alpha, consts)
             events += int(np.count_nonzero(res.violated))
@@ -227,7 +227,7 @@ def test_criterion_11_dimension_consistency(dimension_run, consts):
     g = TorusGrid(2, 32)
     unforced = volume_and_trace_run(
         random_band_field(g, 3, 0.5, 9), 3, SolverConfig(kappa=1.0, dt=2e-3, t_end=3.0),
-        Force.wrap(SpectralField.zeros(g)), t_end=3.0, reorth_every=10, t_relax=4.0,
+        Force.wrap(SpectralField.zeros(g)), reorth_every=10, t_relax=4.0,
         seed=3, tangent_band=3,
     )
     c11_ok = eigenvalue_count_constant(10**4) == consts.c11

@@ -1,6 +1,6 @@
 """Calibration protocol: shipped constants stay consistent with the corpus."""
 
-import os
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -19,8 +19,18 @@ from critsqg.diagnostics import (
 )
 from critsqg.kernels import dissipation_field, nonlinear_lower_bound_check
 from critsqg.solver import FieldSpec, SolverConfig, build_field, build_force, random_band_field, run
-from critsqg.spectral import TorusGrid, holder_seminorm, lp_norm, shift, sobolev_norm
-from critsqg.tangent import eigenvalue_count_constant
+from critsqg.spectral import (
+    TorusGrid,
+    gradient,
+    holder_seminorm,
+    inner_h1,
+    lp_norm,
+    resample,
+    riesz_perp,
+    shift,
+    sobolev_norm,
+)
+from critsqg.tangent import eigenvalue_count_constant, linearized_rhs
 
 
 def test_shipped_constants_file_exists_and_parses():
@@ -33,16 +43,6 @@ def test_shipped_constants_file_exists_and_parses():
 def test_c11_is_exact_enumeration():
     consts = load_constants()
     assert consts.c11 == eigenvalue_count_constant(10**4)
-
-
-def test_corpus_manifest_matches_protocol():
-    here = os.path.dirname(os.path.abspath(cal.__file__))
-    path = os.path.join(here, "data", "kernel_corpus.csv")
-    rows = [l.split(",") for l in open(path).read().strip().splitlines()[1:]]
-    assert len(rows) == len(cal.KERNEL_CORPUS)
-    for (seed, band, norm), row in zip(cal.KERNEL_CORPUS, rows):
-        assert int(row[0]) == seed and int(row[1]) == band and float(row[2]) == norm
-        assert int(row[3]) == cal.KERNEL_CORPUS_N
 
 
 def test_c2_margin_on_sample_fields():
@@ -224,7 +224,8 @@ def test_calibrate_c5_matches_oracle_and_check(small_runs, consts):
     assert 0.05 < c5 / 2.0 < 64.0
     tight = replace(consts, eps0=0.2, c0=c0, c5=c5 / 2.0)
     for tr in small_runs:
-        alpha0, m_inf = holder_budget(tr.fields[0], tr.force.field, tr.config.kappa, tight)
+        alpha0, m_inf = holder_budget(tr.reports[0].lp[np.inf], tr.force.linf, tr.config.kappa,
+                                      tight)
         if m_inf > 0.0:
             for alpha in (alpha0, alpha0 / 2.0):
                 assert not track_holder(tr, alpha, tight).violated.any()
@@ -261,3 +262,141 @@ def test_calibrate_c_backward_matches_oracle_and_check():
     assert cb == oracle_c_backward(pairs)
     assert cb > 0.0
     assert all(log_convexity_monitor(t1, t2, cb / 2.0).violations == 0 for t1, t2 in pairs)
+
+
+def _oracle_late(tr, every):
+    t_half = tr.times[-1] / 2.0
+    return [tr.fields[i] for i in range(0, len(tr.times), every) if tr.times[i] >= t_half]
+
+
+def _oracle_rough_fields(seeds):
+    grid = TorusGrid(2, cal.ROUGH_PROBE_N)
+    return [random_band_field(grid, cal.ROUGH_PROBE_BAND, 1.0, s) for s in seeds]
+
+
+def oracle_c7(runs, eps1):
+    worst = 0.0
+    for tr in runs:
+        kappa, f_linf = tr.config.kappa, tr.force.linf
+        a = 0.25 if f_linf == 0.0 else min(eps1 * kappa**2 / f_linf, 0.25)
+        expo = (3.0 - a) / (1.0 - a)
+        for snap in _oracle_late(tr, 25):
+            fld = resample(snap, 2 * snap.grid.n)
+            gx, gy = gradient(fld)
+            Dg = dissipation_field(gx, 1.0) + dissipation_field(gy, 1.0)
+            gmag = np.sqrt(gx.values() ** 2 + gy.values() ** 2)
+            sem = holder_seminorm(snap, a)
+            if sem <= 0.0:
+                continue
+            mask = gmag > 1e-3 * max(float(gmag.max()), 1e-300)
+            need = gmag[mask] ** expo / (np.maximum(Dg[mask], 1e-300) * sem ** (1.0 / (1.0 - a)))
+            worst = max(worst, float(need.max()))
+    return 2.0 * worst
+
+
+def oracle_c8(runs):
+    kappa = cal.PROBE_KAPPA
+    worst = 0.0
+    shapes = _oracle_rough_fields((51, 52, 53, 54))
+    for tr in runs:
+        shapes += [resample(snap, 2 * snap.grid.n) for snap in _oracle_late(tr, 40)]
+    for fld in shapes:
+        linf = lp_norm(fld, np.inf)
+        if linf <= 0.0:
+            continue
+        gx, gy = gradient(fld)
+        Dg = dissipation_field(gx, 1.0) + dissipation_field(gy, 1.0)
+        u1, u2 = riesz_perp(fld)
+        du = [gradient(u1), gradient(u2)]
+        gu = np.sqrt(sum(c.values() ** 2 for pair in du for c in pair))
+        gmag = np.sqrt(gx.values() ** 2 + gy.values() ** 2)
+        mask = (gmag > 1e-3 * max(float(gmag.max()), 1e-300)) & (Dg > 0)
+        a = 2.0 * gu[mask] * gmag[mask] ** 2
+        b = 0.5 * kappa * Dg[mask]
+        c = math.sqrt(linf) * gmag[mask] ** 3 / math.sqrt(kappa)
+        need = (2.0 / 3.0) * a**1.5 / (c * np.sqrt(3.0 * b))
+        worst = max(worst, float(need.max()))
+    return 2.0 * worst
+
+
+def oracle_c9(runs):
+    worst = 0.0
+    for tr in runs:
+        kappa = tr.config.kappa
+        t = np.asarray(tr.times)
+        h32_sq = np.array([rep.hs[1.5] ** 2 for rep in tr.reports])
+        h2_sq = np.array([rep.hs[2.0] ** 2 for rep in tr.reports])
+        ddt = (h32_sq[2:] - h32_sq[:-2]) / (t[2:] - t[:-2])
+        lhs = ddt + 0.5 * kappa * h2_sq[1:-1] - tr.force.h1**2 / kappa
+        ok = h32_sq[1:-1] > 1e-12
+        need = kappa * np.maximum(lhs[ok], 0.0) / h32_sq[1:-1][ok] ** 2
+        if need.size:
+            worst = max(worst, float(need.max()))
+    return max(2.0 * worst, 1.0)
+
+
+def oracle_c10(runs):
+    kappa = cal.PROBE_KAPPA
+    worst = 0.0
+    thetas = _oracle_rough_fields((71, 72))
+    for tr in runs:
+        thetas += _oracle_late(tr, 40)
+    for theta in thetas:
+        h2_sq = sobolev_norm(theta, 2.0) ** 2
+        if h2_sq <= 1e-14:
+            continue
+        for s in cal.C10_TANGENT_SEEDS:
+            for b in (2, 6, 10):
+                xi = random_band_field(theta.grid, b, 1.0, s)
+                q = inner_h1(xi, linearized_rhs(theta, xi, kappa))
+                transport = q + kappa * sobolev_norm(xi, 1.5) ** 2
+                if transport <= 0.0:
+                    continue
+                need = transport**2 / (2.0 * sobolev_norm(xi, 1.5) ** 2 * h2_sq * inner_h1(xi, xi))
+                worst = max(worst, float(need))
+    return 2.0 * worst
+
+
+@pytest.fixture(scope="module")
+def late_runs():
+    """Four n=16 SQG runs (2 forces x 2 data), t in [0, 4], snapshots every 0.05.
+
+    Long enough for the late-half strides of c7 (every 25th snapshot) and of
+    c8 and c10 (every 40th) to pick at least one snapshot each.
+    """
+    cfg = SolverConfig(kappa=1.0, dt=1e-2, t_end=4.0, snapshot_dt=0.05)
+    grid = TorusGrid(2, 16)
+    runs = [run(build_field(d, grid), cfg, build_force(f, grid)) for f in _FORCES for d in _DATA]
+    for tr in runs:
+        for every in (25, 40):
+            assert _oracle_late(tr, every)
+    return runs
+
+
+def test_calibrate_c7_matches_oracle(late_runs, consts):
+    c7 = cal.calibrate_c7(late_runs, consts.eps1)
+    assert c7 == oracle_c7(late_runs, consts.eps1)
+    assert 0.0 < c7 < math.inf
+
+
+def test_calibrate_c8_matches_oracle(late_runs):
+    c8 = cal.calibrate_c8(late_runs)
+    assert c8 == oracle_c8(late_runs)
+    assert 0.0 < c8 < math.inf
+
+
+def test_calibrate_c9_matches_oracle(late_runs):
+    # decaying runs give no positive excess, so the floor decides; the same run
+    # read backwards in time has a growing H^{3/2} norm and a positive excess
+    assert cal.calibrate_c9(late_runs) == oracle_c9(late_runs) == 1.0
+    growing = replace(late_runs[1], fields=late_runs[1].fields[::-1],
+                      reports=late_runs[1].reports[::-1])
+    c9 = cal.calibrate_c9(late_runs + [growing])
+    assert c9 == oracle_c9(late_runs + [growing])
+    assert 1.0 < c9 < math.inf
+
+
+def test_calibrate_c10_matches_oracle(late_runs):
+    c10 = cal.calibrate_c10(late_runs)
+    assert c10 == oracle_c10(late_runs)
+    assert 0.0 < c10 < math.inf

@@ -659,7 +659,7 @@ class TestVerifyKernels:
             raise AssertionError("a field was built")
 
         monkeypatch.setattr("critsqg.solver.random_band_field", no_build)
-        monkeypatch.setattr("critsqg.cli.random_band_field", no_build, raising=False)
+        monkeypatch.setattr("critsqg.config.random_band_field", no_build)
         corpus = tmp_path / "c.csv"
         corpus.write_text(f"seed,band,norm,n\n1,{band},1.0,64\n")
         out = tmp_path / "o"

@@ -162,7 +162,8 @@ class TestNorms:
     def test_norm_report_consistency(self, grid64):
         f = random_field(grid64, 8, 7)
         rep = norm_report(f, ps=(2, 6))
-        assert rep.hs[0.0] == pytest.approx(rep.lp[2], rel=1e-12)
+        assert set(rep.hs) == {0.5, 1.0, 1.5, 2.0}
+        assert sobolev_norm(f, 0.0) == pytest.approx(rep.lp[2], rel=1e-12)
         # one shared transform gives exactly the per-norm values, 2, 4 and inf always
         assert rep.lp == {p: lp_norm(f, p) for p in (2, 4, np.inf, 6)}
         assert all(v >= 0 for v in rep.lp.values())
@@ -246,7 +247,8 @@ def holder_corpus_alpha0():
     grid = TorusGrid(setup.dim, setup.n)
     theta0 = build_field(setup.initial, grid)
     force = build_force(setup.force, grid)
-    alpha0, _ = holder_budget(theta0, force.field, setup.solver.kappa, load_constants())
+    alpha0, _ = holder_budget(lp_norm(theta0, np.inf), force.linf, setup.solver.kappa,
+                              load_constants())
     return theta0, alpha0
 
 

@@ -414,7 +414,7 @@ class TestTangentBlowup:
         with pytest.raises(BlowupError) as plain:
             run(theta0, cfg, force)
         with pytest.raises(BlowupError) as coupled:
-            volume_and_trace_run(theta0, 2, cfg, force, t_end=50.0, reorth_every=2,
+            volume_and_trace_run(theta0, 2, cfg, force, reorth_every=2,
                                  t_relax=1.5, seed=7, tangent_band=3)
         assert plain.value.t > 1.5 + cfg.dt
         assert coupled.value.t == pytest.approx(plain.value.t, rel=1e-12)
@@ -567,7 +567,7 @@ def volume_run():
     theta0 = random_band_field(g, 3, 0.5, 5)
     force = Force.wrap(random_band_field(g, 2, 0.05, 6))
     cfg = SolverConfig(kappa=1.0, dt=2e-3, t_end=5.0)
-    return volume_and_trace_run(theta0, 6, cfg, force, t_end=5.0,
+    return volume_and_trace_run(theta0, 6, cfg, force,
                                 reorth_every=10, t_relax=4.0, seed=7, tangent_band=3)
 
 
@@ -582,7 +582,7 @@ class TestVolumeTrace:
         theta0 = random_band_field(g, 3, 0.5, 9)
         cfg = SolverConfig(kappa=1.0, dt=2e-3, t_end=6.0)
         res = volume_and_trace_run(theta0, 6, cfg, Force.wrap(SpectralField.zeros(g)),
-                                   t_end=6.0, reorth_every=10, t_relax=4.0, seed=3,
+                                   reorth_every=10, t_relax=4.0, seed=3,
                                    tangent_band=3)
         lam = lattice_eigenvalues(6)
         expected = -np.cumsum(lam)
@@ -599,7 +599,7 @@ class TestVolumeTrace:
         g = TorusGrid(2, 32)
         cfg = SolverConfig(kappa=1.0, dt=2e-3, t_end=1.0)
         res = volume_and_trace_run(random_band_field(g, 8, 1.0, 5), 4, cfg,
-                                   Force.wrap(SpectralField.zeros(g)), t_end=1.0,
+                                   Force.wrap(SpectralField.zeros(g)),
                                    reorth_every=10, t_relax=0.0, seed=3, tangent_band=12)
         assert res.identity_residual < 1e-3
 
@@ -610,7 +610,7 @@ class TestVolumeTrace:
         g = TorusGrid(2, 16)
         cfg = SolverConfig(kappa=1.0, dt=dt, t_end=t_end)
         res = volume_and_trace_run(random_band_field(g, 3, 0.5, 5), 2, cfg,
-                                   Force.wrap(random_band_field(g, 2, 0.05, 6)), t_end=t_end,
+                                   Force.wrap(random_band_field(g, 2, 0.05, 6)),
                                    reorth_every=3, t_relax=0.0137, seed=7, tangent_band=3)
         assert res.times[-1] == t_end
         assert np.all(np.diff(res.times) > 0)
@@ -636,7 +636,7 @@ class TestVolumeTrace:
         cfg = SolverConfig(kappa=1.0, dt=2e-3, t_end=100.0)
         with pytest.raises(EnsembleCollapseError):
             volume_and_trace_run(theta0, 6, cfg, Force.wrap(SpectralField.zeros(g)),
-                                 t_end=100.0, reorth_every=10**6, t_relax=0.0,
+                                 reorth_every=10**6, t_relax=0.0,
                                  seed=3, tangent_band=3, condition_trigger=10.0)
 
 
