@@ -25,8 +25,10 @@ by quadrature of the whole-space form with the periodic extension of ``phi``:
 
 Because the annulus part is a plain node/weight sum of translates, evaluating
 it at every collocation point simultaneously reduces to two FFTs against a
-precomputed translation symbol ``S(k) = sum_q w_q exp(i k . y_q)``; the symbol
-is cached per (alpha, bandwidth, resolution, quadrature).
+precomputed translation symbol ``S(k) = sum_q w_q exp(i k . y_q)``.  Its
+phases are built as powers of one ``exp(i y)`` per node and direction (two
+complex exponentials per node, not one per node and wavenumber), and the
+symbol is cached per exact (alpha, bandwidth, resolution, quadrature).
 """
 
 from __future__ import annotations
@@ -146,24 +148,35 @@ def _translation_symbol(alpha: float, kmax: int, n: int, spec: QuadratureSpec) -
     """``S(k) = sum_q w_q exp(i k . y_q)`` for ``|k_i| <= kmax``, zero elsewhere (cached).
 
     The weights are real, so only the rows ``k1 >= 0`` are summed, and
-    ``S(-k) = conj S(k)`` fills the rest of the band.
+    ``S(-k) = conj S(k)`` fills the rest of the band.  The phases are powers
+    of one ``z = exp(i y)`` per node and direction, ``P[j] = P[j-1] * z``,
+    summed by one gemm per chunk of nodes.  The recurrence loses about j ulps
+    at power j, less than rounding ``k . y`` costs a direct ``exp(i k . y)``
+    at the ``|k . y|`` of several hundred reached on the outer annulus.
     """
-    key = (round(alpha, 12), kmax, n, round(spec.pv_inner_radius, 14), spec.refinement)
+    key = (alpha, kmax, n, spec)
     got = _symbol_cache.get(key)
     if got is not None:
         return got
     y1, y2, w = _annulus_nodes(alpha, kmax, spec)
-    k = np.arange(kmax + 1)
     half = np.zeros((kmax + 1, 2 * kmax + 1), dtype=np.complex128)  # S[k1 >= 0, k2 + kmax]
-    chunk = max(1, 2**17 // (2 * kmax + 1))  # keeps each (q, 2 kmax + 1) work array at ~2 MiB
+    chunk = max(1, 2**17 // (2 * kmax + 1))  # keeps each (2 kmax + 1, q) work array at ~2 MiB
     for lo in range(0, len(w), chunk):
         hi = lo + chunk
-        E1 = np.exp(1j * np.outer(y1[lo:hi], k))  # (q, kmax + 1)
-        E2 = np.exp(1j * np.outer(y2[lo:hi], k))
-        E2 = np.concatenate([np.conj(E2[:, :0:-1]), E2], axis=1)  # k2 = -kmax .. kmax
-        half += (E1 * w[lo:hi, None]).T @ E2
+        z1 = np.exp(1j * y1[lo:hi])
+        z2 = np.exp(1j * y2[lo:hi])
+        P1 = np.empty((kmax + 1, len(z1)), dtype=np.complex128)  # w_q z1^k1, k1 = 0 .. kmax
+        P2 = np.empty((2 * kmax + 1, len(z2)), dtype=np.complex128)  # z2^k2, k2 = -kmax .. kmax
+        P1[0] = w[lo:hi]
+        P2[kmax] = 1.0
+        for j in range(1, kmax + 1):
+            np.multiply(P1[j - 1], z1, out=P1[j])
+            np.multiply(P2[kmax + j - 1], z2, out=P2[kmax + j])
+        np.conj(P2[:kmax:-1], out=P2[:kmax])
+        half += P1 @ P2.T
     half[0, :kmax] = np.conj(half[0, :kmax:-1])  # row k1 = 0 mirrors itself, exactly whatever the gemm order
     S = np.zeros((n, n), dtype=np.complex128)
+    k = np.arange(kmax + 1)
     k2 = np.arange(-kmax, kmax + 1)
     S[np.ix_(k, k2)] = half
     S[np.ix_(-k[1:], -k2)] = np.conj(half[1:])

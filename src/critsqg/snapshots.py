@@ -8,7 +8,8 @@ so re-running the same experiment in serial mode reproduces them byte for
 byte.  A manifest is itself a valid flat key=value config file: it embeds the
 full config snapshot (seeds already offset by any ``--seed-override``) next to
 a ``[manifest]`` section with the constants-file hash, code version, the
-python and numpy versions (CSV bytes depend on the numpy FFT build), the seed
+python, numpy and BLAS versions (CSV bytes depend on the numpy FFT build, and
+the kernel report on the BLAS library and its thread count), the seed
 override, output paths, and wall-clock metadata (the latter is the only
 non-reproducible content, and no CSV depends on it).
 """
@@ -114,15 +115,19 @@ def write_manifest(
     """Write the experiment manifest (written before any long computation).
 
     The manifest doubles as a config file: parsing it back and re-running
-    under the recorded python and numpy versions reproduces every CSV output
-    byte-exactly.
+    under the recorded python, numpy and BLAS versions reproduces every CSV
+    output byte-exactly, with one more condition for ``kernel_report.csv``:
+    the same BLAS thread count (``OPENBLAS_NUM_THREADS``), because a
+    threaded gemm sums the translation symbol in a different order.
     """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     lines = ["[manifest]"]
     lines.append("schema_version = 1")
     lines.append(f"code_version = {code_version}")
-    # output bytes depend on the numpy FFT build
+    # output bytes depend on the numpy FFT build and on the BLAS library
     lines.append("python_version = {}.{}.{}".format(*sys.version_info[:3]))
     lines.append(f"numpy_version = {np.__version__}")
+    lines.append(f"blas_version = {blas['name']} {blas['version']}")
     lines.append(f"command = {command}")
     lines.append(f"out_dir = {out_dir}")
     lines.append(f"seed = {seed}")

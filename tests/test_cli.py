@@ -111,6 +111,8 @@ class TestConfigParsing:
         lines = text.splitlines()
         assert f"python_version = {platform.python_version()}" in lines
         assert f"numpy_version = {np.__version__}" in lines
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert f"blas_version = {blas['name']} {blas['version']}" in lines
         assert parse_config_text(text) == sections
 
     def test_presets_exist(self):

@@ -134,12 +134,29 @@ def _full_grid_symbol(alpha, kmax, n, spec):
     return S
 
 
+def _refined_spec(grid, kmax):
+    """The fine spec of ``dissipation_convergence``."""
+    spec = QuadratureSpec.for_grid(grid, kmax)
+    return QuadratureSpec(spec.pv_inner_radius / 2, 2 * spec.refinement)
+
+
+def _one_node_last_chunk_spec(grid, kmax):
+    spec = QuadratureSpec(0.741 * grid.spacing)
+    nodes = len(kernels._annulus_nodes(1.0, kmax, spec)[2])
+    assert nodes % (2**17 // (2 * kmax + 1)) == 1  # 63,537 nodes in chunks of 3,971 at kmax 16
+    return spec
+
+
 class TestBandLimitedSymbol:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
-    @pytest.mark.parametrize("band", [6, 8])
-    def test_matches_full_grid_oracle(self, grid64, alpha, band):
+    @pytest.mark.parametrize("band, make_spec", [
+        (6, QuadratureSpec.for_grid), (8, QuadratureSpec.for_grid),
+        (12, QuadratureSpec.for_grid),  # kmax = 24 > n/4: the disc shrinks to pi/96
+        (8, _refined_spec), (8, _one_node_last_chunk_spec),
+    ], ids=["6", "8", "12", "8-refined", "8-one-node-last-chunk"])
+    def test_matches_full_grid_oracle(self, grid64, alpha, band, make_spec):
         kmax = 2 * band
-        spec = QuadratureSpec.for_grid(grid64, kmax)
+        spec = make_spec(grid64, kmax)
         S = kernels._translation_symbol(alpha, kmax, 64, spec)
         oracle = _full_grid_symbol(alpha, kmax, 64, spec)
         k = np.abs(np.fft.fftfreq(64) * 64)
@@ -148,6 +165,18 @@ class TestBandLimitedSymbol:
         assert not S[~inband].any()
         mirror = (-np.arange(64)) % 64
         assert np.array_equal(S[np.ix_(mirror, mirror)], np.conj(S))
+
+    def test_symbol_cache_is_exact_in_alpha(self, grid64, monkeypatch):
+        # an alpha 1e-13 off a cached one builds its own weights, so the result
+        # does not depend on which alpha was evaluated first
+        phi = random_band_field(grid64, 4, 1.0, 5)
+        monkeypatch.setattr(kernels, "_symbol_cache", {})
+        alone = dissipation_field(phi, 1.0 + 1e-13)
+        monkeypatch.setattr(kernels, "_symbol_cache", {})
+        dissipation_field(phi, 1.0)
+        after = dissipation_field(phi, 1.0 + 1e-13)
+        assert np.array_equal(alone, after)
+        assert len(kernels._symbol_cache) == 2
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     @pytest.mark.parametrize("band", [6, 8])

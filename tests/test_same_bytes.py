@@ -126,3 +126,12 @@ class TestSrcLines:
         _write(pkg / "notes.txt", "1\n2\n3\n")
         _write(pkg / "data" / "c.py", "\n")
         assert same_bytes._src_lines(str(tmp_path)) == 2
+
+
+class TestCommands:
+    def test_both_kernel_corpora_among_thirteen_commands(self, tmp_path):
+        cmds = same_bytes._commands(str(tmp_path))
+        assert len(cmds) == 13
+        assert cmds["kernels-shipped"] == ["verify-kernels"]
+        assert cmds["kernels-corpus4"] == ["verify-kernels", str(tmp_path / "corpus_4.csv")]
+        assert (tmp_path / "corpus_4.csv").is_file()

@@ -5,7 +5,7 @@
 Run from anywhere inside a git checkout.  The parent tree is the commit REV
 (default ``HEAD``), unpacked with ``git archive`` into a temporary directory;
 the other tree is the checkout as it stands, uncommitted edits included.
-Both run the same 12 commands, each in a fresh process with ``PYTHONPATH``
+Both run the same 13 commands, each in a fresh process with ``PYTHONPATH``
 set to the tree's ``src/``, two at a time (one per tree):
 
 * ``simulate`` of the presets ``exact-decay``, ``steady-state`` and
@@ -13,10 +13,12 @@ set to the tree's ``src/``, two at a time (one per tree):
 * ``burgers --preset burgers-basic``;
 * ``dimension --preset dimension-sweep``, in full and with ``--n-max 3``;
 * the benchmark's ``tangent_sweep`` config with ``--seed-override`` 3 and 11;
-* ``verify-kernels`` on the benchmark's kernel corpus of seed 4.
+* ``verify-kernels`` on the benchmark's kernel corpus of seed 4;
+* ``verify-kernels`` on the default shipped corpus, the one the acceptance
+  suite and the calibration of c2 read.
 
-The inputs of the last three come from this checkout's ``bench/run.py``, so
-both trees see the same files.  Each command's standard output is saved as
+The inputs of the benchmark's three come from this checkout's ``bench/run.py``,
+so both trees see the same files.  Each command's standard output is saved as
 ``stdout.txt`` beside its outputs.  Every CSV, ``.sqgf``,
 ``dimension_report.txt`` and ``stdout.txt`` is compared (manifests hold a
 creation time, so they are not).  The script prints each command's exit
@@ -69,7 +71,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 
 
 def _commands(inputs: str) -> dict:
-    """{name: CLI arguments without --out} of the 12 commands."""
+    """{name: CLI arguments without --out} of the 13 commands."""
     spec = importlib.util.spec_from_file_location(
         "bench_run", os.path.join(os.path.dirname(HERE), "bench", "run.py"))
     bench = importlib.util.module_from_spec(spec)
@@ -89,6 +91,7 @@ def _commands(inputs: str) -> dict:
         "dimension-sweep": ["dimension", "--preset", "dimension-sweep"],
         "dimension-sweep-n3": ["dimension", "--preset", "dimension-sweep", "--n-max", "3"],
         "kernels-corpus4": ["verify-kernels", corpus],
+        "kernels-shipped": ["verify-kernels"],
     }
     for seed in (0, 1, 5):
         cmds[f"holder-corpus-s{seed}"] = ["simulate", "--preset", "holder-corpus",
