@@ -31,8 +31,8 @@ c11         eigenvalue counting lambda_j >= sqrt(j)/c11 (exact enumeration,
 c_backward  log-convexity budget on the pair corpus over the [0, 5] horizon
 ==========  ===============================================================
 
-Calibration is expensive (minutes); it runs once and its output is committed.
-Regenerate with ``python -m critsqg.calibration``.
+Calibration takes about 30 s on a 2-core desk machine; it runs once and its
+output is committed.  Regenerate with ``python -m critsqg.calibration``.
 """
 
 from __future__ import annotations

@@ -39,7 +39,8 @@ from .kernels import kernel_checks
 from .snapshots import write_csv, write_manifest, write_snapshot
 from .solver import BlowupError, Trajectory, build_field, build_force, run
 from .spectral import MeanZeroError, TorusGrid
-from .tangent import EnsembleCollapseError, dimension_verdict, trace_bound_curve, volume_and_trace_run
+from .tangent import (IDENTITY_RESIDUAL_BOUND, EnsembleCollapseError, dimension_verdict,
+                      trace_bound_curve, volume_and_trace_run)
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -222,6 +223,10 @@ def _cmd_dimension(args) -> int:
     with open(os.path.join(args.out, "dimension_report.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
+    if not res.identity_residual <= IDENTITY_RESIDUAL_BOUND:
+        print(f"critsqg: volume/trace identity residual {res.identity_residual:.3g} exceeds "
+              f"{IDENTITY_RESIDUAL_BOUND:g}", file=sys.stderr)
+        passed = False
     return EXIT_OK if passed else EXIT_FALSIFIED
 
 

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .kernels import _check_product_resolution
-from .snapshots import read_snapshot, snapshot_header
+from .snapshots import read_snapshot
 from .solver import FieldSpec, SolverConfig, check_field_spec, random_band_field
 from .spectral import MeanZeroError, SpectralField, TorusGrid
 
@@ -46,8 +46,7 @@ class ConfigError(ValueError):
 
 _SCHEMA = {
     "solver": {
-        "dim", "n", "kappa", "dt", "t_end", "epsilon", "mollifier_width", "cfl_budget",
-        "snapshot_dt",
+        "dim", "n", "kappa", "dt", "t_end", "cfl_budget", "snapshot_dt",
     },
     "initial": {"kind", "kx", "ky", "amplitude", "band", "seed", "path"},
     "force": {"kind", "kx", "ky", "amplitude", "band", "seed", "path"},
@@ -112,11 +111,13 @@ def _corpus_field(row, corpus_path: str) -> SpectralField:
     """
     field = None
     if row["path"]:
-        # file-based corpus entries must already be mean-free
+        # file-based corpus entries must be whole, finite and already mean-free
         try:
             field, _t = read_snapshot(row["path"])
         except MeanZeroError as exc:
             raise MeanZeroError(f"corpus field {row['path']}: {exc}") from exc
+        except (OSError, ValueError) as exc:
+            raise ConfigError(row["lineno"], f"{corpus_path}: {exc}") from None
     grid, band = (row["grid"], row["band"]) if field is None else (field.grid, field.band())
     try:
         if grid.dim != 2:
@@ -193,9 +194,9 @@ def _field_spec(kv: Dict[str, str], grid: TorusGrid, section: str) -> FieldSpec:
     _check_spec(spec, kv, section, grid.dim)
     if spec.kind == "file":
         try:
-            got, _t = snapshot_header(spec.path)
-            if got != grid:
-                raise ValueError(f"snapshot grid {got} does not match run grid {grid}")
+            snap, _t = read_snapshot(spec.path)
+            if snap.grid != grid:
+                raise ValueError(f"snapshot grid {snap.grid} does not match run grid {grid}")
         except (OSError, ValueError) as exc:
             raise ConfigError(_line(kv, "path"), f"[{section}] {exc}") from exc
     return spec
@@ -301,8 +302,6 @@ def build_setup(sections: Dict[str, Dict[str, str]], seed_override: Optional[int
         kappa=_get(sol, "kappa", float, 1.0),
         dt=_get(sol, "dt", float, 1e-3),
         t_end=_get(sol, "t_end", float, 1.0),
-        epsilon=_get(sol, "epsilon", float, 0.0),
-        mollifier_width=_get(sol, "mollifier_width", float, 0.0),
         cfl_budget=_get(sol, "cfl_budget", float, 0.5),
         snapshot_dt=_get(sol, "snapshot_dt", float, 0.1),
     )

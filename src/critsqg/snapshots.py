@@ -17,6 +17,7 @@ non-reproducible content, and no CSV depends on it).
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 import sys
 import time
@@ -31,7 +32,6 @@ __all__ = [
     "SNAPSHOT_VERSION",
     "write_snapshot",
     "read_snapshot",
-    "snapshot_header",
     "write_csv",
     "format_cell",
     "sha256_of_file",
@@ -50,29 +50,32 @@ def write_snapshot(path: str, field: SpectralField, t: float) -> None:
         fh.write(field.values().astype("<f8").tobytes(order="C"))
 
 
-def snapshot_header(path: str):
-    """``(grid, time)`` from the header of a snapshot file."""
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-    if len(head) != _HEADER.size:
-        raise ValueError(f"{path}: truncated snapshot header")
-    magic, version, dim, n, t = _HEADER.unpack(head)
-    if magic != SNAPSHOT_MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    if version != SNAPSHOT_VERSION:
-        raise ValueError(f"{path}: unsupported snapshot version {version}")
-    return TorusGrid(int(dim), int(n)), float(t)
-
-
 def read_snapshot(path: str):
     """Read a snapshot; returns ``(field, time)``.
 
-    Raises :class:`~critsqg.spectral.MeanZeroError` when the stored values are
-    not mean-free.
+    Raises ``ValueError`` naming ``path`` when the header is malformed, the
+    file is not exactly the header plus ``8 * n**dim`` bytes, or a value is
+    not finite, and :class:`~critsqg.spectral.MeanZeroError` when the values
+    are not mean-free.
     """
-    grid, t = snapshot_header(path)
-    data = np.fromfile(path, dtype="<f8", count=grid.n**grid.dim, offset=_HEADER.size)
-    return SpectralField.from_values(grid, data.reshape(grid.shape)), t
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) != _HEADER.size:
+            raise ValueError(f"{path}: truncated snapshot header")
+        magic, version, dim, n, t = _HEADER.unpack(head)
+        if magic != SNAPSHOT_MAGIC:
+            raise ValueError(f"{path}: bad magic {magic!r}")
+        if version != SNAPSHOT_VERSION:
+            raise ValueError(f"{path}: unsupported snapshot version {version}")
+        grid = TorusGrid(int(dim), int(n))
+        size = os.fstat(fh.fileno()).st_size
+        want = _HEADER.size + 8 * n**dim
+        if size != want:
+            raise ValueError(f"{path}: snapshot has {size} bytes, expected {want} for {grid}")
+        values = np.frombuffer(fh.read(), dtype="<f8").reshape(grid.shape)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: snapshot holds non-finite values")
+    return SpectralField.from_values(grid, values), float(t)
 
 
 def format_cell(x) -> str:

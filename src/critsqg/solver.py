@@ -1,21 +1,19 @@
-"""Time integration of forced critical SQG, its regularization, and 1D critical Burgers.
+"""Time integration of forced critical SQG and 1D critical Burgers.
 
 The evolved systems, on mean-free periodic fields:
 
 * SQG on T^2:      d/dt theta + u . grad theta + kappa*Lambda theta = f,
                    with u = (-R_2 theta, R_1 theta);
-* regularized:     an extra ``-epsilon*Laplacian`` damping and a mollified
-                   force ``J_eps f`` (spectral Gaussian mollifier);
 * Burgers on T:    d/dt theta + theta theta_x + Lambda theta = f,
                    with the transport in conservative form (theta^2/2)_x.
 
 The one time-stepping scheme is IMEX Crank-Nicolson: the stiff diagonal part
-``kappa*|k| + epsilon*|k|^2`` is treated implicitly, the nonlinear term
-explicitly with Heun stages.  Products are formed pseudo-spectrally on the
-collocation grid and dealiased with the two-thirds rule; every step
-re-projects onto mean-free fields.  An advective CFL controller halves the
-step when ``dt * ||u||_inf * n / (2*pi)`` exceeds the configured budget, and
-snapshots are hit exactly with one short final substep.
+``kappa*|k|`` is treated implicitly, the nonlinear term explicitly with Heun
+stages.  Products are formed pseudo-spectrally on the collocation grid and
+dealiased with the two-thirds rule; every step re-projects onto mean-free
+fields.  An advective CFL controller halves the step when
+``dt * ||u||_inf * n / (2*pi)`` exceeds the configured budget, and snapshots
+are hit exactly with one short final substep.
 
 The solver never certifies regularity: NaN/Inf states raise ``BlowupError``
 carrying the last valid state for a diagnostic dump.
@@ -52,7 +50,6 @@ __all__ = [
     "check_field_spec",
     "build_field",
     "build_force",
-    "mollify_force",
     "nonlinear_term",
     "burgers_nonlinear_term",
     "velocity_max",
@@ -74,13 +71,11 @@ class BlowupError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Integration parameters; ``epsilon = 0`` for production runs."""
+    """Integration parameters."""
 
     kappa: float
     dt: float
     t_end: float
-    epsilon: float = 0.0
-    mollifier_width: float = 0.0
     cfl_budget: float = 0.5
     snapshot_dt: float = 0.1
 
@@ -89,9 +84,8 @@ class SolverConfig:
         for name in ("kappa", "dt", "snapshot_dt", "cfl_budget"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("t_end", "epsilon", "mollifier_width"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0")
+        if not self.t_end >= 0:
+            raise ValueError("t_end must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -178,20 +172,6 @@ def build_force(spec: FieldSpec, grid: TorusGrid) -> Force:
     return Force.wrap(build_field(spec, grid))
 
 
-def mollify_force(f: SpectralField, width: float) -> SpectralField:
-    """Spectral Gaussian mollifier ``exp(-width^2 |k|^2 / 2)``; identity at width 0.
-
-    The mollifier has unit mass, so ``||J f||_inf <= ||f||_inf`` and the mean
-    stays zero.
-    """
-    if width < 0:
-        raise ValueError("width must be >= 0")
-    if width == 0.0:
-        return f
-    sym = np.exp(-0.5 * width**2 * f.grid.kmag ** 2)
-    return SpectralField.from_coeffs(f.grid, f.coeffs * sym)
-
-
 def _transport_values(grid: TorusGrid, coeffs: np.ndarray) -> tuple:
     """Collocation values ``(u_1, u_2, d_x, d_y)`` of each field of an ``(m, n, n)`` stack.
 
@@ -242,7 +222,7 @@ class _Stepper:
     """One IMEX Crank-Nicolson step with a per-dt coefficient cache.
 
     The explicit part uses Heun stages around the Crank-Nicolson treatment of
-    the diagonal symbol ``L = kappa*|k| + epsilon*|k|^2``, which makes
+    the diagonal symbol ``L = kappa*|k|``, which makes
     single-mode steady states exact fixed points.
     The stages carry an ``(m, n, n)`` stack of tangent coefficients beside the
     base state with the same coefficients; this class carries none, and
@@ -252,9 +232,8 @@ class _Stepper:
     def __init__(self, grid: TorusGrid, config: SolverConfig, force: SpectralField):
         self.grid = grid
         self.config = config
-        self.force = mollify_force(force, config.mollifier_width)
-        kmag = grid.kmag
-        self.L = config.kappa * kmag + config.epsilon * kmag**2
+        self.force = force
+        self.L = config.kappa * grid.kmag
         self._coef: dict = {}
         self._no_tangents = np.zeros((0,) + grid.shape, dtype=np.complex128)
         self.cfl_reductions = 0
@@ -385,7 +364,7 @@ def run(
 
 def energy_balance_residual(
     prev: SpectralField, new: SpectralField, dt: float, kappa: float,
-    force: SpectralField, epsilon: float = 0.0,
+    force: SpectralField,
 ) -> float:
     """Discrete residual of d/dt||theta||^2 + 2k||theta||^2_{H^1/2} - 2<f,theta> = 0.
 
@@ -394,6 +373,6 @@ def energy_balance_residual(
     """
     mid = (prev + new) * 0.5
     d_energy = (inner_l2(new, new) - inner_l2(prev, prev)) / dt
-    diss = 2.0 * kappa * sobolev_norm(mid, 0.5) ** 2 + 2.0 * epsilon * sobolev_norm(mid, 1.0) ** 2
+    diss = 2.0 * kappa * sobolev_norm(mid, 0.5) ** 2
     inj = 2.0 * inner_l2(force, mid)
     return float(d_energy + diss - inj)

@@ -62,6 +62,7 @@ __all__ = [
     "lattice_eigenvalues",
     "eigenvalue_count_constant",
     "VolumeTraceResult",
+    "IDENTITY_RESIDUAL_BOUND",
     "volume_and_trace_run",
     "dimension_bound",
     "trace_bound_curve",
@@ -270,6 +271,10 @@ def dimension_verdict(empirical_n: int, force: Force, kappa: float, consts: Univ
     if not np.isfinite(curve_at_n):  # past float range only the exact sign is known
         curve_at_n = -np.inf if negative else np.inf
     return DimensionVerdict(m_a, n_bound, curve_at_n, negative, negative and empirical_n <= n_bound)
+
+
+# criterion 10: |log V_m(t) - log V_m(0) - int_0^t Tr(P_m A)| at most this
+IDENTITY_RESIDUAL_BOUND = 1e-3
 
 
 @dataclass

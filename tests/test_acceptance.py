@@ -3,7 +3,9 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines.
 Criteria 3, 4, 5, 8 and 11 take their verdicts from the functions that the
 commands call (``kernel_checks``, ``AbsorptionReport.failures``,
-``dimension_verdict``); every other tolerance is pinned here.  The shared
+``dimension_verdict``), and criterion 10 its bound from
+``IDENTITY_RESIDUAL_BOUND``, which ``dimension`` gates too; every other
+tolerance is pinned here.  The shared
 forced corpus (3 forces x 3 data, t in [0, 10]) is integrated once per
 session and reused across criteria.
 """
@@ -29,6 +31,7 @@ from critsqg.kernels import dissipation_field, kernel_checks
 from critsqg.solver import Force, SolverConfig, random_band_field, run
 from critsqg.spectral import SpectralField, TorusGrid, inner_h1, inner_l2
 from critsqg.tangent import (
+    IDENTITY_RESIDUAL_BOUND,
     dimension_verdict,
     eigenvalue_count_constant,
     frechet_residual,
@@ -213,8 +216,9 @@ def test_criterion_09_tangent_exactness():
 def test_criterion_10_volume_trace_identity(dimension_run):
     res, _force, _cfg = dimension_run
     resid = res.identity_residual_at(5.0)
-    report(10, resid <= 1e-3,
-           f"|log V_6(5) - log V_6(0) - int Tr| = {resid:.2e} <= 1e-3 on the forced run")
+    report(10, resid <= IDENTITY_RESIDUAL_BOUND,
+           f"|log V_6(5) - log V_6(0) - int Tr| = {resid:.2e} <= {IDENTITY_RESIDUAL_BOUND:g} "
+           f"on the forced run")
 
 
 def test_criterion_11_dimension_consistency(dimension_run, consts):

@@ -1,5 +1,7 @@
 """Command-line surface: presets, exit taxonomy, manifests, determinism."""
 
+import contextlib
+import io
 import os
 import pkgutil
 import platform
@@ -15,10 +17,12 @@ from hypothesis import given, settings, strategies as st
 import critsqg
 
 from critsqg.cli import EXIT_BLOWUP, EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, main
-from critsqg.config import _SCHEMA, ConfigError, build_setup, parse_config_text, preset_sections
+from critsqg.config import (_SCHEMA, ConfigError, build_setup, parse_config_text, preset_sections,
+                            read_corpus)
 from critsqg.solver import build_field, build_force, random_band_field
 from critsqg.snapshots import read_snapshot, write_manifest, write_snapshot
 from critsqg.spectral import SpectralField, TorusGrid
+from critsqg.tangent import IDENTITY_RESIDUAL_BOUND, _trace_per_m
 
 from conftest import cos_x1
 
@@ -75,6 +79,28 @@ reorth_every = 2
 t_relax = 0.02
 tangent_band = 3
 """
+
+
+# keys of the deleted epsilon-regularization; a config naming one is rejected
+REMOVED_SOLVER_KEYS = {"epsilon", "mollifier_width"}
+
+
+def _defective_snapshot(path, dim, defect):
+    """A snapshot of a mean-free n = 16 field, cut short, one value too long, or holding a NaN."""
+    write_snapshot(str(path), cos_x1(TorusGrid(dim, 16)), 0.0)
+    blob = path.read_bytes()
+    if defect == "truncated":
+        blob = blob[:-80]
+    elif defect == "over_long":
+        blob += bytes(8)
+    else:
+        blob = blob[:24] + np.float64(np.nan).astype("<f8").tobytes() + blob[32:]
+    path.write_bytes(blob)
+    return str(path)
+
+
+SNAPSHOT_DEFECTS = {"truncated": "bytes, expected", "over_long": "bytes, expected",
+                    "nan": "non-finite values"}
 
 
 class TestConfigParsing:
@@ -170,8 +196,7 @@ class TestConfigParsing:
     @settings(max_examples=150, deadline=None)
     @given(
         solver=st.dictionaries(
-            st.sampled_from(["dim", "n", "kappa", "dt", "t_end", "epsilon", "cfl_budget",
-                             "snapshot_dt"]),
+            st.sampled_from(sorted(_SCHEMA["solver"] | REMOVED_SOLVER_KEYS)),
             st.sampled_from(["-1", "0", "1", "2", "3", "8", "16", "31", "32", "1e-3", "0.5",
                              "nan", "inf", "x", ""])),
         initial=st.dictionaries(
@@ -190,10 +215,13 @@ class TestConfigParsing:
         # grids stay at n <= 32 and bands at <= 3, so building every field is cheap
         sections = {"solver": {"n": "16", **solver}, "initial": initial, "force": force,
                     "tangent": tangent}
+        text = "".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                       for sec, kv in sections.items())
         try:
-            setup = build_setup(sections, seed_override)
+            setup = build_setup(parse_config_text(text), seed_override)
         except ConfigError:
             return
+        assert not REMOVED_SOLVER_KEYS & set(solver)
         grid = TorusGrid(setup.dim, setup.n)
         build_field(setup.initial, grid)
         build_force(setup.force, grid)
@@ -212,6 +240,9 @@ class TestConfigParsing:
         "[solver]\nintegrator = imex-cn\n",
         "[solver]\ndealias = two-thirds\n",
         "[solver]\nepsilon = -1\n",
+        # the epsilon-regularization is gone: naming either of its keys is an unknown key
+        "[solver]\nepsilon = 0\n",
+        "[solver]\nmollifier_width = 0\n",
         "[initial]\nkind = bogus\n",
         "[force]\nkind = single_mode\nkx = 0\n",
         "[initial]\nband = 17\n",
@@ -333,6 +364,26 @@ class TestConfigParsing:
             build_setup(parse_config_text(text.replace(str(snap), str(tmp_path / "none"))))
         setup = build_setup(parse_config_text(text.replace("n = 16", "n = 32")))
         assert build_field(setup.initial, TorusGrid(2, 32)).is_zero()
+
+    @pytest.mark.parametrize("command", ["simulate", "burgers", "dimension"])
+    @pytest.mark.parametrize("defect", sorted(SNAPSHOT_DEFECTS))
+    def test_defective_snapshot_exit_2_on_its_path_line(self, tmp_path, capsys, command, defect):
+        dim = 1 if command == "burgers" else 2
+        snap = _defective_snapshot(tmp_path / "theta.sqgf", dim, defect)
+        base = SMALL_DIMENSION if command == "dimension" else SMALL_RUN.replace("n = 32", "n = 16")
+        text = base.replace("dim = 2", f"dim = {dim}") + f"[initial]\nkind = file\npath = {snap}\n"
+        want = len(text.splitlines())
+        with pytest.raises(ConfigError, match=SNAPSHOT_DEFECTS[defect]) as exc:
+            build_setup(parse_config_text(text), command=command)
+        assert exc.value.lineno == want and snap in str(exc.value)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"line {want}: " in err[0] and snap in err[0]
+        assert not (out / "manifest.txt").exists()
+        assert not (out / "blowup_last_state.sqgf").exists()
 
 
 class TestUsageErrors:
@@ -693,6 +744,20 @@ class TestVerifyKernels:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "line 2" in err[0] and "1-dimensional" in err[0]
 
+    @pytest.mark.parametrize("defect", sorted(SNAPSHOT_DEFECTS))
+    def test_defective_file_row_exit_2_with_line(self, tmp_path, capsys, defect):
+        snap = _defective_snapshot(tmp_path / "theta.sqgf", 2, defect)
+        corpus = tmp_path / "c.csv"
+        corpus.write_text(f"seed,band,norm,n,path\n0,4,1.0,16,{snap}\n")
+        with pytest.raises(ConfigError, match=SNAPSHOT_DEFECTS[defect]) as exc:
+            read_corpus(str(corpus))
+        assert exc.value.lineno == 2 and snap in str(exc.value)
+        out = tmp_path / "o"
+        assert main(["verify-kernels", str(corpus), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "line 2" in err[0] and snap in err[0]
+        assert not (out / "manifest.txt").exists()
+
     def test_non_mean_zero_file_field_exit_2(self, tmp_path, capsys):
         g = TorusGrid(2, 32)
         vals = np.ones(g.shape) + 0.1 * np.cos(np.arange(32))[:, None]
@@ -748,6 +813,23 @@ class TestDimensionCommand:
         assert f"line {want}: n_tangent = 5 exceeds the 4 independent modes" in err
         assert not (out / "manifest.txt").exists()
 
+    def test_identity_residual_above_bound_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a trace off by 1 per unit time leaves the log-volumes 0.05 behind its integral
+        monkeypatch.setattr("critsqg.tangent._trace_per_m", lambda *args: _trace_per_m(*args) + 1.0)
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text(SMALL_DIMENSION)
+        out = tmp_path / "o"
+        assert main(["dimension", "--config", str(cfg), "--out", str(out)]) == EXIT_FALSIFIED
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and "identity residual" in err[0]
+        assert f"exceeds {IDENTITY_RESIDUAL_BOUND:g}" in err[0]
+        # the report and stdout hold the same lines as a passing run
+        report = (out / "dimension_report.txt").read_text()
+        assert captured.out == report and "exceeds" not in report
+        resid = float(report.split("identity residual at t_end = ")[1])
+        assert resid > IDENTITY_RESIDUAL_BOUND
+
     @settings(max_examples=40, deadline=None)
     @given(tangent=st.fixed_dictionaries({}, optional={
         "n_tangent": st.integers(-2, 30),
@@ -767,9 +849,18 @@ class TestDimensionCommand:
             with open(cfg, "w", encoding="utf-8") as fh:
                 fh.write(text)
             out = os.path.join(tmp, "o")
-            # an uncaught exception (a traceback, exit 1) fails the example
-            assert main(["dimension", "--config", cfg, "--out", out]) == want
+            err = io.StringIO()
+            # an uncaught exception (a traceback) fails the example
+            with contextlib.redirect_stderr(err):
+                rc = main(["dimension", "--config", cfg, "--out", out])
             assert os.path.exists(os.path.join(out, "manifest.txt")) == (want == EXIT_OK)
+            if want == EXIT_OK and rc == EXIT_FALSIFIED:
+                # the run is unforced, so the identity gate is the one verdict that can fail:
+                # with tangents near n/2 the residual's time-step error exceeds the bound
+                # (9 tangents in band 8: 1.1e-3 at dt = 1e-2, 1.8e-4 at dt = 2.5e-3)
+                assert err.getvalue().count("\n") == 1 and "identity residual" in err.getvalue()
+            else:
+                assert rc == want
 
     def test_unforced_reports_empirical_one(self, tmp_path, capsys):
         cfg = tmp_path / "d.cfg"
@@ -894,6 +985,13 @@ class TestSnapshotFormat:
         blob = p.read_bytes()
         assert blob[:4] == b"SQGF"
         assert len(blob) == 4 + 4 + 4 + 4 + 8 + 16 * 8
+
+    @pytest.mark.parametrize("defect", sorted(SNAPSHOT_DEFECTS))
+    def test_defective_body_rejected_naming_path(self, tmp_path, defect):
+        snap = _defective_snapshot(tmp_path / "f.sqgf", 2, defect)
+        with pytest.raises(ValueError, match=SNAPSHOT_DEFECTS[defect]) as exc:
+            read_snapshot(snap)
+        assert str(exc.value).startswith(f"{snap}: ")
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.sqgf"

@@ -7,6 +7,10 @@ import struct
 import numpy as np
 import pytest
 
+from critsqg.config import parse_config_file
+from critsqg.snapshots import read_snapshot
+from critsqg.spectral import TorusGrid
+
 _PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "same_bytes.py")
 _spec = importlib.util.spec_from_file_location("same_bytes", _PATH)
 same_bytes = importlib.util.module_from_spec(_spec)
@@ -129,9 +133,15 @@ class TestSrcLines:
 
 
 class TestCommands:
-    def test_both_kernel_corpora_among_thirteen_commands(self, tmp_path):
+    def test_both_kernel_corpora_and_a_snapshot_run_among_fourteen_commands(self, tmp_path):
         cmds = same_bytes._commands(str(tmp_path))
-        assert len(cmds) == 13
+        assert len(cmds) == 14
+        cfg = str(tmp_path / "snapshot_run.cfg")
+        assert cmds["snapshot-file"] == ["simulate", "--config", cfg]
+        sections = parse_config_file(cfg)
+        assert sections["initial"] == {"kind": "file", "path": str(tmp_path / "theta0.sqgf")}
+        theta, t = read_snapshot(sections["initial"]["path"])
+        assert t == 0.0 and theta.grid == TorusGrid(2, 32) and theta.band() == 3
         assert cmds["kernels-shipped"] == ["verify-kernels"]
         assert cmds["kernels-corpus4"] == ["verify-kernels", str(tmp_path / "corpus_4.csv")]
         assert (tmp_path / "corpus_4.csv").is_file()

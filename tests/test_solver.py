@@ -18,7 +18,6 @@ from critsqg.solver import (
     burgers_nonlinear_term,
     energy_balance_residual,
     integrate,
-    mollify_force,
     nonlinear_term,
     random_band_field,
     run,
@@ -203,21 +202,6 @@ class TestRun:
         assert e2 < e1 / 3.0
         assert e3 < e2 / 3.0
 
-    def test_epsilon_family_converges_monotonically(self, grid32):
-        th0 = random_band_field(grid32, 5, 1.0, 7)
-        f = Force.wrap(random_band_field(grid32, 3, 0.2, 8))
-        base_cfg = SolverConfig(kappa=1.0, dt=1e-3, t_end=1.0, snapshot_dt=0.5)
-        reference = run(th0, base_cfg, f).fields[-1]
-        errs = []
-        for eps in (1e-2, 1e-3, 1e-4):
-            cfg = SolverConfig(kappa=1.0, dt=1e-3, t_end=1.0, snapshot_dt=0.5,
-                               epsilon=eps, mollifier_width=eps)
-            fld = run(th0, cfg, f).fields[-1]
-            d = fld - reference
-            errs.append(np.sqrt(inner_l2(d, d)))
-        assert errs[0] > errs[1] > errs[2]
-        assert errs[2] < 1e-3
-
     def test_cfl_controller_engages(self):
         g = TorusGrid(2, 32)
         th0 = random_band_field(g, 6, 5.0, 2)
@@ -332,11 +316,10 @@ def ref_nonlinear(grid, coeffs):
 
 
 def ref_advance(stepper, f, coeffs, dt):
-    grid, cfg = stepper.grid, stepper.config
-    force = mollify_force(f, cfg.mollifier_width).coeffs
+    grid = stepper.grid
 
     def rhs(c):
-        return ref_nonlinear(grid, c) + force
+        return ref_nonlinear(grid, c) + f.coeffs
 
     g1 = rhs(coeffs)
     a, b = stepper._coefficients(dt)
@@ -348,11 +331,9 @@ class TestStepOracle:
     # each id names the one step it checks: two-thirds dealiasing, IMEX Crank-Nicolson
     @pytest.mark.parametrize("dim, n", [pytest.param(d, n, id=f"two-thirds-imex-cn-{d}-{n}")
                                         for d, n in [(2, 32), (2, 48), (1, 64)]])
-    @pytest.mark.parametrize("epsilon", [0.0, 1e-2])
-    def test_advance_matches_per_field_step(self, dim, n, epsilon):
+    def test_advance_matches_per_field_step(self, dim, n):
         grid = TorusGrid(dim, n)
-        cfg = SolverConfig(kappa=0.7, dt=5e-3, t_end=1.0, epsilon=epsilon,
-                           mollifier_width=epsilon * 20)
+        cfg = SolverConfig(kappa=0.7, dt=5e-3, t_end=1.0)
         f = random_band_field(grid, 3, 0.3, 4)
         stepper = _Stepper(grid, cfg, f)
         theta = random_band_field(grid, 5, 1.0, 8)
@@ -361,8 +342,6 @@ class TestStepOracle:
             theta = stepper.advance(theta, dt)
             assert np.array_equal(theta.coeffs, want)
         assert not theta.is_zero()
-        if epsilon:
-            assert not np.array_equal(stepper.force.coeffs, f.coeffs)
 
 
 class TestPackedTransforms:
@@ -453,24 +432,6 @@ class TestCflFloor:
         assert "non-finite velocity" in capsys.readouterr().err
         _field, t = read_snapshot(str(out / "blowup_last_state.sqgf"))
         assert t == 0.0
-
-
-class TestMollifier:
-    def test_identity_at_zero_width(self, grid64):
-        f = random_band_field(grid64, 8, 1.0, 1)
-        assert np.abs(mollify_force(f, 0.0).coeffs - f.coeffs).max() == 0.0
-
-    def test_single_mode_factor(self, grid64):
-        f = cos_x1(grid64)
-        out = mollify_force(f, 1.0)
-        assert np.abs(out.values() - np.exp(-0.5) * f.values()).max() < 1e-13
-
-    def test_linf_contraction_and_mean(self, grid64):
-        for seed in range(3):
-            f = random_band_field(grid64, 10, 1.0, seed)
-            out = mollify_force(f, 0.5)
-            assert lp_norm(out, np.inf) <= lp_norm(f, np.inf) + 1e-12
-            assert out.coeffs[0, 0] == 0.0
 
 
 class TestBurgers:

@@ -444,8 +444,7 @@ def _mirror(grid, c):
 
 
 def _operators(grid):
-    from critsqg.solver import (SolverConfig, burgers_nonlinear_term, mollify_force,
-                                nonlinear_term, step)
+    from critsqg.solver import SolverConfig, burgers_nonlinear_term, nonlinear_term, step
     from critsqg.spectral import _product_coeffs
 
     ops = {
@@ -454,7 +453,6 @@ def _operators(grid):
         "shift": lambda f, r: shift(f, (7.0 * r - 3.0,) * grid.dim),
         "resample": lambda f, r: resample(f, 2 * grid.n),
         "combination": lambda f, r: (r * f - 2.0 * f) + f,
-        "mollify": lambda f, r: mollify_force(f, r),
         "product": lambda f, r: SpectralField._trusted(grid, _product_coeffs(grid, f.values() ** 3)),
         "step": lambda f, r: step(f, SolverConfig(kappa=1.0, dt=1e-3 + r * 1e-2, t_end=1.0),
                                   2.0 * f),
@@ -472,7 +470,7 @@ class TestInvariantProperty:
     @given(dim=st.sampled_from([1, 2]), n=st.sampled_from([8, 16, 32]),
            seed=st.integers(0, 2**32 - 1), r=st.floats(0.0, 1.0),
            op=st.sampled_from(["fractional_laplacian", "gradient", "shift",
-                               "resample", "combination", "mollify", "product", "step",
+                               "resample", "combination", "product", "step",
                                "riesz_perp", "nonlinear_term", "burgers_nonlinear_term"]),
            via_values=st.booleans())
     def test_operators_keep_fields_representable(self, dim, n, seed, r, op, via_values):

@@ -5,12 +5,14 @@
 Run from anywhere inside a git checkout.  The parent tree is the commit REV
 (default ``HEAD``), unpacked with ``git archive`` into a temporary directory;
 the other tree is the checkout as it stands, uncommitted edits included.
-Both run the same 13 commands, each in a fresh process with ``PYTHONPATH``
+Both run the same 14 commands, each in a fresh process with ``PYTHONPATH``
 set to the tree's ``src/``, two at a time (one per tree):
 
 * ``simulate`` of the presets ``exact-decay``, ``steady-state`` and
   ``holder-corpus`` (default seed and ``--seed-override`` 0, 1 and 5);
 * ``burgers --preset burgers-basic``;
+* ``simulate`` of a forced n = 32 config whose ``[initial]`` is ``kind = file``:
+  a snapshot that this script writes from a fixed mean-free array;
 * ``dimension --preset dimension-sweep``, in full and with ``--n-max 3``;
 * the benchmark's ``tangent_sweep`` config with ``--seed-override`` 3 and 11;
 * ``verify-kernels`` on the benchmark's kernel corpus of seed 4;
@@ -18,8 +20,9 @@ set to the tree's ``src/``, two at a time (one per tree):
   suite and the calibration of c2 read.
 
 The inputs of the benchmark's three come from this checkout's ``bench/run.py``,
-so both trees see the same files.  Each command's standard output is saved as
-``stdout.txt`` beside its outputs.  Every CSV, ``.sqgf``,
+and the snapshot and its config are written once, so both trees read the
+same files.  Each command's standard output is saved as ``stdout.txt``
+beside its outputs.  Every CSV, ``.sqgf``,
 ``dimension_report.txt`` and ``stdout.txt`` is compared (manifests hold a
 creation time, so they are not).  The script prints each command's exit
 codes, one line per file that differs or exists on one side only, the
@@ -59,6 +62,7 @@ import io
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import tarfile
@@ -69,9 +73,54 @@ import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
+# a forced n = 32 run from the snapshot path filled in by _write_snapshot_run
+_SNAPSHOT_CONFIG = """[solver]
+dim = 2
+n = 32
+kappa = 1.0
+dt = 1e-2
+t_end = 1.0
+snapshot_dt = 0.1
+
+[initial]
+kind = file
+path = {path}
+
+[force]
+kind = random_band
+band = 3
+amplitude = 0.15
+seed = 11
+
+[probes]
+decay_envelope_ps = 2,inf
+holder_alpha = auto
+"""
+
+
+def _write_snapshot_run(inputs: str) -> str:
+    """Write an n = 32 snapshot and the config that starts from it; returns the config path.
+
+    The snapshot holds ``0.6 cos(x) sin(2y) + 0.3 sin(x + 3y)`` (mean-free, band 3)
+    at t = 0 in the documented format: the ``<4sIIId`` header (magic, version,
+    dim, n, time), then row-major little-endian f64 values.
+    """
+    n = 32
+    x = -np.pi + 2.0 * np.pi * np.arange(n) / n
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    values = 0.6 * np.cos(xx) * np.sin(2.0 * yy) + 0.3 * np.sin(xx + 3.0 * yy)
+    snap = os.path.join(inputs, "theta0.sqgf")
+    with open(snap, "wb") as fh:
+        fh.write(struct.pack("<4sIIId", b"SQGF", 1, 2, n, 0.0))
+        fh.write(values.astype("<f8").tobytes())
+    cfg = os.path.join(inputs, "snapshot_run.cfg")
+    with open(cfg, "w", encoding="utf-8") as fh:
+        fh.write(_SNAPSHOT_CONFIG.format(path=snap))
+    return cfg
+
 
 def _commands(inputs: str) -> dict:
-    """{name: CLI arguments without --out} of the 13 commands."""
+    """{name: CLI arguments without --out} of the 14 commands."""
     spec = importlib.util.spec_from_file_location(
         "bench_run", os.path.join(os.path.dirname(HERE), "bench", "run.py"))
     bench = importlib.util.module_from_spec(spec)
@@ -88,6 +137,7 @@ def _commands(inputs: str) -> dict:
         "steady-state": ["simulate", "--preset", "steady-state"],
         "holder-corpus": ["simulate", "--preset", "holder-corpus"],
         "burgers-basic": ["burgers", "--preset", "burgers-basic"],
+        "snapshot-file": ["simulate", "--config", _write_snapshot_run(inputs)],
         "dimension-sweep": ["dimension", "--preset", "dimension-sweep"],
         "dimension-sweep-n3": ["dimension", "--preset", "dimension-sweep", "--n-max", "3"],
         "kernels-corpus4": ["verify-kernels", corpus],
