@@ -9,8 +9,11 @@ Commands::
 
 Exit-code taxonomy: 0 pass, 1 scientific falsification (a verified inequality
 of the diagnostics failed at the calibrated constants), 2 usage/config error,
-3 numerical blowup or tangent-frame collapse.  Every command writes its
-manifest before any long computation begins; re-running a manifest
+3 numerical blowup or tangent-frame collapse.  Every bad input, an unusable
+path included, is a ``ConfigError`` (exit 2, one stderr line); a run
+command steps the grid and fields that ``config.build_setup`` validated and
+built.  Every command writes its manifest, with the path and hash of each
+input file, before any long computation begins; re-running a manifest
 reproduces all CSV outputs byte-exactly.  A non-empty ``SQG_CONSTANTS``
 environment variable overrides the calibrated-constants file.
 """
@@ -37,8 +40,7 @@ from .diagnostics import (
 )
 from .kernels import kernel_checks
 from .snapshots import write_csv, write_manifest, write_snapshot
-from .solver import BlowupError, Trajectory, build_field, build_force, run
-from .spectral import MeanZeroError, TorusGrid
+from .solver import BlowupError, Trajectory, run
 from .tangent import (IDENTITY_RESIDUAL_BOUND, EnsembleCollapseError, dimension_verdict,
                       trace_bound_curve, volume_and_trace_run)
 
@@ -62,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bur = sub.add_parser("burgers", help="integrate the 1D critical Burgers testbed")
     common(p_bur)
     p_ker = sub.add_parser("verify-kernels", help="kernel inequality suites on a corpus")
-    p_ker.add_argument("corpus", nargs="?", default=None, help="corpus manifest CSV")
+    p_ker.add_argument("corpus", nargs="?", default=default_corpus_path(),
+                       help="corpus CSV (default: the shipped corpus)")
     p_ker.add_argument("--out", required=True)
     p_dim = sub.add_parser("dimension", help="tangent ensemble, traces, dimension bound")
     common(p_dim)
@@ -79,13 +82,17 @@ def _load_sections(args):
     return parse_config_file(args.config)
 
 
-def _start_manifest(args, sections, command: str, outputs) -> None:
-    os.makedirs(args.out, exist_ok=True)
+def _start_manifest(args, sections, outputs, inputs) -> None:
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(0, f"cannot create output directory {args.out}: {exc.strerror}") from None
     seed = args.seed_override if getattr(args, "seed_override", None) is not None else 0
     write_manifest(
         os.path.join(args.out, "manifest.txt"),
-        sections, command=command, out_dir=args.out, seed=seed,
-        constants_path=constants_path(), code_version=__version__, outputs=outputs,
+        sections, command=args.command, out_dir=args.out, seed=seed,
+        inputs={"constants": constants_path(), **inputs}, code_version=__version__,
+        outputs=outputs,
     )
 
 
@@ -98,9 +105,9 @@ def _norm_rows(traj: Trajectory):
     return header, rows
 
 
-def _run_with_probes(args, sections, command: str) -> int:
-    setup = build_setup(sections, args.seed_override, command)
-    grid = TorusGrid(setup.dim, setup.n)
+def _run_with_probes(args) -> int:
+    """``simulate`` or ``burgers``: one run and the probes its config names."""
+    setup = build_setup(_load_sections(args), args.seed_override, args.command)
     consts = load_constants()
     envelope_csv = {p: f"envelope_p{'inf' if p == np.inf else int(p)}.csv"
                     for p in setup.decay_envelope_ps}
@@ -109,11 +116,9 @@ def _run_with_probes(args, sections, command: str) -> int:
         outputs.append("holder.csv")
     if setup.absorption:
         outputs += ["absorption.csv", "absorption_windows.csv"]
-    _start_manifest(args, setup.sections, command, outputs)
+    _start_manifest(args, setup.sections, outputs, {})
 
-    theta0 = build_field(setup.initial, grid)
-    force = build_force(setup.force, grid)
-    traj = run(theta0, setup.solver, force, report_ps=setup.decay_envelope_ps)
+    traj = run(setup.initial, setup.solver, setup.force, report_ps=setup.decay_envelope_ps)
 
     header, rows = _norm_rows(traj)
     write_csv(os.path.join(args.out, "norms.csv"), header, rows)
@@ -128,8 +133,8 @@ def _run_with_probes(args, sections, command: str) -> int:
                   rep.rows)
 
     if setup.holder_alpha:
-        alpha0, _m_inf = holder_budget(traj.reports[0].lp[np.inf], force.linf, setup.solver.kappa,
-                                       consts)
+        alpha0, _m_inf = holder_budget(traj.reports[0].lp[np.inf], setup.force.linf,
+                                       setup.solver.kappa, consts)
         alpha = alpha0 if setup.holder_alpha == "auto" else float(setup.holder_alpha)
         track = track_holder(traj, alpha, consts)
         write_csv(
@@ -159,15 +164,8 @@ def _run_with_probes(args, sections, command: str) -> int:
 
 def _cmd_verify_kernels(args) -> int:
     consts = load_constants()
-    try:
-        fields = read_corpus(default_corpus_path() if args.corpus is None else args.corpus)
-    except MeanZeroError as exc:
-        print(f"critsqg: precondition: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError) as exc:
-        print(f"critsqg: cannot read corpus: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _start_manifest(args, {"solver": {"dim": "2"}}, "verify-kernels", ["kernel_report.csv"])
+    fields = read_corpus(args.corpus)
+    _start_manifest(args, {}, ["kernel_report.csv"], {"corpus": args.corpus})
     if not fields:
         print("critsqg: warning: empty corpus, vacuous pass", file=sys.stderr)
     report = kernel_checks(fields, consts.c2)
@@ -179,16 +177,12 @@ def _cmd_verify_kernels(args) -> int:
 
 
 def _cmd_dimension(args) -> int:
-    sections = _load_sections(args)
-    setup = build_setup(sections, args.seed_override, "dimension", n_tangent=args.n_max)
+    setup = build_setup(_load_sections(args), args.seed_override, "dimension", n_tangent=args.n_max)
     n_max = setup.tangent_n  # --n-max, when given, is in the manifest's [tangent] section
     consts = load_constants()
-    _start_manifest(args, setup.sections, "dimension", ["trace_log.csv", "dimension_report.txt"])
-    grid = TorusGrid(2, setup.n)
-    theta0 = build_field(setup.initial, grid)
-    force = build_force(setup.force, grid)
+    _start_manifest(args, setup.sections, ["trace_log.csv", "dimension_report.txt"], {})
     res = volume_and_trace_run(
-        theta0, n_max, setup.solver, force, reorth_every=setup.tangent_reorth,
+        setup.initial, n_max, setup.solver, setup.force, reorth_every=setup.tangent_reorth,
         t_relax=setup.tangent_relax, seed=setup.tangent_seed, tangent_band=setup.tangent_band,
     )
 
@@ -202,8 +196,8 @@ def _cmd_dimension(args) -> int:
 
     lines = ["dimension report", "================", ""]
     passed = True
-    if not force.field.is_zero():
-        v = dimension_verdict(res.empirical_N, force, setup.solver.kappa, consts)
+    if not setup.force.field.is_zero():
+        v = dimension_verdict(res.empirical_N, setup.force, setup.solver.kappa, consts)
         bound = (setup.solver.kappa, v.m_a, consts.c10, consts.c11)
         lines.append(f"M_A (max of H^3/2, H^2 radii) = {v.m_a!r}")
         lines.append(f"N (a-priori dimension bound)  = {v.n_bound}")
@@ -231,23 +225,15 @@ def _cmd_dimension(args) -> int:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _run_with_probes(args, _load_sections(args), "simulate")
-        if args.command == "burgers":
-            return _run_with_probes(args, _load_sections(args), "burgers")
         if args.command == "verify-kernels":
             return _cmd_verify_kernels(args)
         if args.command == "dimension":
             return _cmd_dimension(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _run_with_probes(args)
     except ConfigError as exc:
         print(f"critsqg: config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (MeanZeroError, FileNotFoundError) as exc:
-        print(f"critsqg: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BlowupError as exc:
         write_snapshot(os.path.join(args.out, "blowup_last_state.sqgf"), exc.last_state, exc.t)
@@ -256,7 +242,6 @@ def main(argv: Optional[list] = None) -> int:
     except EnsembleCollapseError as exc:
         print(f"critsqg: tangent frame collapse: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -14,8 +14,9 @@ The format is sectioned plain text, trivially diffable::
 
 Parsing is line-anchored: every syntax or schema violation reports the
 offending line number.  Unknown sections other than ``[manifest]`` (which a
-rerun ignores) are rejected; duplicate keys take the last value.  The kernel
-corpus CSV is read here too, by :func:`read_corpus`, with line-anchored errors.
+rerun ignores) are rejected; duplicate keys take the last value; keys are
+checked, and fields built, by :func:`build_setup`.  The kernel corpus CSV is
+read here too, by :func:`read_corpus`; an unreadable file is a ConfigError.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ import numpy as np
 
 from .kernels import _check_product_resolution
 from .snapshots import read_snapshot
-from .solver import FieldSpec, SolverConfig, check_field_spec, random_band_field
-from .spectral import MeanZeroError, SpectralField, TorusGrid
+from .solver import FieldSpec, Force, SolverConfig, build_field, check_field_spec, random_band_field
+from .spectral import SpectralField, TorusGrid
 
 __all__ = ["ConfigError", "RunSetup", "parse_config_text", "parse_config_file",
-           "build_setup", "PRESETS", "preset_sections", "default_corpus_path", "read_corpus"]
+           "build_setup", "PRESETS", "preset_sections", "default_corpus_path", "read_corpus", "read_text"]
 
 
 class ConfigError(ValueError):
@@ -84,8 +85,6 @@ def parse_config_text(text: str) -> Dict[str, Dict[str, str]]:
         if current is None:
             raise ConfigError(lineno, "key outside of any [section]")
         key, val = (s.strip() for s in line.split("=", 1))
-        if current != "manifest" and key not in _SCHEMA[current]:
-            raise ConfigError(lineno, f"unknown key {key!r} in section [{current}]")
         value = _Value(val)
         value.lineno = lineno
         sections[current][key] = value
@@ -93,9 +92,17 @@ def parse_config_text(text: str) -> Dict[str, Dict[str, str]]:
     return sections
 
 
+def read_text(path: str) -> str:
+    """The UTF-8 text of ``path``; a file that cannot be read is a :class:`ConfigError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(0, f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def parse_config_file(path: str) -> Dict[str, Dict[str, str]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    return parse_config_text(read_text(path))
 
 
 def default_corpus_path() -> str:
@@ -114,8 +121,6 @@ def _corpus_field(row, corpus_path: str) -> SpectralField:
         # file-based corpus entries must be whole, finite and already mean-free
         try:
             field, _t = read_snapshot(row["path"])
-        except MeanZeroError as exc:
-            raise MeanZeroError(f"corpus field {row['path']}: {exc}") from exc
         except (OSError, ValueError) as exc:
             raise ConfigError(row["lineno"], f"{corpus_path}: {exc}") from None
     grid, band = (row["grid"], row["band"]) if field is None else (field.grid, field.band())
@@ -134,8 +139,8 @@ def read_corpus(path: str) -> List[Tuple[str, SpectralField]]:
     Every row is parsed before any field is built; a bad row is a ConfigError at its line.
     """
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(lineno, l.strip()) for lineno, l in enumerate(fh, start=1) if l.strip()]
+    lines = [(lineno, l.strip()) for lineno, l in enumerate(read_text(path).splitlines(), start=1)
+             if l.strip()]
     if lines and lines[0][1].lower().startswith("seed"):
         lines = lines[1:]
     for lineno, line in lines:
@@ -192,25 +197,17 @@ def _field_spec(kv: Dict[str, str], grid: TorusGrid, section: str) -> FieldSpec:
         path=kv.get("path", ""),
     )
     _check_spec(spec, kv, section, grid.dim)
-    if spec.kind == "file":
-        try:
-            snap, _t = read_snapshot(spec.path)
-            if snap.grid != grid:
-                raise ValueError(f"snapshot grid {snap.grid} does not match run grid {grid}")
-        except (OSError, ValueError) as exc:
-            raise ConfigError(_line(kv, "path"), f"[{section}] {exc}") from exc
     return spec
 
 
 @dataclass
 class RunSetup:
-    """Everything needed to launch one run, decoded from a config."""
+    """One run, decoded from a config: its grid, solver settings, built fields and probes."""
 
-    dim: int
-    n: int
+    grid: TorusGrid
     solver: SolverConfig
-    initial: FieldSpec
-    force: FieldSpec
+    initial: SpectralField
+    force: Force
     holder_alpha: Optional[str]          # None, "auto", or a float literal
     decay_envelope_ps: Tuple
     absorption: bool
@@ -277,14 +274,21 @@ def _positive(kv: Dict[str, str], key: str, default: int, limit=None) -> int:
 
 def build_setup(sections: Dict[str, Dict[str, str]], seed_override: Optional[int] = None,
                 command: Optional[str] = None, n_tangent: Optional[int] = None) -> RunSetup:
-    """Decode and validate a config; every bad value raises :class:`ConfigError`.
+    """Decode and validate a config and build its run; bad input raises :class:`ConfigError`.
 
+    Every key of parsed text, a preset or a dict is checked against the schema.
     ``seed_override`` offsets the ``[initial]`` and ``[force]`` seeds and
     ``n_tangent`` replaces ``[tangent] n_tangent``; ``RunSetup.sections``
     records the resulting values, so a manifest written from them replays the
     run without either override.  A ``command`` (a key of ``_COMMAND_DIM``)
     also requires the ``dim`` it integrates on.
     """
+    for name, kv in sections.items():
+        if name not in _SCHEMA:
+            raise ConfigError(0, f"unknown section [{name}]")
+        for key in kv:
+            if key not in _SCHEMA[name]:
+                raise ConfigError(_line(kv, key), f"unknown key {key!r} in section [{name}]")
     if seed_override is not None or n_tangent is not None:
         sections = {sec: dict(kv) for sec, kv in sections.items()}
     if seed_override is not None:
@@ -337,12 +341,21 @@ def build_setup(sections: Dict[str, Dict[str, str]], seed_override: Optional[int
     # the tangent seed fields are random_band fields of seeds tangent_seed + 17 j
     _check_spec(FieldSpec("random_band", band=tangent_band, seed=tangent_seed), tangent,
                 "tangent", dim)
+    # both recipes are checked before either field is built
+    recipes = {name: sections.get(name, {}) for name in ("initial", "force")}
+    specs = {name: _field_spec(kv, grid, name) for name, kv in recipes.items()}
+    fields = {}
+    for name, kv in recipes.items():
+        try:
+            fields[name] = build_field(specs[name], grid)
+        except (OSError, ValueError) as exc:
+            # only a kind = file snapshot fails here: unreadable, defective or on another grid
+            raise ConfigError(_line(kv, "path"), f"[{name}] {exc}") from exc
     return RunSetup(
-        dim=dim,
-        n=n,
+        grid=grid,
         solver=solver,
-        initial=_field_spec(sections.get("initial", {}), grid, "initial"),
-        force=_field_spec(sections.get("force", {}), grid, "force"),
+        initial=fields["initial"],
+        force=Force.wrap(fields["force"]),
         holder_alpha=holder_alpha,
         decay_envelope_ps=ps,
         absorption=_switch(probes, "absorption"),

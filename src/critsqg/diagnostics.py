@@ -50,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, read_text
 from .spectral import holder_seminorm, lp_norm, sobolev_norm
 from .solver import Trajectory
 
@@ -110,21 +110,20 @@ def constants_path(path: Optional[str] = None) -> str:
 def load_constants(path: Optional[str] = None) -> UniversalConstants:
     """Load the calibrated constants file (key=value, '#' comments).
 
-    The file is resolved by :func:`constants_path`.  A malformed line, a
-    non-numeric value or a missing key raises :class:`ConfigError` (a
-    ``ValueError``) naming the file and, where there is one, the line.
+    The file is resolved by :func:`constants_path`.  An unreadable file, a
+    malformed line, a non-numeric value or a missing key raises ConfigError
+    (a ``ValueError``) naming the file and, where there is one, the line.
     """
     path = constants_path(path)
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(lineno, f"constants file {path}: malformed line {line!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            values[key] = (val, lineno)
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(lineno, f"constants file {path}: malformed line {line!r}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        values[key] = (val, lineno)
     kwargs = {}
     for f in dc_fields(UniversalConstants):
         if f.name not in values:

@@ -7,10 +7,10 @@ CSV files are written with shortest-roundtrip float formatting (``repr``),
 so re-running the same experiment in serial mode reproduces them byte for
 byte.  A manifest is itself a valid flat key=value config file: it embeds the
 full config snapshot (seeds already offset by any ``--seed-override``) next to
-a ``[manifest]`` section with the constants-file hash, code version, the
-python, numpy and BLAS versions (CSV bytes depend on the numpy FFT build, and
-the kernel report on the BLAS library and its thread count), the seed
-override, output paths, and wall-clock metadata (the latter is the only
+a ``[manifest]`` section with the path and hash of each input file, code
+version, the python, numpy and BLAS versions (CSV bytes depend on the numpy
+FFT build, and the kernel report on the BLAS library and its thread count),
+the seed override, output paths, and wall-clock metadata (the latter is the only
 non-reproducible content, and no CSV depends on it).
 """
 
@@ -21,7 +21,7 @@ import os
 import struct
 import sys
 import time
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
@@ -111,7 +111,7 @@ def write_manifest(
     command: str,
     out_dir: str,
     seed: int,
-    constants_path: Optional[str],
+    inputs: Dict[str, str],
     code_version: str,
     outputs: Sequence[str] = (),
 ) -> None:
@@ -122,6 +122,8 @@ def write_manifest(
     output byte-exactly, with one more condition for ``kernel_report.csv``:
     the same BLAS thread count (``OPENBLAS_NUM_THREADS``), because a
     threaded gemm sums the translation symbol in a different order.
+    Each of ``inputs``, the files the run reads besides its config, is
+    recorded as ``name = path`` and ``name_sha256 = <hash>``.
     """
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     lines = ["[manifest]"]
@@ -134,9 +136,9 @@ def write_manifest(
     lines.append(f"command = {command}")
     lines.append(f"out_dir = {out_dir}")
     lines.append(f"seed = {seed}")
-    if constants_path:
-        lines.append(f"constants_path = {constants_path}")
-        lines.append(f"constants_sha256 = {sha256_of_file(constants_path)}")
+    for name, input_path in inputs.items():
+        lines.append(f"{name} = {input_path}")
+        lines.append(f"{name}_sha256 = {sha256_of_file(input_path)}")
     lines.append(f"created_unix = {time.time()!r}")
     for name in outputs:
         lines.append(f"output = {name}")

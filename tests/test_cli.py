@@ -17,10 +17,10 @@ from hypothesis import given, settings, strategies as st
 import critsqg
 
 from critsqg.cli import EXIT_BLOWUP, EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, main
-from critsqg.config import (_SCHEMA, ConfigError, build_setup, parse_config_text, preset_sections,
-                            read_corpus)
-from critsqg.solver import build_field, build_force, random_band_field
-from critsqg.snapshots import read_snapshot, write_manifest, write_snapshot
+from critsqg.config import (_SCHEMA, PRESETS, ConfigError, build_setup, default_corpus_path,
+                            parse_config_text, preset_sections, read_corpus)
+from critsqg.solver import FieldSpec, Force, build_field, random_band_field
+from critsqg.snapshots import read_snapshot, sha256_of_file, write_manifest, write_snapshot
 from critsqg.spectral import SpectralField, TorusGrid
 from critsqg.tangent import IDENTITY_RESIDUAL_BOUND, _trace_per_m
 
@@ -118,12 +118,36 @@ class TestConfigParsing:
     def test_unknown_key_line_number(self):
         bad = "[solver]\nnozzle = 7\n"
         with pytest.raises(ConfigError) as exc:
-            parse_config_text(bad)
+            build_setup(parse_config_text(bad))
         assert exc.value.lineno == 2
 
     def test_unknown_section(self):
         with pytest.raises(ConfigError):
             parse_config_text("[warp]\nspeed = 9\n")
+
+    @pytest.mark.parametrize("sections, message", [
+        ({"solver": {"epsilon": "0.1", "n": "16"}}, "unknown key 'epsilon' in section [solver]"),
+        ({"solver": {"n": "16"}, "bogus": {"x": "1"}}, "unknown section [bogus]"),
+    ], ids=["unknown_key", "unknown_section"])
+    def test_dict_schema_checked_at_line_0(self, sections, message):
+        # a preset or any caller that builds the dict gets the same schema check as parsed text
+        with pytest.raises(ConfigError) as exc:
+            build_setup(sections)
+        assert exc.value.lineno == 0 and message in str(exc.value)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_setup_holds_the_fields_its_recipes_build(self, name):
+        # each [initial]/[force] recipe decoded by hand, with build_setup's defaults
+        setup = build_setup(preset_sections(name))
+        for section, built in (("initial", setup.initial), ("force", setup.force.field)):
+            kv = PRESETS[name].get(section, {})
+            spec = FieldSpec(kind=kv.get("kind", "zero"),
+                             k=(int(kv.get("kx", 1)), int(kv.get("ky", 0))),
+                             amplitude=float(kv.get("amplitude", 1.0)),
+                             band=int(kv.get("band", 4)), seed=int(kv.get("seed", 0)))
+            assert np.array_equal(built.coeffs, build_field(spec, setup.grid).coeffs), section
+        assert setup.force == Force.wrap(setup.force.field)
+        assert setup.grid.n == int(PRESETS[name]["solver"]["n"])
 
     def test_manifest_section_ignored(self):
         text = "[manifest]\ncreated_unix = 1.5\n" + SMALL_RUN
@@ -132,7 +156,7 @@ class TestConfigParsing:
 
     def test_manifest_records_versions_and_replays_as_config(self, tmp_path):
         sections = parse_config_text(SMALL_RUN)
-        write_manifest(str(tmp_path / "m"), sections, "simulate", "o", 0, None, "v")
+        write_manifest(str(tmp_path / "m"), sections, "simulate", "o", 0, {}, "v")
         text = (tmp_path / "m").read_text()
         lines = text.splitlines()
         assert f"python_version = {platform.python_version()}" in lines
@@ -210,22 +234,22 @@ class TestConfigParsing:
             st.sampled_from(["n_tangent", "reorth_every", "t_relax", "seed", "tangent_band"]),
             st.sampled_from(["-1", "0", "1", "10", "0.5", "inf", "z"])),
         seed_override=st.one_of(st.none(), st.integers(-5, 5)),
+        as_text=st.booleans(),
     )
-    def test_build_setup_rejects_or_builds(self, solver, initial, force, tangent, seed_override):
+    def test_build_setup_rejects_or_builds(self, solver, initial, force, tangent, seed_override,
+                                           as_text):
         # grids stay at n <= 32 and bands at <= 3, so building every field is cheap
         sections = {"solver": {"n": "16", **solver}, "initial": initial, "force": force,
                     "tangent": tangent}
         text = "".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
                        for sec, kv in sections.items())
         try:
-            setup = build_setup(parse_config_text(text), seed_override)
+            setup = build_setup(parse_config_text(text) if as_text else sections, seed_override)
         except ConfigError:
             return
+        # an unknown key is rejected by either route
         assert not REMOVED_SOLVER_KEYS & set(solver)
-        grid = TorusGrid(setup.dim, setup.n)
-        build_field(setup.initial, grid)
-        build_force(setup.force, grid)
-
+        assert setup.initial.grid == setup.force.field.grid == setup.grid
 
     @pytest.mark.parametrize("extra", [
         "[solver]\ndt = abc\n",
@@ -298,7 +322,7 @@ class TestConfigParsing:
                              for sec, kv in parse_config_text(SMALL_RUN).items()},
                             seed_override=3).sections
         for name, sections in (("a", parsed), ("b", plain)):
-            write_manifest(str(tmp_path / name), sections, "simulate", "o", 3, None, "v")
+            write_manifest(str(tmp_path / name), sections, "simulate", "o", 3, {}, "v")
         a = (tmp_path / "a").read_text().splitlines()
         b = (tmp_path / "b").read_text().splitlines()
         assert [l for l in a if "created_unix" not in l] == [l for l in b if "created_unix" not in l]
@@ -327,8 +351,7 @@ class TestConfigParsing:
         def no_build(*_args, **_kwargs):
             raise AssertionError("a field was built")
 
-        monkeypatch.setattr("critsqg.cli.build_field", no_build)
-        monkeypatch.setattr("critsqg.cli.build_force", no_build)
+        monkeypatch.setattr("critsqg.config.build_field", no_build)
         # SMALL_RUN's [initial] and [force] are random_band fields
         for section, key in (("initial", "band"), ("force", "band"), ("tangent", "tangent_band")):
             text = SMALL_RUN.replace("n = 32", "n = 16") + f"[{section}]\n{key} = 40\n"
@@ -341,8 +364,10 @@ class TestConfigParsing:
             assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
             assert not (out / "manifest.txt").exists()
         # n/2 itself is accepted
+        monkeypatch.undo()
         edge = SMALL_RUN.replace("n = 32", "n = 16") + "[initial]\nband = 8\n"
-        assert build_setup(parse_config_text(edge)).initial.band == 8
+        assert np.array_equal(build_setup(parse_config_text(edge)).initial.coeffs,
+                              random_band_field(TorusGrid(2, 16), 8, 0.8, 21).coeffs)
 
     def test_snapshot_on_another_grid_exit_2_before_manifest(self, tmp_path, capsys):
         snap = tmp_path / "theta.sqgf"
@@ -362,8 +387,24 @@ class TestConfigParsing:
         # a missing file is a config error too; the matching grid still builds
         with pytest.raises(ConfigError, match="No such file"):
             build_setup(parse_config_text(text.replace(str(snap), str(tmp_path / "none"))))
-        setup = build_setup(parse_config_text(text.replace("n = 16", "n = 32")))
-        assert build_field(setup.initial, TorusGrid(2, 32)).is_zero()
+        assert build_setup(parse_config_text(text.replace("n = 16", "n = 32"))).initial.is_zero()
+
+    def test_snapshot_read_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(path):
+            calls.append(path)
+            return read_snapshot(path)
+
+        for module in ("critsqg.snapshots", "critsqg.solver", "critsqg.config"):
+            monkeypatch.setattr(f"{module}.read_snapshot", counted)
+        snap = tmp_path / "theta.sqgf"
+        write_snapshot(str(snap), cos_x1(TorusGrid(2, 32)), 0.0)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_RUN.replace("t_end = 0.4", "t_end = 0.1")
+                       + f"[initial]\nkind = file\npath = {snap}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert calls == [str(snap)]
 
     @pytest.mark.parametrize("command", ["simulate", "burgers", "dimension"])
     @pytest.mark.parametrize("defect", sorted(SNAPSHOT_DEFECTS))
@@ -386,7 +427,44 @@ class TestConfigParsing:
         assert not (out / "blowup_last_state.sqgf").exists()
 
 
+# how each unusable path reaches the CLI: (path kind, argv or environment it is put in)
+UNUSABLE_PATHS = {
+    "config_directory": ("directory", "--config"),
+    "config_not_utf8": ("not_utf8", "--config"),
+    "constants_directory": ("directory", "SQG_CONSTANTS"),
+    "out_existing_file": ("file", "--out"),
+    "corpus_directory": ("directory", "corpus"),
+    "corpus_not_utf8": ("not_utf8", "corpus"),
+}
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize("case", sorted(UNUSABLE_PATHS))
+    def test_unusable_path_exit_2_with_one_line(self, tmp_path, capsys, monkeypatch, case):
+        kind, where = UNUSABLE_PATHS[case]
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        elif kind == "not_utf8":
+            bad.write_bytes(b"[solver]\nn = 16\n# \xff\n")
+        else:
+            bad.write_text("")
+        out = tmp_path / "o"
+        argv = ["simulate", "--preset", "exact-decay", "--out", str(out)]
+        if where == "--config":
+            argv[1:3] = ["--config", str(bad)]
+        elif where == "SQG_CONSTANTS":
+            monkeypatch.setenv("SQG_CONSTANTS", str(bad))
+        elif where == "--out":
+            argv[-1] = str(bad)
+        else:
+            argv = ["verify-kernels", str(bad), "--out", str(out)]
+        # an uncaught exception would escape main and fail the test
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("critsqg: config error: ") and str(bad) in err[0]
+        assert not (out / "manifest.txt").exists()
+
     def test_unknown_preset_exit_2(self, tmp_path, capsys):
         rc = main(["simulate", "--preset", "no-such-preset", "--out", str(tmp_path / "o")])
         assert rc == EXIT_USAGE
@@ -646,6 +724,24 @@ class TestBurgersCommand:
 
 
 class TestVerifyKernels:
+    @pytest.mark.parametrize("shipped", [False, True], ids=["given", "shipped"])
+    def test_manifest_records_corpus_and_its_hash(self, tmp_path, monkeypatch, shipped):
+        corpus = tmp_path / "c.csv"
+        corpus.write_text("seed,band,norm,n\n")
+        if shipped:
+            # only the manifest is under test: the shipped corpus is not checked
+            monkeypatch.setattr("critsqg.cli.read_corpus", lambda _path: [])
+            corpus, argv = default_corpus_path(), []
+        else:
+            argv = [str(corpus)]
+        out = tmp_path / "o"
+        assert main(["verify-kernels", *argv, "--out", str(out)]) == EXIT_OK
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert f"corpus = {corpus}" in lines
+        assert f"corpus_sha256 = {sha256_of_file(str(corpus))}" in lines
+        # the manifest holds no config sections: the corpus is the whole input
+        assert [l for l in lines if l.startswith("[")] == ["[manifest]"]
+
     def test_empty_corpus_vacuous_pass(self, tmp_path, capsys):
         corpus = tmp_path / "empty.csv"
         corpus.write_text("seed,band,norm,n\n")

@@ -241,15 +241,11 @@ def table_argmax(field, alpha):
 def holder_corpus_alpha0():
     from critsqg.config import build_setup, preset_sections
     from critsqg.diagnostics import holder_budget, load_constants
-    from critsqg.solver import build_field, build_force
 
     setup = build_setup(preset_sections("holder-corpus"))
-    grid = TorusGrid(setup.dim, setup.n)
-    theta0 = build_field(setup.initial, grid)
-    force = build_force(setup.force, grid)
-    alpha0, _ = holder_budget(lp_norm(theta0, np.inf), force.linf, setup.solver.kappa,
-                              load_constants())
-    return theta0, alpha0
+    alpha0, _ = holder_budget(lp_norm(setup.initial, np.inf), setup.force.linf,
+                              setup.solver.kappa, load_constants())
+    return setup.initial, alpha0
 
 
 def _spike(X, Y):
