@@ -129,7 +129,7 @@ def burgers_corpus_runs() -> List[Trajectory]:
 
 def kernel_corpus_fields() -> List[SpectralField]:
     """The shipped kernel corpus, read as ``verify-kernels`` reads it."""
-    return [field for _name, field in read_corpus(default_corpus_path())]
+    return [field for _name, field in read_corpus(default_corpus_path())[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def _run_with_probes(args) -> int:
         outputs.append("holder.csv")
     if setup.absorption:
         outputs += ["absorption.csv", "absorption_windows.csv"]
-    _start_manifest(args, setup.sections, outputs, {})
+    _start_manifest(args, setup.sections, outputs, setup.inputs)
 
     traj = run(setup.initial, setup.solver, setup.force, report_ps=setup.decay_envelope_ps)
 
@@ -135,7 +135,7 @@ def _run_with_probes(args) -> int:
     if setup.holder_alpha:
         alpha0, _m_inf = holder_budget(traj.reports[0].lp[np.inf], setup.force.linf,
                                        setup.solver.kappa, consts)
-        alpha = alpha0 if setup.holder_alpha == "auto" else float(setup.holder_alpha)
+        alpha = alpha0 if setup.holder_alpha == "auto" else setup.holder_alpha
         track = track_holder(traj, alpha, consts)
         write_csv(
             os.path.join(args.out, "holder.csv"),
@@ -164,8 +164,8 @@ def _run_with_probes(args) -> int:
 
 def _cmd_verify_kernels(args) -> int:
     consts = load_constants()
-    fields = read_corpus(args.corpus)
-    _start_manifest(args, {}, ["kernel_report.csv"], {"corpus": args.corpus})
+    fields, snapshots = read_corpus(args.corpus)
+    _start_manifest(args, {}, ["kernel_report.csv"], {"corpus": args.corpus, **snapshots})
     if not fields:
         print("critsqg: warning: empty corpus, vacuous pass", file=sys.stderr)
     report = kernel_checks(fields, consts.c2)
@@ -180,7 +180,7 @@ def _cmd_dimension(args) -> int:
     setup = build_setup(_load_sections(args), args.seed_override, "dimension", n_tangent=args.n_max)
     n_max = setup.tangent_n  # --n-max, when given, is in the manifest's [tangent] section
     consts = load_constants()
-    _start_manifest(args, setup.sections, ["trace_log.csv", "dimension_report.txt"], {})
+    _start_manifest(args, setup.sections, ["trace_log.csv", "dimension_report.txt"], setup.inputs)
     res = volume_and_trace_run(
         setup.initial, n_max, setup.solver, setup.force, reorth_every=setup.tangent_reorth,
         t_relax=setup.tangent_relax, seed=setup.tangent_seed, tangent_band=setup.tangent_band,

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .kernels import _check_product_resolution
 from .snapshots import read_snapshot
-from .solver import FieldSpec, Force, SolverConfig, build_field, check_field_spec, random_band_field
+from .solver import FieldSpec, Force, SolverConfig, build_field, random_band_field
 from .spectral import SpectralField, TorusGrid
 
 __all__ = ["ConfigError", "RunSetup", "parse_config_text", "parse_config_file",
@@ -133,10 +133,11 @@ def _corpus_field(row, corpus_path: str) -> SpectralField:
     return random_band_field(grid, band, row["norm"], row["seed"]) if field is None else field
 
 
-def read_corpus(path: str) -> List[Tuple[str, SpectralField]]:
+def read_corpus(path: str) -> Tuple[List[Tuple[str, SpectralField]], Dict[str, str]]:
     """``(name, field)`` per row ``seed,band,norm[,n[,path]]`` (n defaults to 64) of a corpus CSV.
 
     Every row is parsed before any field is built; a bad row is a ConfigError at its line.
+    Also returns the snapshot path of each file row, as ``corpus_line<lineno>``.
     """
     rows = []
     lines = [(lineno, l.strip()) for lineno, l in enumerate(read_text(path).splitlines(), start=1)
@@ -151,12 +152,15 @@ def read_corpus(path: str) -> List[Tuple[str, SpectralField]]:
                    "path": parts[4] if len(parts) > 4 else "", "lineno": lineno}
             if not 0.0 < row["norm"] < np.inf:
                 raise ValueError(f"norm must be finite and positive, got {row['norm']}")
-            check_field_spec(FieldSpec("random_band", band=row["band"], seed=row["seed"]), 2)
+            fault = _below("band", row["band"], 1) or _below("seed", row["seed"], 0)
+            if fault:
+                raise ValueError(fault)
         except (IndexError, ValueError) as exc:
             raise ConfigError(lineno, f"{path}: bad row {line!r}, expected "
                                       f"seed,band,norm[,n[,path]] ({exc})") from None
         rows.append(row)
-    return [(f"seed{row['seed']}", _corpus_field(row, path)) for row in rows]
+    return ([(f"seed{row['seed']}", _corpus_field(row, path)) for row in rows],
+            {f"corpus_line{row['lineno']}": row["path"] for row in rows if row["path"]})
 
 
 def _get(kv: Dict[str, str], key: str, cast, default, limit=None):
@@ -174,30 +178,44 @@ def _get(kv: Dict[str, str], key: str, cast, default, limit=None):
     return value
 
 
-def _check_spec(spec: FieldSpec, kv: Dict[str, str], section: str, dim: int) -> None:
-    """:func:`check_field_spec`, its ``ValueError`` a :class:`ConfigError` on the line at fault."""
-    try:
-        check_field_spec(spec, dim)
-    except ValueError as exc:
-        # an unknown kind, a zero single_mode wavevector, or the key the message starts with
-        word = str(exc).split()[0]
-        keys = {"unknown": ("kind",), "single_mode": ("kx", "ky")}.get(word, (word,))
-        raise ConfigError(max(_line(kv, k) for k in keys), f"[{section}] {exc}") from exc
+def _below(key: str, value: int, low: int) -> str:
+    """Why ``value`` of ``key`` is not an integer >= ``low`` (0 or 1), or ``""`` when it is."""
+    return "" if value >= low else f"{key} must be a {'positive' if low else 'non-negative'} integer, got {value}"
+
+
+def _at_least(kv: Dict[str, str], key: str, value: int, low: int, prefix: str = "") -> int:
+    """``value``, or a :class:`ConfigError` on ``key``'s line when it is below ``low``."""
+    if value < low:
+        raise ConfigError(_line(kv, key), prefix + _below(key, value, low))
+    return value
 
 
 def _field_spec(kv: Dict[str, str], grid: TorusGrid, section: str) -> FieldSpec:
-    """The ``[initial]``/``[force]`` recipe, checked against the run grid without building it."""
-    spec = FieldSpec(
-        kind=kv.get("kind", "zero"),
-        k=(_get(kv, "kx", int, 1), _get(kv, "ky", int, 0)),
-        amplitude=_get(kv, "amplitude", float, 1.0),
-        # a random field's normalization grid grows with its band, whatever n is
-        band=_get(kv, "band", int, 4, limit=grid.n // 2),
-        seed=_get(kv, "seed", int, 0),
-        path=kv.get("path", ""),
-    )
-    _check_spec(spec, kv, section, grid.dim)
-    return spec
+    """The ``[initial]``/``[force]`` recipe, absent keys at the :class:`FieldSpec` defaults.
+
+    Each bad value is a ConfigError on its own line.  A ``band`` above n/2 would
+    build a large normalization grid; a wavevector at or past n/2 would alias.
+    """
+    prefix = f"[{section}] "
+    kind = kv.get("kind", FieldSpec.kind)
+    if kind not in ("zero", "single_mode", "random_band", "file"):
+        raise ConfigError(_line(kv, "kind"), f"{prefix}unknown field kind {kind!r}")
+    k = (_get(kv, "kx", int, FieldSpec.k[0]), _get(kv, "ky", int, FieldSpec.k[1]))
+    amplitude = _get(kv, "amplitude", float, FieldSpec.amplitude)
+    band = _get(kv, "band", int, FieldSpec.band, limit=grid.n // 2)
+    seed = _get(kv, "seed", int, FieldSpec.seed)
+    if kind == "single_mode":
+        keys = ("kx", "ky")[:grid.dim]
+        if not any(k[:grid.dim]):
+            raise ConfigError(max(_line(kv, key) for key in keys),
+                              f"{prefix}single_mode wavevector must be nonzero")
+        for key, kc in zip(keys, k):
+            if abs(kc) >= grid.n // 2:
+                raise ConfigError(_line(kv, key), f"{prefix}|{key}| must be < n/2 = {grid.n // 2}, got {kc}")
+    if kind == "random_band":
+        _at_least(kv, "band", band, 1, prefix)
+        _at_least(kv, "seed", seed, 0, prefix)
+    return FieldSpec(kind=kind, k=k, amplitude=amplitude, band=band, seed=seed, path=kv.get("path", FieldSpec.path))
 
 
 @dataclass
@@ -208,7 +226,7 @@ class RunSetup:
     solver: SolverConfig
     initial: SpectralField
     force: Force
-    holder_alpha: Optional[str]          # None, "auto", or a float literal
+    holder_alpha: Union[None, str, float]   # None, "auto", or alpha in (0, 1]
     decay_envelope_ps: Tuple
     absorption: bool
     tangent_n: int
@@ -216,15 +234,16 @@ class RunSetup:
     tangent_relax: float
     tangent_seed: int
     tangent_band: int
-    sections: Dict[str, Dict[str, str]] = dc_field(default_factory=dict)
+    sections: Dict[str, Dict[str, str]]
+    inputs: Dict[str, str]               # the kind = file snapshot paths, by section
 
 
-def _holder_alpha(raw: Optional[str]) -> Optional[str]:
-    """``auto`` or a float literal in (0, 1]; an empty value disables the probe."""
+def _holder_alpha(raw: Optional[str]) -> Union[None, str, float]:
+    """``auto`` or a float in (0, 1]; an empty value disables the probe."""
     if not raw:
         return None
     if raw == "auto":
-        return raw
+        return "auto"
     try:
         alpha = float(raw)
     except ValueError:
@@ -232,7 +251,7 @@ def _holder_alpha(raw: Optional[str]) -> Optional[str]:
     if not 0.0 < alpha <= 1.0:
         raise ConfigError(getattr(raw, "lineno", 0),
                           f"holder_alpha must be auto or a number in (0, 1], got {raw!r}")
-    return raw
+    return alpha
 
 
 _SWITCH = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -264,14 +283,6 @@ def _envelope_p(tok: str, lineno: int):
 _COMMAND_DIM = {"simulate": 2, "burgers": 1, "dimension": 2}
 
 
-def _positive(kv: Dict[str, str], key: str, default: int, limit=None) -> int:
-    """A positive integer value, at most ``limit`` if given."""
-    value = _get(kv, key, int, default, limit)
-    if value < 1:
-        raise ConfigError(_line(kv, key), f"{key} must be a positive integer, got {value}")
-    return value
-
-
 def build_setup(sections: Dict[str, Dict[str, str]], seed_override: Optional[int] = None,
                 command: Optional[str] = None, n_tangent: Optional[int] = None) -> RunSetup:
     """Decode and validate a config and build its run; bad input raises :class:`ConfigError`.
@@ -294,7 +305,7 @@ def build_setup(sections: Dict[str, Dict[str, str]], seed_override: Optional[int
     if seed_override is not None:
         for name in ("initial", "force"):
             kv = sections.setdefault(name, {})
-            seed = _Value(_get(kv, "seed", int, 0) + seed_override)
+            seed = _Value(_get(kv, "seed", int, FieldSpec.seed) + seed_override)
             seed.lineno = _line(kv, "seed")  # an offset seed is reported on its own line
             kv["seed"] = seed
     if n_tangent is not None:
@@ -306,8 +317,8 @@ def build_setup(sections: Dict[str, Dict[str, str]], seed_override: Optional[int
         kappa=_get(sol, "kappa", float, 1.0),
         dt=_get(sol, "dt", float, 1e-3),
         t_end=_get(sol, "t_end", float, 1.0),
-        cfl_budget=_get(sol, "cfl_budget", float, 0.5),
-        snapshot_dt=_get(sol, "snapshot_dt", float, 0.1),
+        cfl_budget=_get(sol, "cfl_budget", float, SolverConfig.cfl_budget),
+        snapshot_dt=_get(sol, "snapshot_dt", float, SolverConfig.snapshot_dt),
     )
     try:
         grid = TorusGrid(dim, n)
@@ -324,9 +335,9 @@ def build_setup(sections: Dict[str, Dict[str, str]], seed_override: Optional[int
     ps = tuple(_envelope_p(tok, _line(probes, "decay_envelope_ps"))
                for tok in filter(None, (t.strip() for t in ps_raw.split(","))))
     tangent = sections.get("tangent", {})
-    tangent_reorth = _positive(tangent, "reorth_every", 10)
-    tangent_n = _positive(tangent, "n_tangent", 6)
-    tangent_band = _positive(tangent, "tangent_band", 3, limit=n // 2)
+    tangent_reorth = _at_least(tangent, "reorth_every", _get(tangent, "reorth_every", int, 10), 1)
+    tangent_n = _at_least(tangent, "n_tangent", _get(tangent, "n_tangent", int, 6), 1)
+    tangent_band = _at_least(tangent, "tangent_band", _get(tangent, "tangent_band", int, 3, limit=n // 2), 1)
     # independent real fields in the band: one per nonzero, non-Nyquist lattice point
     modes = int(np.count_nonzero((grid.kmag > 0) & (grid.kmag <= tangent_band)
                                  & ~grid.nyquist_mask))
@@ -337,10 +348,8 @@ def build_setup(sections: Dict[str, Dict[str, str]], seed_override: Optional[int
     tangent_relax = _get(tangent, "t_relax", float, 4.0)
     if tangent_relax < 0:
         raise ConfigError(_line(tangent, "t_relax"), f"t_relax must be >= 0, got {tangent_relax}")
-    tangent_seed = _get(tangent, "seed", int, 7)
     # the tangent seed fields are random_band fields of seeds tangent_seed + 17 j
-    _check_spec(FieldSpec("random_band", band=tangent_band, seed=tangent_seed), tangent,
-                "tangent", dim)
+    tangent_seed = _at_least(tangent, "seed", _get(tangent, "seed", int, 7), 0, "[tangent] ")
     # both recipes are checked before either field is built
     recipes = {name: sections.get(name, {}) for name in ("initial", "force")}
     specs = {name: _field_spec(kv, grid, name) for name, kv in recipes.items()}
@@ -365,6 +374,7 @@ def build_setup(sections: Dict[str, Dict[str, str]], seed_override: Optional[int
         tangent_seed=tangent_seed,
         tangent_band=tangent_band,
         sections=sections,
+        inputs={name: spec.path for name, spec in specs.items() if spec.kind == "file"},
     )
 
 

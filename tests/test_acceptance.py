@@ -63,7 +63,7 @@ def corpus_runs():
 @pytest.fixture(scope="session")
 def kernel_rows(consts):
     """``kernel_checks`` rows of the shipped corpus, read as ``verify-kernels`` reads it, and their time."""
-    named = read_corpus(default_corpus_path())
+    named, _snapshots = read_corpus(default_corpus_path())
     t0 = time.perf_counter()
     rows = kernel_checks(named, consts.c2)
     return rows, time.perf_counter() - t0

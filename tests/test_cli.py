@@ -12,7 +12,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import critsqg
 
@@ -200,9 +200,13 @@ class TestConfigParsing:
         # band 1 holds the 4 modes (+-1, 0) and (0, +-1)
         ("[tangent]\ntangent_band = 1\nn_tangent = 6\n",
          "n_tangent = 6 exceeds the 4 independent modes"),
+        # on n = 64, kx = 32 is the Nyquist mode, which no field holds, and kx = 40 and 64
+        # alias onto k = 24 and k = 0
+        *((f"[solver]\nn = 64\n[initial]\nkind = single_mode\nkx = {kx}\n",
+           f"[initial] |kx| must be < n/2 = 32, got {kx}") for kx in (32, 40, 64)),
     ], ids=["odd_n", "unknown_kind", "zero_wavevector", "zero_reorth", "bad_dt", "inf_t_end",
             "zero_cfl_budget", "zero_n_tangent", "zero_tangent_band", "negative_t_relax",
-            "n_tangent_above_band_modes"])
+            "n_tangent_above_band_modes", "kx32_on_n64", "kx40_on_n64", "kx64_on_n64"])
     def test_bad_run_config_exit_2_before_manifest(self, tmp_path, capsys, extra, message):
         # later sections override the same keys of SMALL_RUN; no case steps a field
         text = SMALL_RUN + extra
@@ -286,6 +290,9 @@ class TestConfigParsing:
         "[initial]\nseed = -1\n",
         "[force]\nseed = -1\n",
         "[tangent]\nseed = -1\n",
+        # a single_mode wavevector has |kx|, |ky| < n/2 (16 on SMALL_RUN's n = 32)
+        "[initial]\nkind = single_mode\nkx = -16\n",
+        "[force]\nkind = single_mode\nky = 40\n",
     ])
     def test_value_error_reports_its_line(self, tmp_path, capsys, extra):
         # the bad value is on the last line of the file
@@ -369,6 +376,30 @@ class TestConfigParsing:
         assert np.array_equal(build_setup(parse_config_text(edge)).initial.coeffs,
                               random_band_field(TorusGrid(2, 16), 8, 0.8, 21).coeffs)
 
+    @settings(max_examples=80, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), nk=st.sampled_from([16, 64]).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(-n, n), st.integers(-n, n))))
+    @example(dim=2, nk=(64, 31, 0))
+    @example(dim=2, nk=(64, 40, 0))
+    def test_single_mode_holds_its_modes_or_names_its_line(self, dim, nk):
+        n, kx, ky = nk
+        text = (f"[solver]\ndim = {dim}\nn = {n}\n\n"
+                f"[initial]\nkind = single_mode\namplitude = 0.75\nkx = {kx}\nky = {ky}\n")
+        k = (kx, ky)[:dim]  # a 1D run ignores ky
+        valid = any(k) and max(map(abs, k)) < n // 2
+        try:
+            setup = build_setup(parse_config_text(text))
+        except ConfigError as exc:
+            assert not valid
+            assert exc.lineno in (text.splitlines().index(f"kx = {kx}") + 1,
+                                  text.splitlines().index(f"ky = {ky}") + 1)
+            return
+        assert valid
+        # amplitude/2 at +-k, times (-1)^(kx + ky) because the grid starts at x = -pi
+        want = np.zeros(setup.grid.shape, dtype=np.complex128)
+        want[tuple(kc % n for kc in k)] = want[tuple(-kc % n for kc in k)] = 0.375 * (-1) ** sum(k)
+        assert np.abs(setup.initial.coeffs - want).max() < 1e-13  # roundoff of cos(k . x)
+
     def test_snapshot_on_another_grid_exit_2_before_manifest(self, tmp_path, capsys):
         snap = tmp_path / "theta.sqgf"
         write_snapshot(str(snap), SpectralField.zeros(TorusGrid(2, 32)), 0.0)
@@ -405,6 +436,24 @@ class TestConfigParsing:
                        + f"[initial]\nkind = file\npath = {snap}\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
         assert calls == [str(snap)]
+
+    def test_manifest_pins_the_snapshot_it_reads(self, tmp_path):
+        snap = tmp_path / "theta.sqgf"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_RUN.replace("t_end = 0.4", "t_end = 0.1")
+                       + f"[initial]\nkind = file\npath = {snap}\n")
+        hashes = []
+        for amplitude in (0.5, 0.7):
+            # rewriting the snapshot changes the hash its manifest records
+            write_snapshot(str(snap), cos_x1(TorusGrid(2, 32), amplitude=amplitude), 0.0)
+            out = tmp_path / str(amplitude)
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            lines = (out / "manifest.txt").read_text().splitlines()
+            hashes.append(sha256_of_file(str(snap)))
+            assert f"initial = {snap}" in lines and f"initial_sha256 = {hashes[-1]}" in lines
+            # the [force] of SMALL_RUN is generated, so it reads no file
+            assert not any(line.startswith("force_sha256") for line in lines)
+        assert hashes[0] != hashes[1]
 
     @pytest.mark.parametrize("command", ["simulate", "burgers", "dimension"])
     @pytest.mark.parametrize("defect", sorted(SNAPSHOT_DEFECTS))
@@ -664,6 +713,12 @@ class TestSimulate:
         assert rc == EXIT_USAGE
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw, alpha", [("auto", "auto"), ("0.25", 0.25), ("1", 1.0), ("", None)])
+    def test_holder_alpha_decoded_once(self, raw, alpha):
+        # the probe takes the float build_setup parsed, not the literal
+        setup = build_setup(parse_config_text(SMALL_RUN + f"holder_alpha = {raw}\n"))
+        assert setup.holder_alpha == alpha and type(setup.holder_alpha) is type(alpha)
+
     @pytest.mark.parametrize("key, value", [("holder_alpha", "0"), ("holder_alpha", "abc"),
                                             ("decay_envelope_ps", "2,three"), ("absorption", "on")])
     def test_bad_probe_value_exit_2_before_manifest(self, tmp_path, capsys, key, value):
@@ -730,7 +785,7 @@ class TestVerifyKernels:
         corpus.write_text("seed,band,norm,n\n")
         if shipped:
             # only the manifest is under test: the shipped corpus is not checked
-            monkeypatch.setattr("critsqg.cli.read_corpus", lambda _path: [])
+            monkeypatch.setattr("critsqg.cli.read_corpus", lambda _path: ([], {}))
             corpus, argv = default_corpus_path(), []
         else:
             argv = [str(corpus)]
@@ -741,6 +796,18 @@ class TestVerifyKernels:
         assert f"corpus_sha256 = {sha256_of_file(str(corpus))}" in lines
         # the manifest holds no config sections: the corpus is the whole input
         assert [l for l in lines if l.startswith("[")] == ["[manifest]"]
+
+    def test_manifest_pins_each_file_row(self, tmp_path):
+        snap = tmp_path / "row.sqgf"
+        write_snapshot(str(snap), random_band_field(TorusGrid(2, 32), 4, 1.0, 3), 0.0)
+        corpus = tmp_path / "c.csv"
+        corpus.write_text(f"seed,band,norm,n,path\n0,6,1.0,32\n1,4,1.0,32,{snap}\n")
+        out = tmp_path / "o"
+        assert main(["verify-kernels", str(corpus), "--out", str(out)]) == EXIT_OK
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert [l for l in lines if l.startswith("corpus")] == [
+            f"corpus = {corpus}", f"corpus_sha256 = {sha256_of_file(str(corpus))}",
+            f"corpus_line3 = {snap}", f"corpus_line3_sha256 = {sha256_of_file(str(snap))}"]
 
     def test_empty_corpus_vacuous_pass(self, tmp_path, capsys):
         corpus = tmp_path / "empty.csv"

@@ -477,6 +477,12 @@ class TestFieldSpecs:
         assert lp_norm(a, np.inf) == pytest.approx(0.7, rel=1e-12)
         assert a.band() <= 5
 
+    def test_unknown_kind_is_a_value_error(self, grid32, monkeypatch):
+        # an unknown kind does not fall through to a snapshot read
+        monkeypatch.setattr("critsqg.solver.read_snapshot", None)
+        with pytest.raises(ValueError, match="unknown field kind 'bogus'"):
+            build_field(FieldSpec(kind="bogus", path="theta.sqgf"), grid32)
+
     def test_force_norm_caching(self, grid32):
         force = build_force(FieldSpec(kind="single_mode", k=(1, 0), amplitude=2.0), grid32)
         assert force.linf == pytest.approx(2.0, abs=1e-12)
