@@ -3,8 +3,10 @@
 Subpackage map:
 
 * :mod:`critsqg.spectral`    - torus grids, spectral fields, operators, norms
+* :mod:`critsqg.snapshots`   - binary field snapshots, CSV writers, manifests
+* :mod:`critsqg.config`      - config files, presets, run setups; bad input is a ConfigError
 * :mod:`critsqg.kernels`     - fractional-Laplacian kernels and inequality checks
-* :mod:`critsqg.solver`      - SQG / regularized SQG / 1D Burgers time integration
+* :mod:`critsqg.solver`      - SQG / 1D Burgers time integration, base and tangent stages
 * :mod:`critsqg.diagnostics` - decay/Hoelder/absorbing envelopes and monitors
 * :mod:`critsqg.tangent`     - linearized dynamics, volume elements, dimension bound
 * :mod:`critsqg.calibration` - protocol that pins the universal constants

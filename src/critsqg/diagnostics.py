@@ -111,8 +111,8 @@ def load_constants(path: Optional[str] = None) -> UniversalConstants:
     """Load the calibrated constants file (key=value, '#' comments).
 
     The file is resolved by :func:`constants_path`.  An unreadable file, a
-    malformed line, a non-numeric value or a missing key raises ConfigError
-    (a ``ValueError``) naming the file and, where there is one, the line.
+    malformed line, a value not finite and positive or a missing key raises
+    ConfigError (a ``ValueError``) naming the file and, where there is one, the line.
     """
     path = constants_path(path)
     values = {}
@@ -132,7 +132,10 @@ def load_constants(path: Optional[str] = None) -> UniversalConstants:
         try:
             kwargs[f.name] = val if f.name == "version" else float(val)
         except ValueError:
-            raise ConfigError(lineno, f"constants file {path}: bad {f.name} = {val!r}") from None
+            kwargs[f.name] = math.nan
+        if f.name != "version" and not 0.0 < kwargs[f.name] < math.inf:
+            raise ConfigError(lineno, f"constants file {path}: bad {f.name} = {val!r}, "
+                                      "expected a finite positive number")
     return UniversalConstants(**kwargs)
 
 
@@ -202,10 +205,11 @@ def m_alpha_envelope(M0: float, M_inf: float, kappa: float, c5: float, t_grid) -
     solved for ``w = M/(c5 M_inf)`` by bisection (``F`` in the module docstring).
 
     ``M_inf = 0`` (zero data and force) and ``w0 = 1`` give the constant solution.
+    A non-finite input raises ``ValueError``: the bisection would never close.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
-    if M0 < 0 or M_inf < 0:
-        raise ValueError("M0 and M_inf must be nonnegative")
+    if not (np.all(np.isfinite(np.append([M0, M_inf, kappa, c5], t_grid))) and min(M0, M_inf) >= 0):
+        raise ValueError("M0, M_inf, kappa, c5 and t_grid must be finite, M0 and M_inf nonnegative")
     if M_inf == 0.0:
         return EnvelopeSolution(t_grid, np.full_like(t_grid, M0), M0, 0.0, 0.0)
 

@@ -53,10 +53,10 @@ def write_snapshot(path: str, field: SpectralField, t: float) -> None:
 def read_snapshot(path: str):
     """Read a snapshot; returns ``(field, time)``.
 
-    Raises ``ValueError`` naming ``path`` when the header is malformed, the
-    file is not exactly the header plus ``8 * n**dim`` bytes, or a value is
-    not finite, and :class:`~critsqg.spectral.MeanZeroError` when the values
-    are not mean-free.
+    Raises ``ValueError`` naming ``path`` when the header is malformed or
+    names no valid grid, the file is not exactly the header plus ``8 *
+    n**dim`` bytes, or a value is not finite, and
+    :class:`~critsqg.spectral.MeanZeroError` when the values are not mean-free.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -67,7 +67,10 @@ def read_snapshot(path: str):
             raise ValueError(f"{path}: bad magic {magic!r}")
         if version != SNAPSHOT_VERSION:
             raise ValueError(f"{path}: unsupported snapshot version {version}")
-        grid = TorusGrid(int(dim), int(n))
+        try:
+            grid = TorusGrid(int(dim), int(n))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         size = os.fstat(fh.fileno()).st_size
         want = _HEADER.size + 8 * n**dim
         if size != want:

@@ -185,6 +185,21 @@ def _sqg_advection(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     return _advection_coeffs(grid, u1 * gx + u2 * gy)
 
 
+def _transport_derivative(grid: TorusGrid, base: tuple, coeffs: np.ndarray) -> np.ndarray:
+    """Derivative of the SQG nonlinearity at theta along each field of a stack.
+
+    ``base`` is ``_transport_values`` of theta, four ``(1, n, n)`` arrays, and
+    ``coeffs`` the ``(m, n, n)`` tangent stack.  Returns the ``(m, n, n)`` stack
+    of ``-(u_theta . grad xi + u_xi . grad theta)``, dealiased, from one
+    batched inverse and one batched forward transform.
+    """
+    u1, u2, tx, ty = base
+    w1, w2, gx, gy = _transport_values(grid, coeffs)
+    adv = u1 * gx + u2 * gy
+    adv += w1 * tx + w2 * ty
+    return _advection_coeffs(grid, adv)
+
+
 def nonlinear_term(theta: SpectralField) -> SpectralField:
     """``-u . grad theta`` for SQG, pseudo-spectral, dealiased, mean-free."""
     grid = theta.grid
@@ -214,8 +229,7 @@ class _Stepper:
     the diagonal symbol ``L = kappa*|k|``, which makes
     single-mode steady states exact fixed points.
     The stages carry an ``(m, n, n)`` stack of tangent coefficients beside the
-    base state with the same coefficients; this class carries none, and
-    ``tangent.CoupledStepper`` adds the derivative stack in ``_rhs``.
+    base state; the one stage body ``_rhs`` also forms their derivative terms.
     """
 
     def __init__(self, grid: TorusGrid, config: SolverConfig, force: SpectralField):
@@ -235,27 +249,32 @@ class _Stepper:
         return got
 
     def _rhs(self, coeffs: np.ndarray, xs: np.ndarray):
-        """Explicit stage terms: ``N(theta) + f``, and the tangent stack ``xs`` (empty) as is."""
-        nonlinear = nonlinear_term if self.grid.dim == 2 else burgers_nonlinear_term
-        theta = SpectralField._trusted(self.grid, coeffs)
-        return nonlinear(theta).coeffs + self.force.coeffs, xs
+        """Stage terms ``N(theta) + f`` and ``DN(theta)`` on each field of ``xs``.
 
-    def _heun(self, coeffs: np.ndarray, xs: np.ndarray, dt: float):
-        """One step of the base coefficients and the tangent stack ``xs``; returns both."""
+        One set of base transforms serves both; in 1D ``xs`` is always empty.
+        """
+        grid = self.grid
+        if grid.dim == 1:
+            theta = SpectralField._trusted(grid, coeffs)
+            return burgers_nonlinear_term(theta).coeffs + self.force.coeffs, xs
+        base = _transport_values(grid, coeffs[None])
+        g = _sqg_advection(grid, base)[0] + self.force.coeffs
+        return g, (_transport_derivative(grid, base, xs) if len(xs) else xs)
+
+    def _heun(self, theta: SpectralField, xs: np.ndarray, dt: float, t: float):
+        """Step ``theta`` and stack ``xs`` by ``dt`` from ``t``; NaN/Inf is a blowup at ``t+dt``."""
         a, b = self._coefficients(dt)
+        coeffs = theta.coeffs
         g1, d1 = self._rhs(coeffs, xs)
         g2, d2 = self._rhs((a * coeffs + dt * g1) * b, (a * xs + dt * d1) * b)
-        return (a * coeffs + 0.5 * dt * (g1 + g2)) * b, (a * xs + 0.5 * dt * (d1 + d2)) * b
-
-    def advance(self, theta: SpectralField, dt: float) -> SpectralField:
-        return SpectralField._trusted(self.grid, self._heun(theta.coeffs, self._no_tangents, dt)[0])
-
-    def checked_advance(self, theta: SpectralField, dt: float, t: float) -> SpectralField:
-        """``advance`` from time ``t``; NaN/Inf in the result is a blowup stamped ``t + dt``."""
-        out = self.advance(theta, dt)
-        if not np.all(np.isfinite(out.coeffs)):
+        new, xs_new = (a * coeffs + 0.5 * dt * (g1 + g2)) * b, (a * xs + 0.5 * dt * (d1 + d2)) * b
+        if not (np.all(np.isfinite(new)) and np.all(np.isfinite(xs_new))):
             raise BlowupError(t + dt, theta)
-        return out
+        return new, xs_new
+
+    def advance(self, theta: SpectralField, dt: float, t: float = 0.0) -> SpectralField:
+        """``theta`` advanced by ``dt`` from time ``t``; a blowup is stamped ``t + dt``."""
+        return SpectralField._trusted(self.grid, self._heun(theta, self._no_tangents, dt, t)[0])
 
     def cfl_dt(self, theta: SpectralField, dt: float, t: float = 0.0) -> float:
         """``dt`` halved until it meets the advective CFL budget of ``theta`` at time ``t``.
@@ -301,7 +320,7 @@ def integrate(step: Callable, cfl_dt: Callable, state, t: float, target: float, 
 def step(theta: SpectralField, config: SolverConfig, force: SpectralField) -> SpectralField:
     """Advance one dt of forced SQG (critical Burgers on a 1D grid); see :class:`_Stepper`."""
     stepper = _Stepper(theta.grid, config, force)
-    return stepper.checked_advance(theta, stepper.cfl_dt(theta, config.dt), 0.0)
+    return stepper.advance(theta, stepper.cfl_dt(theta, config.dt))
 
 
 @dataclass
@@ -344,8 +363,7 @@ def run(
     t = 0.0
     for i in range(1, n_snaps + 1):
         t_target = config.t_end if i == n_snaps else i * config.snapshot_dt
-        theta, t = integrate(stepper.checked_advance, stepper.cfl_dt, theta, t, t_target,
-                             config.dt)
+        theta, t = integrate(stepper.advance, stepper.cfl_dt, theta, t, t_target, config.dt)
         snap(t, theta, traj)
     traj.cfl_reductions = stepper.cfl_reductions
     return traj

@@ -6,10 +6,11 @@ field ``xi`` as
     A_theta[xi] = -kappa*Lambda xi - u_theta . grad xi - u_xi . grad theta,
 
 with ``u_phi`` the perpendicular-Riesz velocity of ``phi``.  Tangent fields are
-advanced with the exact Frechet derivative of the IMEX Crank-Nicolson step
-(same stages, same dealiasing), so the residual of the superlinear-approximation
-test is the genuine quadratic remainder of the discrete flow and not an
-integrator mismatch.
+advanced with the exact Frechet derivative of the IMEX Crank-Nicolson step:
+the solver's one stage body forms the base term and the derivative stack from
+the same base transforms (same stages, same dealiasing), so the residual of
+the superlinear-approximation test is the genuine quadratic remainder of the
+discrete flow and not an integrator mismatch.
 
 Volume bookkeeping is Benettin style: between re-orthonormalizations the
 tangent frame evolves freely; a modified Gram-Schmidt pass in the homogeneous
@@ -44,12 +45,10 @@ import numpy as np
 from .diagnostics import UniversalConstants, absorbing_constants, cumulative_trapezoid
 from .spectral import SpectralField, TorusGrid, _h1_gram, _h1_pair
 from .solver import (
-    BlowupError,
     Force,
     SolverConfig,
-    _advection_coeffs,
-    _sqg_advection,
     _Stepper,
+    _transport_derivative,
     _transport_values,
     integrate,
     random_band_field,
@@ -77,21 +76,6 @@ class EnsembleCollapseError(RuntimeError):
     """Tangent frame became numerically degenerate between re-orthonormalizations."""
 
 
-def _transport_derivative(grid: TorusGrid, base: tuple, coeffs: np.ndarray) -> np.ndarray:
-    """Derivative of the SQG nonlinearity at theta along each field of a stack.
-
-    ``base`` is ``_transport_values`` of theta, four ``(1, n, n)`` arrays, and
-    ``coeffs`` the ``(m, n, n)`` tangent stack.  Returns the ``(m, n, n)`` stack
-    of ``-(u_theta . grad xi + u_xi . grad theta)``, dealiased, from one
-    batched inverse and one batched forward transform.
-    """
-    u1, u2, tx, ty = base
-    w1, w2, gx, gy = _transport_values(grid, coeffs)
-    adv = u1 * gx + u2 * gy
-    adv += w1 * tx + w2 * ty
-    return _advection_coeffs(grid, adv)
-
-
 def _linearized_stack(theta: SpectralField, coeffs: np.ndarray, kappa: float) -> np.ndarray:
     """``A_theta`` (transport derivative minus ``kappa*|k|``) on each field of a stack."""
     grid = theta.grid
@@ -111,27 +95,17 @@ class CoupledStepper(_Stepper):
     """Advance a base SQG state and tangent fields in lockstep.
 
     The tangent update is the exact derivative of the base Heun step: both go
-    through the one stage body of :class:`_Stepper`, which carries the tangents
-    as an ``(m, n, n)`` coefficient stack.  Stage one linearizes about
+    through the one stage body :meth:`_Stepper._rhs`, which carries the
+    tangents as an ``(m, n, n)`` coefficient stack.  Stage one linearizes about
     ``theta^n``, stage two about the predictor state, with identical
-    Crank-Nicolson treatment of the dissipative symbol.  Each stage transforms the
-    base velocity and gradient once, forms the base nonlinear term from them,
-    and reuses them for every tangent.  Base-only steps are the inherited
-    :meth:`checked_advance`.
+    Crank-Nicolson treatment of the dissipative symbol.  Base-only steps are
+    the inherited :meth:`advance`.
     """
 
     def __init__(self, grid: TorusGrid, config: SolverConfig, force: Force):
         if grid.dim != 2:
             raise ValueError("tangent dynamics implemented on the 2-torus")
         super().__init__(grid, config, force.field)
-
-    def _rhs(self, coeffs: np.ndarray, xs: np.ndarray):
-        """Base stage term and derivative stack from one set of base transforms."""
-        if not len(xs):
-            return super()._rhs(coeffs, xs)
-        base = _transport_values(self.grid, coeffs[None])
-        return (_sqg_advection(self.grid, base)[0] + self.force.coeffs,
-                _transport_derivative(self.grid, base, xs))
 
     def step(self, theta: SpectralField, xs: np.ndarray, dt: float, *, t: float = 0.0):
         """Advance ``theta`` and the ``(m, n, n)`` tangent stack ``xs`` by ``dt`` from time ``t``.
@@ -142,15 +116,9 @@ class CoupledStepper(_Stepper):
         """
         if xs.shape[1:] != self.grid.shape:
             raise ValueError(f"tangent stack shape {xs.shape} does not match grid {self.grid.shape}")
-        theta_new, xs_new = self._heun(theta.coeffs, xs, dt)
-        if not (np.all(np.isfinite(theta_new)) and np.all(np.isfinite(xs_new))):
-            raise BlowupError(t + dt, theta)
+        theta_new, xs_new = self._heun(theta, xs, dt, t)
         xs_new.setflags(write=False)
         return SpectralField._trusted(self.grid, theta_new), xs_new
-
-    def lead_cfl_dt(self, state: tuple, dt: float, t: float) -> float:
-        """``cfl_dt`` of a tuple state led by the base: every member takes the base's step."""
-        return self.cfl_dt(state[0], dt, t)
 
 
 def h1_gram_schmidt(grid: TorusGrid, xs: np.ndarray):
@@ -356,8 +324,7 @@ def volume_and_trace_run(
     grid = theta0.grid
     stepper = CoupledStepper(grid, config, force)
 
-    theta, t_relaxed = integrate(stepper.checked_advance, stepper.cfl_dt, theta0, 0.0, t_relax,
-                                 config.dt)
+    theta, t_relaxed = integrate(stepper.advance, stepper.cfl_dt, theta0, 0.0, t_relax, config.dt)
 
     raw = np.array([random_band_field(grid, tangent_band, 1.0, seed + 17 * j).coeffs
                     for j in range(n_tangent)])
@@ -374,7 +341,7 @@ def volume_and_trace_run(
         return theta, xs
 
     def coupled_cfl_dt(state, dt, t_run):
-        return stepper.lead_cfl_dt(state, dt, t_relaxed + t_run)
+        return stepper.cfl_dt(state[0], dt, t_relaxed + t_run)
 
     times = [0.0]
     traces = [_trace_per_m(theta, xs, config.kappa)]
@@ -461,13 +428,16 @@ def frechet_residual(
     def pair_step(state, dt, t):
         theta, xs, phi = state
         theta, xs = stepper.step(theta, xs, dt, t=t)
-        return theta, xs, stepper.checked_advance(phi, dt, t)
+        return theta, xs, stepper.advance(phi, dt, t)
+
+    def pair_cfl_dt(state, dt, t):
+        return stepper.cfl_dt(state[0], dt, t)
 
     def advance_pairs(r: float):
         """Return eta ratios at the requested times for one scale."""
         state, t, ratios = (theta0, xihat.coeffs[None], theta0 + r * xihat), 0.0, []
         for t_target in ts:
-            state, t = integrate(pair_step, stepper.lead_cfl_dt, state, t, t_target, config.dt)
+            state, t = integrate(pair_step, pair_cfl_dt, state, t, t_target, config.dt)
             theta, xs, phi = state
             ratios.append(_h1_norm(grid, phi.coeffs - theta.coeffs - xs[0] * r) / r)
         return ratios

@@ -86,21 +86,26 @@ REMOVED_SOLVER_KEYS = {"epsilon", "mollifier_width"}
 
 
 def _defective_snapshot(path, dim, defect):
-    """A snapshot of a mean-free n = 16 field, cut short, one value too long, or holding a NaN."""
+    """A snapshot of a mean-free n = 16 field, cut short, one value too long, holding a NaN,
+    or with a header of dim 3 or of n = 7."""
     write_snapshot(str(path), cos_x1(TorusGrid(dim, 16)), 0.0)
     blob = path.read_bytes()
     if defect == "truncated":
         blob = blob[:-80]
     elif defect == "over_long":
         blob += bytes(8)
-    else:
+    elif defect == "nan":
         blob = blob[:24] + np.float64(np.nan).astype("<f8").tobytes() + blob[32:]
+    else:  # a header naming no valid grid: the u32 dim at byte 8, or n at byte 12
+        offset, value = {"dim3": (8, 3), "n7": (12, 7)}[defect]
+        blob = blob[:offset] + value.to_bytes(4, "little") + blob[offset + 4:]
     path.write_bytes(blob)
     return str(path)
 
 
 SNAPSHOT_DEFECTS = {"truncated": "bytes, expected", "over_long": "bytes, expected",
-                    "nan": "non-finite values"}
+                    "nan": "non-finite values", "dim3": "dim must be 1 or 2, got 3",
+                    "n7": "n must be even and >= 8, got 7"}
 
 
 class TestConfigParsing:
@@ -487,6 +492,17 @@ UNUSABLE_PATHS = {
 }
 
 
+def _shipped_constants_with(key, value):
+    """The shipped constants file with ``key``'s value replaced, and ``line N`` of that key."""
+    from critsqg.diagnostics import default_constants_path
+
+    with open(default_constants_path(), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.split("=")[0].strip() == key)
+    lines[lineno - 1] = f"{key} = {value}"
+    return "\n".join(lines) + "\n", f"line {lineno}"
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("case", sorted(UNUSABLE_PATHS))
     def test_unusable_path_exit_2_with_one_line(self, tmp_path, capsys, monkeypatch, case):
@@ -529,8 +545,13 @@ class TestUsageErrors:
         with pytest.raises(KeyError):
             main(["simulate", "--preset", "exact-decay", "--out", str(tmp_path / "o")])
 
-    @pytest.mark.parametrize("text, where", [("c0 1.0\n", "line 1"),
-                                             ("# hdr\nc0 = one\n", "line 2")])
+    @pytest.mark.parametrize("text, where", [
+        ("c0 1.0\n", "line 1"), ("# hdr\nc0 = one\n", "line 2"),
+        # values that are not finite and positive: c5 = nan would hang the Hoelder
+        # envelope's bisection, c5 = inf and c0 < 0 would give vacuous envelopes
+        *(pytest.param(*_shipped_constants_with(key, value), id=f"{key}={value}")
+          for key, value in [("c5", "nan"), ("c5", "inf"), ("c0", "-1.0"), ("c2", "nan"),
+                             ("c9", "0")])])
     def test_malformed_constants_exit_2(self, tmp_path, capsys, monkeypatch, text, where):
         bad = tmp_path / "bad.txt"
         bad.write_text(text)

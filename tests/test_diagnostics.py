@@ -142,6 +142,16 @@ class TestMAlphaEnvelope:
         sol = m_alpha_envelope(3.0, 0.0, 1.0, 2.0, np.linspace(0, 1, 5))
         assert np.all(sol.m_alpha == 3.0)
 
+    @pytest.mark.parametrize("args", [
+        (3.0, 1.0, 1.0, math.nan, [0.0, 1.0]), (3.0, 1.0, 1.0, math.inf, [0.0, 1.0]),
+        (math.nan, 1.0, 1.0, 2.0, [0.0, 1.0]), (3.0, math.inf, 1.0, 2.0, [0.0, 1.0]),
+        (3.0, 1.0, math.nan, 2.0, [0.0, 1.0]), (3.0, 1.0, 1.0, 2.0, [0.0, math.nan])],
+        ids=["c5_nan", "c5_inf", "M0_nan", "M_inf_inf", "kappa_nan", "t_nan"])
+    def test_non_finite_input_raises(self, args):
+        # a NaN midpoint never equals an end of its bracket: the bisection would not stop
+        with pytest.raises(ValueError, match="must be finite"):
+            m_alpha_envelope(*args)
+
 
 class TestTrackHolder:
     def test_exact_decay_family(self, consts):

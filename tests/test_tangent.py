@@ -159,7 +159,7 @@ class TestOneStepBody:
             theta, xs = cs.step(theta, xs, 2e-3)
             other = plain.advance(other, 2e-3)
             assert np.array_equal(theta.coeffs, other.coeffs)
-            assert np.array_equal(cs.checked_advance(other, 1e-3, 0.0).coeffs,
+            assert np.array_equal(cs.advance(other, 1e-3, 0.0).coeffs,
                                   plain.advance(other, 1e-3).coeffs)
 
     @pytest.mark.parametrize("cfg", [pytest.param(SolverConfig(kappa=1.0, dt=5e-3, t_end=1.0),
@@ -643,18 +643,18 @@ class TestVolumeTrace:
 def _record_steps(monkeypatch):
     """``(t, dt)`` of every coupled and base-only ``CoupledStepper`` step from here on."""
     seen = []
-    step, checked_advance = CoupledStepper.step, CoupledStepper.checked_advance
+    step, advance = CoupledStepper.step, CoupledStepper.advance
 
     def step_spy(self, theta, xs, dt, *, t=0.0):
         seen.append((t, dt))
         return step(self, theta, xs, dt, t=t)
 
-    def advance_spy(self, theta, dt, t):
+    def advance_spy(self, theta, dt, t=0.0):
         seen.append((t, dt))
-        return checked_advance(self, theta, dt, t)
+        return advance(self, theta, dt, t)
 
     monkeypatch.setattr(CoupledStepper, "step", step_spy)
-    monkeypatch.setattr(CoupledStepper, "checked_advance", advance_spy)
+    monkeypatch.setattr(CoupledStepper, "advance", advance_spy)
     return seen
 
 

@@ -1,4 +1,4 @@
-"""The benchmark's tracer still finds every function it patches, on one tiny run."""
+"""The benchmark's tracer still finds every function it patches, on tiny runs."""
 
 import json
 import os
@@ -24,22 +24,49 @@ amplitude = 0.5
 seed = 5
 """
 
+# the same field relaxed for 5 base steps, then 10 coupled steps of 2 tangents,
+# re-orthonormalized after steps 4, 8 and 10
+TINY_DIMENSION = TINY_RUN.replace("t_end = 0.05", "t_end = 0.1") + """
+[tangent]
+n_tangent = 2
+reorth_every = 4
+t_relax = 0.05
+tangent_band = 2
+"""
 
-def test_trace_cli_spans_name_the_patched_layers(tmp_path):
-    # bench/trace_cli.py patches functions by name: a renamed one fails here, not in
-    # every traced benchmark run
+
+def _trace(tmp_path, command, text):
+    """``(names of the spans in call order, counters)`` of one traced CLI run."""
     pytest.importorskip("scipy")
     cfg = tmp_path / "tiny.cfg"
-    cfg.write_text(TINY_RUN)
+    cfg.write_text(text)
     spans = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, os.path.join(ROOT, "bench", "trace_cli.py"), str(spans),
-                          "simulate", "--config", str(cfg), "--out", str(tmp_path / "o")],
+                          command, "--config", str(cfg), "--out", str(tmp_path / "o")],
                          env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     trace = json.loads(spans.read_text())
-    called = [trace["names"][i] for i in trace["name"]]
+    return [trace["names"][i] for i in trace["name"]], trace["counts"]
+
+
+def test_trace_cli_spans_name_the_patched_layers(tmp_path):
+    # bench/trace_cli.py patches functions by name: a renamed one fails here, not in
+    # every traced benchmark run
+    called, _counts = _trace(tmp_path, "simulate", TINY_RUN)
     assert {"solver.build_field", "solver.advance", "config.build_setup"} <= set(called)
     # build_setup builds the [initial] field and the [force] field
     assert called.count("solver.build_field") == 2
+
+
+def test_trace_cli_counts_each_layer_of_a_dimension_run(tmp_path):
+    # every stepping and tangent layer the tracer binds, counted on the dimension path
+    called, counts = _trace(tmp_path, "dimension", TINY_DIMENSION)
+    assert called.count("solver.advance") == 5  # the relax phase only
+    assert called.count("tangent.step") == 10
+    assert counts["tangent.step.tangent_steps"] == 20
+    # two stages per coupled step, and one per trace sample
+    assert called.count("tangent.transport_derivative") == 24
+    assert called.count("tangent.gram_schmidt") == 4
+    assert called.count("tangent.trace") == 4
