@@ -201,7 +201,6 @@ def _cmd_dimension(args) -> int:
         bound = (setup.solver.kappa, v.m_a, consts.c10, consts.c11)
         lines.append(f"M_A (max of H^3/2, H^2 radii) = {v.m_a!r}")
         lines.append(f"N (a-priori dimension bound)  = {v.n_bound}")
-        lines.append(f"trace-bound curve at N        = {v.curve_at_n!r} (must be < 0: {v.negative})")
         passed = v.passed
         lines.append("")
         lines.append("bound curve -kappa*m^1.5/c11 + m*c10*M_A^2/kappa:")

@@ -111,10 +111,12 @@ def load_constants(path: Optional[str] = None) -> UniversalConstants:
     """Load the calibrated constants file (key=value, '#' comments).
 
     The file is resolved by :func:`constants_path`.  An unreadable file, a
-    malformed line, a value not finite and positive or a missing key raises
-    ConfigError (a ``ValueError``) naming the file and, where there is one, the line.
+    malformed line, an unknown or repeated key, a value not finite and positive
+    or a missing key raises ConfigError (a ``ValueError``) naming the file and,
+    where there is one, the line.
     """
     path = constants_path(path)
+    names = [f.name for f in dc_fields(UniversalConstants)]
     values = {}
     for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
@@ -123,18 +125,21 @@ def load_constants(path: Optional[str] = None) -> UniversalConstants:
         if "=" not in line:
             raise ConfigError(lineno, f"constants file {path}: malformed line {line!r}")
         key, val = (s.strip() for s in line.split("=", 1))
+        if key not in names or key in values:
+            problem = "unknown key" if key not in names else "repeated key"
+            raise ConfigError(lineno, f"constants file {path}: {problem} {key!r}")
         values[key] = (val, lineno)
     kwargs = {}
-    for f in dc_fields(UniversalConstants):
-        if f.name not in values:
-            raise ConfigError(0, f"constants file {path} missing key {f.name!r}")
-        val, lineno = values[f.name]
+    for name in names:
+        if name not in values:
+            raise ConfigError(0, f"constants file {path} missing key {name!r}")
+        val, lineno = values[name]
         try:
-            kwargs[f.name] = val if f.name == "version" else float(val)
+            kwargs[name] = val if name == "version" else float(val)
         except ValueError:
-            kwargs[f.name] = math.nan
-        if f.name != "version" and not 0.0 < kwargs[f.name] < math.inf:
-            raise ConfigError(lineno, f"constants file {path}: bad {f.name} = {val!r}, "
+            kwargs[name] = math.nan
+        if name != "version" and not 0.0 < kwargs[name] < math.inf:
+            raise ConfigError(lineno, f"constants file {path}: bad {name} = {val!r}, "
                                       "expected a finite positive number")
     return UniversalConstants(**kwargs)
 
@@ -356,7 +361,6 @@ def absorbing_constants(f_linf: float, f_h1: float, kappa: float, consts: Univer
 class DecayEnvelopeReport:
     """Rows (t, norm, envelope, slack, violated) for one exponent p."""
 
-    p: object
     rows: list
     violations: int
 
@@ -374,7 +378,7 @@ def decay_envelope_report(traj: Trajectory, p, consts: UniversalConstants) -> De
         violated = _exceeds(norm, env)
         violations += int(violated)
         rows.append((t, norm, env, env - norm, violated))
-    return DecayEnvelopeReport(p=p, rows=rows, violations=violations)
+    return DecayEnvelopeReport(rows=rows, violations=violations)
 
 
 @dataclass
@@ -438,7 +442,6 @@ class LogConvexityResult:
 
     t: np.ndarray
     w: np.ndarray
-    budget: np.ndarray
     violations: int
     status: str  # "ok" | "indistinguishable"
 
@@ -488,4 +491,4 @@ def log_convexity_monitor(traj1: Trajectory, traj2: Trajectory, C: float) -> Log
     t, w, integral, status = log_convexity_series(traj1, traj2)
     budget = w[:1] + C * integral
     violations = int(np.sum(_exceeds(w, budget, floor=1e-12)))
-    return LogConvexityResult(t=t, w=w, budget=budget, violations=violations, status=status)
+    return LogConvexityResult(t=t, w=w, violations=violations, status=status)

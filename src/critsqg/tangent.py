@@ -35,7 +35,6 @@ with ``c11`` the eigenvalue-counting constant of the torus lattice
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -193,27 +192,15 @@ def trace_bound_curve(m, kappa: float, M_A: float, c10: float, c11: float):
 def dimension_bound(kappa: float, M_A: float, c10: float, c11: float):
     """Attractor-dimension bound ``N = floor((c10*c11*M_A^2/kappa^2)^2) + 1``.
 
-    N is the smallest integer where the trace-bound curve is negative, in
-    exact rational arithmetic (floats lose that once N outgrows 2^52).  An
-    infinite radius (absorbing constants past float range) gives ``inf``.
+    N is the smallest integer where the trace-bound curve is negative (a tested
+    property), in exact rational arithmetic: a float floor is wrong once the
+    square outgrows 2^53.  An infinite radius (absorbing constants past float
+    range) gives ``inf``.
     """
     x = c10 * c11 * M_A**2 / kappa**2
     if math.isinf(x):
         return math.inf
     return math.floor(Fraction(x) ** 2) + 1
-
-
-def bound_curve_negative_at(n, kappa: float, M_A: float, c10: float, c11: float) -> bool:
-    """Exact sign test of the trace-bound curve at integer n, or at the vacuous bound ``n = inf``.
-
-    ``curve(n) < 0  iff  n > (c10*c11*M_A^2/kappa^2)^2``, decided in rational
-    arithmetic on the float inputs.  An infinite radius stands for a finite
-    one past float range: every integer lies below the root, ``inf`` beyond.
-    """
-    x = c10 * c11 * M_A**2 / kappa**2
-    if n == math.inf or math.isinf(x):
-        return n == math.inf
-    return Fraction(int(n)) > Fraction(x) ** 2
 
 
 @dataclass(frozen=True)
@@ -222,23 +209,18 @@ class DimensionVerdict:
 
     m_a: float          # max of the H^{3/2} and H^2 absorbing radii
     n_bound: object     # N of :func:`dimension_bound`: an int, or inf
-    curve_at_n: float   # trace-bound curve at N, -inf or inf past float range
-    negative: bool      # the exact sign test of the curve at N
-    passed: bool        # negative, and empirical_n <= N
+    passed: bool        # empirical_n <= N
 
 
 def dimension_verdict(empirical_n: int, force: Force, kappa: float, consts: UniversalConstants) -> DimensionVerdict:
-    """Check ``empirical_n`` against the bound N that the absorbing radii of ``force`` give."""
+    """Check ``empirical_n`` against the bound N that the absorbing radii of ``force`` give.
+
+    The curve is negative at N by construction, so only ``empirical_n <= N`` can fail.
+    """
     ac = absorbing_constants(force.linf, force.h1, kappa, consts)
     m_a = max(ac.m_32f, ac.m_2f)
-    bound = (kappa, m_a, consts.c10, consts.c11)
-    n_bound = dimension_bound(*bound)
-    negative = bound_curve_negative_at(n_bound, *bound)
-    with np.errstate(over="ignore", invalid="ignore"):
-        curve_at_n = float(trace_bound_curve(min(n_bound, sys.float_info.max), *bound))
-    if not np.isfinite(curve_at_n):  # past float range only the exact sign is known
-        curve_at_n = -np.inf if negative else np.inf
-    return DimensionVerdict(m_a, n_bound, curve_at_n, negative, negative and empirical_n <= n_bound)
+    n_bound = dimension_bound(kappa, m_a, consts.c10, consts.c11)
+    return DimensionVerdict(m_a, n_bound, empirical_n <= n_bound)
 
 
 # criterion 10: |log V_m(t) - log V_m(0) - int_0^t Tr(P_m A)| at most this
@@ -396,7 +378,6 @@ class FrechetResult:
     ts: np.ndarray
     ratios: np.ndarray          # (len(ts), len(scales))
     slopes: np.ndarray          # log-log slope per t over retained scales
-    excluded: list              # scales dropped as noise-floor dominated
 
 
 def frechet_residual(
@@ -413,7 +394,7 @@ def frechet_residual(
     the tangent solution are advanced together; the returned ratios
     ``||S(t)(theta0 + r xi) - S(t)theta0 - r xi(t)||_{H^1}/r`` must decay with
     r (superlinearity).  Scales whose ratio is dominated by integration noise
-    (a ratio at or below 1e-11) are excluded and reported.
+    (a ratio at or below 1e-11) are excluded from the slopes.
     """
     ts = np.asarray(sorted(ts), dtype=np.float64)
     scales = np.asarray(sorted(scales, reverse=True), dtype=np.float64)
@@ -421,7 +402,7 @@ def frechet_residual(
     norm0 = _h1_norm(grid, xi0.coeffs)
     if norm0 == 0.0:
         return FrechetResult(scales=scales, ts=ts, ratios=np.zeros((len(ts), len(scales))),
-                             slopes=np.zeros(len(ts)), excluded=[])
+                             slopes=np.zeros(len(ts)))
     xihat = xi0 * (1.0 / norm0)
     stepper = CoupledStepper(grid, config, force)
 
@@ -447,5 +428,4 @@ def frechet_residual(
     log_r = np.log(scales[keep])
     slopes = np.array([np.polyfit(log_r, np.log(np.maximum(row[keep], 1e-300)), 1)[0]
                        if keep.sum() >= 2 else math.nan for row in ratios])
-    return FrechetResult(scales=scales, ts=ts, ratios=ratios, slopes=slopes,
-                         excluded=[float(r) for r in scales[~keep]])
+    return FrechetResult(scales=scales, ts=ts, ratios=ratios, slopes=slopes)

@@ -492,15 +492,25 @@ UNUSABLE_PATHS = {
 }
 
 
-def _shipped_constants_with(key, value):
-    """The shipped constants file with ``key``'s value replaced, and ``line N`` of that key."""
+def _shipped_constants_lines():
     from critsqg.diagnostics import default_constants_path
 
     with open(default_constants_path(), encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        return fh.read().splitlines()
+
+
+def _shipped_constants_with(key, value):
+    """The shipped constants file with ``key``'s value replaced, and ``line N`` of that key."""
+    lines = _shipped_constants_lines()
     lineno = next(i for i, line in enumerate(lines, start=1) if line.split("=")[0].strip() == key)
     lines[lineno - 1] = f"{key} = {value}"
     return "\n".join(lines) + "\n", f"line {lineno}"
+
+
+def _shipped_constants_plus(line):
+    """The shipped constants file with ``line`` appended, and ``line N`` of it."""
+    lines = _shipped_constants_lines() + [line]
+    return "\n".join(lines) + "\n", f"line {len(lines)}"
 
 
 class TestUsageErrors:
@@ -551,7 +561,10 @@ class TestUsageErrors:
         # envelope's bisection, c5 = inf and c0 < 0 would give vacuous envelopes
         *(pytest.param(*_shipped_constants_with(key, value), id=f"{key}={value}")
           for key, value in [("c5", "nan"), ("c5", "inf"), ("c0", "-1.0"), ("c2", "nan"),
-                             ("c9", "0")])])
+                             ("c9", "0")]),
+        # a repeated key and a typo were loaded silently, the repeat's value winning
+        *(pytest.param(*_shipped_constants_plus(extra), id=extra)
+          for extra in ["c5 = 99.0", "c55 = 1.0"])])
     def test_malformed_constants_exit_2(self, tmp_path, capsys, monkeypatch, text, where):
         bad = tmp_path / "bad.txt"
         bad.write_text(text)
@@ -1078,7 +1091,6 @@ class TestDimensionCommand:
         assert report["M_A (max of H^3/2, H^2 radii)"].startswith(radius)
         n_text = report["N (a-priori dimension bound)"]
         assert (n_text == "inf") if radius == "inf" else (int(n_text) > sys.float_info.max)
-        assert report["trace-bound curve at N"] == "-inf (must be < 0: True)"
         assert capsys.readouterr().err == ""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,10 +1,11 @@
 """Linearized dynamics, Gram-Schmidt volume bookkeeping, traces, dimension bound."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from critsqg.diagnostics import load_constants
 from critsqg.solver import (
@@ -531,10 +532,24 @@ class TestDimensionBound:
         n2 = dimension_bound(1.0, 6.0, 1.3, 2.0)
         assert n2 == pytest.approx(16 * n1, rel=2e-2)
 
-    def test_curve_negative_at_bound(self):
-        for m_a in (0.7, 2.3, 11.0):
-            N = dimension_bound(1.0, m_a, 1.3, 2.0)
-            assert trace_bound_curve(N, 1.0, m_a, 1.3, 2.0) < 0
+    @settings(max_examples=300, deadline=None)
+    @given(kappa=st.floats(1e-3, 1e2), m_a=st.floats(0.0, 1e80),
+           c10=st.floats(1e-8, 1e3), c11=st.floats(0.5, 10.0))
+    @example(kappa=1.0, m_a=0.0, c10=1.0, c11=1.0)      # x = 0: ceil(x^2) gives N = 0
+    @example(kappa=1.0, m_a=9743.0, c10=1.0, c11=1.0)   # x^2 > 2^53: a float floor is off
+    @example(kappa=0.05, m_a=1.0, c10=1.0, c11=1.0)     # a tie: float curve(N) == 0.0
+    def test_curve_negative_at_bound(self, kappa, m_a, c10, c11):
+        # the curve is negative exactly for m > x^2, so N - 1 <= x^2 < N
+        N = dimension_bound(kappa, m_a, c10, c11)
+        if N == math.inf:
+            return
+        x2 = Fraction(c10 * c11 * m_a**2 / kappa**2) ** 2
+        assert Fraction(N - 1) <= x2 < Fraction(N)
+        # the float curve cancels near its root: e.g. kappa = 0.05, M_A = c10 =
+        # c11 = 1 give curve(N) == 0.0, so its sign is checked only off the ties
+        if x2 < 2**40 and min(x2 - (N - 1), N - x2) > x2 * 1e-12:
+            bound = (kappa, m_a, c10, c11)
+            assert trace_bound_curve(N, *bound) < 0 <= trace_bound_curve(N - 1, *bound)
 
     def test_curve_shape(self):
         m = np.arange(1, 50)
@@ -550,15 +565,14 @@ class TestDimensionVerdict:
         # the holder-corpus force shape at amplitude 0.3: the H^{3/2} radius overflows
         force = Force.wrap(random_band_field(TorusGrid(2, 16), 3, 0.3, 11))
         v = dimension_verdict(6, force, 1.0, load_constants())
-        assert v.m_a == math.inf and v.n_bound == math.inf
-        assert v.curve_at_n == -math.inf and v.negative and v.passed
+        assert v.m_a == math.inf and v.n_bound == math.inf and v.passed
 
     def test_empirical_n_above_the_bound_fails(self):
         force = Force.wrap(random_band_field(TorusGrid(2, 32), 2, 0.01, 6))
         at_bound = dimension_verdict(1, force, 1.0, load_constants())
-        assert at_bound.passed and at_bound.curve_at_n < 0.0
+        assert at_bound.passed
         above = dimension_verdict(at_bound.n_bound + 1, force, 1.0, load_constants())
-        assert above.negative and not above.passed
+        assert above.n_bound == at_bound.n_bound and not above.passed
 
 
 @pytest.fixture(scope="module")

@@ -35,26 +35,30 @@ tangent_band = 2
 """
 
 
-def _trace(tmp_path, command, text):
-    """``(names of the spans in call order, counters)`` of one traced CLI run."""
+def _trace(tmp_path, *args):
+    """``(names of the spans in call order, counters)`` of one traced CLI run of ``args``."""
     pytest.importorskip("scipy")
-    cfg = tmp_path / "tiny.cfg"
-    cfg.write_text(text)
     spans = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, os.path.join(ROOT, "bench", "trace_cli.py"), str(spans),
-                          command, "--config", str(cfg), "--out", str(tmp_path / "o")],
+                          *args, "--out", str(tmp_path / "o")],
                          env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     trace = json.loads(spans.read_text())
     return [trace["names"][i] for i in trace["name"]], trace["counts"]
 
 
+def _config(tmp_path, text):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(text)
+    return str(cfg)
+
+
 def test_trace_cli_spans_name_the_patched_layers(tmp_path):
     # bench/trace_cli.py patches functions by name: a renamed one fails here, not in
     # every traced benchmark run
-    called, _counts = _trace(tmp_path, "simulate", TINY_RUN)
+    called, _counts = _trace(tmp_path, "simulate", "--config", _config(tmp_path, TINY_RUN))
     assert {"solver.build_field", "solver.advance", "config.build_setup"} <= set(called)
     # build_setup builds the [initial] field and the [force] field
     assert called.count("solver.build_field") == 2
@@ -62,7 +66,7 @@ def test_trace_cli_spans_name_the_patched_layers(tmp_path):
 
 def test_trace_cli_counts_each_layer_of_a_dimension_run(tmp_path):
     # every stepping and tangent layer the tracer binds, counted on the dimension path
-    called, counts = _trace(tmp_path, "dimension", TINY_DIMENSION)
+    called, counts = _trace(tmp_path, "dimension", "--config", _config(tmp_path, TINY_DIMENSION))
     assert called.count("solver.advance") == 5  # the relax phase only
     assert called.count("tangent.step") == 10
     assert counts["tangent.step.tangent_steps"] == 20
@@ -70,3 +74,18 @@ def test_trace_cli_counts_each_layer_of_a_dimension_run(tmp_path):
     assert called.count("tangent.transport_derivative") == 24
     assert called.count("tangent.gram_schmidt") == 4
     assert called.count("tangent.trace") == 4
+
+
+def test_trace_cli_counts_each_kernel_layer_of_verify_kernels(tmp_path):
+    # the five kernel names the tracer binds, on a two-field n = 16 corpus
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text("seed,band,norm,n\n1,2,1.0,16\n2,3,1.0,16\n")
+    called, counts = _trace(tmp_path, "verify-kernels", str(corpus))
+    assert called.count("kernels.dissipation_field") == 22
+    assert called.count("kernels.translation_symbol") == 22
+    assert counts["kernels.translation_symbol.misses"] == 7
+    assert counts["kernels.translation_symbol.hits"] == 15
+    assert called.count("kernels.pointwise_identity_residual") == 6
+    assert called.count("kernels.lp_poincare_check") == 4
+    assert called.count("kernels.nonlinear_lower_bound_check") == 16
+    assert called.count("spectral.gradient") == 22
