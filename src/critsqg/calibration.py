@@ -32,12 +32,16 @@ c_backward  log-convexity budget on the pair corpus over the [0, 5] horizon
 ==========  ===============================================================
 
 Calibration takes about 30 s on a 2-core desk machine; it runs once and its
-output is committed.  Regenerate with ``python -m critsqg.calibration``.
+output is committed.  ``python -m critsqg.calibration`` prints the constants
+in the file format (progress goes to stderr); ``--write PATH`` saves them to
+PATH instead.
 """
 
 from __future__ import annotations
 
+import argparse
 import math
+import sys
 from dataclasses import fields as dc_fields, replace
 from typing import List, Sequence, Tuple
 
@@ -47,7 +51,7 @@ from .config import default_corpus_path, read_corpus
 from .diagnostics import (
     UniversalConstants,
     decay_envelope_report,
-    default_constants_path,
+    constants_text,
     holder_budget,
     holder_envelope_check,
     late_holder_violations,
@@ -354,10 +358,10 @@ def calibrate_c_backward(pairs) -> float:
 
 
 def run_calibration() -> UniversalConstants:
-    """Run the whole protocol, printing each step and constant as it is found."""
+    """Run the whole protocol, printing each step and constant to stderr as it is found."""
 
     def log(msg):
-        print(msg, flush=True)
+        print(msg, file=sys.stderr, flush=True)
 
     log("building kernel corpus (20 fields, n=64, band=8) ...")
     fields = kernel_corpus_fields()
@@ -396,16 +400,23 @@ def run_calibration() -> UniversalConstants:
     )
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(prog="python -m critsqg.calibration",
+                                     description="Run the calibration protocol.")
+    parser.add_argument("--write", metavar="PATH",
+                        help="save the constants file to PATH instead of printing it")
+    args = parser.parse_args(argv)
     consts = run_calibration()
-    out = default_constants_path()
     header = (
         "calibrated universal constants\n"
         f"protocol: critsqg.calibration, corpus version {CONSTANTS_VERSION}\n"
         "each value is the corpus-tight constant padded by the documented margin\n"
     )
-    save_constants(consts, out, header=header)
-    print(f"wrote {out}")
+    if args.write is None:
+        print(constants_text(consts, header), end="")
+    else:
+        save_constants(consts, args.write, header=header)
+        print(f"wrote {args.write}")
     return 0
 
 

@@ -57,6 +57,7 @@ from .solver import Trajectory
 __all__ = [
     "UniversalConstants",
     "load_constants",
+    "constants_text",
     "save_constants",
     "default_constants_path",
     "constants_path",
@@ -144,15 +145,20 @@ def load_constants(path: Optional[str] = None) -> UniversalConstants:
     return UniversalConstants(**kwargs)
 
 
-def save_constants(consts: UniversalConstants, path: str, header: str = "") -> None:
+def constants_text(consts: UniversalConstants, header: str = "") -> str:
+    """The constants file that :func:`load_constants` reads back as ``consts``."""
     lines = []
     if header:
         lines.extend("# " + h for h in header.splitlines())
     for f in dc_fields(UniversalConstants):
         v = getattr(consts, f.name)
         lines.append(f"{f.name} = {v!r}" if f.name != "version" else f"version = {v}")
+    return "\n".join(lines) + "\n"
+
+
+def save_constants(consts: UniversalConstants, path: str, header: str = "") -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(constants_text(consts, header))
 
 
 def _exceeds(value, bound, floor: float = 1e-300):
@@ -332,12 +338,17 @@ def absorbing_constants(f_linf: float, f_h1: float, kappa: float, consts: Univer
     alpha_star, m_inf_f = post_transient_holder(f_linf, kappa, consts)
     a = alpha_star
     m1_sq = 72.0 / kappa**2 * f_h1**2
-    m1_sq += (
-        consts.c8
-        * (8.0 * consts.c7) ** ((3.0 - 3.0 * a) / (2.0 * a))
-        / (3.0 * kappa ** ((9.0 - 3.0 * a) / (4.0 * a)))
-        * m_inf_f ** ((9.0 - a) / (4.0 * a))
-    )
+    try:
+        m1_sq += (
+            consts.c8
+            * (8.0 * consts.c7) ** ((3.0 - 3.0 * a) / (2.0 * a))
+            / (3.0 * kappa ** ((9.0 - 3.0 * a) / (4.0 * a)))
+            * m_inf_f ** ((9.0 - a) / (4.0 * a))
+        )
+    except (OverflowError, ZeroDivisionError):
+        # a power past float range, or a kappa power that underflowed to 0.0
+        # (small alpha_*): the radius is beyond float range; saturate to inf
+        m1_sq = math.inf
     # the exponential overflows float range already for moderate forces
     # (the envelopes are astronomically large there); saturate to inf
     if m1_sq > 0.0 or f_h1 > 0.0:

@@ -9,9 +9,10 @@ byte.  A manifest is itself a valid flat key=value config file: it embeds the
 full config snapshot (seeds already offset by any ``--seed-override``) next to
 a ``[manifest]`` section with the path and hash of each input file, code
 version, the python, numpy and BLAS versions (CSV bytes depend on the numpy
-FFT build, and the kernel report on the BLAS library and its thread count),
-the seed override, output paths, and wall-clock metadata (the latter is the only
-non-reproducible content, and no CSV depends on it).
+FFT build, and the kernel report on the BLAS library), whether BLAS was
+pinned to one thread, the seed override, output paths, and wall-clock
+metadata (the latter is the only non-reproducible content, and no CSV
+depends on it).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
+from . import BLAS_THREADS
 from .spectral import SpectralField, TorusGrid
 
 __all__ = [
@@ -122,9 +124,11 @@ def write_manifest(
 
     The manifest doubles as a config file: parsing it back and re-running
     under the recorded python, numpy and BLAS versions reproduces every CSV
-    output byte-exactly, with one more condition for ``kernel_report.csv``:
-    the same BLAS thread count (``OPENBLAS_NUM_THREADS``), because a
-    threaded gemm sums the translation symbol in a different order.
+    output byte-exactly.  ``blas_threads`` is ``1`` when importing critsqg
+    pinned BLAS to one thread, and ``unpinned`` when numpy was loaded first
+    (an in-process caller); an unpinned run's ``kernel_report.csv`` may differ
+    in its last bits from a pinned replay, because a threaded gemm sums the
+    translation symbol in another order.
     Each of ``inputs``, the files the run reads besides its config, is
     recorded as ``name = path`` and ``name_sha256 = <hash>``.
     """
@@ -136,6 +140,7 @@ def write_manifest(
     lines.append("python_version = {}.{}.{}".format(*sys.version_info[:3]))
     lines.append(f"numpy_version = {np.__version__}")
     lines.append(f"blas_version = {blas['name']} {blas['version']}")
+    lines.append(f"blas_threads = {BLAS_THREADS}")
     lines.append(f"command = {command}")
     lines.append(f"out_dir = {out_dir}")
     lines.append(f"seed = {seed}")

@@ -1,6 +1,7 @@
 """Calibration protocol: shipped constants stay consistent with the corpus."""
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from critsqg import calibration as cal
 from critsqg.diagnostics import (
     decay_envelope,
     decay_envelope_report,
+    default_constants_path,
     holder_budget,
     late_holder_violations,
     load_constants,
@@ -400,3 +402,25 @@ def test_calibrate_c10_matches_oracle(late_runs):
     c10 = cal.calibrate_c10(late_runs)
     assert c10 == oracle_c10(late_runs)
     assert 0.0 < c10 < math.inf
+
+
+def test_main_prints_constants_and_writes_nothing(tmp_path, monkeypatch, capsys, consts):
+    shipped = open(default_constants_path(), "rb").read()
+    monkeypatch.setattr(cal, "run_calibration", lambda: consts)
+    monkeypatch.chdir(tmp_path)
+    assert cal.main([]) == 0
+    printed = tmp_path / "printed.txt"
+    printed.write_text(capsys.readouterr().out)
+    assert load_constants(str(printed)) == consts
+    assert os.listdir(tmp_path) == ["printed.txt"]
+    assert open(default_constants_path(), "rb").read() == shipped
+
+
+def test_main_write_saves_constants_to_path(tmp_path, monkeypatch, capsys, consts):
+    shipped = open(default_constants_path(), "rb").read()
+    monkeypatch.setattr(cal, "run_calibration", lambda: consts)
+    out = tmp_path / "constants.txt"
+    assert cal.main(["--write", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert load_constants(str(out)) == consts
+    assert open(default_constants_path(), "rb").read() == shipped

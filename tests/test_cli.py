@@ -168,6 +168,7 @@ class TestConfigParsing:
         assert f"numpy_version = {np.__version__}" in lines
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert f"blas_version = {blas['name']} {blas['version']}" in lines
+        assert f"blas_threads = {critsqg.BLAS_THREADS}" in lines
         assert parse_config_text(text) == sections
 
     def test_presets_exist(self):
@@ -589,13 +590,29 @@ class TestUsageErrors:
         assert exc.value.code == EXIT_USAGE
 
 
-def _loaded_by_cli_import(module: str) -> bool:
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _child_env(**blas_threads) -> dict:
+    """This process's environment with ``src`` on the path, no BLAS thread variable
+    (importing critsqg set them here) and then the given ones."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    code = f"import sys, critsqg.cli; print({module!r} in sys.modules)"
+    for var in BLAS_THREAD_VARS:
+        env.pop(var, None)
+    env.update(blas_threads)
+    return env
+
+
+def _python(code: str, env: dict) -> str:
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    return out.stdout.strip() == "True"
+    return out.stdout
+
+
+def _loaded_by_cli_import(module: str) -> bool:
+    code = f"import sys, critsqg.cli; print({module!r} in sys.modules)"
+    return _python(code, _child_env()).strip() == "True"
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
@@ -619,14 +636,36 @@ def test_simulate_and_verify_kernels_load_no_scipy(tmp_path):
             f"rcs = [main(['simulate', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'sim')!r}]),\n"
             f"       main(['verify-kernels', {str(corpus)!r}, '--out', {str(tmp_path / 'ker')!r}])]\n"
             "print(rcs, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.splitlines()[-1] == f"[{EXIT_OK}, {EXIT_OK}] []"
+    assert _python(code, _child_env()).splitlines()[-1] == f"[{EXIT_OK}, {EXIT_OK}] []"
     assert (tmp_path / "sim" / "holder.csv").exists()
     assert (tmp_path / "sim" / "absorption.csv").exists()
     assert (tmp_path / "ker" / "kernel_report.csv").exists()
+
+
+def test_kernel_report_replays_under_any_blas_thread_setting(tmp_path):
+    # importing critsqg pins BLAS to one thread, so a threaded gemm never decides the
+    # summation order of the translation symbol: the shipped corpus gives the same
+    # bytes whatever thread count the environment asks for
+    outs = [tmp_path / name for name in ("unset", "one", "two")]
+    for out, blas_threads in zip(outs, ({}, {"OPENBLAS_NUM_THREADS": "1"},
+                                        {"OPENBLAS_NUM_THREADS": "2"})):
+        code = ("import sys; from critsqg.cli import main\n"
+                f"sys.exit(main(['verify-kernels', '--out', {str(out)!r}]))")
+        _python(code, _child_env(**blas_threads))
+    reports = [(out / "kernel_report.csv").read_bytes() for out in outs]
+    assert reports[0] == reports[1] == reports[2]
+    for out in outs:
+        assert "blas_threads = 1" in (out / "manifest.txt").read_text().splitlines()
+
+
+def test_manifest_records_blas_unpinned_when_numpy_loaded_first(tmp_path):
+    # numpy's BLAS pool already exists, so the pin cannot act; the manifest says so
+    manifest = tmp_path / "manifest.txt"
+    code = ("import numpy, critsqg.cli\n"
+            "from critsqg.snapshots import write_manifest\n"
+            f"write_manifest({str(manifest)!r}, {{}}, 'simulate', 'o', 0, {{}}, 'v')\n")
+    _python(code, _child_env())
+    assert "blas_threads = unpinned" in manifest.read_text().splitlines()
 
 
 @pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(critsqg.__path__)))
@@ -791,6 +830,26 @@ class TestSimulate:
     def test_dim_mismatch(self, tmp_path):
         rc = main(["simulate", "--preset", "burgers-basic", "--out", str(tmp_path / "o")])
         assert rc == EXIT_USAGE
+
+
+# SMALL_DIMENSION at kappa = 0.05 under a band-3 force of amplitude 0.15: alpha_* is
+# ~0.008, and the absorbing radius m_1f is past float range
+SMALL_KAPPA = SMALL_DIMENSION.replace("dt = 1e-2", "kappa = 0.05\ndt = 1e-2").replace(
+    "kind = zero", "kind = random_band\nband = 3\namplitude = 0.15\nseed = 11") + (
+    "\n[probes]\nabsorption = 1\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "dimension"])
+def test_small_kappa_radius_past_float_range_ends_by_verdict(tmp_path, command):
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text(SMALL_KAPPA)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) in (EXIT_OK, EXIT_FALSIFIED)
+    if command == "simulate":
+        rows = (out / "absorption.csv").read_text().splitlines()
+        assert rows[0] == "t,h1,m_1f,inside" and all(r.split(",")[2] == "inf" for r in rows[1:])
+    else:
+        assert "N (a-priori dimension bound)  = inf" in (out / "dimension_report.txt").read_text()
 
 
 class TestBurgersCommand:

@@ -227,6 +227,29 @@ class TestAbsorbingConstants:
         assert ac.m_2f == pytest.approx(math.sqrt(m2_sq), rel=1e-12)
         assert np.isfinite(ac.m_2f)
 
+    @pytest.mark.parametrize("args", [
+        (0.15, 0.3, 0.05),   # kappa**((9 - 3a)/(4a)) underflows to 0.0
+        (1.0, 1.0, 0.05),    # (8*c7)**((3 - 3a)/(2a)) overflows
+        (10.0, 5.0, 0.01),
+    ])
+    def test_m1_term_past_float_range_saturates(self, consts, args):
+        ac = absorbing_constants(*args, consts)
+        assert ac.m_1f == ac.m_32f == ac.m_2f == math.inf
+
+    @pytest.mark.parametrize("args, expected", [
+        ((1.0, 1.0, 1.0), "AbsorbingConstants(alpha_star=0.25, m_inf_f=4.057250433096036, "
+                          "m_1f=12850.710188859444, m_32f=inf, m_2f=inf)"),
+        ((0.05, 0.05, 1.0), "AbsorbingConstants(alpha_star=0.25, m_inf_f=0.20286252165480181, "
+                            "m_1f=0.42506715926094607, m_32f=2.1187401247397575, "
+                            "m_2f=6.34888291519858)"),
+        ((0.01, 0.01, 1.0), "AbsorbingConstants(alpha_star=0.25, m_inf_f=0.040572504330960366, "
+                            "m_1f=0.08485281681960054, m_32f=0.2304570118904852, "
+                            "m_2f=0.07642929065047249)"),
+    ])
+    def test_finite_radii_keep_their_values(self, consts, args, expected):
+        # the saturation only acts where the old evaluation raised
+        assert repr(absorbing_constants(*args, consts)) == expected
+
 
 class TestLogConvexity:
     def test_identical_data_degenerate(self, grid32, consts):
