@@ -28,14 +28,14 @@ it at every collocation point simultaneously reduces to two FFTs against a
 precomputed translation symbol ``S(k) = sum_q w_q exp(i k . y_q)``.  Its
 phases are built as powers of one ``exp(i y)`` per node and direction (two
 complex exponentials per node, not one per node and wavenumber), and the
-symbol is cached per exact (alpha, bandwidth, resolution, quadrature).
+symbol is cached per exact (alpha, kmax, n, radius), ``radius`` that of the
+principal-value disc.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -55,9 +55,7 @@ from .spectral import (
 __all__ = [
     "c_alpha",
     "OUTER_RADIUS",
-    "QuadratureSpec",
     "dissipation_field",
-    "dissipation_convergence",
     "spectral_identity_rhs",
     "pointwise_identity_residual",
     "LP_POINCARE_CONSTANT",
@@ -92,46 +90,28 @@ def c_alpha(alpha: float) -> float:
     return 2.0**alpha * math.gamma((2 + alpha) / 2.0) / (np.pi * abs(math.gamma(-alpha / 2.0)))
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Principal-value quadrature layout for the whole-space dissipation form.
+def _pv_radius(grid, kmax: int) -> float:
+    """Principal-value disc radius ``min(h/2, pi/(4 kmax))``.
 
-    ``pv_inner_radius`` is the Taylor-model disc radius (must stay below the
-    collocation spacing of the field it is applied to), ``refinement`` a
-    density multiplier for both radial and angular node counts.
-    :meth:`for_grid` picks the radius
-    ``min(h/2, pi/(4 kmax))``: the relative Taylor-model error scales like
-    ``(kmax delta)^(4 - alpha)``, so the disc shrinks with the integrand
-    bandwidth ``kmax`` once that exceeds ``n/4``.
+    The relative Taylor-model error scales like ``(kmax delta)^(4 - alpha)``,
+    so the disc shrinks with the integrand bandwidth ``kmax`` once that
+    exceeds ``n/4``; it always stays below the collocation spacing ``h``.
     """
-
-    pv_inner_radius: float
-    refinement: int = 1
-
-    def __post_init__(self):
-        if self.pv_inner_radius <= 0:
-            raise ValueError("pv_inner_radius must be positive")
-        if self.refinement < 1:
-            raise ValueError("refinement must be >= 1")
-
-    @staticmethod
-    def for_grid(grid, kmax: int) -> "QuadratureSpec":
-        return QuadratureSpec(min(0.5 * grid.spacing, np.pi / (4 * kmax)))
+    return min(0.5 * grid.spacing, np.pi / (4 * kmax))
 
 
-def _annulus_nodes(alpha: float, kmax: int, spec: QuadratureSpec):
-    """Quadrature nodes/weights on the annulus, kernel factor folded into w."""
+def _annulus_nodes(alpha: float, kmax: int, radius: float):
+    """Nodes/weights on the annulus ``radius <= |y| <= R``, kernel factor folded into w."""
     ca = c_alpha(alpha)
-    ref = spec.refinement
     ys1, ys2, ws = [], [], []
-    a = spec.pv_inner_radius
+    a = radius
     while a < OUTER_RADIUS:
         b = min(2.0 * a, OUTER_RADIUS)
-        nr = int(np.ceil(0.45 * kmax * (b - a))) + 8 * ref
+        nr = int(np.ceil(0.45 * kmax * (b - a))) + 8
         xg, wg = leggauss(nr)
         r = 0.5 * (b - a) * xg + 0.5 * (b + a)
         wr = 0.5 * (b - a) * wg * ca * r ** (-1.0 - alpha)
-        npsi = int(np.ceil(1.1 * kmax * b)) + 16 * ref
+        npsi = int(np.ceil(1.1 * kmax * b)) + 16
         psi = 2.0 * np.pi * np.arange(npsi) / npsi
         wpsi = 2.0 * np.pi / npsi
         ys1.append(np.outer(r, np.cos(psi)).ravel())
@@ -144,7 +124,7 @@ def _annulus_nodes(alpha: float, kmax: int, spec: QuadratureSpec):
 _symbol_cache: dict = {}
 
 
-def _translation_symbol(alpha: float, kmax: int, n: int, spec: QuadratureSpec) -> np.ndarray:
+def _translation_symbol(alpha: float, kmax: int, n: int, radius: float) -> np.ndarray:
     """``S(k) = sum_q w_q exp(i k . y_q)`` for ``|k_i| <= kmax``, zero elsewhere (cached).
 
     The weights are real, so only the rows ``k1 >= 0`` are summed, and
@@ -154,11 +134,11 @@ def _translation_symbol(alpha: float, kmax: int, n: int, spec: QuadratureSpec) -
     at power j, less than rounding ``k . y`` costs a direct ``exp(i k . y)``
     at the ``|k . y|`` of several hundred reached on the outer annulus.
     """
-    key = (alpha, kmax, n, spec)
+    key = (alpha, kmax, n, radius)
     got = _symbol_cache.get(key)
     if got is not None:
         return got
-    y1, y2, w = _annulus_nodes(alpha, kmax, spec)
+    y1, y2, w = _annulus_nodes(alpha, kmax, radius)
     half = np.zeros((kmax + 1, 2 * kmax + 1), dtype=np.complex128)  # S[k1 >= 0, k2 + kmax]
     chunk = max(1, 2**17 // (2 * kmax + 1))  # keeps each (2 kmax + 1, q) work array at ~2 MiB
     for lo in range(0, len(w), chunk):
@@ -197,7 +177,7 @@ def _check_product_resolution(band: int, n: int) -> None:
         )
 
 
-def dissipation_field(field: SpectralField, alpha: float, spec: Optional[QuadratureSpec] = None) -> np.ndarray:
+def dissipation_field(field: SpectralField, alpha: float) -> np.ndarray:
     """``D_alpha[phi]`` evaluated at every collocation point (returns an array).
 
     Quadrature of the whole-space representation as described in the module
@@ -210,12 +190,9 @@ def dissipation_field(field: SpectralField, alpha: float, spec: Optional[Quadrat
     _check_product_resolution(field.band(), field.grid.n)
     grid = field.grid
     kmax = _field_kmax(field)
-    if spec is None:
-        spec = QuadratureSpec.for_grid(grid, kmax)
-    if spec.pv_inner_radius >= grid.spacing:
-        raise ValueError("pv_inner_radius must be below the grid spacing")
+    delta = _pv_radius(grid, kmax)
     ca = c_alpha(alpha)
-    S = _translation_symbol(alpha, kmax, grid.n, spec)
+    S = _translation_symbol(alpha, kmax, grid.n, delta)
     v = field.values()
     v2 = v * v
     w_total = float(S[0, 0].real)
@@ -224,25 +201,10 @@ def dissipation_field(field: SpectralField, alpha: float, spec: Optional[Quadrat
     conv_v2 = _collocation(grid, _forward(grid, v2) * S)
     gx, gy = gradient(field)
     grad2 = gx.values() ** 2 + gy.values() ** 2
-    delta = spec.pv_inner_radius
     inner = ca * np.pi * delta ** (2.0 - alpha) / (2.0 - alpha) * grad2
     m2 = float(np.mean(v2))
     tail = ca * 2.0 * np.pi / (alpha * OUTER_RADIUS**alpha) * (v2 + m2)
     return w_total * v2 - 2.0 * v * conv_v + conv_v2 + inner + tail
-
-
-def dissipation_convergence(field: SpectralField, alpha: float) -> float:
-    """Self-check: max relative change of D_alpha under refinement doubling.
-
-    A return value above 1e-3 means the quadrature resolution is insufficient
-    for this field.
-    """
-    spec = QuadratureSpec.for_grid(field.grid, _field_kmax(field))
-    fine = QuadratureSpec(spec.pv_inner_radius / 2.0, 2 * spec.refinement)
-    d0 = dissipation_field(field, alpha, spec)
-    d1 = dissipation_field(field, alpha, fine)
-    scale = max(float(np.abs(d1).max()), 1e-300)
-    return float(np.abs(d1 - d0).max() / scale)
 
 
 def spectral_identity_rhs(field: SpectralField, alpha: float) -> np.ndarray:

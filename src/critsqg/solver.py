@@ -33,7 +33,6 @@ from .spectral import (
     TorusGrid,
     _packed_values,
     _product_coeffs,
-    inner_l2,
     lp_norm,
     norm_report,
     resample,
@@ -52,10 +51,8 @@ __all__ = [
     "nonlinear_term",
     "burgers_nonlinear_term",
     "velocity_max",
-    "step",
     "integrate",
     "run",
-    "energy_balance_residual",
 ]
 
 
@@ -179,8 +176,12 @@ def _advection_coeffs(grid: TorusGrid, adv: np.ndarray) -> np.ndarray:
     return c
 
 
-def _sqg_advection(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
-    """Coefficients of ``-u . grad theta`` from the ``_transport_values`` of a stack."""
+def nonlinear_term(grid: TorusGrid, values: tuple) -> np.ndarray:
+    """Coefficients of ``-u . grad theta`` for SQG, dealiased and mean-free, per field of a stack.
+
+    ``values`` is the :func:`_transport_values` of an ``(m, n, n)`` stack;
+    the result is the ``(m, n, n)`` stack of the pseudo-spectral products.
+    """
     u1, u2, gx, gy = values
     return _advection_coeffs(grid, u1 * gx + u2 * gy)
 
@@ -198,13 +199,6 @@ def _transport_derivative(grid: TorusGrid, base: tuple, coeffs: np.ndarray) -> n
     adv = u1 * gx + u2 * gy
     adv += w1 * tx + w2 * ty
     return _advection_coeffs(grid, adv)
-
-
-def nonlinear_term(theta: SpectralField) -> SpectralField:
-    """``-u . grad theta`` for SQG, pseudo-spectral, dealiased, mean-free."""
-    grid = theta.grid
-    c = _sqg_advection(grid, _transport_values(grid, theta.coeffs[None]))[0]
-    return SpectralField._trusted(grid, c)
 
 
 def burgers_nonlinear_term(theta: SpectralField) -> SpectralField:
@@ -258,7 +252,7 @@ class _Stepper:
             theta = SpectralField._trusted(grid, coeffs)
             return burgers_nonlinear_term(theta).coeffs + self.force.coeffs, xs
         base = _transport_values(grid, coeffs[None])
-        g = _sqg_advection(grid, base)[0] + self.force.coeffs
+        g = nonlinear_term(grid, base)[0] + self.force.coeffs
         return g, (_transport_derivative(grid, base, xs) if len(xs) else xs)
 
     def _heun(self, theta: SpectralField, xs: np.ndarray, dt: float, t: float):
@@ -317,12 +311,6 @@ def integrate(step: Callable, cfl_dt: Callable, state, t: float, target: float, 
     return state, (target if t >= target - 1e-12 else t)
 
 
-def step(theta: SpectralField, config: SolverConfig, force: SpectralField) -> SpectralField:
-    """Advance one dt of forced SQG (critical Burgers on a 1D grid); see :class:`_Stepper`."""
-    stepper = _Stepper(theta.grid, config, force)
-    return stepper.advance(theta, stepper.cfl_dt(theta, config.dt))
-
-
 @dataclass
 class Trajectory:
     """Snapshots of one run plus per-snapshot norm records."""
@@ -367,19 +355,3 @@ def run(
         snap(t, theta, traj)
     traj.cfl_reductions = stepper.cfl_reductions
     return traj
-
-
-def energy_balance_residual(
-    prev: SpectralField, new: SpectralField, dt: float, kappa: float,
-    force: SpectralField,
-) -> float:
-    """Discrete residual of d/dt||theta||^2 + 2k||theta||^2_{H^1/2} - 2<f,theta> = 0.
-
-    Evaluated with midpoint quadrature; O(dt^2) per step for the IMEX-CN
-    scheme (the linear part cancels identically).
-    """
-    mid = (prev + new) * 0.5
-    d_energy = (inner_l2(new, new) - inner_l2(prev, prev)) / dt
-    diss = 2.0 * kappa * sobolev_norm(mid, 0.5) ** 2
-    inj = 2.0 * inner_l2(force, mid)
-    return float(d_energy + diss - inj)

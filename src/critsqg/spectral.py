@@ -45,7 +45,6 @@ __all__ = [
     "sobolev_norm",
     "lp_norm",
     "holder_seminorm",
-    "inner_l2",
     "inner_h1",
     "norm_report",
 ]
@@ -404,11 +403,6 @@ def lp_norm(field: SpectralField, p) -> float:
     below the aliasing limit ``p * band < n``.
     """
     return _lp_of_values(field.grid, field.values(), p)
-
-
-def inner_l2(f: SpectralField, g: SpectralField) -> float:
-    f._check_same_grid(g)
-    return float(np.real(np.sum(np.conj(f.coeffs) * g.coeffs)) * TWO_PI**f.grid.dim)
 
 
 def _h1_pair(grid: TorusGrid, a: np.ndarray, b: np.ndarray) -> float:

@@ -61,6 +61,7 @@ __all__ = [
     "eigenvalue_count_constant",
     "VolumeTraceResult",
     "IDENTITY_RESIDUAL_BOUND",
+    "COLLAPSE_CONDITION",
     "volume_and_trace_run",
     "dimension_bound",
     "trace_bound_curve",
@@ -226,6 +227,9 @@ def dimension_verdict(empirical_n: int, force: Force, kappa: float, consts: Univ
 # criterion 10: |log V_m(t) - log V_m(0) - int_0^t Tr(P_m A)| at most this
 IDENTITY_RESIDUAL_BOUND = 1e-3
 
+# a tangent frame whose condition (:func:`_frame_condition`) exceeds this has collapsed
+COLLAPSE_CONDITION = 1e6
+
 
 @dataclass
 class VolumeTraceResult:
@@ -288,7 +292,6 @@ def volume_and_trace_run(
     t_relax: float,
     seed: int,
     tangent_band: int,
-    condition_trigger: float = 1e6,
 ) -> VolumeTraceResult:
     """Co-evolve the base flow with ``n_tangent`` tangent fields.
 
@@ -296,7 +299,7 @@ def volume_and_trace_run(
     empirically absorbing region).  The ensemble is re-orthonormalized every
     ``reorth_every`` steps and at exactly ``config.t_end``, accumulating per-dimension
     log-volumes and trace samples.  A frame condition (:func:`_frame_condition`)
-    above ``condition_trigger`` after any coupled step raises
+    above ``COLLAPSE_CONDITION`` after any coupled step raises
     :class:`EnsembleCollapseError` with advice to reduce the interval.  A
     blowup raises :class:`BlowupError` stamped with the time elapsed since
     ``theta0``, relax phase included.
@@ -315,7 +318,7 @@ def volume_and_trace_run(
     def coupled_step(state, dt, t_run):
         theta, xs = stepper.step(state[0], state[1], dt, t=t_relaxed + t_run)
         condition = _frame_condition(grid, xs)
-        if not condition <= condition_trigger:
+        if not condition <= COLLAPSE_CONDITION:
             raise EnsembleCollapseError(
                 f"tangent frame condition {condition:.2e} exceeded trigger at "
                 f"t={t_relaxed + t_run + dt:.6g}; reduce reorth_every (currently {reorth_every})"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from critsqg.solver import SolverConfig, _Stepper
 from critsqg.spectral import SpectralField, TorusGrid
 
 
@@ -25,3 +26,9 @@ def cos_x1(grid: TorusGrid, mult: int = 1, amplitude: float = 1.0) -> SpectralFi
 def meshes(grid: TorusGrid):
     x = grid.coords
     return np.meshgrid(x, x, indexing="ij")
+
+
+def step(theta: SpectralField, config: SolverConfig, force: SpectralField) -> SpectralField:
+    """One CFL-checked step of ``config.dt`` of forced SQG (critical Burgers on a 1D grid)."""
+    stepper = _Stepper(theta.grid, config, force)
+    return stepper.advance(theta, stepper.cfl_dt(theta, config.dt))

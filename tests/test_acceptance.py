@@ -29,7 +29,7 @@ from critsqg.diagnostics import (
 )
 from critsqg.kernels import dissipation_field, kernel_checks
 from critsqg.solver import Force, SolverConfig, random_band_field, run
-from critsqg.spectral import SpectralField, TorusGrid, inner_h1, inner_l2
+from critsqg.spectral import SpectralField, TorusGrid, inner_h1, sobolev_norm
 from critsqg.tangent import (
     IDENTITY_RESIDUAL_BOUND,
     dimension_verdict,
@@ -106,7 +106,7 @@ def test_criterion_02_steady_state_oracle():
     worst = 0.0
     for t, fld in zip(traj.times[1:], traj.fields[1:]):
         d = fld - theta0
-        worst = max(worst, math.sqrt(inner_l2(d, d)) / t)
+        worst = max(worst, sobolev_norm(d, 0.0) / t)
     report(2, worst <= 1e-8, f"steady-state drift {worst:.2e} <= 1e-8 per unit time on [0,10]")
 
 

@@ -9,9 +9,7 @@ from scipy.special import gamma
 from critsqg import kernels
 from critsqg.kernels import (
     LP_POINCARE_CONSTANT,
-    QuadratureSpec,
     c_alpha,
-    dissipation_convergence,
     dissipation_field,
     lp_poincare_check,
     nonlinear_lower_bound_check,
@@ -70,10 +68,6 @@ class TestDissipation:
         val = dissipation_field(phi, 1.0)[0, 0]
         assert val == pytest.approx(rhs[0, 0], abs=1e-3 * max(abs(rhs[0, 0]), 1.0))
 
-    def test_refinement_self_check(self, grid64):
-        phi = random_band_field(grid64, 6, 1.0, 3)
-        assert dissipation_convergence(phi, 1.0) < 1e-3
-
     def test_scaling_relation(self):
         # D_a[phi(2.)](x) = 2^a D_a[phi](2x) for the whole-space functional
         g = TorusGrid(2, 64)
@@ -110,19 +104,11 @@ class TestDissipation:
         with pytest.raises(ValueError):
             spectral_identity_rhs(phi, 1.0)
 
-    def test_quadrature_spec_validation(self, grid64):
-        with pytest.raises(ValueError):
-            QuadratureSpec(pv_inner_radius=0.0)
-        # inner radius must stay below the grid spacing
-        bad = QuadratureSpec(pv_inner_radius=1.0)
-        with pytest.raises(ValueError):
-            dissipation_field(cos_x1(grid64), 1.0, bad)
-
 
 @functools.lru_cache(maxsize=None)
-def _full_grid_symbol(alpha, kmax, n, spec):
+def _full_grid_symbol(alpha, kmax, n, radius):
     """Brute-force oracle: ``sum_q w_q exp(i k . y_q)`` on all n x n wavenumbers."""
-    y1, y2, w = kernels._annulus_nodes(alpha, kmax, spec)
+    y1, y2, w = kernels._annulus_nodes(alpha, kmax, radius)
     k = np.fft.fftfreq(n) * n
     S = np.zeros((n, n), dtype=np.complex128)
     chunk = max(1, 40_000_000 // (16 * n))
@@ -134,31 +120,25 @@ def _full_grid_symbol(alpha, kmax, n, spec):
     return S
 
 
-def _refined_spec(grid, kmax):
-    """The fine spec of ``dissipation_convergence``."""
-    spec = QuadratureSpec.for_grid(grid, kmax)
-    return QuadratureSpec(spec.pv_inner_radius / 2, 2 * spec.refinement)
-
-
-def _one_node_last_chunk_spec(grid, kmax):
-    spec = QuadratureSpec(0.741 * grid.spacing)
-    nodes = len(kernels._annulus_nodes(1.0, kmax, spec)[2])
+def _one_node_last_chunk_radius(grid, kmax):
+    radius = 0.741 * grid.spacing
+    nodes = len(kernels._annulus_nodes(1.0, kmax, radius)[2])
     assert nodes % (2**17 // (2 * kmax + 1)) == 1  # 63,537 nodes in chunks of 3,971 at kmax 16
-    return spec
+    return radius
 
 
 class TestBandLimitedSymbol:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
-    @pytest.mark.parametrize("band, make_spec", [
-        (6, QuadratureSpec.for_grid), (8, QuadratureSpec.for_grid),
-        (12, QuadratureSpec.for_grid),  # kmax = 24 > n/4: the disc shrinks to pi/96
-        (8, _refined_spec), (8, _one_node_last_chunk_spec),
-    ], ids=["6", "8", "12", "8-refined", "8-one-node-last-chunk"])
-    def test_matches_full_grid_oracle(self, grid64, alpha, band, make_spec):
+    @pytest.mark.parametrize("band, make_radius", [
+        (6, kernels._pv_radius), (8, kernels._pv_radius),
+        (12, kernels._pv_radius),  # kmax = 24 > n/4: the disc shrinks to pi/96
+        (8, _one_node_last_chunk_radius),
+    ], ids=["6", "8", "12", "8-one-node-last-chunk"])
+    def test_matches_full_grid_oracle(self, grid64, alpha, band, make_radius):
         kmax = 2 * band
-        spec = make_spec(grid64, kmax)
-        S = kernels._translation_symbol(alpha, kmax, 64, spec)
-        oracle = _full_grid_symbol(alpha, kmax, 64, spec)
+        radius = make_radius(grid64, kmax)
+        S = kernels._translation_symbol(alpha, kmax, 64, radius)
+        oracle = _full_grid_symbol(alpha, kmax, 64, radius)
         k = np.abs(np.fft.fftfreq(64) * 64)
         inband = (k[:, None] <= kmax) & (k[None, :] <= kmax)
         assert np.abs(S - oracle)[inband].max() <= 1e-13 * np.abs(oracle).max()
@@ -213,8 +193,8 @@ class TestPointwiseIdentity:
                 assert resid.mean() <= 1e-2 * linf_sq
 
     def test_band_12_resolved_by_pv_radius(self, grid64):
-        # kmax = 24 > n/4: the default disc shrinks to pi/(4 kmax) = h/3
-        assert QuadratureSpec.for_grid(grid64, 24).pv_inner_radius == np.pi / 96
+        # kmax = 24 > n/4: the disc shrinks to pi/(4 kmax) = h/3
+        assert kernels._pv_radius(grid64, 24) == np.pi / 96
         phi = random_band_field(grid64, 12, 1.0, 0)
         resid = pointwise_identity_residual(phi, 1.5)
         assert resid.mean() <= 1e-2 * np.abs(phi.values()).max() ** 2

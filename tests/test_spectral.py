@@ -25,7 +25,7 @@ from critsqg.spectral import (
     sobolev_norm,
 )
 
-from conftest import cos_x1, meshes
+from conftest import cos_x1, meshes, step
 
 
 def random_field(grid, band, seed, amplitude=1.0):
@@ -440,7 +440,7 @@ def _mirror(grid, c):
 
 
 def _operators(grid):
-    from critsqg.solver import SolverConfig, burgers_nonlinear_term, nonlinear_term, step
+    from critsqg.solver import SolverConfig, _transport_values, burgers_nonlinear_term, nonlinear_term
     from critsqg.spectral import _product_coeffs
 
     ops = {
@@ -455,7 +455,8 @@ def _operators(grid):
     }
     if grid.dim == 2:
         ops["riesz_perp"] = lambda f, r: riesz_perp(f)[1]
-        ops["nonlinear_term"] = lambda f, r: nonlinear_term(f)
+        ops["nonlinear_term"] = lambda f, r: SpectralField._trusted(
+            grid, nonlinear_term(grid, _transport_values(grid, f.coeffs[None]))[0])
     else:
         ops["burgers_nonlinear_term"] = lambda f, r: burgers_nonlinear_term(f)
     return ops

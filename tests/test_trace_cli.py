@@ -62,6 +62,8 @@ def test_trace_cli_spans_name_the_patched_layers(tmp_path):
     assert {"solver.build_field", "solver.advance", "config.build_setup"} <= set(called)
     # build_setup builds the [initial] field and the [force] field
     assert called.count("solver.build_field") == 2
+    # 5 steps of two Heun stages, each forming its term through nonlinear_term
+    assert called.count("solver.nonlinear_term") == 10
 
 
 def test_trace_cli_counts_each_layer_of_a_dimension_run(tmp_path):
@@ -69,6 +71,8 @@ def test_trace_cli_counts_each_layer_of_a_dimension_run(tmp_path):
     called, counts = _trace(tmp_path, "dimension", "--config", _config(tmp_path, TINY_DIMENSION))
     assert called.count("solver.advance") == 5  # the relax phase only
     assert called.count("tangent.step") == 10
+    # one base term per stage of the 5 relax and 10 coupled steps
+    assert called.count("solver.nonlinear_term") == 30
     assert counts["tangent.step.tangent_steps"] == 20
     # two stages per coupled step, and one per trace sample
     assert called.count("tangent.transport_derivative") == 24
