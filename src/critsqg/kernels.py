@@ -24,16 +24,21 @@ by quadrature of the whole-space form with the periodic extension of ``phi``:
   ``c_alpha * 2*pi/(alpha R^alpha) * (phi(x)^2 + mean(phi^2))``.
 
 Because the annulus part is a plain node/weight sum of translates, evaluating
-it at every collocation point simultaneously reduces to two FFTs against a
-precomputed translation symbol ``S(k) = sum_q w_q exp(i k . y_q)``.  Its
-phases are built as powers of one ``exp(i y)`` per node and direction (two
-complex exponentials per node, not one per node and wavenumber), and the
-symbol is cached per exact (alpha, kmax, n, radius), ``radius`` that of the
-principal-value disc.
+it at every collocation point simultaneously reduces to convolutions with a
+precomputed translation symbol ``S(k) = sum_q w_q exp(i k . y_q)``; ``phi*S``
+and ``phi^2*S`` are both real, so they share one inverse transform, as do the
+two gradient components.  The node set is mirror-symmetric in ``y2``, so the
+symbol is summed over the half ``y2 >= 0`` with real ``cos(k2 y2)`` phases.
+Its phases are built as powers of one ``exp(i y)`` per node and direction (two
+complex exponentials per node, not one per node and wavenumber).  The rings
+of the annulus (radii, radial weights, angle counts) are built once per
+(kmax, radius), and the symbol is cached per exact (alpha, kmax, n, radius),
+``radius`` that of the principal-value disc.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,8 +48,8 @@ from numpy.polynomial.legendre import leggauss
 from .spectral import (
     MeanZeroError,
     SpectralField,
-    _collocation,
     _forward,
+    _packed_values,
     fractional_laplacian,
     gradient,
     lp_norm,
@@ -100,25 +105,51 @@ def _pv_radius(grid, kmax: int) -> float:
     return min(0.5 * grid.spacing, np.pi / (4 * kmax))
 
 
-def _annulus_nodes(alpha: float, kmax: int, radius: float):
-    """Nodes/weights on the annulus ``radius <= |y| <= R``, kernel factor folded into w."""
-    ca = c_alpha(alpha)
-    ys1, ys2, ws = [], [], []
+@functools.lru_cache(maxsize=None)
+def _rings(kmax: int, radius: float) -> tuple:
+    """Panels of the annulus ``radius <= |y| <= R`` as ``(r, wr, npsi)``, built once per (kmax, radius).
+
+    ``r`` are the Gauss-Legendre radii of a panel, ``wr`` their weights scaled
+    to it, and ``npsi`` its number of equispaced angles; none depends on alpha.
+    """
+    rings = []
     a = radius
     while a < OUTER_RADIUS:
         b = min(2.0 * a, OUTER_RADIUS)
         nr = int(np.ceil(0.45 * kmax * (b - a))) + 8
         xg, wg = leggauss(nr)
         r = 0.5 * (b - a) * xg + 0.5 * (b + a)
-        wr = 0.5 * (b - a) * wg * ca * r ** (-1.0 - alpha)
-        npsi = int(np.ceil(1.1 * kmax * b)) + 16
-        psi = 2.0 * np.pi * np.arange(npsi) / npsi
-        wpsi = 2.0 * np.pi / npsi
+        wr = 0.5 * (b - a) * wg
+        r.setflags(write=False)
+        wr.setflags(write=False)
+        rings.append((r, wr, int(np.ceil(1.1 * kmax * b)) + 16))
+        a = b
+    return tuple(rings)
+
+
+def _half_nodes(alpha: float, kmax: int, radius: float):
+    """Annulus nodes with angle ``0 <= psi <= pi`` and their weights, kernel factor folded in.
+
+    The angles ``psi_j = 2 pi j / npsi`` of a ring are closed under ``psi ->
+    2 pi - psi``, which maps ``(y1, y2)`` to ``(y1, -y2)`` with the same
+    weight: an off-axis node carries the weight of itself and its mirror
+    (x2), ``psi = 0`` and ``psi = pi`` only their own.
+    """
+    ca = c_alpha(alpha)
+    ys1, ys2, ws = [], [], []
+    for r, wr, npsi in _rings(kmax, radius):
+        j = np.arange(npsi // 2 + 1)
+        psi = 2.0 * np.pi * j / npsi
+        mirrored = np.where((j == 0) | (2 * j == npsi), 1.0, 2.0)
         ys1.append(np.outer(r, np.cos(psi)).ravel())
         ys2.append(np.outer(r, np.sin(psi)).ravel())
-        ws.append(np.repeat(wr * wpsi, npsi))
-        a = b
+        ws.append(np.outer(wr * ca * r ** (-1.0 - alpha) * (2.0 * np.pi / npsi), mirrored).ravel())
     return np.concatenate(ys1), np.concatenate(ys2), np.concatenate(ws)
+
+
+def _node_chunk(kmax: int) -> int:
+    """Nodes per chunk of the symbol sum: each ``(kmax + 1, q)`` complex work array is ~2 MiB."""
+    return max(1, 2**17 // (kmax + 1))
 
 
 _symbol_cache: dict = {}
@@ -127,34 +158,38 @@ _symbol_cache: dict = {}
 def _translation_symbol(alpha: float, kmax: int, n: int, radius: float) -> np.ndarray:
     """``S(k) = sum_q w_q exp(i k . y_q)`` for ``|k_i| <= kmax``, zero elsewhere (cached).
 
-    The weights are real, so only the rows ``k1 >= 0`` are summed, and
-    ``S(-k) = conj S(k)`` fills the rest of the band.  The phases are powers
-    of one ``z = exp(i y)`` per node and direction, ``P[j] = P[j-1] * z``,
-    summed by one gemm per chunk of nodes.  The recurrence loses about j ulps
-    at power j, less than rounding ``k . y`` costs a direct ``exp(i k . y)``
-    at the ``|k . y|`` of several hundred reached on the outer annulus.
+    The node set is mirror-symmetric in ``y2`` and the weights are real, so
+    ``S(k1, -k2) = S(k1, k2)`` and ``S(-k) = conj S(k)``: only the quarter
+    ``k1, k2 >= 0`` is summed, over the half nodes of :func:`_half_nodes`,
+    where the ``k2`` phase is ``cos(k2 y2)``.  The phases are powers of one
+    ``z = exp(i y)`` per node and direction, ``P[j] = P[j-1] * z``, and each
+    chunk of nodes is two real gemms (real and imaginary part of ``w z1^k1``
+    against ``Re z2^k2``).  The recurrence loses about j ulps at power j, less
+    than rounding ``k . y`` costs a direct ``exp(i k . y)`` at the ``|k . y|``
+    of several hundred reached on the outer annulus.
     """
     key = (alpha, kmax, n, radius)
     got = _symbol_cache.get(key)
     if got is not None:
         return got
-    y1, y2, w = _annulus_nodes(alpha, kmax, radius)
-    half = np.zeros((kmax + 1, 2 * kmax + 1), dtype=np.complex128)  # S[k1 >= 0, k2 + kmax]
-    chunk = max(1, 2**17 // (2 * kmax + 1))  # keeps each (2 kmax + 1, q) work array at ~2 MiB
+    y1, y2, w = _half_nodes(alpha, kmax, radius)
+    quarter = np.zeros((kmax + 1, kmax + 1), dtype=np.complex128)  # S[k1 >= 0, k2 >= 0]
+    chunk = _node_chunk(kmax)
     for lo in range(0, len(w), chunk):
         hi = lo + chunk
         z1 = np.exp(1j * y1[lo:hi])
         z2 = np.exp(1j * y2[lo:hi])
         P1 = np.empty((kmax + 1, len(z1)), dtype=np.complex128)  # w_q z1^k1, k1 = 0 .. kmax
-        P2 = np.empty((2 * kmax + 1, len(z2)), dtype=np.complex128)  # z2^k2, k2 = -kmax .. kmax
+        P2 = np.empty((kmax + 1, len(z2)), dtype=np.complex128)  # z2^k2, k2 = 0 .. kmax
         P1[0] = w[lo:hi]
-        P2[kmax] = 1.0
+        P2[0] = 1.0
         for j in range(1, kmax + 1):
             np.multiply(P1[j - 1], z1, out=P1[j])
-            np.multiply(P2[kmax + j - 1], z2, out=P2[kmax + j])
-        np.conj(P2[:kmax:-1], out=P2[:kmax])
-        half += P1 @ P2.T
-    half[0, :kmax] = np.conj(half[0, :kmax:-1])  # row k1 = 0 mirrors itself, exactly whatever the gemm order
+            np.multiply(P2[j - 1], z2, out=P2[j])
+        cos2 = np.ascontiguousarray(P2.real.T)
+        quarter.real += np.ascontiguousarray(P1.real) @ cos2
+        quarter.imag += np.ascontiguousarray(P1.imag) @ cos2
+    half = np.concatenate((quarter[:, :0:-1], quarter), axis=1)  # S[k1 >= 0, k2 + kmax]
     S = np.zeros((n, n), dtype=np.complex128)
     k = np.arange(kmax + 1)
     k2 = np.arange(-kmax, kmax + 1)
@@ -162,11 +197,6 @@ def _translation_symbol(alpha: float, kmax: int, n: int, radius: float) -> np.nd
     S[np.ix_(-k[1:], -k2)] = np.conj(half[1:])
     _symbol_cache[key] = S
     return S
-
-
-def _field_kmax(field: SpectralField) -> int:
-    # quadratic integrand content reaches twice the field bandwidth
-    return max(1, 2 * field.band())
 
 
 def _check_product_resolution(band: int, n: int) -> None:
@@ -187,24 +217,26 @@ def dissipation_field(field: SpectralField, alpha: float) -> np.ndarray:
         raise ValueError("dissipation quadrature is implemented on the 2-torus only")
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    _check_product_resolution(field.band(), field.grid.n)
     grid = field.grid
-    kmax = _field_kmax(field)
+    band = field.band()
+    _check_product_resolution(band, grid.n)
+    kmax = max(1, 2 * band)  # quadratic integrand content reaches twice the field bandwidth
     delta = _pv_radius(grid, kmax)
     ca = c_alpha(alpha)
     S = _translation_symbol(alpha, kmax, grid.n, delta)
     v = field.values()
     v2 = v * v
     w_total = float(S[0, 0].real)
-    conv_v = _collocation(grid, field.coeffs * S)
-    # the unprojected transform: the mean of v^2 is part of the integrand
-    conv_v2 = _collocation(grid, _forward(grid, v2) * S)
+    # v*S and v^2*S in one transform (both real); the unprojected transform of
+    # v^2, whose mean is part of the integrand
+    conv = _packed_values(grid, field.coeffs + 1j * _forward(grid, v2), S)
     gx, gy = gradient(field)
-    grad2 = gx.values() ** 2 + gy.values() ** 2
+    grad = _packed_values(grid, gx.coeffs + 1j * gy.coeffs, 1.0)  # d_x phi + i d_y phi
+    grad2 = grad.real**2 + grad.imag**2
     inner = ca * np.pi * delta ** (2.0 - alpha) / (2.0 - alpha) * grad2
     m2 = float(np.mean(v2))
     tail = ca * 2.0 * np.pi / (alpha * OUTER_RADIUS**alpha) * (v2 + m2)
-    return w_total * v2 - 2.0 * v * conv_v + conv_v2 + inner + tail
+    return w_total * v2 - 2.0 * v * conv.real + conv.imag + inner + tail
 
 
 def spectral_identity_rhs(field: SpectralField, alpha: float) -> np.ndarray:
@@ -225,6 +257,18 @@ def pointwise_identity_residual(field: SpectralField, alpha: float) -> np.ndarra
     reported, never raised.
     """
     return np.abs(spectral_identity_rhs(field, alpha) - dissipation_field(field, alpha))
+
+
+def _int_power(v: np.ndarray, e: int) -> np.ndarray:
+    """``v**e`` for an integer ``e >= 1`` as a product of ``v, v^2, v^4, ...``, not ``pow()`` per point."""
+    out = None
+    while True:
+        if e & 1:
+            out = v if out is None else out * v
+        e >>= 1
+        if not e:
+            return out
+        v = v * v
 
 
 def lp_poincare_check(field: SpectralField, p: int):
@@ -251,14 +295,14 @@ def lp_poincare_check(field: SpectralField, p: int):
     v = padded.values()
     lam = resample(fractional_laplacian(field, 1.0), m).values()
     cell = (2.0 * np.pi / m) ** grid.dim
-    lhs = float(np.sum(v ** (p - 1) * lam) * cell)
+    lhs = float(np.sum(_int_power(v, p - 1) * lam) * cell)
 
-    ch = _forward(padded.grid, v ** (p // 2))
+    ch = _forward(padded.grid, _int_power(v, p // 2))
     kmag = padded.grid.kmag
     nzm = kmag > 0
     smooth = float((2.0 * np.pi) ** grid.dim * np.sum(kmag[nzm] * np.abs(ch[nzm]) ** 2)) / p
 
-    lp_p = float(np.sum(v**p) * cell)
+    lp_p = float(np.sum(_int_power(v, p)) * cell)
     lp_part = lp_p / LP_POINCARE_CONSTANT
     return lhs, (smooth, lp_part)
 

@@ -26,7 +26,7 @@ operation in this module is pure and returns a new field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -349,12 +349,16 @@ def gradient(field: SpectralField) -> tuple:
 
 
 def shift(field: SpectralField, h: Sequence[float]) -> SpectralField:
-    """Exact spectral translation ``x -> x + h``."""
+    """Exact spectral translation ``x -> x + h``.
+
+    The phase ``exp(i k . h)`` is the outer product of one ``exp(i k_j h_j)``
+    vector per axis: ``d*n`` exponentials, not ``n^d``.
+    """
     h = np.atleast_1d(np.asarray(h, dtype=np.float64))
     if h.shape != (field.grid.dim,):
         raise ValueError("shift vector dimension mismatch")
-    kv = field.grid.kvecs
-    phase = np.exp(1j * sum(k * hi for k, hi in zip(kv, h)))
+    k = field.grid.wavenumbers.astype(np.float64)
+    phase = reduce(np.multiply.outer, [np.exp(1j * (k * hi)) for hi in h])
     return _multiplier(field, phase)
 
 

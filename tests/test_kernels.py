@@ -16,7 +16,8 @@ from critsqg.kernels import (
     pointwise_identity_residual,
     spectral_identity_rhs,
 )
-from critsqg.spectral import SpectralField, TorusGrid
+from critsqg.config import default_corpus_path, read_corpus
+from critsqg.spectral import SpectralField, TorusGrid, _collocation, _forward, gradient
 from critsqg.solver import random_band_field
 
 from conftest import cos_x1, meshes
@@ -105,10 +106,22 @@ class TestDissipation:
             spectral_identity_rhs(phi, 1.0)
 
 
+def _full_nodes(alpha, kmax, radius):
+    """Every annulus node, the whole angle set of each ring, with its weight."""
+    ca = c_alpha(alpha)
+    ys1, ys2, ws = [], [], []
+    for r, wr, npsi in kernels._rings(kmax, radius):
+        psi = 2.0 * np.pi * np.arange(npsi) / npsi
+        ys1.append(np.outer(r, np.cos(psi)).ravel())
+        ys2.append(np.outer(r, np.sin(psi)).ravel())
+        ws.append(np.repeat(wr * ca * r ** (-1.0 - alpha) * (2.0 * np.pi / npsi), npsi))
+    return np.concatenate(ys1), np.concatenate(ys2), np.concatenate(ws)
+
+
 @functools.lru_cache(maxsize=None)
 def _full_grid_symbol(alpha, kmax, n, radius):
-    """Brute-force oracle: ``sum_q w_q exp(i k . y_q)`` on all n x n wavenumbers."""
-    y1, y2, w = kernels._annulus_nodes(alpha, kmax, radius)
+    """Brute-force oracle: ``sum_q w_q exp(i k . y_q)`` over all nodes on all n x n wavenumbers."""
+    y1, y2, w = _full_nodes(alpha, kmax, radius)
     k = np.fft.fftfreq(n) * n
     S = np.zeros((n, n), dtype=np.complex128)
     chunk = max(1, 40_000_000 // (16 * n))
@@ -121,10 +134,13 @@ def _full_grid_symbol(alpha, kmax, n, radius):
 
 
 def _one_node_last_chunk_radius(grid, kmax):
-    radius = 0.741 * grid.spacing
-    nodes = len(kernels._annulus_nodes(1.0, kmax, radius)[2])
-    assert nodes % (2**17 // (2 * kmax + 1)) == 1  # 63,537 nodes in chunks of 3,971 at kmax 16
-    return radius
+    """A radius whose half-node count leaves exactly one node in the last chunk of the symbol sum."""
+    chunk = kernels._node_chunk(kmax)
+    for t in np.arange(0.30, 0.33, 0.0005):
+        radius = t * grid.spacing
+        if len(kernels._half_nodes(1.0, kmax, radius)[2]) % chunk == 1:
+            return radius  # 56,981 nodes in chunks of 5,698 at kmax 22, t = 0.3145
+    raise AssertionError(f"no radius in [0.30 h, 0.33 h) leaves one node in the last chunk at kmax {kmax}")
 
 
 class TestBandLimitedSymbol:
@@ -132,8 +148,8 @@ class TestBandLimitedSymbol:
     @pytest.mark.parametrize("band, make_radius", [
         (6, kernels._pv_radius), (8, kernels._pv_radius),
         (12, kernels._pv_radius),  # kmax = 24 > n/4: the disc shrinks to pi/96
-        (8, _one_node_last_chunk_radius),
-    ], ids=["6", "8", "12", "8-one-node-last-chunk"])
+        (11, _one_node_last_chunk_radius),
+    ], ids=["6", "8", "12", "11-one-node-last-chunk"])
     def test_matches_full_grid_oracle(self, grid64, alpha, band, make_radius):
         kmax = 2 * band
         radius = make_radius(grid64, kmax)
@@ -144,6 +160,7 @@ class TestBandLimitedSymbol:
         assert np.abs(S - oracle)[inband].max() <= 1e-13 * np.abs(oracle).max()
         assert not S[~inband].any()
         mirror = (-np.arange(64)) % 64
+        assert np.array_equal(S[:, mirror], S)
         assert np.array_equal(S[np.ix_(mirror, mirror)], np.conj(S))
 
     def test_symbol_cache_is_exact_in_alpha(self, grid64, monkeypatch):
@@ -166,6 +183,32 @@ class TestBandLimitedSymbol:
         monkeypatch.setattr(kernels, "_translation_symbol", _full_grid_symbol)
         D_oracle = dissipation_field(phi, alpha)
         assert np.abs(D - D_oracle).max() <= 1e-12 * np.abs(D_oracle).max()
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("band", [6, 8])
+    def test_packed_transforms_match_one_per_field(self, grid64, alpha, band):
+        phi = random_band_field(grid64, band, 1.0, 11)
+        D = dissipation_field(phi, alpha)
+        D_unpacked = _unpacked_dissipation(phi, alpha)
+        assert np.abs(D - D_unpacked).max() <= 1e-14 * np.abs(D_unpacked).max()
+
+
+def _unpacked_dissipation(field, alpha):
+    """``dissipation_field`` with one inverse transform per real field (the reference route)."""
+    grid = field.grid
+    kmax = max(1, 2 * field.band())
+    delta = kernels._pv_radius(grid, kmax)
+    ca = c_alpha(alpha)
+    S = kernels._translation_symbol(alpha, kmax, grid.n, delta)
+    v = field.values()
+    v2 = v * v
+    conv_v = _collocation(grid, field.coeffs * S)
+    conv_v2 = _collocation(grid, _forward(grid, v2) * S)
+    gx, gy = gradient(field)
+    grad2 = gx.values() ** 2 + gy.values() ** 2
+    inner = ca * np.pi * delta ** (2.0 - alpha) / (2.0 - alpha) * grad2
+    tail = ca * 2.0 * np.pi / (alpha * kernels.OUTER_RADIUS**alpha) * (v2 + np.mean(v2))
+    return float(S[0, 0].real) * v2 - 2.0 * v * conv_v + conv_v2 + inner + tail
 
 
 def _squeeze(phi, lam):
@@ -219,6 +262,17 @@ class TestLpPoincare:
             phi = random_band_field(grid64, 8, 1.0, seed)
             lhs, (r1, r2) = lp_poincare_check(phi, p)
             assert lhs >= r1 + r2
+
+    @pytest.mark.parametrize("p", [4, 8])
+    def test_product_powers_match_pow(self, monkeypatch, p):
+        fields, _ = read_corpus(default_corpus_path())
+        products = [lp_poincare_check(phi, p) for _, phi in fields]
+        monkeypatch.setattr(kernels, "_int_power", lambda v, e: v**e)
+        for (lhs, (r1, r2)), (_, phi) in zip(products, fields):
+            lhs_pow, (r1_pow, r2_pow) = lp_poincare_check(phi, p)
+            assert lhs == pytest.approx(lhs_pow, rel=1e-14, abs=0.0)
+            assert r1 == pytest.approx(r1_pow, rel=1e-14, abs=0.0)
+            assert r2 == pytest.approx(r2_pow, rel=1e-14, abs=0.0)
 
     def test_bad_p(self, grid64):
         with pytest.raises(ValueError):
