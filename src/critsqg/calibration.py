@@ -191,7 +191,7 @@ def calibrate_c5(runs: Sequence[Trajectory], eps0: float, c0: float) -> float:
         t = np.asarray(tr.times)
         for alpha in (alpha0, alpha0 / 2.0):
             cases.append((t, [holder_seminorm(f, alpha) for f in tr.fields], m_inf, kappa))
-    _lo, hi = _bisect(lambda c5: any(holder_envelope_check(*case, replace(consts, c5=c5))[2].any()
+    _lo, hi = _bisect(lambda c5: any(holder_envelope_check(*case, replace(consts, c5=c5)).violations
                                      for case in cases), 0.05, 64.0, 40)
     return 2.0 * hi
 

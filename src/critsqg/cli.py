@@ -34,7 +34,6 @@ from .diagnostics import (
     absorption_report,
     constants_path,
     decay_envelope_report,
-    holder_budget,
     load_constants,
     track_holder,
 )
@@ -125,27 +124,20 @@ def _run_with_probes(args) -> int:
     write_snapshot(os.path.join(args.out, "theta_initial.sqgf"), traj.fields[0], traj.times[0])
     write_snapshot(os.path.join(args.out, "theta_final.sqgf"), traj.fields[-1], traj.times[-1])
 
-    falsified = 0
-    for p, name in envelope_csv.items():
-        rep = decay_envelope_report(traj, p, consts)
-        falsified += rep.violations
-        write_csv(os.path.join(args.out, name), ["t", "norm", "envelope", "slack", "violated"],
-                  rep.rows)
-
+    # (file, value and envelope columns, report) of each envelope probe
+    probes = [(name, ["norm", "envelope"], decay_envelope_report(traj, p, consts))
+              for p, name in envelope_csv.items()]
     if setup.holder_alpha:
-        alpha0, _m_inf = holder_budget(traj.reports[0].lp[np.inf], setup.force.linf,
-                                       setup.solver.kappa, consts)
-        alpha = alpha0 if setup.holder_alpha == "auto" else setup.holder_alpha
-        track = track_holder(traj, alpha, consts)
-        write_csv(
-            os.path.join(args.out, "holder.csv"),
-            ["t", "g", "envelope_sq", "slack", "violated"],
-            zip(track.t, track.g, track.envelope_sq, track.envelope_sq - track.g, track.violated),
-        )
-        for i, j in enumerate(np.nonzero(track.violated)[0]):
+        holder = track_holder(traj, setup.holder_alpha, consts)
+        probes.append(("holder.csv", ["g", "envelope_sq"], holder))
+        # the state of each violated row of holder.csv, numbered in row order
+        for i, j in enumerate(j for j, row in enumerate(holder.rows) if row[4]):
             write_snapshot(os.path.join(args.out, f"falsification_{i}.sqgf"), traj.fields[j],
                            traj.times[j])
-        falsified += int(np.count_nonzero(track.violated))
+    falsified = 0
+    for name, columns, rep in probes:
+        write_csv(os.path.join(args.out, name), ["t", *columns, "slack", "violated"], rep.rows)
+        falsified += rep.violations
 
     if setup.absorption:
         rep = absorption_report(traj, consts)

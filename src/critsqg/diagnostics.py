@@ -38,7 +38,10 @@ pass/fail comparison (:func:`_exceeds`) has one copy here; a trajectory check
 reads the constants it tests from a :class:`UniversalConstants`, and the
 calibration bisects over (or inverts) these same functions, handing them
 candidate values through :func:`dataclasses.replace`.  The comparisons are
-pure: replayable from recorded norms alone.
+pure: replayable from recorded norms alone.  The two envelope probes, the
+Hoelder envelope (:func:`track_holder`) and the L^p decay envelopes
+(:func:`decay_envelope_report`), return one :class:`EnvelopeReport` of rows
+``(t, value, envelope, slack, violated)``.
 """
 
 from __future__ import annotations
@@ -68,11 +71,14 @@ __all__ = [
     "t_alpha_formula",
     "EnvelopeSolution",
     "m_alpha_envelope",
-    "HolderTrackResult",
+    "EnvelopeReport",
     "holder_envelope_check",
     "track_holder",
     "late_holder_violations",
     "absorbing_constants",
+    "decay_envelope_report",
+    "AbsorptionReport",
+    "absorption_report",
     "cumulative_trapezoid",
     "LogConvexityResult",
     "log_convexity_series",
@@ -253,44 +259,48 @@ def m_alpha_envelope(M0: float, M_inf: float, kappa: float, c5: float, t_grid) -
 
 
 @dataclass
-class HolderTrackResult:
-    """Per-snapshot running sup g(t) = sup_{x,h} v^2 against the envelope."""
+class EnvelopeReport:
+    """Rows (t, value, envelope, slack, violated) of a sampled value against its envelope."""
 
-    t: np.ndarray
-    g: np.ndarray
-    envelope_sq: np.ndarray
-    violated: np.ndarray  # g > envelope_sq beyond the slack of _exceeds: the falsifications
+    rows: list
+    violations: int  # rows with value > envelope beyond the slack of _exceeds
 
 
-def holder_envelope_check(t, seminorms, m_inf: float, kappa: float, consts: UniversalConstants):
+def _envelope_report(t, values, envelope) -> EnvelopeReport:
+    violated = _exceeds(values, envelope)
+    return EnvelopeReport(rows=list(zip(t, values, envelope, envelope - values, violated)),
+                          violations=int(np.count_nonzero(violated)))
+
+
+def holder_envelope_check(t, seminorms, m_inf: float, kappa: float,
+                          consts: UniversalConstants) -> EnvelopeReport:
     """Compare Hoelder seminorms recorded at times ``t`` with the envelope ODE.
 
-    ``seminorms[0]`` (at ``t[0]``) seeds the envelope.  Returns ``(g,
-    envelope_sq, violated)``: ``g`` holds the squared seminorms, and
-    ``violated`` marks the snapshots where ``g > M_alpha^2`` beyond the slack.
+    ``seminorms[0]`` (at ``t[0]``) seeds the envelope.  The values are the
+    squared seminorms ``g``, the envelope is ``M_alpha^2``.
     """
     env = m_alpha_envelope(seminorms[0], m_inf, kappa, consts.c5, t)
     g = np.array([s**2 for s in seminorms], dtype=np.float64)
-    envelope_sq = env.m_alpha**2
-    return g, envelope_sq, _exceeds(g, envelope_sq)
+    return _envelope_report(t, g, env.m_alpha**2)
 
 
-def track_holder(traj: Trajectory, alpha: float, consts: UniversalConstants) -> HolderTrackResult:
+def track_holder(traj: Trajectory, alpha: float | str, consts: UniversalConstants) -> EnvelopeReport:
     """Track ``g(t) = (sup_{x,h} |delta_h theta|/|h|^alpha)^2`` along a trajectory.
 
     Verifies ``g(t) <= M_alpha(t)^2`` against the envelope ODE seeded from the
-    initial data (one Hoelder scan per snapshot, the first one seeds it).  A
-    violation is recorded in ``violated``, one flag per snapshot, never
-    raised; the offending states are ``traj.fields`` at its nonzero indices.
-    Callers owe snapshots dense enough to pin the running sup (cadence at
-    most ten time steps; the shipped presets comply).
+    initial data (one Hoelder scan per snapshot, the first one seeds it);
+    ``alpha = "auto"`` takes the budget exponent ``alpha_0``.  A violation is
+    a row flag, never raised; the offending states are ``traj.fields`` at the
+    violated rows.  Callers owe snapshots dense enough to pin the running
+    sup (cadence at most ten time steps; the shipped presets comply).
     """
     kappa = traj.config.kappa
-    _alpha0, m_inf = holder_budget(traj.reports[0].lp[np.inf], traj.force.linf, kappa, consts)
-    t = np.asarray(traj.times)
-    g, envelope_sq, violated = holder_envelope_check(
-        t, [holder_seminorm(fld, alpha) for fld in traj.fields], m_inf, kappa, consts)
-    return HolderTrackResult(t=t, g=g, envelope_sq=envelope_sq, violated=violated)
+    alpha0, m_inf = holder_budget(traj.reports[0].lp[np.inf], traj.force.linf, kappa, consts)
+    if alpha == "auto":
+        alpha = alpha0
+    return holder_envelope_check(np.asarray(traj.times),
+                                 [holder_seminorm(fld, alpha) for fld in traj.fields],
+                                 m_inf, kappa, consts)
 
 
 def post_transient_holder(f_linf: float, kappa: float, consts: UniversalConstants):
@@ -368,28 +378,13 @@ def absorbing_constants(f_linf: float, f_h1: float, kappa: float, consts: Univer
     )
 
 
-@dataclass
-class DecayEnvelopeReport:
-    """Rows (t, norm, envelope, slack, violated) for one exponent p."""
-
-    rows: list
-    violations: int
-
-
-def decay_envelope_report(traj: Trajectory, p, consts: UniversalConstants) -> DecayEnvelopeReport:
+def decay_envelope_report(traj: Trajectory, p, consts: UniversalConstants) -> EnvelopeReport:
     """Compare recorded L^p norms (``p`` 2, 4, inf or in the run's ``report_ps``) with the envelope."""
-    kappa = traj.config.kappa
     f_norm = lp_norm(traj.force.field, p)  # a p that is no L^p exponent raises ValueError here
-    theta0_norm = traj.reports[0].lp[p]
-    rows = []
-    violations = 0
-    for t, rep in zip(traj.times, traj.reports):
-        norm = rep.lp[p]
-        env = float(decay_envelope(t, theta0_norm, f_norm, kappa, consts.c0))
-        violated = _exceeds(norm, env)
-        violations += int(violated)
-        rows.append((t, norm, env, env - norm, violated))
-    return DecayEnvelopeReport(rows=rows, violations=violations)
+    t = np.asarray(traj.times)
+    norms = np.array([rep.lp[p] for rep in traj.reports])
+    return _envelope_report(t, norms, decay_envelope(t, norms[0], f_norm, traj.config.kappa,
+                                                     consts.c0))
 
 
 @dataclass
@@ -421,7 +416,7 @@ def absorption_report(traj: Trajectory, consts: UniversalConstants) -> Absorptio
     t = np.asarray(traj.times)
     h1 = np.array([rep.hs[1.0] for rep in traj.reports])
     h32_sq = np.array([rep.hs[1.5] ** 2 for rep in traj.reports])
-    inside = h1 <= ac.m_1f
+    inside = ~_exceeds(h1, ac.m_1f)
     rows = [(float(tt), float(v), ac.m_1f, bool(i)) for tt, v, i in zip(t, h1, inside)]
     idx = np.nonzero(inside)[0]
     if len(idx) == 0:

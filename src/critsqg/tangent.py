@@ -306,6 +306,8 @@ def volume_and_trace_run(
     """
     if n_tangent < 1:
         raise ValueError("n_tangent must be >= 1")
+    if reorth_every < 1:
+        raise ValueError("reorth_every must be >= 1")
     grid = theta0.grid
     stepper = CoupledStepper(grid, config, force)
 

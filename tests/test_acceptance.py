@@ -147,9 +147,9 @@ def test_criterion_06_holder_envelope(corpus_runs, consts):
         alpha0, m_inf = holder_budget(traj.reports[0].lp[np.inf], traj.force.linf, kappa, consts)
         for alpha in (alpha0, alpha0 / 2.0):
             res = track_holder(traj, alpha, consts)
-            events += int(np.count_nonzero(res.violated))
+            events += res.violations
             tracked += 1
-            env = m_alpha_envelope(math.sqrt(res.g[0]), m_inf, kappa, consts.c5,
+            env = m_alpha_envelope(math.sqrt(res.rows[0][1]), m_inf, kappa, consts.c5,
                                    np.asarray(traj.times))
             after = env.t >= env.t_alpha
             cap_ok &= bool(np.all(env.m_alpha[after] <= env.longtime_cap * (1 + 1e-9)))

@@ -230,7 +230,7 @@ def test_calibrate_c5_matches_oracle_and_check(small_runs, consts):
                                       tight)
         if m_inf > 0.0:
             for alpha in (alpha0, alpha0 / 2.0):
-                assert not track_holder(tr, alpha, tight).violated.any()
+                assert track_holder(tr, alpha, tight).violations == 0
 
 
 def test_calibrate_eps1_matches_oracle_and_check(small_runs, consts):

@@ -1,6 +1,8 @@
 """Command-line surface: presets, exit taxonomy, manifests, determinism."""
 
 import contextlib
+import importlib
+import inspect
 import io
 import os
 import pkgutil
@@ -670,8 +672,15 @@ def test_manifest_records_blas_unpinned_when_numpy_loaded_first(tmp_path):
 
 @pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(critsqg.__path__)))
 def test_every_all_entry_resolves(module):
-    # a stale __all__ entry breaks ``import *`` with an AttributeError
+    # a stale __all__ entry breaks ``import *`` with an AttributeError, and a
+    # missing one drops a public function or class from it
     exec(f"from critsqg.{module} import *", {})
+    mod = importlib.import_module(f"critsqg.{module}")
+    if hasattr(mod, "__all__"):
+        defined = {name for name, obj in vars(mod).items()
+                   if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+                   and obj.__module__ == mod.__name__}
+        assert sorted(defined - set(mod.__all__)) == []
 
 
 class TestSimulate:
@@ -713,10 +722,9 @@ class TestSimulate:
 
         real = diagnostics.holder_envelope_check
 
-        def envelope_just_below(*args):
-            g, _envelope_sq, _violated = real(*args)
-            envelope_sq = g / (1.0 + 1e-12)
-            return g, envelope_sq, diagnostics._exceeds(g, envelope_sq)
+        def envelope_just_below(t, *args):
+            g = np.array([row[1] for row in real(t, *args).rows])
+            return diagnostics._envelope_report(t, g, g / (1.0 + 1e-12))
 
         monkeypatch.setattr(diagnostics, "holder_envelope_check", envelope_just_below)
         cfg = tmp_path / "run.cfg"

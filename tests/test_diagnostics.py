@@ -1,12 +1,14 @@
 """Envelopes, absorbing constants, and trajectory monitors."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from critsqg.diagnostics import (
     UniversalConstants,
+    _exceeds,
     absorbing_constants,
     absorption_report,
     decay_envelope,
@@ -21,7 +23,7 @@ from critsqg.diagnostics import (
     track_holder,
 )
 from critsqg.solver import Force, SolverConfig, Trajectory, random_band_field, run
-from critsqg.spectral import NormReport, SpectralField, TorusGrid
+from critsqg.spectral import NormReport, SpectralField, TorusGrid, lp_norm
 
 from conftest import cos_x1
 
@@ -33,6 +35,18 @@ def consts():
 
 def zero_force(grid):
     return Force.wrap(SpectralField.zeros(grid))
+
+
+@pytest.fixture(scope="module")
+def forced_run():
+    g = TorusGrid(2, 32)
+    cfg = SolverConfig(kappa=1.0, dt=1e-2, t_end=0.5, snapshot_dt=0.1)
+    return run(random_band_field(g, 4, 1.0, 3), cfg, Force.wrap(random_band_field(g, 3, 0.5, 4)))
+
+
+def _columns(report):
+    """``(t, value, envelope, slack, violated)`` arrays of an envelope report's rows."""
+    return tuple(np.array(col) for col in zip(*report.rows))
 
 
 class TestDecayEnvelope:
@@ -159,17 +173,24 @@ class TestTrackHolder:
         cfg = SolverConfig(kappa=1.0, dt=1e-2, t_end=1.0, snapshot_dt=0.1)
         traj = run(cos_x1(g), cfg, zero_force(g))
         res = track_holder(traj, 0.25, consts)
+        t, g, _env, _slack, _violated = _columns(res)
         # g(t) = exp(-2t) g(0) by seminorm homogeneity of the decaying mode
-        expected = res.g[0] * np.exp(-2.0 * res.t)
-        assert np.abs(res.g - expected).max() < 1e-4 * res.g[0]
-        assert not res.violated.any()
+        expected = g[0] * np.exp(-2.0 * t)
+        assert np.abs(g - expected).max() < 1e-4 * g[0]
+        assert res.violations == 0
 
     def test_zero_trajectory(self, grid32, consts):
         cfg = SolverConfig(kappa=1.0, dt=1e-2, t_end=0.3)
         traj = run(SpectralField.zeros(grid32), cfg, zero_force(grid32))
         res = track_holder(traj, 0.25, consts)
-        assert np.all(res.g == 0.0)
-        assert not res.violated.any()
+        assert np.all(_columns(res)[1] == 0.0)
+        assert res.violations == 0
+
+    def test_auto_alpha_is_the_budget_exponent(self, forced_run, consts):
+        alpha0, _m_inf = holder_budget(forced_run.reports[0].lp[np.inf], forced_run.force.linf,
+                                       forced_run.config.kappa, consts)
+        assert track_holder(forced_run, "auto", consts).rows == \
+            track_holder(forced_run, alpha0, consts).rows
 
     def test_violation_recorded_not_raised(self, grid32):
         # deliberately broken constants force an envelope violation
@@ -183,7 +204,9 @@ class TestTrackHolder:
         traj = run(theta0, cfg, force)
         res = track_holder(traj, 0.1, bad)
         # one verdict per snapshot
-        assert res.violated.shape == (len(traj.times),) and res.violated.any()
+        violated = _columns(res)[4]
+        assert violated.shape == (len(traj.times),) and violated.any()
+        assert res.violations == np.count_nonzero(violated)
 
 
 class TestAbsorbingConstants:
@@ -320,6 +343,23 @@ class TestReports:
             rep = decay_envelope_report(traj, p, consts)
             assert rep.violations == 0
 
+    @pytest.mark.parametrize("c0_scale", [1.0, 64.0])
+    @pytest.mark.parametrize("p", [2, 4, np.inf])
+    def test_decay_rows_match_scalar_route(self, forced_run, consts, p, c0_scale):
+        # one envelope call over the time array gives the rows that one scalar
+        # call per snapshot gives, verdicts included (a 64x c0 violates some)
+        consts = replace(consts, c0=c0_scale * consts.c0)
+        kappa = forced_run.config.kappa
+        f_norm = lp_norm(forced_run.force.field, p)
+        norm0 = forced_run.reports[0].lp[p]
+        rows = []
+        for t, rep in zip(forced_run.times, forced_run.reports):
+            env = float(decay_envelope(t, norm0, f_norm, kappa, consts.c0))
+            rows.append((t, rep.lp[p], env, env - rep.lp[p], _exceeds(rep.lp[p], env)))
+        report = decay_envelope_report(forced_run, p, consts)
+        assert report.rows == rows
+        assert report.violations == sum(row[4] for row in rows)
+
     def test_absorption_report_forced_run(self, consts):
         g = TorusGrid(2, 32)
         cfg = SolverConfig(kappa=1.0, dt=2e-3, t_end=3.0, snapshot_dt=0.1)
@@ -352,6 +392,12 @@ class TestReports:
         rep = self._absorption(consts, [2.0] * 5, [0.0] * 5)
         assert rep.entry_time == math.inf and rep.window_rows == []
         assert rep.failures == 1
+
+    def test_absorption_within_slack_is_inside(self, consts):
+        # a hair (1e-12 relative) above M_1f is within the slack of the comparison
+        rep = self._absorption(consts, [1.0 + 1e-12] * 5, [0.0] * 5)
+        assert rep.entry_time == 0.0 and rep.permanent
+        assert rep.failures == 0
 
     def test_absorption_entered_then_left_is_one_failure(self, consts):
         rep = self._absorption(consts, [2.0, 0.5, 0.5, 2.0, 0.5, 0.5], [0.0] * 6)

@@ -3,11 +3,13 @@
 import importlib.util
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from critsqg.config import parse_config_file
+from critsqg.diagnostics import default_constants_path, load_constants
 from critsqg.snapshots import read_snapshot
 from critsqg.spectral import TorusGrid
 
@@ -133,15 +135,25 @@ class TestSrcLines:
 
 
 class TestCommands:
-    def test_both_kernel_corpora_and_a_snapshot_run_among_fourteen_commands(self, tmp_path):
+    def test_both_kernel_corpora_and_a_snapshot_run_among_fifteen_commands(self, tmp_path):
         cmds = same_bytes._commands(str(tmp_path))
-        assert len(cmds) == 14
+        assert len(cmds) == 15
         cfg = str(tmp_path / "snapshot_run.cfg")
-        assert cmds["snapshot-file"] == ["simulate", "--config", cfg]
+        assert cmds["snapshot-file"] == (["simulate", "--config", cfg], {})
         sections = parse_config_file(cfg)
         assert sections["initial"] == {"kind": "file", "path": str(tmp_path / "theta0.sqgf")}
         theta, t = read_snapshot(sections["initial"]["path"])
         assert t == 0.0 and theta.grid == TorusGrid(2, 32) and theta.band() == 3
-        assert cmds["kernels-shipped"] == ["verify-kernels"]
-        assert cmds["kernels-corpus4"] == ["verify-kernels", str(tmp_path / "corpus_4.csv")]
+        assert cmds["kernels-shipped"] == (["verify-kernels"], {})
+        assert cmds["kernels-corpus4"] == (["verify-kernels", str(tmp_path / "corpus_4.csv")], {})
         assert (tmp_path / "corpus_4.csv").is_file()
+
+    def test_falsified_run_alone_reads_the_tiny_c5_constants(self, tmp_path):
+        cmds = same_bytes._commands(str(tmp_path))
+        argv, env = cmds["holder-falsified"]
+        assert argv == ["simulate", "--config", str(tmp_path / "falsified_run.cfg")]
+        assert env == {"SQG_CONSTANTS": str(tmp_path / "constants_c5_tiny.txt")}
+        assert parse_config_file(argv[2])["probes"]["holder_alpha"] == "0.1"
+        tiny, shipped = load_constants(env["SQG_CONSTANTS"]), load_constants(default_constants_path())
+        assert tiny == replace(shipped, c5=1e-6)
+        assert [name for name, (_argv, extra) in cmds.items() if extra] == ["holder-falsified"]

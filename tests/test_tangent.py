@@ -632,6 +632,16 @@ class TestVolumeTrace:
         assert res.times[-1] == t_end
         assert np.all(np.diff(res.times) > 0)
 
+    @pytest.mark.parametrize("reorth_every", [0, -1])
+    def test_reorth_interval_below_one_raises(self, reorth_every):
+        # a segment of at most zero steps never advances, so the run would not end
+        g = TorusGrid(2, 16)
+        with pytest.raises(ValueError, match="reorth_every must be >= 1"):
+            volume_and_trace_run(random_band_field(g, 3, 0.5, 5), 2,
+                                 SolverConfig(kappa=1.0, dt=1e-2, t_end=0.1),
+                                 Force.wrap(SpectralField.zeros(g)),
+                                 reorth_every=reorth_every, t_relax=0.0, seed=7, tangent_band=3)
+
     def test_frame_condition_is_sqrt_cond_of_h1_gram(self, grid48):
         xis = [random_band_field(grid48, 4, 1.0 + j, 50 + j) for j in range(5)]
         # nearly dependent on the first, with a shorter norm

@@ -5,7 +5,7 @@
 Run from anywhere inside a git checkout.  The parent tree is the commit REV
 (default ``HEAD``), unpacked with ``git archive`` into a temporary directory;
 the other tree is the checkout as it stands, uncommitted edits included.
-Both run the same 14 commands, each in a fresh process with ``PYTHONPATH``
+Both run the same 15 commands, each in a fresh process with ``PYTHONPATH``
 set to the tree's ``src/``, two at a time (one per tree):
 
 * ``simulate`` of the presets ``exact-decay``, ``steady-state`` and
@@ -13,6 +13,11 @@ set to the tree's ``src/``, two at a time (one per tree):
 * ``burgers --preset burgers-basic``;
 * ``simulate`` of a forced n = 32 config whose ``[initial]`` is ``kind = file``:
   a snapshot that this script writes from a fixed mean-free array;
+* ``simulate`` of a small forced n = 32 Hoelder run under a constants file
+  with c5 = 1e-6 (the shipped file with that one line changed), passed as
+  ``SQG_CONSTANTS`` to this command only: its Hoelder envelope falls far below
+  ``g`` once t > 0, so it exits 1 with ``violated = 1`` rows and
+  ``falsification_*.sqgf`` snapshots;
 * ``dimension --preset dimension-sweep``, in full and with ``--n-max 3``;
 * the benchmark's ``tangent_sweep`` config with ``--seed-override`` 3 and 11;
 * ``verify-kernels`` on the benchmark's kernel corpus of seed 4;
@@ -20,8 +25,8 @@ set to the tree's ``src/``, two at a time (one per tree):
   suite and the calibration of c2 read.
 
 The inputs of the benchmark's three come from this checkout's ``bench/run.py``,
-and the snapshot and its config are written once, so both trees read the
-same files.  Each command's standard output is saved as ``stdout.txt``
+and the snapshot, the constants file and their configs are written once, so
+both trees read the same files.  Each command's standard output is saved as ``stdout.txt``
 beside its outputs.  Every CSV, ``.sqgf``,
 ``dimension_report.txt`` and ``stdout.txt`` is compared (manifests hold a
 creation time, so they are not).  The script prints each command's exit
@@ -119,8 +124,50 @@ def _write_snapshot_run(inputs: str) -> str:
     return cfg
 
 
+# a forced n = 32 Hoelder run; under c5 = 1e-6 every snapshot after t = 0 is falsified
+_FALSIFIED_CONFIG = """[solver]
+dim = 2
+n = 32
+dt = 1e-2
+t_end = 0.5
+snapshot_dt = 0.1
+
+[initial]
+kind = random_band
+band = 4
+amplitude = 1.0
+seed = 3
+
+[force]
+kind = random_band
+band = 3
+amplitude = 0.5
+seed = 4
+
+[probes]
+decay_envelope_ps = 2,inf
+holder_alpha = 0.1
+"""
+
+
+def _write_falsified_run(inputs: str) -> tuple:
+    """Write the Hoelder run's config and its c5 = 1e-6 constants file; returns both paths."""
+    with open(os.path.join(os.path.dirname(HERE), "src", "critsqg", "data",
+                           "default_constants.txt"), encoding="utf-8") as fh:
+        shipped = fh.read()
+    text, count = re.subn(r"^c5 = .*$", "c5 = 1e-06", shipped, flags=re.M)
+    if count != 1:
+        raise RuntimeError("the shipped constants file has no single c5 line")
+    constants = os.path.join(inputs, "constants_c5_tiny.txt")
+    cfg = os.path.join(inputs, "falsified_run.cfg")
+    for path, content in ((constants, text), (cfg, _FALSIFIED_CONFIG)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(content)
+    return cfg, constants
+
+
 def _commands(inputs: str) -> dict:
-    """{name: CLI arguments without --out} of the 14 commands."""
+    """{name: (CLI arguments without --out, extra environment)} of the 15 commands."""
     spec = importlib.util.spec_from_file_location(
         "bench_run", os.path.join(os.path.dirname(HERE), "bench", "run.py"))
     bench = importlib.util.module_from_spec(spec)
@@ -132,6 +179,7 @@ def _commands(inputs: str) -> dict:
         fh.write(bench._TANGENT_CONFIG)
     with open(corpus, "w", encoding="utf-8") as fh:
         fh.write(bench.kernel_corpus(4))
+    falsified_cfg, constants = _write_falsified_run(inputs)
     cmds = {
         "exact-decay": ["simulate", "--preset", "exact-decay"],
         "steady-state": ["simulate", "--preset", "steady-state"],
@@ -149,6 +197,9 @@ def _commands(inputs: str) -> dict:
     for seed in (3, 11):
         cmds[f"tangent-sweep-s{seed}"] = ["dimension", "--config", tangent_cfg,
                                           "--seed-override", str(seed)]
+    cmds = {name: (argv, {}) for name, argv in cmds.items()}
+    cmds["holder-falsified"] = (["simulate", "--config", falsified_cfg],
+                                {"SQG_CONSTANTS": constants})
     return cmds
 
 
@@ -160,10 +211,11 @@ def _run_tree(src: str, out_root: str, cmds: dict) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "SQG_CONSTANTS"}
     env["PYTHONPATH"] = src
     codes = {}
-    for name, argv in cmds.items():
+    for name, (argv, extra_env) in cmds.items():
         out = os.path.join(out_root, name)
         done = subprocess.run([sys.executable, "-m", "critsqg.cli", *argv, "--out", out],
-                              env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+                              env={**env, **extra_env}, stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL)
         os.makedirs(out, exist_ok=True)
         with open(os.path.join(out, "stdout.txt"), "wb") as fh:
             fh.write(done.stdout)
