@@ -30,7 +30,9 @@ and ``phi^2*S`` are both real, so they share one inverse transform, as do the
 two gradient components.  The node set is mirror-symmetric in ``y2``, so the
 symbol is summed over the half ``y2 >= 0`` with real ``cos(k2 y2)`` phases.
 Its phases are built as powers of one ``exp(i y)`` per node and direction (two
-complex exponentials per node, not one per node and wavenumber).  The rings
+complex exponentials per node, not one per node and wavenumber), a chunk of
+nodes at a time: each chunk's work arrays are ~256 KiB, so a symbol build runs
+in cache and adds little to the peak memory (see :func:`_node_chunk`).  The rings
 of the annulus (radii, radial weights, angle counts) are built once per
 (kmax, radius), and the symbol is cached per exact (alpha, kmax, n, radius),
 ``radius`` that of the principal-value disc.
@@ -148,8 +150,25 @@ def _half_nodes(alpha: float, kmax: int, radius: float):
 
 
 def _node_chunk(kmax: int) -> int:
-    """Nodes per chunk of the symbol sum: each ``(kmax + 1, q)`` complex work array is ~2 MiB."""
-    return max(1, 2**17 // (kmax + 1))
+    """Nodes per chunk of the symbol sum: each ``(kmax + 1, q)`` complex work array is ~256 KiB.
+
+    The two power tables ``P1``, ``P2`` of a chunk, their real and imaginary
+    copies and the phases ``z1``, ``z2`` then stay in a core's L2 cache (2 MiB
+    per core on the 2-core Xeon of these timings) while the recurrence fills
+    them and the gemms read them back.  Median build time of one symbol at n = 64,
+    alpha = 1, with 2**17 -> 2**14 entries per work array:
+
+        kmax 12:  4.6 -> 2.8 ms     kmax 24: 23.6 -> 16.1 ms
+        kmax 16:  8.1 -> 5.5 ms     kmax 30: 47.1 -> 35.7 ms
+        kmax 22: 19.4 -> 13.3 ms
+
+    and 39.1 -> 28.8 ms for the six builds of a ``verify-kernels`` corpus at
+    n = 64 (alpha 0.5, 1, 1.5 x kmax 12, 16); repeated sessions vary by about
+    20 %.  2**15 is about as fast; 2**12 is slower than 2**14 at every kmax
+    and than 2**17 at kmax 24 and 30, its gemms too thin.  The chunk only
+    regroups the gemm sums, so the symbol moves by roundoff.
+    """
+    return max(1, 2**14 // (kmax + 1))
 
 
 _symbol_cache: dict = {}

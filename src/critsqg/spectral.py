@@ -26,7 +26,7 @@ operation in this module is pure and returns a new field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -56,6 +56,30 @@ class MeanZeroError(ValueError):
     """Raised when an operation requires a mean-free field and gets one that is not."""
 
 
+class _per_resolution:
+    """A read-only grid array built once per ``(dim, n)`` and shared by every equal grid.
+
+    The array is built from the canonical ``TorusGrid(int(dim), int(n))``
+    (so a grid given ``np.int64(64)`` or ``2.0`` shares it too) and kept in
+    an ``lru_cache``; each instance also keeps it in its ``__dict__``, like
+    ``cached_property``, so later reads are plain attribute lookups.  The
+    grid's fields, equality, hash and repr are untouched.
+    """
+
+    def __init__(self, build):
+        self.__doc__ = build.__doc__
+        self._cached = lru_cache(maxsize=8)(lambda dim, n: build(TorusGrid(dim, n)))
+
+    def __set_name__(self, owner, name):
+        self._name = name
+
+    def __get__(self, grid, owner=None):
+        if grid is None:
+            return self
+        value = grid.__dict__[self._name] = self._cached(*grid._resolution)
+        return value
+
+
 @dataclass(frozen=True)
 class TorusGrid:
     """Uniform collocation grid on ``[-pi, pi)^dim``.
@@ -75,6 +99,11 @@ class TorusGrid:
             raise ValueError(f"n must be even and >= 8, got {self.n}")
 
     @property
+    def _resolution(self) -> tuple:
+        """``(dim, n)`` as Python ints: the key of every per-resolution cache."""
+        return int(self.dim), int(self.n)
+
+    @property
     def spacing(self) -> float:
         return TWO_PI / self.n
 
@@ -87,12 +116,12 @@ class TorusGrid:
         a.setflags(write=False)
         return a
 
-    @cached_property
+    @_per_resolution
     def coords(self) -> np.ndarray:
         """1D coordinate array, shared by every axis."""
         return self._frozen(-np.pi + TWO_PI * np.arange(self.n) / self.n)
 
-    @cached_property
+    @_per_resolution
     def wavenumbers(self) -> np.ndarray:
         """1D integer wavenumbers in FFT ordering."""
         return self._frozen((np.fft.fftfreq(self.n) * self.n).astype(np.int64))
@@ -101,17 +130,17 @@ class TorusGrid:
         """The 1D per-axis array ``axis`` spread over the grid, one array per dimension."""
         return np.meshgrid(*(axis,) * self.dim, indexing="ij")
 
-    @cached_property
+    @_per_resolution
     def kvecs(self) -> tuple:
         """Meshgrid of wavenumber components, one array per dimension."""
         return tuple(self._frozen(c) for c in self._mesh(self.wavenumbers.astype(np.float64)))
 
-    @cached_property
+    @_per_resolution
     def kmag(self) -> np.ndarray:
         """``|k|`` (Euclidean) on the full wavenumber grid."""
         return self._frozen(np.sqrt(sum(c * c for c in self.kvecs)))
 
-    @cached_property
+    @_per_resolution
     def riesz_symbols(self) -> np.ndarray:
         """``(2, n, n)`` symbols of ``(-R_2, R_1)``, zero at ``k = 0`` (2D only)."""
         kx, ky = self.kvecs
@@ -120,12 +149,12 @@ class TorusGrid:
         inv[nz] = 1.0 / self.kmag[nz]
         return self._frozen(np.stack((-1j * ky * inv, 1j * kx * inv)))
 
-    @cached_property
+    @_per_resolution
     def gradient_symbols(self) -> np.ndarray:
         """``(dim, *shape)`` symbols ``i k_j`` of the spectral gradient."""
         return self._frozen(np.stack([1j * k for k in self.kvecs]))
 
-    @cached_property
+    @_per_resolution
     def transport_symbols(self) -> np.ndarray:
         """``(2, n, n)`` packed symbols ``riesz_0 + i*riesz_1`` and ``grad_0 + i*grad_1`` (2D only).
 
@@ -137,13 +166,13 @@ class TorusGrid:
         riesz, grad = self.riesz_symbols, self.gradient_symbols
         return self._frozen(np.stack((riesz[0] + 1j * riesz[1], grad[0] + 1j * grad[1])))
 
-    @cached_property
+    @_per_resolution
     def nyquist_mask(self) -> np.ndarray:
         """Boolean mask of modes with any component equal to n/2."""
         ny = self.wavenumbers == -self.n // 2  # fftfreq stores the Nyquist mode as -n/2
         return self._frozen(np.logical_or.reduce(self._mesh(ny)))
 
-    @cached_property
+    @_per_resolution
     def dealias_mask(self) -> np.ndarray:
         """Two-thirds rule mask: True on modes kept for quadratic products.
 
@@ -309,6 +338,16 @@ class NormReport:
     hs: dict
 
 
+@lru_cache(maxsize=32)
+def _kmag_power(dim: int, n: int, s: float) -> np.ndarray:
+    """The read-only symbol ``|k|^s`` of ``Lambda^s`` on the ``(dim, n)`` grid, 0 at ``k = 0`` for every ``s``."""
+    kmag = TorusGrid(dim, n).kmag
+    sym = np.zeros_like(kmag)
+    nz = kmag > 0
+    sym[nz] = kmag[nz] ** s
+    return TorusGrid._frozen(sym)
+
+
 def _multiplier(field: SpectralField, symbol: np.ndarray) -> SpectralField:
     # symbols used in this module are even-real or odd-imaginary in k and
     # vanish at k = 0 where required, so invariants survive without re-projection
@@ -326,11 +365,7 @@ def fractional_laplacian(field: SpectralField, s: float) -> SpectralField:
         raise ValueError(f"s must lie in [-2, 3], got {s}")
     if s < 0 and abs(field.coeffs[(0,) * field.grid.dim]) > 0:
         raise MeanZeroError("negative fractional powers are undefined on constants")
-    kmag = field.grid.kmag
-    sym = np.zeros_like(kmag)
-    nz = kmag > 0
-    sym[nz] = kmag[nz] ** s
-    return _multiplier(field, sym)
+    return _multiplier(field, _kmag_power(*field.grid._resolution, s))
 
 
 def riesz_perp(field: SpectralField) -> tuple:
@@ -383,10 +418,10 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
     With the package transform convention this equals ``||Lambda^s phi||_{L^2}``
     exactly; homogeneous and inhomogeneous norms coincide on mean-free fields.
     """
-    kmag = field.grid.kmag
-    nz = kmag > 0
-    w = kmag[nz] ** (2.0 * s)
-    return float(np.sqrt(TWO_PI**field.grid.dim * np.sum(w * np.abs(field.coeffs[nz]) ** 2)))
+    grid = field.grid
+    nz = grid.kmag > 0
+    w = _kmag_power(*grid._resolution, 2.0 * s)[nz]
+    return float(np.sqrt(TWO_PI**grid.dim * np.sum(w * np.abs(field.coeffs[nz]) ** 2)))
 
 
 def _lp_of_values(grid: TorusGrid, v: np.ndarray, p) -> float:
@@ -411,7 +446,7 @@ def lp_norm(field: SpectralField, p) -> float:
 
 def _h1_pair(grid: TorusGrid, a: np.ndarray, b: np.ndarray) -> float:
     """H^1 inner product of two coefficient arrays on ``grid``; the one copy of the H^1 sum."""
-    k2 = grid.kmag ** 2
+    k2 = _kmag_power(*grid._resolution, 2.0)
     return float(np.real(np.sum(k2 * np.conj(a) * b)) * TWO_PI**grid.dim)
 
 

@@ -134,13 +134,32 @@ def _full_grid_symbol(alpha, kmax, n, radius):
 
 
 def _one_node_last_chunk_radius(grid, kmax):
-    """A radius whose half-node count leaves exactly one node in the last chunk of the symbol sum."""
+    """A radius whose half-node count leaves exactly one node in the last chunk of the symbol sum.
+
+    The node count is piecewise constant in the radius, so the radii from
+    0.05 h up to the disc's cap h/2 are tried in steps of 0.0002 h until
+    the count is 1 modulo the live ``_node_chunk(kmax)``.
+    """
     chunk = kernels._node_chunk(kmax)
-    for t in np.arange(0.30, 0.33, 0.0005):
+    for t in np.arange(0.05, 0.5, 0.0002):
         radius = t * grid.spacing
-        if len(kernels._half_nodes(1.0, kmax, radius)[2]) % chunk == 1:
-            return radius  # 56,981 nodes in chunks of 5,698 at kmax 22, t = 0.3145
-    raise AssertionError(f"no radius in [0.30 h, 0.33 h) leaves one node in the last chunk at kmax {kmax}")
+        rings = kernels._rings.__wrapped__(kmax, radius)  # uncached: each probe is a new radius
+        if sum(len(r) * (npsi // 2 + 1) for r, _wr, npsi in rings) % chunk == 1:
+            return radius  # 58,385 nodes in chunks of 712 at kmax 22, t = 0.1094
+    raise AssertionError(f"no radius in [0.05 h, 0.5 h) leaves one node in the last chunk "
+                         f"of {chunk} at kmax {kmax}")
+
+
+def _assert_symbol_matches_oracle(S, oracle, kmax):
+    """``S`` within 1e-13 of the oracle on the band, zero off it, exactly mirror- and conjugate-symmetric."""
+    n = S.shape[0]
+    k = np.abs(np.fft.fftfreq(n) * n)
+    inband = (k[:, None] <= kmax) & (k[None, :] <= kmax)
+    assert np.abs(S - oracle)[inband].max() <= 1e-13 * np.abs(oracle).max()
+    assert not S[~inband].any()
+    mirror = (-np.arange(n)) % n
+    assert np.array_equal(S[:, mirror], S)
+    assert np.array_equal(S[np.ix_(mirror, mirror)], np.conj(S))
 
 
 class TestBandLimitedSymbol:
@@ -154,14 +173,20 @@ class TestBandLimitedSymbol:
         kmax = 2 * band
         radius = make_radius(grid64, kmax)
         S = kernels._translation_symbol(alpha, kmax, 64, radius)
-        oracle = _full_grid_symbol(alpha, kmax, 64, radius)
-        k = np.abs(np.fft.fftfreq(64) * 64)
-        inband = (k[:, None] <= kmax) & (k[None, :] <= kmax)
-        assert np.abs(S - oracle)[inband].max() <= 1e-13 * np.abs(oracle).max()
-        assert not S[~inband].any()
-        mirror = (-np.arange(64)) % 64
-        assert np.array_equal(S[:, mirror], S)
-        assert np.array_equal(S[np.ix_(mirror, mirror)], np.conj(S))
+        if make_radius is _one_node_last_chunk_radius:
+            assert len(kernels._half_nodes(alpha, kmax, radius)[2]) % kernels._node_chunk(kmax) == 1
+        _assert_symbol_matches_oracle(S, _full_grid_symbol(alpha, kmax, 64, radius), kmax)
+
+    @pytest.mark.parametrize("entries", [2**12, 2**14, 2**17])
+    def test_any_chunk_size_matches_full_grid_oracle(self, grid64, monkeypatch, entries):
+        # the chunk only regroups the gemm sums: every size agrees with the oracle
+        kmax = 16
+        radius = kernels._pv_radius(grid64, kmax)
+        monkeypatch.setattr(kernels, "_node_chunk", lambda k: max(1, entries // (k + 1)))
+        monkeypatch.setattr(kernels, "_symbol_cache", {})
+        assert len(kernels._half_nodes(1.0, kmax, radius)[2]) > kernels._node_chunk(kmax)
+        S = kernels._translation_symbol(1.0, kmax, 64, radius)
+        _assert_symbol_matches_oracle(S, _full_grid_symbol(1.0, kmax, 64, radius), kmax)
 
     def test_symbol_cache_is_exact_in_alpha(self, grid64, monkeypatch):
         # an alpha 1e-13 off a cached one builds its own weights, so the result

@@ -123,6 +123,12 @@ class TestDigests:
         assert problem == "line 1 differs"
 
 
+class TestRssLine:
+    def test_kib_are_printed_as_mib_per_command(self):
+        assert (same_bytes._rss_line("kernels-corpus4", 53_186, 44_339)
+                == "rss parent 51.9 MiB -> change 43.3 MiB  kernels-corpus4")
+
+
 class TestSrcLines:
     def test_counts_newlines_of_package_sources_only(self, tmp_path):
         pkg = tmp_path / "critsqg"

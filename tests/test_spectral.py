@@ -13,6 +13,7 @@ from critsqg.spectral import (
     _holder_ratios,
     _increment_bound,
     _increment_maxima,
+    _kmag_power,
     fractional_laplacian,
     gradient,
     holder_seminorm,
@@ -578,3 +579,86 @@ class TestGridOracle:
         got, ref = resample(f, m), _ref_resample(f, m)
         assert got.grid == ref.grid
         _assert_same_array(got.coeffs, ref.coeffs)
+
+
+_GRID_ARRAYS = ("coords", "wavenumbers", "kvecs", "kmag", "nyquist_mask", "dealias_mask",
+                "gradient_symbols")
+_GRID_ARRAYS_2D = ("riesz_symbols", "transport_symbols")
+
+
+def _grid_arrays(grid):
+    """Every per-resolution array of ``grid``, the ``kvecs`` tuple spread out."""
+    names = _GRID_ARRAYS + (_GRID_ARRAYS_2D if grid.dim == 2 else ())
+    out = []
+    for name in names:
+        got = getattr(grid, name)
+        out.extend(got if isinstance(got, tuple) else (got,))
+    return out
+
+
+class TestGridCache:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_equal_grids_share_read_only_arrays(self, dim):
+        a, b = TorusGrid(dim, 48), TorusGrid(dim, 48)
+        assert a is not b and a == b and hash(a) == hash(b)
+        for x, y in zip(_grid_arrays(a), _grid_arrays(b), strict=True):
+            assert x is y
+            assert not x.flags.writeable
+
+    def test_other_spellings_of_the_resolution_share_without_changing_fields(self):
+        ref = TorusGrid(2, 64)
+        for grid in (TorusGrid(2, np.int64(64)), TorusGrid(2.0, 64)):
+            assert grid == ref and hash(grid) == hash(ref)
+            assert all(x is y for x, y in zip(_grid_arrays(grid), _grid_arrays(ref), strict=True))
+        assert repr(ref) == "TorusGrid(dim=2, n=64)"
+        assert type(ref.dim) is int and type(ref.n) is int
+        assert type(TorusGrid(2, np.int64(64)).n) is np.int64
+
+    def test_corpus_rows_share_the_arrays_of_their_grid(self):
+        from critsqg.config import default_corpus_path, read_corpus
+
+        fields = [phi for _name, phi in read_corpus(default_corpus_path())[0]]
+        assert len(fields) > 1
+        ref = _grid_arrays(TorusGrid(2, fields[0].grid.n))
+        for phi in fields:
+            assert all(x is y for x, y in zip(_grid_arrays(phi.grid), ref, strict=True))
+
+    def test_resample_reuses_the_target_arrays(self, grid64):
+        f = random_field(grid64, 6, seed=3)
+        up, again = resample(f, 128), resample(f, 128)
+        assert up.grid is not again.grid
+        assert up.grid.kmag is again.grid.kmag is TorusGrid(2, 128).kmag
+        assert up.grid.nyquist_mask is TorusGrid(2, 128).nyquist_mask
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n", [8, 10, 32, 64])
+    def test_values_match_per_dimension_reference(self, dim, n):
+        grid = TorusGrid(dim, n)
+        for got, ref in zip(grid.kvecs, _ref_kvecs(TorusGrid(dim, n)), strict=True):
+            _assert_same_array(got, ref)
+        _assert_same_array(grid.nyquist_mask, _ref_nyquist_mask(grid))
+        _assert_same_array(grid.dealias_mask, _ref_dealias_mask(grid))
+        for array in _grid_arrays(grid):
+            assert not array.flags.writeable
+
+
+class TestKmagPowers:
+    """The cached ``|k|`` powers equal the per-call expressions they replace."""
+
+    @pytest.mark.parametrize("dim, n", [(1, 32), (2, 16), (2, 64)])
+    def test_equal_to_per_call_expressions(self, dim, n):
+        kmag = TorusGrid(dim, n).kmag
+        nz = kmag > 0
+        assert np.array_equal(_kmag_power(dim, n, 2.0), kmag ** 2)  # _h1_pair
+        for s in (-1.5, 0.5, 1.0, 1.5, 2.0, 3.0):  # fractional_laplacian
+            sym = np.zeros_like(kmag)
+            sym[nz] = kmag[nz] ** s
+            assert np.array_equal(_kmag_power(dim, n, s), sym)
+        for s in (0.5, 1.0, 1.5, 2.0):  # sobolev_norm
+            assert np.array_equal(_kmag_power(dim, n, 2.0 * s)[nz], kmag[nz] ** (2.0 * s))
+
+    def test_built_once_per_key_and_read_only(self):
+        a = _kmag_power(*TorusGrid(2, 32)._resolution, 1.5)
+        assert a is _kmag_power(*TorusGrid(2, np.int64(32))._resolution, 1.5)
+        assert a is not _kmag_power(2, 32, 0.5)
+        assert not a.flags.writeable

@@ -30,8 +30,10 @@ both trees read the same files.  Each command's standard output is saved as ``st
 beside its outputs.  Every CSV, ``.sqgf``,
 ``dimension_report.txt`` and ``stdout.txt`` is compared (manifests hold a
 creation time, so they are not).  The script prints each command's exit
-codes, one line per file that differs or exists on one side only, the
-number of identical files, for each tree the sha256 of the sorted
+codes, then its peak resident memory on both trees (``rss parent X MiB ->
+change Y MiB``, the ``ru_maxrss`` that ``os.wait4`` returns; information
+only, it decides nothing), one line per file that differs or exists on one
+side only, the number of identical files, for each tree the sha256 of the sorted
 ``sha256  command/file`` list, and the line count of each tree's
 ``src/critsqg/*.py`` (as ``wc -l`` counts them: newline characters).  It
 exits 0 when every exit code and every file is the same, and 1 otherwise.
@@ -203,24 +205,35 @@ def _commands(inputs: str) -> dict:
     return cmds
 
 
-def _run_tree(src: str, out_root: str, cmds: dict) -> dict:
-    """Run every command on the package in ``src``; returns {name: exit code}.
+def _run_tree(src: str, out_root: str, cmds: dict) -> tuple:
+    """Run every command on the package in ``src``; returns ({name: exit code}, {name: peak RSS KiB}).
 
-    Each command's standard output goes to ``stdout.txt`` in its output directory.
+    Each command's standard output goes to ``stdout.txt`` in its output
+    directory.  The child is reaped with ``os.wait4``, whose resource usage
+    gives its peak resident set (``ru_maxrss``, KiB on Linux).
     """
     env = {k: v for k, v in os.environ.items() if k != "SQG_CONSTANTS"}
     env["PYTHONPATH"] = src
-    codes = {}
+    codes, rss = {}, {}
     for name, (argv, extra_env) in cmds.items():
         out = os.path.join(out_root, name)
-        done = subprocess.run([sys.executable, "-m", "critsqg.cli", *argv, "--out", out],
-                              env={**env, **extra_env}, stdout=subprocess.PIPE,
-                              stderr=subprocess.DEVNULL)
+        proc = subprocess.Popen([sys.executable, "-m", "critsqg.cli", *argv, "--out", out],
+                                env={**env, **extra_env}, stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL)
+        with proc.stdout:
+            stdout = proc.stdout.read()
+        _pid, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
         os.makedirs(out, exist_ok=True)
         with open(os.path.join(out, "stdout.txt"), "wb") as fh:
-            fh.write(done.stdout)
-        codes[name] = done.returncode
-    return codes
+            fh.write(stdout)
+        codes[name], rss[name] = proc.returncode, usage.ru_maxrss
+    return codes, rss
+
+
+def _rss_line(name: str, parent_kib: int, change_kib: int) -> str:
+    """The peak-memory line of one command, e.g. ``rss parent 51.9 MiB -> change 43.3 MiB  name``."""
+    return f"rss parent {parent_kib / 1024:.1f} MiB -> change {change_kib / 1024:.1f} MiB  {name}"
 
 
 def _digests(out_root: str) -> dict:
@@ -382,7 +395,9 @@ def main(argv=None) -> int:
         with ThreadPoolExecutor(max_workers=2) as pool:
             futures = {side: pool.submit(_run_tree, trees[side], outs[side], cmds)
                        for side in trees}
-            codes = {side: fut.result() for side, fut in futures.items()}
+            codes, rss = {}, {}
+            for side, fut in futures.items():
+                codes[side], rss[side] = fut.result()
         digests = {side: _digests(outs[side]) for side in trees}
         lines = {side: _src_lines(trees[side]) for side in trees}
         expected = {}
@@ -396,6 +411,8 @@ def main(argv=None) -> int:
         a, b = codes["parent"][name], codes["change"][name]
         differ += a != b
         print(f"exit {a} -> {b}  {name}{'' if a == b else '  DIFFERS'}")
+    for name in cmds:
+        print(_rss_line(name, rss["parent"][name], rss["change"][name]))
     same = 0
     for key in sorted(set(digests["parent"]) | set(digests["change"])):
         a, b = digests["parent"].get(key), digests["change"].get(key)
