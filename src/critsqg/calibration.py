@@ -5,10 +5,9 @@ exist but never exhibits values.  To make every envelope concrete and testable
 this module fixes a published corpus (seeds, bandwidths, resolutions below)
 and chooses each constant as the tightest value for which its governing
 inequality holds corpus-wide, padded with a x2 safety margin; the results are
-pinned in a versioned key=value file shipped with the package (and checked by
-the regression suite).  Each calibration bisects over, or inverts, the very
-check that the diagnostics run against its constant, so a constant cannot
-drift from its check.  Directions:
+pinned in a versioned key=value file shipped with the package.  Each
+calibration bisects over, or inverts, the very check that the diagnostics run
+against its constant, so a constant cannot drift from its check.  Directions:
 
 ==========  ===============================================================
 constant    governing inequality (safe direction)
@@ -31,16 +30,18 @@ c11         eigenvalue counting lambda_j >= sqrt(j)/c11 (exact enumeration,
 c_backward  log-convexity budget on the pair corpus over the [0, 5] horizon
 ==========  ===============================================================
 
-Calibration takes about 30 s on a 2-core desk machine; it runs once and its
+Calibration takes about 21 s on a 2-core desk machine; it runs once and its
 output is committed.  ``python -m critsqg.calibration`` prints the constants
 in the file format (progress goes to stderr); ``--write PATH`` saves them to
-PATH instead.
+PATH instead, and a PATH that cannot be written exits 2 (a missing directory
+before the protocol starts).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import fields as dc_fields, replace
 from typing import List, Sequence, Tuple
@@ -406,6 +407,11 @@ def main(argv=None) -> int:
     parser.add_argument("--write", metavar="PATH",
                         help="save the constants file to PATH instead of printing it")
     args = parser.parse_args(argv)
+    # a target that cannot be written is a usage error (exit 2); a missing
+    # directory is caught before the protocol runs, anything else when saving
+    if args.write is not None and not os.path.isdir(os.path.dirname(args.write) or "."):
+        print(f"{parser.prog}: cannot write {args.write}: no such directory", file=sys.stderr)
+        return 2
     consts = run_calibration()
     header = (
         "calibrated universal constants\n"
@@ -415,7 +421,11 @@ def main(argv=None) -> int:
     if args.write is None:
         print(constants_text(consts, header), end="")
     else:
-        save_constants(consts, args.write, header=header)
+        try:
+            save_constants(consts, args.write, header=header)
+        except OSError as exc:
+            print(f"{parser.prog}: cannot write {args.write}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
         print(f"wrote {args.write}")
     return 0
 

@@ -379,8 +379,11 @@ def absorbing_constants(f_linf: float, f_h1: float, kappa: float, consts: Univer
 
 
 def decay_envelope_report(traj: Trajectory, p, consts: UniversalConstants) -> EnvelopeReport:
-    """Compare recorded L^p norms (``p`` 2, 4, inf or in the run's ``report_ps``) with the envelope."""
-    f_norm = lp_norm(traj.force.field, p)  # a p that is no L^p exponent raises ValueError here
+    """Compare recorded L^p norms (``p`` 2, 4, inf or in the run's ``report_ps``) with the envelope.
+
+    ``config`` admits only ``inf`` and even integers ``p >= 2`` into ``report_ps``.
+    """
+    f_norm = lp_norm(traj.force.field, p)
     t = np.asarray(traj.times)
     norms = np.array([rep.lp[p] for rep in traj.reports])
     return _envelope_report(t, norms, decay_envelope(t, norms[0], f_norm, traj.config.kappa,
@@ -462,8 +465,6 @@ def log_convexity_series(traj1: Trajectory, traj2: Trajectory):
     sample with status ``indistinguishable`` (``w`` is empty, and ``t`` all
     snapshot times, when nothing is left); otherwise the status is ``ok``.
     """
-    if list(traj1.times) != list(traj2.times):
-        raise ValueError("trajectory pair must share snapshot times")
     t = np.asarray(traj1.times)
     d = np.empty(len(t))
     h32_avg_sq = np.empty(len(t))

@@ -133,8 +133,6 @@ def build_field(spec: FieldSpec, grid: TorusGrid) -> SpectralField:
         return SpectralField.from_values(grid, spec.amplitude * np.cos(phase))
     if spec.kind == "random_band":
         return random_band_field(grid, spec.band, spec.amplitude, spec.seed)
-    if spec.kind != "file":
-        raise ValueError(f"unknown field kind {spec.kind!r}")
     fld, _t = read_snapshot(spec.path)
     if fld.grid != grid:
         raise ValueError(f"snapshot grid {fld.grid} does not match run grid {grid}")

@@ -235,8 +235,6 @@ def _product_coeffs(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
 def _sanitize(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Project onto the representable class: zero mean, zero Nyquist, Hermitian."""
     c = np.asarray(coeffs, dtype=np.complex128).copy()
-    if c.shape != grid.shape:
-        raise ValueError(f"coefficient shape {c.shape} does not match grid {grid.shape}")
     # exact Hermitian symmetry: average with the reflected conjugate
     rev = tuple(slice(None, None, -1) for _ in range(grid.dim))
     c = 0.5 * (c + np.conj(np.roll(c[rev], 1, axis=tuple(range(grid.dim)))))
@@ -282,8 +280,6 @@ class SpectralField:
         zero, unless ``demean`` is set, in which case the mean is removed.
         """
         v = np.asarray(values, dtype=np.float64)
-        if v.shape != grid.shape:
-            raise ValueError(f"value shape {v.shape} does not match grid {grid.shape}")
         mean = float(v.mean())
         scale = float(np.abs(v).max())
         if not demean and scale > 0 and abs(mean) > 1e-10 * max(scale, 1.0):
@@ -313,21 +309,15 @@ class SpectralField:
     # small arithmetic surface so solver/tangent code reads naturally;
     # linear combinations preserve every invariant, so the fast path applies
     def __add__(self, other: "SpectralField") -> "SpectralField":
-        self._check_same_grid(other)
         return SpectralField._trusted(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
-        self._check_same_grid(other)
         return SpectralField._trusted(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar: float) -> "SpectralField":
         return SpectralField._trusted(self.grid, self.coeffs * float(scalar))
 
     __rmul__ = __mul__
-
-    def _check_same_grid(self, other: "SpectralField") -> None:
-        if other.grid != self.grid:
-            raise ValueError("fields live on different grids")
 
 
 @dataclass
@@ -361,10 +351,6 @@ def fractional_laplacian(field: SpectralField, s: float) -> SpectralField:
     mean-free invariant of :class:`SpectralField` guarantees that, and the
     zero mode stays exactly zero.
     """
-    if not -2.0 <= s <= 3.0:
-        raise ValueError(f"s must lie in [-2, 3], got {s}")
-    if s < 0 and abs(field.coeffs[(0,) * field.grid.dim]) > 0:
-        raise MeanZeroError("negative fractional powers are undefined on constants")
     return _multiplier(field, _kmag_power(*field.grid._resolution, s))
 
 
@@ -373,8 +359,6 @@ def riesz_perp(field: SpectralField) -> tuple:
 
     Only defined on T^2 (the 1D testbed transports with the scalar itself).
     """
-    if field.grid.dim != 2:
-        raise ValueError("riesz_perp requires dim=2")
     return tuple(_multiplier(field, sym) for sym in field.grid.riesz_symbols)
 
 
@@ -390,8 +374,6 @@ def shift(field: SpectralField, h: Sequence[float]) -> SpectralField:
     vector per axis: ``d*n`` exponentials, not ``n^d``.
     """
     h = np.atleast_1d(np.asarray(h, dtype=np.float64))
-    if h.shape != (field.grid.dim,):
-        raise ValueError("shift vector dimension mismatch")
     k = field.grid.wavenumbers.astype(np.float64)
     phase = reduce(np.multiply.outer, [np.exp(1j * (k * hi)) for hi in h])
     return _multiplier(field, phase)
@@ -429,8 +411,6 @@ def _lp_of_values(grid: TorusGrid, v: np.ndarray, p) -> float:
     if p == np.inf:
         return float(np.abs(v).max())
     p = int(p)
-    if p < 2 or p % 2 != 0:
-        raise ValueError(f"p must be an even integer >= 2 or inf, got {p}")
     cell = grid.spacing ** grid.dim
     return float((np.sum(v**p) * cell) ** (1.0 / p))
 
@@ -459,7 +439,6 @@ def _h1_gram(grid: TorusGrid, xs: np.ndarray) -> np.ndarray:
 
 def inner_h1(f: SpectralField, g: SpectralField) -> float:
     """Homogeneous H^1 inner product ``sum |k|^2 conj(f_k) g_k * (2pi)^d``."""
-    f._check_same_grid(g)
     return _h1_pair(f.grid, f.coeffs, g.coeffs)
 
 
@@ -550,11 +529,11 @@ def _holder_ratios(field: SpectralField, alpha: float) -> np.ndarray:
 
     A shift the pruned scan of :func:`_increment_maxima` skips holds 0; its
     quotient is below the maximum, so the first row-major argmax of the
-    table is the serial scan's maximizing shift.  ``alpha`` outside (0, 1]
-    and non-finite field values raise ``ValueError``.
+    table is the serial scan's maximizing shift.  ``alpha`` lies in (0, 1]:
+    ``config`` checks a probe's value and the budget's ``alpha_*`` is at most
+    1/4.  Non-finite field values raise ``ValueError``: a NaN quotient
+    compares False with every bound, so a check on it would pass silently.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     hpow = _all_shift_powers(field.grid, alpha)
     v = field.values()
     if not np.isfinite(v).all():

@@ -424,3 +424,25 @@ def test_main_write_saves_constants_to_path(tmp_path, monkeypatch, capsys, const
     assert capsys.readouterr().out == f"wrote {out}\n"
     assert load_constants(str(out)) == consts
     assert open(default_constants_path(), "rb").read() == shipped
+
+
+def test_main_write_into_missing_directory_exits_2_before_the_protocol(tmp_path, monkeypatch, capsys):
+    def protocol():
+        raise AssertionError("the protocol ran for a target it cannot write")
+
+    monkeypatch.setattr(cal, "run_calibration", protocol)
+    target = tmp_path / "missing" / "constants.txt"
+    assert cal.main(["--write", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and f"cannot write {target}" in captured.err
+    assert os.listdir(tmp_path) == []
+
+
+def test_main_write_failure_at_save_time_exits_2(tmp_path, monkeypatch, capsys, consts):
+    # the target's directory exists, but the target is a directory: open() fails
+    monkeypatch.setattr(cal, "run_calibration", lambda: consts)
+    assert cal.main(["--write", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and f"cannot write {tmp_path}" in captured.err

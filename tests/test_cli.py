@@ -286,6 +286,10 @@ class TestConfigParsing:
         "[tangent]\ntangent_band = 17\n",
         "[probes]\nholder_alpha = 2\n",
         "[probes]\ndecay_envelope_ps = 2,three\n",
+        # the only checks of an envelope p and a Hoelder alpha: odd and zero p, a NaN alpha
+        "[probes]\ndecay_envelope_ps = 3\n",
+        "[probes]\ndecay_envelope_ps = 0\n",
+        "[probes]\nholder_alpha = nan\n",
         "[tangent]\nn_tangent = -3\n",
         "[tangent]\ntangent_band = 0\n",
         "[tangent]\nt_relax = -1\n",
@@ -567,7 +571,10 @@ class TestUsageErrors:
                              ("c9", "0")]),
         # a repeated key and a typo were loaded silently, the repeat's value winning
         *(pytest.param(*_shipped_constants_plus(extra), id=extra)
-          for extra in ["c5 = 99.0", "c55 = 1.0"])])
+          for extra in ["c5 = 99.0", "c55 = 1.0"]),
+        # a key left out is named, though it has no line
+        pytest.param("".join(f"{line}\n" for line in _shipped_constants_lines()
+                             if not line.startswith("c9 ")), "missing key 'c9'", id="no c9")])
     def test_malformed_constants_exit_2(self, tmp_path, capsys, monkeypatch, text, where):
         bad = tmp_path / "bad.txt"
         bad.write_text(text)
@@ -801,7 +808,9 @@ class TestSimulate:
         assert setup.holder_alpha == alpha and type(setup.holder_alpha) is type(alpha)
 
     @pytest.mark.parametrize("key, value", [("holder_alpha", "0"), ("holder_alpha", "abc"),
-                                            ("decay_envelope_ps", "2,three"), ("absorption", "on")])
+                                            ("holder_alpha", "nan"), ("decay_envelope_ps", "2,three"),
+                                            ("decay_envelope_ps", "3"), ("decay_envelope_ps", "0"),
+                                            ("absorption", "on")])
     def test_bad_probe_value_exit_2_before_manifest(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(SMALL_RUN + f"{key} = {value}\n")  # [probes] is last; last value wins

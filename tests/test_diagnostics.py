@@ -68,14 +68,6 @@ class TestDecayEnvelope:
         assert np.all(np.diff(high) <= 1e-12)
         assert np.all(np.diff(low) >= -1e-12)
 
-    def test_p_validation(self, consts):
-        g = TorusGrid(2, 16)
-        traj = run(cos_x1(g), SolverConfig(kappa=1.0, dt=1e-3, t_end=1e-3, snapshot_dt=1e-3),
-                   zero_force(g))
-        for p in (3, "inf"):
-            with pytest.raises(ValueError):
-                decay_envelope_report(traj, p, consts)
-
 
 class TestHolderBudget:
     def test_quarter_cap_branch(self, consts):

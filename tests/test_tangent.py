@@ -96,12 +96,6 @@ class TestLinearizedRhs:
         assert errs[0] < 1e-2
         assert errs[1] < errs[0] / 5  # first order in eps
 
-    def test_grid_mismatch(self, grid48):
-        other = TorusGrid(2, 32)
-        with pytest.raises(ValueError):
-            linearized_rhs(random_band_field(grid48, 4, 1.0, 1),
-                           random_band_field(other, 4, 1.0, 1), 1.0)
-
 
 class TestCoupledStepper:
     def test_heat_decay_about_zero(self, grid48):
@@ -123,8 +117,6 @@ class TestCoupledStepper:
         xs = stack(grid48, [cos_x1(grid48), random_band_field(grid48, 4, 1.0, 3)])
         _, out = cs.step(random_band_field(grid48, 4, 0.5, 2), xs, 1e-3)
         assert out.shape == xs.shape and not out.flags.writeable
-        with pytest.raises(ValueError, match="tangent stack shape"):
-            cs.step(SpectralField.zeros(grid48), xs[0], 1e-3)
 
     def test_zero_tangent_stays_zero(self, grid48):
         cfg = SolverConfig(kappa=1.0, dt=1e-2, t_end=1.0)
